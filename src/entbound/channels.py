@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidChannel, OutOfRange, ZeroProbability
-from .qlinalg import DensityMatrix
+from .qlinalg import DensityMatrix, first_false
 
 # Completeness defect below this is treated as exactly trace preserving.
 TP_TOLERANCE = 1e-10
@@ -78,6 +78,34 @@ class ChannelApplication:
     probability: float
 
 
+def apply_stacked(channel: KrausChannel, mats, dims, side: str = "first"):
+    """:func:`apply_one_sided` for every matrix of a (k, d, d) stack.
+
+    Returns (outputs, p, fault): ``p`` holds the traces of the raw images
+    and ``fault`` is None or (index, ZeroProbability) for the first entry
+    with p <= 1e-14.  ``outputs`` holds the normalized images of the
+    entries before that index, not yet validated as density matrices.
+    """
+    n1, n2 = dims
+    ops = np.array(channel.operators)
+    if side == "first":
+        if channel.input_dim != n1:
+            raise DimensionMismatch(f"channel acts on dim {channel.input_dim}, subsystem has dim {n1}")
+        lifted = ops[:, :, None, :, None] * np.eye(n2)[:, None, :]  # M_k o I
+    elif side == "second":
+        if channel.input_dim != n2:
+            raise DimensionMismatch(f"channel acts on dim {channel.input_dim}, subsystem has dim {n2}")
+        lifted = np.eye(n1)[:, None, :, None] * ops[:, None, :, None, :]  # I o M_k
+    else:
+        raise ValueError(f"side must be 'first' or 'second', got {side!r}")
+    lifted = lifted.reshape(len(ops), n1 * n2, n1 * n2)
+    images = (lifted[:, None] @ mats @ lifted.conj().transpose(0, 2, 1)[:, None]).sum(axis=0)
+    p = np.trace(images, axis1=1, axis2=2).real
+    k = first_false(p > PROBABILITY_FLOOR)
+    fault = None if k == len(p) else (k, ZeroProbability(f"channel image has trace {p[k]!r}"))
+    return images[:k] / p[:k, None, None], p, fault
+
+
 def apply_one_sided(channel: KrausChannel, rho: DensityMatrix, side: str = "first") -> ChannelApplication:
     """Apply a channel to one subsystem of a bipartite state.
 
@@ -91,25 +119,10 @@ def apply_one_sided(channel: KrausChannel, rho: DensityMatrix, side: str = "firs
     ZeroProbability
         If p <= 1e-14, i.e. the channel annihilates the state.
     """
-    n1, n2 = rho.dims
-    if side == "first":
-        if channel.input_dim != n1:
-            raise DimensionMismatch(f"channel acts on dim {channel.input_dim}, subsystem has dim {n1}")
-        lifted = [np.kron(m, np.eye(n2)) for m in channel.operators]
-    elif side == "second":
-        if channel.input_dim != n2:
-            raise DimensionMismatch(f"channel acts on dim {channel.input_dim}, subsystem has dim {n2}")
-        lifted = [np.kron(np.eye(n1), m) for m in channel.operators]
-    else:
-        raise ValueError(f"side must be 'first' or 'second', got {side!r}")
-
-    image = np.zeros_like(rho.matrix)
-    for op in lifted:
-        image = image + op @ rho.matrix @ op.conj().T
-    p = np.trace(image).real
-    if p <= PROBABILITY_FLOOR:
-        raise ZeroProbability(f"channel image has trace {p!r}")
-    return ChannelApplication(DensityMatrix(rho.dims, image / p), float(p))
+    outputs, p, fault = apply_stacked(channel, rho.matrix[None], rho.dims, side)
+    if fault is not None:
+        raise fault[1]
+    return ChannelApplication(DensityMatrix(rho.dims, outputs[0]), float(p[0]))
 
 
 def apply_two_sided(ch1: KrausChannel, ch2: KrausChannel, rho: DensityMatrix) -> ChannelApplication:

@@ -17,19 +17,19 @@ import json
 import logging
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import __version__
-from .channels import KrausChannel, amplitude_damping, apply_one_sided, apply_two_sided, \
-    depolarizing, phase_damping
-from .concurrence import fidelity_lower_bound, upper_bound_one_sided, upper_bound_two_sided, \
-    wootters_concurrence
-from .errors import DimensionMismatch, SingularProbe
+from .channels import KrausChannel, amplitude_damping, apply_one_sided, apply_stacked, \
+    apply_two_sided, depolarizing, phase_damping
+from .concurrence import fidelity_lower_bound, spin_flip_concurrence, upper_bound_factor, \
+    upper_bound_one_sided, upper_bound_two_sided, wootters_concurrence
+from .errors import DimensionMismatch, SingularProbe, ZeroProbability
 from .probe import ProbeState, canonical_probe, lower_bound_one_sided, lower_bound_two_sided, \
-    probe_from_matrix, pt_via_reduced
-from .qlinalg import DensityMatrix, PureState, random_density, random_pure_state
+    pt_via_reduced, random_probe, two_sided_witness
+from .qlinalg import DensityMatrix, PureState, density_fault, random_density, random_pure_state
 from .serialize import channel_from_json, channel_to_json, dump_json, load_json, \
     probe_from_json, probe_to_json, state_from_json, state_to_json
 from .suites import SUITE_NAMES, run_suites
@@ -64,7 +64,6 @@ class SweepConfig:
     channel_1: KrausChannel
     channel_2: KrausChannel
     probe: ProbeState
-    seed: int = 0
 
     def __post_init__(self):
         grid = np.asarray(self.x_grid, dtype=float)
@@ -85,7 +84,6 @@ def default_sweep_config() -> SweepConfig:
         channel_1=ch1,
         channel_2=ch2,
         probe=canonical_probe(2),
-        seed=0,
     )
 
 
@@ -110,7 +108,6 @@ def sweep_config_from_json(doc: dict) -> SweepConfig:
         channel_1=channel_from_json(doc["channel_1"]) if "channel_1" in doc else cfg.channel_1,
         channel_2=channel_from_json(doc["channel_2"]) if "channel_2" in doc else cfg.channel_2,
         probe=probe,
-        seed=int(doc.get("seed", 0)),
     )
 
 
@@ -128,21 +125,7 @@ class BoundReport:
     method: str
 
     def to_json(self) -> dict:
-        return {
-            "lower_raw": self.lower_raw,
-            "lower": self.lower,
-            "exact": self.exact,
-            "upper": self.upper,
-            "p": self.p,
-            "p_prime": self.p_prime,
-            "p_t": self.p_t,
-            "method": self.method,
-        }
-
-
-def _probe_density(probe: ProbeState) -> DensityMatrix:
-    vec = probe.matrix.reshape(-1)
-    return DensityMatrix((probe.dim, probe.dim), np.outer(vec, vec.conj()))
+        return asdict(self)
 
 
 def _fmt(value: float) -> str:
@@ -152,35 +135,53 @@ def _fmt(value: float) -> str:
 def run_sweep(config: SweepConfig, output_path) -> None:
     """Evaluate lower bound, concurrence and upper bound over the x grid; write CSV.
 
-    The exact (spin-flip) concurrence and the upper bound exist only for
-    2x2 bipartitions; for larger states those two columns are left empty.
+    All grid points form one stack that goes through channel_1 and then
+    channel_2, each stage normalized and validated; the probe-route lower
+    bound applies a witness built once.  The exact (spin-flip) concurrence
+    and the upper bound exist only for 2x2 bipartitions; for larger states
+    those two columns are left empty.  A failed check raises its
+    ArithmeticError or ValueError, naming the first x that fails.
     """
-    base = config.base_state.matrix
-    dim = base.shape[0]
-    two_qubit = config.base_state.dims == (2, 2)
-    mix = np.eye(dim) / dim
-    probe_rho = _probe_density(config.probe)
+    dims, grid = config.base_state.dims, config.x_grid
+    d = dims[0] * dims[1]
+    probe_rho = config.probe.density()
     app1 = apply_one_sided(config.channel_1, probe_rho, side="first")
     app2 = apply_one_sided(config.channel_2, probe_rho, side="second")
+    witness = two_sided_witness(app1.output, app2.output, config.probe)
+    x = grid[:, None, None]
+    rho = x * config.base_state.matrix + (1.0 - x) * (np.eye(d) / d)
 
+    # The checks run in the order one point meets them, and each covers only
+    # the points before the earliest failure found so far.
+    first = [len(grid), None]
+
+    def keep(fault):
+        if fault is not None and fault[0] < first[0]:
+            first[:] = fault
+
+    keep(density_fault(rho))
+    out1, p1, fault = apply_stacked(config.channel_1, rho[:first[0]], dims, "first")
+    keep(fault)
+    keep(density_fault(out1[:first[0]]))
+    out2, p2, fault = apply_stacked(config.channel_2, out1[:first[0]], dims, "second")
+    keep(fault)
+    keep(density_fault(out2[:first[0]]))
+    lower, fault = witness.lower_bounds(rho[:first[0]])
+    keep(fault)
+    k, error = first
+    if error is not None:
+        raise type(error)(f"sweep failed at x={grid[k]}: {error}") from error
+
+    exact = upper = [None] * k
+    if dims == (2, 2):
+        values = spin_flip_concurrence(np.concatenate([out2, rho]))
+        exact = values[:k]
+        upper = (values[k:] * upper_bound_factor(app1.output, config.probe.matrix)
+                 * upper_bound_factor(app2.output, config.probe.matrix))
     lines = ["x,lower_bound,concurrence,upper_bound,p_total"]
-    for x in config.x_grid:
-        try:
-            rho = DensityMatrix(config.base_state.dims, x * base + (1.0 - x) * mix)
-            evolved = apply_two_sided(config.channel_1, config.channel_2, rho)
-            lower = lower_bound_two_sided(rho, app1.output, app2.output, config.probe,
-                                          p1_prime=app1.probability,
-                                          p2_prime=app2.probability).clamped
-            exact = upper = None
-            if two_qubit:
-                exact = wootters_concurrence(evolved.output)
-                upper = upper_bound_two_sided(wootters_concurrence(rho), app1.output,
-                                              app2.output, config.probe.matrix).raw
-        except Exception as exc:
-            raise RuntimeError(f"sweep failed at x={x}: {exc}") from exc
-        lines.append(",".join("" if v is None else _fmt(v)
-                              for v in (x, lower, exact, upper, evolved.probability)))
-        log.debug("x=%s lower=%s exact=%s upper=%s", x, lower, exact, upper)
+    for row in zip(grid, np.maximum(0.0, lower), exact, upper, p1 * p2):
+        lines.append(",".join("" if v is None else _fmt(v) for v in row))
+        log.debug("x=%s lower=%s exact=%s upper=%s", *row[:4])
 
     with open(output_path, "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -193,14 +194,15 @@ def _cmd_sweep(args) -> int:
             config = sweep_config_from_json(load_json(args.config))
         else:
             config = default_sweep_config()
-        if args.seed is not None:
-            config.seed = args.seed
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: could not build sweep config: {exc}", file=sys.stderr)
         return 2
     try:
         run_sweep(config, args.output)
-    except Exception as exc:
+    except OSError as exc:
+        print(f"error: could not write {args.output}: {exc}", file=sys.stderr)
+        return 2
+    except (ArithmeticError, ValueError, np.linalg.LinAlgError) as exc:
         print(f"error: numerical failure: {exc}", file=sys.stderr)
         return 3
     return 0
@@ -219,7 +221,7 @@ def evaluate_bound(rho: DensityMatrix, channels, side: str, probe, method: str) 
         evolved = apply_one_sided(channel, rho, side=side)
         p_prime = p_t = None
         if probe is not None:
-            app_probe = apply_one_sided(channel, _probe_density(probe), side=side)
+            app_probe = apply_one_sided(channel, probe.density(), side=side)
             p_prime = app_probe.probability
             p_t = pt_via_reduced(rho, app_probe.output, probe, p_prime=p_prime, side=side)
         if method == "probe":
@@ -239,13 +241,12 @@ def evaluate_bound(rho: DensityMatrix, channels, side: str, probe, method: str) 
     evolved = apply_two_sided(ch1, ch2, rho)
     p_prime = p_t = None
     if probe is not None:
-        app1 = apply_one_sided(ch1, _probe_density(probe), side="first")
-        app2 = apply_one_sided(ch2, _probe_density(probe), side="second")
+        app1 = apply_one_sided(ch1, probe.density(), side="first")
+        app2 = apply_one_sided(ch2, probe.density(), side="second")
         p_prime = app1.probability * app2.probability
         p_t = evolved.probability / p_prime
     if method == "probe":
-        lb = lower_bound_two_sided(rho, app1.output, app2.output, probe,
-                                   p1_prime=app1.probability, p2_prime=app2.probability)
+        lb = lower_bound_two_sided(rho, app1.output, app2.output, probe)
     else:
         lb = fidelity_lower_bound(evolved.output)
     upper = exact = None
@@ -258,6 +259,10 @@ def evaluate_bound(rho: DensityMatrix, channels, side: str, probe, method: str) 
 
 
 def _cmd_bound(args) -> int:
+    if len(args.channels) > 2:
+        print(f"error: bound takes one or two channel files, got {len(args.channels)}",
+              file=sys.stderr)
+        return 2
     try:
         state = state_from_json(load_json(args.state))
         channels = tuple(channel_from_json(load_json(path)) for path in args.channels)
@@ -287,6 +292,9 @@ def _cmd_bound(args) -> int:
     except DimensionMismatch as exc:
         print(f"error: dimension mismatch: {exc}", file=sys.stderr)
         return 4
+    except ZeroProbability as exc:
+        print(f"error: numerical failure: {exc}", file=sys.stderr)
+        return 3
     print(json.dumps(report.to_json(), indent=2))
     return 0
 
@@ -339,14 +347,7 @@ def _cmd_gen(args) -> int:
                 raise ValueError(f"unknown channel family {args.family!r}")
             doc = channel_to_json(channel)
         else:
-            rng = np.random.default_rng(args.seed)
-            while True:
-                p = rng.standard_normal((args.dim, args.dim)) \
-                    + 1j * rng.standard_normal((args.dim, args.dim))
-                p = p / np.linalg.norm(p)
-                if np.linalg.svd(p, compute_uv=False)[-1] > 1e-4:
-                    break
-            doc = probe_to_json(probe_from_matrix(p))
+            doc = probe_to_json(random_probe(args.dim, args.seed))
     except (ValueError, TypeError) as exc:
         print(f"error: invalid parameters: {exc}", file=sys.stderr)
         return 2
@@ -357,6 +358,13 @@ def _cmd_gen(args) -> int:
 def _require(value, flag):
     if value is None:
         raise ValueError(f"{flag} is required for this family")
+    return value
+
+
+def _positive_int(text) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
 
 
@@ -377,7 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="trace bound curves over the x in [0,1] family")
     p_sweep.add_argument("--config", help="JSON sweep configuration file")
     p_sweep.add_argument("--output", required=True, help="CSV output path")
-    p_sweep.add_argument("--seed", type=int, default=None)
     p_sweep.set_defaults(fn=_cmd_sweep)
 
     p_bound = sub.add_parser("bound", help="evaluate bounds for one state and channel(s)")
@@ -392,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", help="run quantified property suites")
     p_check.add_argument("suite", choices=SUITE_NAMES + ("all",))
     p_check.add_argument("--seed", type=int, default=0)
-    p_check.add_argument("--trials", type=int, default=None)
+    p_check.add_argument("--trials", type=_positive_int, default=None)
     p_check.add_argument("--report", help="also write the report text to this path")
     p_check.set_defaults(fn=_cmd_check)
 

@@ -72,32 +72,35 @@ def concurrence_two_qubit_pure(psi: PureState) -> float:
     return float(2.0 * abs(np.linalg.det(state_to_matrix(psi))))
 
 
-def spin_flip_spectrum(rho: DensityMatrix) -> np.ndarray:
-    """Decreasing sqrt-eigenvalues of rho rho~ with rho~ the spin-flipped state.
+def spin_flip_spectrum(mats) -> np.ndarray:
+    """Decreasing sqrt-eigenvalues of rho rho~, rho~ the spin-flipped state,
+    for each matrix of a (k, 4, 4) stack; returns shape (k, 4).
 
     Computed as the singular values of A^T (sy o sy) A for a factor
     rho = A A^dagger, which avoids taking square roots of near-zero
     eigenvalues of the non-Hermitian product rho rho~.  Eigenvalue mass
-    below 1e-14 (relative) is treated as exact rank deficiency: keeping
-    those columns would couple null directions of the Gram matrix and
-    inject O(sqrt(eps)) noise into the two smallest spectrum entries.
+    below 1e-14 (relative) is treated as exact rank deficiency and its
+    columns of A are zeroed: keeping them would couple null directions of
+    the Gram matrix and inject O(sqrt(eps)) noise into the two smallest
+    spectrum entries.
     """
-    if rho.dims != (2, 2):
-        raise DimensionMismatch(f"requires a 2x2 bipartition, got {rho.dims}")
-    w, v = np.linalg.eigh(rho.matrix)
-    keep = w > 1e-14 * max(1.0, w[-1])
-    factor = v[:, keep] * np.sqrt(w[keep])
-    tau = factor.T @ _SPIN_FLIP @ factor
-    lam = np.zeros(4)
-    sv = np.linalg.svd(tau, compute_uv=False)
-    lam[:sv.size] = sv
-    return lam
+    w, v = np.linalg.eigh(mats)
+    keep = w > 1e-14 * np.maximum(1.0, w[:, -1:])
+    factor = v * np.sqrt(np.where(keep, w, 0.0))[:, None, :]
+    return np.linalg.svd(np.swapaxes(factor, 1, 2) @ _SPIN_FLIP @ factor, compute_uv=False)
+
+
+def spin_flip_concurrence(mats) -> np.ndarray:
+    """Two-qubit concurrence max(0, l1 - l2 - l3 - l4) of each matrix of a (k, 4, 4) stack."""
+    lam = spin_flip_spectrum(mats)
+    return np.maximum(0.0, lam[:, 0] - lam[:, 1] - lam[:, 2] - lam[:, 3])
 
 
 def wootters_concurrence(rho: DensityMatrix) -> float:
     """Exact two-qubit mixed-state concurrence max(0, l1 - l2 - l3 - l4)."""
-    lam = spin_flip_spectrum(rho)
-    return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
+    if rho.dims != (2, 2):
+        raise DimensionMismatch(f"requires a 2x2 bipartition, got {rho.dims}")
+    return float(spin_flip_concurrence(rho.matrix[None])[0])
 
 
 def fidelity_lower_bound(rho: DensityMatrix) -> BoundValue:
@@ -196,13 +199,17 @@ def upper_bound_one_sided(c_in: float, rho_p: DensityMatrix, probe_matrix) -> Bo
     return BoundValue(float(c_in * wootters_concurrence(rho_p) / (2.0 * det)), "upper")
 
 
+def upper_bound_factor(rho_p: DensityMatrix, probe_matrix) -> float:
+    """One channel side's factor C(rho_P)/(2|det P|) of the two-sided upper bound."""
+    return wootters_concurrence(rho_p) / (2.0 * _probe_det(probe_matrix))
+
+
 def upper_bound_two_sided(c_in: float, rho_p1: DensityMatrix, rho_p2: DensityMatrix,
                           probe_matrix) -> BoundValue:
     """Upper bound with one evolved probe per channel side.
 
     c_in * C(rho_P1)/(2|det P|) * C(rho_P2)/(2|det P|).
     """
-    det = _probe_det(probe_matrix)
-    factor1 = wootters_concurrence(rho_p1) / (2.0 * det)
-    factor2 = wootters_concurrence(rho_p2) / (2.0 * det)
+    factor1 = upper_bound_factor(rho_p1, probe_matrix)
+    factor2 = upper_bound_factor(rho_p2, probe_matrix)
     return BoundValue(float(c_in * factor1 * factor2), "upper")

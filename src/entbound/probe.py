@@ -8,6 +8,12 @@ never needed.  The same data also yields the renormalization factor p_t
 for non-trace-preserving channels, either through the reduced state of
 the input or through a sum over the generalized Bell basis.
 
+With one channel on each side, the two probe images determine both
+channels' Choi matrices.  :func:`two_sided_witness` contracts them into
+operators W and Q whose expectation values in the input state are the
+MES overlap of the evolved state and p_t; both are linear in the input,
+so many input states share one witness.
+
 All formulas below assume the package's first-index-major vectorization,
 under which |psi> = (psi P^-1 o 1)|P> = (1 o psi^T (P^-1)^T)|P> holds
 literally for coefficient matrices psi.
@@ -26,6 +32,7 @@ from .qlinalg import (
     DensityMatrix,
     PureState,
     TOL_RECONSTRUCT,
+    first_false,
     partial_trace,
     state_to_matrix,
     swap_operator,
@@ -71,6 +78,11 @@ class ProbeState:
     inverse: np.ndarray
     condition: float
 
+    def density(self) -> DensityMatrix:
+        """The probe as a density matrix |P><P|."""
+        vec = self.matrix.reshape(-1)
+        return DensityMatrix((self.dim, self.dim), np.outer(vec, vec.conj()))
+
 
 def mes_basis(n: int) -> MesBasis:
     """Generalized Bell basis for an N x N bipartition, N >= 2."""
@@ -112,6 +124,17 @@ def probe_from_matrix(p) -> ProbeState:
     inv = np.linalg.inv(p)
     inv.setflags(write=False)
     return ProbeState(p.shape[0], p, inv, float(s[0] / s[-1]))
+
+
+def random_probe(dim: int, seed) -> ProbeState:
+    """Probe from standard complex Gaussians, redrawn while its smallest
+    singular value is at most 1e-4; ``seed`` may also be a Generator."""
+    rng = np.random.default_rng(seed)
+    while True:
+        p = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        p = p / np.linalg.norm(p)
+        if np.linalg.svd(p, compute_uv=False)[-1] > 1e-4:
+            return probe_from_matrix(p)
 
 
 def canonical_probe(n: int) -> ProbeState:
@@ -232,91 +255,74 @@ def lower_bound_one_sided(rho: DensityMatrix, evolved_probe: DensityMatrix, prob
     return BoundValue(float(_prefactor(n) * (fid - 1.0 / n)), "lower")
 
 
-def _two_sided_overlap_mes(rho_m, a1, a2, probe) -> float:
-    """Tr[|mes><mes| ($1 o $2) rho] via the double Bell-basis sum; no decomposition of rho."""
-    n = probe.dim
-    s = swap_operator(n)
-    pinv = probe.inverse
-    basis = mes_basis(n)
-    cs = basis.coefficient_matrices()
-    vecs = np.column_stack([c.reshape(-1) for c in cs])
-    weights = vecs.conj().T @ a2 @ vecs  # <Phi_m| A2 |Phi_n>
-    srs = s @ rho_m @ s
-    a1c = a1.conj()
-    lefts = [a1c @ np.kron(c.T @ pinv.T, pinv) @ srs for c in cs]
-    rights = [np.kron(pinv.conj() @ c.conj(), pinv.conj().T) for c in cs]
-    total = 0.0 + 0.0j
-    for m in range(n * n):
-        for k in range(n * n):
-            total += weights[m, k] * np.trace(lefts[m] @ rights[k])
-    return float(np.real(total) / n)
+@dataclass(frozen=True)
+class TwoSidedWitness:
+    """Operators W and Q with Tr[W rho] = <mes|($1 o $2) rho|mes> / (p1' p2')
+    and Tr[Q rho] = p_t = p / (p1' p2') for every input state rho."""
+
+    dim: int
+    overlap: np.ndarray
+    trace: np.ndarray
+
+    def lower_bounds(self, mats):
+        """Raw two-sided lower bounds for a (k, d, d) stack of input states.
+
+        Returns (values, fault): ``fault`` is None or (index,
+        ZeroProbability) for the first state with p_t <= 1e-14, and
+        ``values`` covers the states before that index.
+        """
+        p_t = np.einsum("xy,kyx->k", self.trace, mats).real
+        k = first_false(p_t > _PT_FLOOR)
+        overlap = np.einsum("xy,kyx->k", self.overlap, mats[:k]).real
+        values = _prefactor(self.dim) * (overlap / p_t[:k] - 1.0 / self.dim)
+        if k == len(p_t):
+            return values, None
+        return values, (k, ZeroProbability(
+            f"two-sided probability {p_t[k]!r}; channels annihilate the state"))
 
 
-def _two_sided_overlap_eigen(rho_m, a1, a2, probe) -> float:
-    """Same overlap through the eigenvalue decomposition of rho.
+def two_sided_witness(evolved_probe_1: DensityMatrix, evolved_probe_2: DensityMatrix,
+                      probe: ProbeState) -> TwoSidedWitness:
+    """Build the two-sided witness from the normalized probe images.
 
-    Eigenvectors are subnormalized (norm^2 = eigenvalue); eigenvalues
-    below 1e-14 are dropped.
+    The images fix both channels' Choi matrices, J1 = sum_ij $1(|i><j|) o |i><j|
+    and J2 = sum_ij |i><j| o $2(|i><j|):
+    J1/p1' = (1 o P^-T) rho_P1' (1 o P^-T)^dag and
+    J2/p2' = (P^-1 o 1) rho_P2' (P^-1 o 1)^dag
+    (ancilla-assisted process tomography, D'Ariano & Lo Presti, PRL 86,
+    4195 (2001)).  Contracting them over the canonical MES gives W, and
+    their partial traces give Q.
     """
+    _warn_if_ill_conditioned(probe)
     n = probe.dim
-    s = swap_operator(n)
-    pinv = probe.inverse
-    sas = s @ a2 @ s
-    w, v = np.linalg.eigh(rho_m)
-    total = 0.0 + 0.0j
-    for i in range(len(w)):
-        if w[i] < 1e-14:
-            continue
-        x = (np.sqrt(w[i]) * v[:, i]).reshape(n, n)
-        y = pinv @ x @ pinv
-        lift = np.kron(np.eye(n), y)
-        total += np.trace(a1.conj() @ lift @ sas @ lift.conj().T)
-    return float(np.real(total) / n)
-
-
-def _channel_completeness_from_probe(a, probe, side) -> np.ndarray:
-    """Recover sum_k M_k^dag M_k of the channel from its (normalized) probe image."""
-    n = probe.dim
-    four = a.reshape(n, n, n, n)
-    pinv = probe.inverse
-    if side == "first":
-        reduced = np.trace(four, axis1=0, axis2=2)  # trace over the channel side
-        return pinv.conj().T @ reduced.T @ pinv
-    reduced = np.trace(four, axis1=1, axis2=3)
-    return (pinv @ reduced @ pinv.conj().T).T
+    left_1 = np.kron(np.eye(n), probe.inverse.T)
+    left_2 = np.kron(probe.inverse, np.eye(n))
+    j1 = (left_1 @ evolved_probe_1.matrix @ left_1.conj().T).reshape(n, n, n, n)
+    j2 = (left_2 @ evolved_probe_2.matrix @ left_2.conj().T).reshape(n, n, n, n)
+    overlap = np.einsum("aicj,kalc->jlik", j1, j2).reshape(n * n, n * n) / n
+    trace = np.kron(np.einsum("aiaj->ji", j1), np.einsum("kblb->lk", j2))
+    return TwoSidedWitness(n, overlap, trace)
 
 
 def lower_bound_two_sided(rho: DensityMatrix, evolved_probe_1: DensityMatrix,
-                          evolved_probe_2: DensityMatrix, probe: ProbeState,
-                          p1_prime: float = 1.0, p2_prime: float = 1.0,
-                          method: str = "mes") -> BoundValue:
+                          evolved_probe_2: DensityMatrix, probe: ProbeState) -> BoundValue:
     """Concurrence lower bound of the two-sided channel image, probe data only.
 
     ``evolved_probe_1`` is the normalized image of the probe under the
     first-side channel, ``evolved_probe_2`` under the second-side one.
     The MES-fidelity of the evolved state and the total two-sided
-    probability are both reconstructed from these images plus ``rho``;
-    stage probabilities cancel, so the ``p*_prime`` values are carried
-    only for bookkeeping.
+    probability are both linear in ``rho``; :func:`two_sided_witness`
+    builds the two functionals from the images, and they are applied here
+    to ``rho``.  Stage probabilities cancel in the ratio.
 
-    ``method`` selects the decomposition-free double Bell-basis sum
-    ("mes", the default) or the eigenvalue-decomposition variant
-    ("eigen"); the two agree to machine precision.
+    Raises
+    ------
+    ZeroProbability
+        If p_t falls below 1e-14.
     """
     _check_square(rho, probe)
-    _warn_if_ill_conditioned(probe)
-    n = probe.dim
-    a1 = evolved_probe_1.matrix
-    a2 = evolved_probe_2.matrix
-    if method == "mes":
-        overlap = _two_sided_overlap_mes(rho.matrix, a1, a2, probe)
-    elif method == "eigen":
-        overlap = _two_sided_overlap_eigen(rho.matrix, a1, a2, probe)
-    else:
-        raise ValueError(f"method must be 'mes' or 'eigen', got {method!r}")
-    q1 = _channel_completeness_from_probe(a1, probe, "first")
-    q2 = _channel_completeness_from_probe(a2, probe, "second")
-    p = np.real(np.trace(np.kron(q1, q2) @ rho.matrix))
-    if p <= _PT_FLOOR:
-        raise ZeroProbability(f"two-sided probability {p!r}; channels annihilate the state")
-    return BoundValue(float(_prefactor(n) * (overlap / p - 1.0 / n)), "lower")
+    values, fault = two_sided_witness(evolved_probe_1, evolved_probe_2,
+                                      probe).lower_bounds(rho.matrix[None])
+    if fault is not None:
+        raise fault[1]
+    return BoundValue(float(values[0]), "lower")

@@ -97,12 +97,9 @@ class DensityMatrix:
         object.__setattr__(self, "dims", (n1, n2))
         d = n1 * n2
         mat = _frozen_complex(self.matrix, shape=(d, d))
-        if np.max(np.abs(mat - mat.conj().T)) > TOL_STRUCTURE:
-            raise ValueError("matrix is not Hermitian within 1e-12")
-        if abs(np.trace(mat).real - 1.0) > TOL_STRUCTURE:
-            raise ValueError(f"trace = {np.trace(mat).real!r} is not 1 within 1e-12")
-        if np.linalg.eigvalsh(mat)[0] < EIGENVALUE_FLOOR:
-            raise ValueError("matrix has an eigenvalue below -1e-10")
+        fault = density_fault(mat[None])
+        if fault is not None:
+            raise fault[1]
         object.__setattr__(self, "matrix", mat)
 
     @property
@@ -112,6 +109,27 @@ class DensityMatrix:
     @property
     def n2(self) -> int:
         return self.dims[1]
+
+
+def first_false(ok) -> int:
+    """Index of the first False entry of a 1-D mask, else its length."""
+    return len(ok) if ok.all() else int(ok.argmin())
+
+
+def density_fault(mats):
+    """(index, ValueError) for the first entry of a (k, d, d) stack that is not
+    Hermitian and of unit trace within 1e-12 with eigenvalues >= -1e-10, else None."""
+    asym = np.abs(mats - mats.conj().swapaxes(1, 2)).max(axis=(1, 2))
+    trace = mats.trace(axis1=1, axis2=2).real
+    k = first_false((asym <= TOL_STRUCTURE) & (np.abs(trace - 1.0) <= TOL_STRUCTURE))
+    low = first_false(np.linalg.eigvalsh(mats[:k])[:, 0] >= EIGENVALUE_FLOOR)
+    if low < k:
+        return low, ValueError("matrix has an eigenvalue below -1e-10")
+    if k == len(mats):
+        return None
+    if not asym[k] <= TOL_STRUCTURE:
+        return k, ValueError("matrix is not Hermitian within 1e-12")
+    return k, ValueError(f"trace = {trace[k]!r} is not 1 within 1e-12")
 
 
 @dataclass(frozen=True)
@@ -207,7 +225,10 @@ def canonical_mes(dims) -> PureState:
 
 
 def random_pure_state(dims, seed) -> PureState:
-    """Haar-distributed pure state: normalized vector of standard complex Gaussians."""
+    """Haar-distributed pure state: normalized vector of standard complex Gaussians.
+
+    ``seed`` may also be a Generator, which is then drawn from.
+    """
     n1, n2 = _check_dims(dims)
     rng = np.random.default_rng(seed)
     z = rng.standard_normal(n1 * n2) + 1j * rng.standard_normal(n1 * n2)
@@ -215,7 +236,10 @@ def random_pure_state(dims, seed) -> PureState:
 
 
 def random_density(dims, rank, seed) -> DensityMatrix:
-    """Random density matrix G G^dagger / Tr with an N1*N2 x rank Gaussian factor G."""
+    """Random density matrix G G^dagger / Tr with an N1*N2 x rank Gaussian factor G.
+
+    ``seed`` may also be a Generator, which is then drawn from.
+    """
     n1, n2 = _check_dims(dims)
     d = n1 * n2
     if not 1 <= rank <= d:

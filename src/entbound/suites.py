@@ -4,7 +4,8 @@ Each suite draws seeded random inputs, evaluates one of the library's
 contracts at its stated tolerance, and reports the failure count plus
 the worst residual seen.  Per-trial generators are seeded with
 (seed, trial index) so any failure is reproducible from the suite name,
-seed and trial number alone.
+seed and trial number alone.  A suite passes only when it evaluated at
+least one trial and none failed.
 """
 
 from __future__ import annotations
@@ -37,18 +38,6 @@ def _rng(seed, trial):
     return np.random.default_rng([int(seed), int(trial)])
 
 
-def _random_pure(dims, rng) -> ql.PureState:
-    z = rng.standard_normal(dims[0] * dims[1]) + 1j * rng.standard_normal(dims[0] * dims[1])
-    return ql.PureState(dims, z / np.linalg.norm(z))
-
-
-def _random_density(dims, rank, rng) -> ql.DensityMatrix:
-    d = dims[0] * dims[1]
-    g = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
-    rho = g @ g.conj().T
-    return ql.DensityMatrix(dims, rho / np.trace(rho).real)
-
-
 def _random_tp_channel(dim, count, rng) -> ch.KrausChannel:
     gs = [rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
           for _ in range(count)]
@@ -56,19 +45,6 @@ def _random_tp_channel(dim, count, rng) -> ch.KrausChannel:
     w, v = np.linalg.eigh(total)
     root_inv = v @ np.diag(1.0 / np.sqrt(w)) @ v.conj().T
     return ch.KrausChannel(dim, tuple(g @ root_inv for g in gs))
-
-
-def _random_probe(dim, rng) -> pr.ProbeState:
-    while True:
-        p = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        p = p / np.linalg.norm(p)
-        if np.linalg.svd(p, compute_uv=False)[-1] > 1e-4:
-            return pr.probe_from_matrix(p)
-
-
-def _probe_density(probe: pr.ProbeState) -> ql.DensityMatrix:
-    vec = probe.matrix.reshape(-1)
-    return ql.DensityMatrix((probe.dim, probe.dim), np.outer(vec, vec.conj()))
 
 
 def _minor_sum_concurrence(psi: ql.PureState) -> float:
@@ -86,6 +62,30 @@ def _minor_sum_concurrence(psi: ql.PureState) -> float:
                         continue
                     total += abs(m[i, p] * m[j, q] - m[i, q] * m[j, p]) ** 2
     return float(np.sqrt(total))
+
+
+def two_sided_bound_mes(rho, evolved_probe_1, evolved_probe_2, probe, p_t) -> float:
+    """The paper's two-sided probe bound, an oracle independent of the witness route.
+
+    Tr[|mes><mes| ($1 o $2) rho] / (p1' p2') comes from the double
+    Bell-basis sum over the normalized probe images, with no decomposition
+    of rho; p_t = p / (p1' p2') is supplied by the caller.
+    """
+    n = probe.dim
+    s = ql.swap_operator(n)
+    pinv = probe.inverse
+    cs = pr.mes_basis(n).coefficient_matrices()
+    vecs = np.column_stack([c.reshape(-1) for c in cs])
+    weights = vecs.conj().T @ evolved_probe_2.matrix @ vecs  # <Phi_m| A2 |Phi_n>
+    srs = s @ rho.matrix @ s
+    a1c = evolved_probe_1.matrix.conj()
+    lefts = [a1c @ np.kron(c.T @ pinv.T, pinv) @ srs for c in cs]
+    rights = [np.kron(pinv.conj() @ c.conj(), pinv.conj().T) for c in cs]
+    total = 0.0 + 0.0j
+    for m in range(n * n):
+        for k in range(n * n):
+            total += weights[m, k] * np.trace(lefts[m] @ rights[k])
+    return float(conc._prefactor(n) * (np.real(total) / n / p_t - 1.0 / n))
 
 
 def suite_mes_basis(seed=0, trials=None) -> SuiteResult:
@@ -109,7 +109,7 @@ def suite_mes_basis(seed=0, trials=None) -> SuiteResult:
         if res >= 1e-12:
             failures += 1
             repro = repro or {"suite": "mes-basis", "n": n, "residual": res}
-    return SuiteResult("mes-basis", failures == 0, count, failures, worst, repro)
+    return SuiteResult("mes-basis", failures == 0 < count, count, failures, worst, repro)
 
 
 def suite_theorem1(seed=0, trials=1000) -> SuiteResult:
@@ -120,7 +120,7 @@ def suite_theorem1(seed=0, trials=1000) -> SuiteResult:
     repro = None
     count = 0
     for t in range(trials):
-        psi = _random_pure((2, 2), _rng(seed, t))
+        psi = ql.random_pure_state((2, 2), _rng(seed, t))
         res = abs(conc.theorem1_bound(psi.density()).raw - conc.concurrence_pure(psi))
         worst = max(worst, res)
         count += 1
@@ -137,14 +137,14 @@ def suite_theorem1(seed=0, trials=1000) -> SuiteResult:
             failures += 1
             repro = repro or {"suite": "theorem1", "mes_dim": n, "residual": res}
         for t in range(max(1, trials // 50)):
-            psi = _random_pure((n, n), _rng(seed, 10_000 * n + t))
+            psi = ql.random_pure_state((n, n), _rng(seed, 10_000 * n + t))
             margin = conc.concurrence_pure(psi) - conc.fidelity_lower_bound(psi.density()).raw
             count += 1
             if margin <= 1e-10:  # bound must be strictly below away from MES
                 failures += 1
                 repro = repro or {"suite": "theorem1", "seed": seed, "dim": n,
                                   "trial": t, "margin": margin}
-    return SuiteResult("theorem1", failures == 0, count, failures, worst, repro)
+    return SuiteResult("theorem1", failures == 0 < count, count, failures, worst, repro)
 
 
 def suite_probe_invariance(seed=0, trials=100) -> SuiteResult:
@@ -157,43 +157,48 @@ def suite_probe_invariance(seed=0, trials=100) -> SuiteResult:
     for n, n_pairs in ((2, 20), (3, 20)):
         for t in range(n_pairs):
             rng = _rng(seed, t + 1000 * n)
-            rho = _random_density((n, n), int(rng.integers(1, n * n + 1)), rng)
+            rho = ql.random_density((n, n), int(rng.integers(1, n * n + 1)), rng)
             channel = _random_tp_channel(n, int(rng.integers(2, 4)), rng)
             if t % 4 == 0:  # non-trace-preserving truncation
                 channel = ch.KrausChannel(n, channel.operators[:1])
             two_sided = t % 2 == 1
             if two_sided:
                 channel_2 = _random_tp_channel(n, int(rng.integers(2, 4)), rng)
-                evolved = ch.apply_one_sided(
-                    channel_2, ch.apply_one_sided(channel, rho, "first").output, "second")
+                evolved = ch.apply_two_sided(channel, channel_2, rho)
             else:
                 evolved = ch.apply_one_sided(channel, rho, "first")
             direct = conc.fidelity_lower_bound(evolved.output).raw
             values = []
+            mes_gap = 0.0
             for _ in range(trials):
-                probe = _random_probe(n, rng)
-                app = ch.apply_one_sided(channel, _probe_density(probe), side="first")
+                probe = pr.random_probe(n, rng)
+                app = ch.apply_one_sided(channel, probe.density(), side="first")
                 if two_sided:
-                    app2 = ch.apply_one_sided(channel_2, _probe_density(probe), side="second")
-                    values.append(pr.lower_bound_two_sided(
-                        rho, app.output, app2.output, probe,
-                        p1_prime=app.probability, p2_prime=app2.probability).raw)
+                    app2 = ch.apply_one_sided(channel_2, probe.density(), side="second")
+                    values.append(pr.lower_bound_two_sided(rho, app.output, app2.output,
+                                                           probe).raw)
+                    if len(values) == 1:  # the paper's double sum, once per pair
+                        p_t = evolved.probability / (app.probability * app2.probability)
+                        mes_gap = abs(two_sided_bound_mes(rho, app.output, app2.output,
+                                                          probe, p_t) - values[0])
                 else:
                     values.append(pr.lower_bound_one_sided(rho, app.output, probe,
                                                            p_prime=app.probability).raw)
+            if not values:
+                continue
             spread = max(values) - min(values)
             oracle_gap = max(abs(v - direct) for v in values)
-            res = max(spread, oracle_gap)
+            res = max(spread, oracle_gap, mes_gap)
             worst = max(worst, res)
             pairs += 1
             if res > 1e-8:
                 failures += 1
                 repro = repro or {"suite": "probe-invariance", "seed": seed,
                                   "dim": n, "pair": t, "spread": spread,
-                                  "oracle_gap": oracle_gap,
+                                  "oracle_gap": oracle_gap, "mes_gap": mes_gap,
                                   "state": state_to_json(rho),
                                   "channel": channel_to_json(channel)}
-    return SuiteResult("probe-invariance", failures == 0, pairs, failures, worst, repro)
+    return SuiteResult("probe-invariance", failures == 0 < pairs, pairs, failures, worst, repro)
 
 
 def suite_pt_equivalence(seed=0, trials=200) -> SuiteResult:
@@ -204,13 +209,13 @@ def suite_pt_equivalence(seed=0, trials=200) -> SuiteResult:
     for t in range(trials):
         rng = _rng(seed, t)
         n = 2 if t % 2 == 0 else 3
-        rho = _random_density((n, n), int(rng.integers(1, n * n + 1)), rng)
+        rho = ql.random_density((n, n), int(rng.integers(1, n * n + 1)), rng)
         channel = _random_tp_channel(n, int(rng.integers(2, 4)), rng)
         trace_preserving = t % 3 != 0
         if not trace_preserving:
             channel = ch.KrausChannel(n, channel.operators[:1])
-        probe = _random_probe(n, rng)
-        app = ch.apply_one_sided(channel, _probe_density(probe), side="first")
+        probe = pr.random_probe(n, rng)
+        app = ch.apply_one_sided(channel, probe.density(), side="first")
         pt_red = pr.pt_via_reduced(rho, app.output, probe, p_prime=app.probability)
         pt_sum = pr.pt_via_mes_sum(rho, app.output, probe)
         res = abs(pt_red - pt_sum)
@@ -225,7 +230,7 @@ def suite_pt_equivalence(seed=0, trials=200) -> SuiteResult:
             repro = repro or {"suite": "pt-equivalence", "seed": seed, "trial": t,
                               "residual": res, "state": state_to_json(rho),
                               "channel": channel_to_json(channel)}
-    return SuiteResult("pt-equivalence", failures == 0, trials, failures, worst, repro)
+    return SuiteResult("pt-equivalence", failures == 0 < trials, trials, failures, worst, repro)
 
 
 def suite_sandwich(seed=0, trials=500) -> SuiteResult:
@@ -239,12 +244,12 @@ def suite_sandwich(seed=0, trials=500) -> SuiteResult:
     repro = None
     for t in range(trials):
         rng = _rng(seed, t)
-        probe = pr.canonical_probe(2) if t % 3 else _random_probe(2, rng)
+        probe = pr.canonical_probe(2) if t % 3 else pr.random_probe(2, rng)
         ch1 = _random_tp_channel(2, int(rng.integers(2, 4)), rng)
-        app1 = ch.apply_one_sided(ch1, _probe_density(probe), side="first")
+        app1 = ch.apply_one_sided(ch1, probe.density(), side="first")
         if t % 2 == 0:
             # pure input, one-sided channel: the upper bound is an equality
-            psi = _random_pure((2, 2), rng)
+            psi = ql.random_pure_state((2, 2), rng)
             rho = psi.density()
             evolved = ch.apply_one_sided(ch1, rho, "first").output
             exact = conc.wootters_concurrence(evolved)
@@ -253,9 +258,9 @@ def suite_sandwich(seed=0, trials=500) -> SuiteResult:
                                                app1.output, probe.matrix).raw
             res = max(lower - exact, abs(exact - upper))
         else:
-            rho = _random_density((2, 2), int(rng.integers(1, 5)), rng)
+            rho = ql.random_density((2, 2), int(rng.integers(1, 5)), rng)
             ch2 = _random_tp_channel(2, int(rng.integers(2, 4)), rng)
-            app2 = ch.apply_one_sided(ch2, _probe_density(probe), side="second")
+            app2 = ch.apply_one_sided(ch2, probe.density(), side="second")
             evolved = ch.apply_two_sided(ch1, ch2, rho).output
             exact = conc.wootters_concurrence(evolved)
             lower = conc.fidelity_lower_bound(evolved).clamped
@@ -268,7 +273,7 @@ def suite_sandwich(seed=0, trials=500) -> SuiteResult:
             repro = repro or {"suite": "sandwich", "seed": seed, "trial": t,
                               "violation": res, "state": state_to_json(rho),
                               "channel_1": channel_to_json(ch1)}
-    return SuiteResult("sandwich", failures == 0, trials, failures, worst, repro)
+    return SuiteResult("sandwich", failures == 0 < trials, trials, failures, worst, repro)
 
 
 def suite_structural(seed=0, trials=1000) -> SuiteResult:
@@ -280,7 +285,7 @@ def suite_structural(seed=0, trials=1000) -> SuiteResult:
     dims_cycle = ((2, 2), (2, 3), (3, 3))
     for t in range(trials):
         dims = dims_cycle[t % 3]
-        psi = _random_pure(dims, _rng(seed, t))
+        psi = ql.random_pure_state(dims, _rng(seed, t))
         res = abs(conc.concurrence_pure(psi) - _minor_sum_concurrence(psi))
         worst = max(worst, res)
         count += 1
@@ -299,7 +304,7 @@ def suite_structural(seed=0, trials=1000) -> SuiteResult:
                 failures += 1
                 repro = repro or {"suite": "structural", "family": maker.__name__,
                                   "parameter": float(value), "defect": defect}
-    return SuiteResult("structural", failures == 0, count, failures, worst, repro)
+    return SuiteResult("structural", failures == 0 < count, count, failures, worst, repro)
 
 
 _SUITES = {

@@ -120,8 +120,7 @@ def test_criterion_3_probe_vs_direct():
             evolved = apply_one_sided(
                 ch2, apply_one_sided(ch1, rho, "first").output, "second")
             direct = fidelity_lower_bound(evolved.output).raw
-            got = lower_bound_two_sided(rho, a1.output, a2.output, probe,
-                                        a1.probability, a2.probability).raw
+            got = lower_bound_two_sided(rho, a1.output, a2.output, probe).raw
         worst = max(worst, abs(got - direct))
     report(3, "probe vs direct equivalence", worst <= 1e-8, f"max_residual={worst:.2e}")
 

@@ -18,6 +18,7 @@ from entbound import (
     phase_damping,
     random_density,
 )
+from entbound.channels import apply_stacked
 from conftest import random_tp_kraus
 
 IDENTITY_CHANNEL = KrausChannel(2, (np.eye(2),))
@@ -194,3 +195,25 @@ class TestChannelFamilies:
     def test_families_trace_preserving(self, maker):
         for value in np.linspace(0.0, 1.0, 11):
             assert maker(float(value)).completeness_defect < 1e-12
+
+
+class TestApplyStacked:
+    @pytest.mark.parametrize("side", ["first", "second"])
+    def test_matches_single_states(self, rng, side):
+        channel = random_tp_kraus(2, 3, rng)
+        states = [random_density((2, 2), r, seed=r) for r in (1, 2, 4)]
+        outputs, p, fault = apply_stacked(channel, np.array([s.matrix for s in states]),
+                                          (2, 2), side)
+        assert fault is None
+        for state, out, prob in zip(states, outputs, p):
+            single = apply_one_sided(channel, state, side)
+            np.testing.assert_array_equal(out, single.output.matrix)
+            assert prob == single.probability
+
+    def test_first_annihilated_entry(self):
+        keep_ground = KrausChannel(2, (np.diag([1.0, 0.0]),))
+        stack = np.array([basis_density(i, (2, 2)).matrix for i in (0, 3, 2, 1)])
+        outputs, p, fault = apply_stacked(keep_ground, stack, (2, 2), "first")
+        index, error = fault
+        assert index == 1 and isinstance(error, ZeroProbability)
+        assert len(outputs) == 1 and len(p) == 4

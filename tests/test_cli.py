@@ -1,13 +1,17 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
 
-from entbound import DensityMatrix, amplitude_damping, apply_two_sided, wootters_concurrence
-from entbound.cli import default_base_state, main
+from entbound import (DensityMatrix, KrausChannel, amplitude_damping, apply_two_sided,
+                      canonical_mes, random_density, upper_bound_two_sided,
+                      wootters_concurrence)
+from entbound.cli import SweepConfig, default_base_state, default_sweep_config, main, run_sweep
 from entbound.serialize import channel_to_json, dump_json, state_to_json
+from conftest import random_probe, random_tp_kraus
 
 
 def run_cli(*argv):
@@ -131,6 +135,17 @@ class TestBound:
         assert report["p_prime"] is None and report["p_t"] is None
         assert report["p"] == pytest.approx(1.0, abs=1e-12)
 
+    def test_three_channels_exit_2(self, tmp_path):
+        state = write_state(tmp_path / "rho.json", default_base_state())
+        channel = write_channel(tmp_path / "ad.json", amplitude_damping(0.2))
+        assert run_cli("bound", state, channel, channel, channel) == 2
+
+    def test_annihilating_channel_exits_3(self, tmp_path):
+        state = DensityMatrix((2, 2), np.diag([0.0, 0.0, 0.0, 1.0]).astype(complex))
+        state_path = write_state(tmp_path / "rho.json", state)
+        channel = write_channel(tmp_path / "kill.json", KrausChannel(2, (np.diag([1.0, 0.0]),)))
+        assert run_cli("bound", state_path, channel) == 3
+
     def test_non_square_probe_method_exits_4(self, tmp_path):
         from entbound import random_density
         state = write_state(tmp_path / "rho.json", random_density((2, 3), 3, seed=2))
@@ -202,6 +217,115 @@ class TestSweep:
         assert float(fields[4]) == pytest.approx(1.0)
 
 
+def sweep_oracle(config):
+    """Rows of a sweep computed point by point: explicit Kraus sums over
+    kron-lifted operators, the canonical-MES overlap of the evolved state
+    and the Wootters value of each single state."""
+    dims = config.base_state.dims
+    n1, n2 = dims
+    d = n1 * n2
+
+    def image(channel, rho, side):
+        lifted = [np.kron(m, np.eye(n2)) if side == "first" else np.kron(np.eye(n1), m)
+                  for m in channel.operators]
+        out = sum(op @ rho @ op.conj().T for op in lifted)
+        return out / np.trace(out).real, np.trace(out).real
+
+    vec = config.probe.matrix.reshape(-1)
+    probe_rho = np.outer(vec, vec.conj())
+    probe_1 = DensityMatrix(dims, image(config.channel_1, probe_rho, "first")[0])
+    probe_2 = DensityMatrix(dims, image(config.channel_2, probe_rho, "second")[0])
+    mes = canonical_mes(dims).amplitudes
+    r = min(dims)
+    rows = []
+    for x in config.x_grid:
+        rho = x * config.base_state.matrix + (1.0 - x) * np.eye(d) / d
+        mid, p1 = image(config.channel_1, rho, "first")
+        out, p2 = image(config.channel_2, mid, "second")
+        fidelity = np.vdot(mes, out @ mes).real
+        lower = max(0.0, np.sqrt(2.0 * r / (r - 1.0)) * (fidelity - 1.0 / r))
+        exact = upper = None
+        if dims == (2, 2):
+            exact = wootters_concurrence(DensityMatrix(dims, out))
+            upper = upper_bound_two_sided(wootters_concurrence(DensityMatrix(dims, rho)),
+                                          probe_1, probe_2, config.probe.matrix).raw
+        rows.append((x, lower, exact, upper, p1 * p2))
+    return rows
+
+
+def _random_non_tp_config():
+    rng = np.random.default_rng(20240817)
+    truncated = KrausChannel(2, random_tp_kraus(2, 3, rng).operators[:1])
+    return SweepConfig(x_grid=default_sweep_config().x_grid,
+                       base_state=random_density((2, 2), 3, seed=11), channel_1=truncated,
+                       channel_2=random_tp_kraus(2, 2, rng), probe=random_probe(2, rng))
+
+
+def _identity_3x3_config():
+    identity3 = KrausChannel(3, (np.eye(3),))
+    return SweepConfig(x_grid=default_sweep_config().x_grid,
+                       base_state=random_density((3, 3), 4, seed=8), channel_1=identity3,
+                       channel_2=identity3, probe=random_probe(3, np.random.default_rng(3)))
+
+
+class TestStackedSweep:
+    @pytest.mark.parametrize("make_config", [default_sweep_config, _random_non_tp_config,
+                                             _identity_3x3_config])
+    def test_matches_per_point_oracle(self, tmp_path, make_config):
+        config = make_config()
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        run_sweep(config, a)
+        run_sweep(config, b)
+        assert a.read_bytes() == b.read_bytes()
+        lines = a.read_text().strip().split("\n")[1:]
+        expected = sweep_oracle(config)
+        assert len(lines) == len(expected) == len(config.x_grid)
+        for line, row in zip(lines, expected):
+            for field, value in zip(line.split(","), row):
+                if value is None:
+                    assert field == ""
+                else:  # the CSV keeps 12 significant digits
+                    assert abs(float(field) - value) <= 1e-12 * max(1.0, abs(value))
+
+    def test_ill_conditioned_probe_warns_once(self, tmp_path):
+        from entbound import probe_from_matrix
+        skewed = np.diag([1.0, 2e-5])
+        config = default_sweep_config()
+        config.probe = probe_from_matrix(skewed / np.linalg.norm(skewed))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run_sweep(config, tmp_path / "s.csv")
+        assert sum("condition" in str(w.message) for w in caught) == 1
+
+    def test_annihilated_point_exits_3_naming_x(self, tmp_path, capsys):
+        state = DensityMatrix((2, 2), np.diag([0.0, 0.0, 0.0, 1.0]).astype(complex))  # |11><11|
+        cfg = {"x_grid": [0.0, 0.5, 1.0], "base_state": state_to_json(state),
+               "channel_1": channel_to_json(KrausChannel(2, (np.diag([1.0, 0.0]),)))}
+        cfg_path = tmp_path / "cfg.json"
+        dump_json(cfg, cfg_path)
+        assert run_cli("sweep", "--config", str(cfg_path),
+                       "--output", str(tmp_path / "s.csv")) == 3
+        assert "x=1.0" in capsys.readouterr().err
+
+    def test_programming_error_is_not_exit_3(self, tmp_path, monkeypatch):
+        import entbound.cli
+
+        def broken(*args):
+            raise TypeError("not a numerical failure")
+
+        monkeypatch.setattr(entbound.cli, "spin_flip_concurrence", broken)
+        with pytest.raises(TypeError):
+            run_cli("sweep", "--output", str(tmp_path / "s.csv"))
+
+    def test_unwritable_output_exits_2(self, tmp_path):
+        assert run_cli("sweep", "--output", str(tmp_path / "missing" / "s.csv")) == 2
+
+    def test_seed_flag_removed(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("sweep", "--seed", "1", "--output", str(tmp_path / "s.csv"))
+        assert exc.value.code == 2
+
+
 class TestCheck:
     def test_mes_basis_suite_passes(self, capsys):
         assert run_cli("check", "mes-basis") == 0
@@ -215,6 +339,18 @@ class TestCheck:
     def test_small_sandwich_suite(self, capsys):
         assert run_cli("check", "sandwich", "--trials", "40", "--seed", "2") == 0
         assert "sandwich: PASS" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_trials_below_one_rejected(self, trials):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("check", "sandwich", "--trials", trials)
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("suite", ["sandwich", "probe-invariance"])
+    def test_zero_trial_suite_fails(self, suite):
+        from entbound.suites import run_suites
+        result, = run_suites(suite, seed=0, trials=0)
+        assert result.trials == 0 and not result.passed
 
     def test_report_file(self, tmp_path, capsys):
         report = tmp_path / "report.txt"

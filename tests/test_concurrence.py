@@ -24,6 +24,7 @@ from entbound import (
     wootters_concurrence,
     amplitude_damping,
 )
+from entbound.concurrence import spin_flip_concurrence
 from conftest import probe_density, random_mixed, random_probe, random_tp_kraus
 
 SY = np.array([[0, -1j], [1j, 0]])
@@ -308,3 +309,18 @@ class TestBoundValue:
         assert bound.raw < 0.0
         assert bound.clamped == 0.0
         assert bound.kind == "lower"
+
+
+class TestSpinFlipStack:
+    def test_stack_matches_single_states_and_oracle(self, rng):
+        states = [random_mixed((2, 2), int(rng.integers(1, 5)), rng) for _ in range(40)]
+        values = spin_flip_concurrence(np.array([s.matrix for s in states]))
+        for state, value in zip(states, values):
+            assert value == wootters_concurrence(state)
+            assert abs(value - wootters_eig_oracle(state.matrix)) < 1e-7
+
+    def test_rank_one_stack_matches_determinant(self):
+        states = [random_pure_state((2, 2), seed) for seed in range(20)]
+        values = spin_flip_concurrence(np.array([s.density().matrix for s in states]))
+        for psi, value in zip(states, values):
+            assert abs(value - concurrence_two_qubit_pure(psi)) < 1e-10

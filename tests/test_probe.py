@@ -28,6 +28,8 @@ from entbound import (
     state_to_matrix,
     tensor_product,
 )
+from entbound.probe import two_sided_witness
+from entbound.suites import two_sided_bound_mes
 from conftest import probe_density, random_mixed, random_probe, random_tp_kraus
 
 EXAMPLE_RAW = np.array([
@@ -278,8 +280,7 @@ class TestLowerBoundTwoSided:
         a1 = apply_one_sided(ch1, probe_density(probe), "first")
         a2 = apply_one_sided(ch2, probe_density(probe), "second")
         evolved = apply_two_sided(ch1, ch2, rho)
-        got = lower_bound_two_sided(rho, a1.output, a2.output, probe,
-                                    a1.probability, a2.probability).raw
+        got = lower_bound_two_sided(rho, a1.output, a2.output, probe).raw
         assert abs(got - fidelity_lower_bound(evolved.output).raw) < 1e-8
 
     def test_matches_direct_evolution(self, rng):
@@ -296,11 +297,10 @@ class TestLowerBoundTwoSided:
             a1 = apply_one_sided(ch1, probe_density(probe), "first")
             a2 = apply_one_sided(ch2, probe_density(probe), "second")
             evolved = apply_two_sided(ch1, ch2, rho)
-            got = lower_bound_two_sided(rho, a1.output, a2.output, probe,
-                                        a1.probability, a2.probability).raw
+            got = lower_bound_two_sided(rho, a1.output, a2.output, probe).raw
             assert abs(got - fidelity_lower_bound(evolved.output).raw) < 1e-8
 
-    def test_eigen_method_agrees(self, rng):
+    def test_agrees_with_suites_oracle(self, rng):
         for trial in range(40):
             n = 2 if trial % 2 else 3
             rho = random_mixed((n, n), int(rng.integers(1, n * n + 1)), rng)
@@ -309,11 +309,10 @@ class TestLowerBoundTwoSided:
             ch2 = random_tp_kraus(n, 3, rng)
             a1 = apply_one_sided(ch1, probe_density(probe), "first")
             a2 = apply_one_sided(ch2, probe_density(probe), "second")
-            mes_val = lower_bound_two_sided(rho, a1.output, a2.output, probe,
-                                            method="mes").raw
-            eig_val = lower_bound_two_sided(rho, a1.output, a2.output, probe,
-                                            method="eigen").raw
-            assert abs(mes_val - eig_val) < 1e-8
+            p_t = apply_two_sided(ch1, ch2, rho).probability / (a1.probability * a2.probability)
+            mes_val = two_sided_bound_mes(rho, a1.output, a2.output, probe, p_t)
+            witness_val = lower_bound_two_sided(rho, a1.output, a2.output, probe).raw
+            assert abs(mes_val - witness_val) < 1e-8
 
     def test_probe_invariance(self, rng):
         rho = random_mixed((2, 2), 4, rng)
@@ -327,8 +326,49 @@ class TestLowerBoundTwoSided:
             values.append(lower_bound_two_sided(rho, a1.output, a2.output, probe).raw)
         assert max(values) - min(values) < 1e-8
 
-    def test_unknown_method(self, rng):
+
+class TestTwoSidedWitness:
+    def test_functionals_match_direct_evolution(self, rng):
+        for trial in range(30):
+            n = (2, 3, 4)[trial % 3]
+            rho = random_mixed((n, n), int(rng.integers(1, n * n + 1)), rng)
+            probe = random_probe(n, rng)
+            ch1 = random_tp_kraus(n, 2, rng)
+            if trial % 2 == 0:  # non-trace-preserving truncation
+                ch1 = KrausChannel(n, ch1.operators[:1])
+            ch2 = random_tp_kraus(n, 3, rng)
+            a1 = apply_one_sided(ch1, probe_density(probe), "first")
+            a2 = apply_one_sided(ch2, probe_density(probe), "second")
+            witness = two_sided_witness(a1.output, a2.output, probe)
+            evolved = apply_two_sided(ch1, ch2, rho)
+            p_prime = a1.probability * a2.probability
+            mes = canonical_mes((n, n)).amplitudes
+            overlap = np.vdot(mes, evolved.output.matrix @ mes).real * evolved.probability
+            assert abs(np.trace(witness.trace @ rho.matrix).real * p_prime
+                       - evolved.probability) < 1e-10
+            assert abs(np.trace(witness.overlap @ rho.matrix).real * p_prime - overlap) < 1e-10
+            for op in (witness.overlap, witness.trace):
+                np.testing.assert_allclose(op, op.conj().T, atol=1e-10)
+
+    def test_stack_matches_single_states(self, rng):
         probe = random_probe(2, rng)
-        rho = random_density((2, 2), 2, seed=0)
-        with pytest.raises(ValueError):
-            lower_bound_two_sided(rho, rho, rho, probe, method="nope")
+        ch1, ch2 = random_tp_kraus(2, 2, rng), random_tp_kraus(2, 3, rng)
+        a1 = apply_one_sided(ch1, probe_density(probe), "first")
+        a2 = apply_one_sided(ch2, probe_density(probe), "second")
+        states = [random_mixed((2, 2), r, rng) for r in (1, 2, 3, 4)]
+        values, fault = two_sided_witness(a1.output, a2.output, probe).lower_bounds(
+            np.array([s.matrix for s in states]))
+        assert fault is None
+        for state, value in zip(states, values):
+            assert value == lower_bound_two_sided(state, a1.output, a2.output, probe).raw
+
+    def test_annihilated_state_is_a_fault(self):
+        kill = KrausChannel(2, (np.diag([1.0, 0.0]),))
+        probe = canonical_probe(2)
+        a1 = apply_one_sided(kill, probe_density(probe), "first")
+        a2 = apply_one_sided(kill, probe_density(probe), "second")
+        states = np.array([np.diag(d).astype(complex) for d in ([1.0, 0, 0, 0], [0, 0, 0, 1.0])])
+        values, (index, error) = two_sided_witness(a1.output, a2.output, probe).lower_bounds(states)
+        assert index == 1 and isinstance(error, ZeroProbability) and len(values) == 1
+        with pytest.raises(ZeroProbability):
+            lower_bound_two_sided(DensityMatrix((2, 2), states[1]), a1.output, a2.output, probe)

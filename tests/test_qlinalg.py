@@ -19,6 +19,7 @@ from entbound import (
     swap_operator,
     tensor_product,
 )
+from entbound.qlinalg import density_fault
 
 BELL = PureState((2, 2), np.array([1, 0, 0, 1]) / np.sqrt(2))
 
@@ -221,3 +222,27 @@ class TestDensityMatrixInvariants:
         m = np.diag([0.6, 0.5, 0.0, -0.1])
         with pytest.raises(ValueError):
             DensityMatrix((2, 2), m)
+
+
+class TestDensityFault:
+    def test_first_failing_entry_and_reason(self):
+        valid = np.eye(4) / 4
+        negative = np.diag([0.6, 0.5, 0.0, -0.1])
+        skew = valid.astype(complex)
+        skew[0, 1] = 0.1
+        stack = np.array([valid, negative, 2 * valid, skew])
+        index, error = density_fault(stack)
+        assert index == 1 and "eigenvalue" in str(error)
+        index, error = density_fault(stack[2:])
+        assert index == 0 and "trace" in str(error)
+        # hermiticity is checked before the trace on the same entry
+        index, error = density_fault(np.array([valid, 2 * skew]))
+        assert index == 1 and "Hermitian" in str(error)
+
+    def test_valid_and_empty_stacks(self):
+        stack = np.array([random_density((2, 3), r, seed=r).matrix for r in (1, 3, 6)])
+        assert density_fault(stack) is None
+        assert density_fault(stack[:0]) is None
+
+    def test_nan_entry_fails(self):
+        assert density_fault(np.full((1, 4, 4), np.nan))[0] == 0
