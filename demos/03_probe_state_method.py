@@ -39,7 +39,7 @@ for _ in range(4):
     probe_in = DensityMatrix((2, 2), np.outer(probe.matrix.reshape(-1),
                                               probe.matrix.reshape(-1).conj()))
     app = apply_one_sided(channel, probe_in, "first")
-    bound = lower_bound_one_sided(rho, app.output, probe, p_prime=app.probability)
+    bound = lower_bound_one_sided(rho, app.output, probe)
     print(np.round(probe.matrix.real, 3).tolist(), " ", bound.raw)
 
 # The renormalization factor p_t has two equivalent computations: a
@@ -49,7 +49,7 @@ probe = probe_from_matrix(np.diag([np.sqrt(0.8), np.sqrt(0.2)]))
 probe_in = DensityMatrix((2, 2), np.outer(probe.matrix.reshape(-1),
                                           probe.matrix.reshape(-1).conj()))
 app = apply_one_sided(channel, probe_in, "first")
-print("\np_t via reduced state :", pt_via_reduced(rho, app.output, probe, app.probability))
+print("\np_t via reduced state :", pt_via_reduced(rho, app.output, probe))
 print("p_t via Bell-basis sum:", pt_via_mes_sum(rho, app.output, probe))
 
 # The Bell-basis sum has one term per basis state; for qubits the four

@@ -27,8 +27,8 @@ from .channels import KrausChannel, amplitude_damping, apply_one_sided, apply_st
 from .concurrence import fidelity_lower_bound, spin_flip_concurrence, upper_bound_factor, \
     upper_bound_one_sided, upper_bound_two_sided, wootters_concurrence
 from .errors import DimensionMismatch, SingularProbe, ZeroProbability
-from .probe import ProbeState, canonical_probe, lower_bound_one_sided, lower_bound_two_sided, \
-    pt_via_reduced, random_probe, two_sided_witness
+from .probe import ProbeState, canonical_probe, lower_bound_two_sided, one_sided_witness, \
+    random_probe, two_sided_witness
 from .qlinalg import DensityMatrix, PureState, density_fault, random_density, random_pure_state
 from .serialize import channel_from_json, channel_to_json, dump_json, load_json, \
     probe_from_json, probe_to_json, state_from_json, state_to_json
@@ -166,7 +166,7 @@ def run_sweep(config: SweepConfig, output_path) -> None:
     out2, p2, fault = apply_stacked(config.channel_2, out1[:first[0]], dims, "second")
     keep(fault)
     keep(density_fault(out2[:first[0]]))
-    lower, fault = witness.lower_bounds(rho[:first[0]])
+    lower, _, fault = witness.lower_bounds(rho[:first[0]])
     keep(fault)
     k, error = first
     if error is not None:
@@ -216,44 +216,28 @@ def evaluate_bound(rho: DensityMatrix, channels, side: str, probe, method: str) 
     """
     if probe is None and method == "probe":
         raise DimensionMismatch("the probe method needs a square bipartition or a probe file")
-    if len(channels) == 1:
-        channel = channels[0]
-        evolved = apply_one_sided(channel, rho, side=side)
-        p_prime = p_t = None
-        if probe is not None:
-            app_probe = apply_one_sided(channel, probe.density(), side=side)
-            p_prime = app_probe.probability
-            p_t = pt_via_reduced(rho, app_probe.output, probe, p_prime=p_prime, side=side)
-        if method == "probe":
-            lb = lower_bound_one_sided(rho, app_probe.output, probe,
-                                       p_prime=p_prime, side=side)
-        else:
-            lb = fidelity_lower_bound(evolved.output)
-        upper = exact = None
-        if rho.dims == (2, 2):
-            exact = wootters_concurrence(evolved.output)
-            upper = upper_bound_one_sided(wootters_concurrence(rho), app_probe.output,
-                                          probe.matrix).raw
-        return BoundReport(lb.raw, lb.clamped, exact, upper,
-                           evolved.probability, p_prime, p_t, method)
-
-    ch1, ch2 = channels
-    evolved = apply_two_sided(ch1, ch2, rho)
-    p_prime = p_t = None
+    one = len(channels) == 1
+    evolved = apply_one_sided(channels[0], rho, side=side) if one \
+        else apply_two_sided(*channels, rho)
+    lb = p_prime = p_t = upper = exact = None
     if probe is not None:
-        app1 = apply_one_sided(ch1, probe.density(), side="first")
-        app2 = apply_one_sided(ch2, probe.density(), side="second")
-        p_prime = app1.probability * app2.probability
-        p_t = evolved.probability / p_prime
-    if method == "probe":
-        lb = lower_bound_two_sided(rho, app1.output, app2.output, probe)
-    else:
+        apps = [apply_one_sided(channel, probe.density(), side=s)
+                for channel, s in zip(channels, (side,) if one else ("first", "second"))]
+        if one:
+            p_prime = apps[0].probability
+            lb, p_t = one_sided_witness(apps[0].output, probe, side).bound(rho)
+        else:
+            p_prime = apps[0].probability * apps[1].probability
+            p_t = evolved.probability / p_prime
+            if method == "probe":
+                lb = lower_bound_two_sided(rho, apps[0].output, apps[1].output, probe)
+    if method != "probe":
         lb = fidelity_lower_bound(evolved.output)
-    upper = exact = None
     if rho.dims == (2, 2):
         exact = wootters_concurrence(evolved.output)
-        upper = upper_bound_two_sided(wootters_concurrence(rho), app1.output, app2.output,
-                                      probe.matrix).raw
+        c_in = wootters_concurrence(rho)
+        upper = (upper_bound_one_sided(c_in, apps[0].output, probe.matrix) if one else
+                 upper_bound_two_sided(c_in, apps[0].output, apps[1].output, probe.matrix)).raw
     return BoundReport(lb.raw, lb.clamped, exact, upper,
                        evolved.probability, p_prime, p_t, method)
 

@@ -1,18 +1,19 @@
 """Probe-state recovery of concurrence lower bounds.
 
 A full-rank N x N pure "probe" state |P> is sent through the channel
-instead of the state of interest.  Its normalized image, together with
-the initial density matrix, determines the fidelity-based lower bound of
-the evolved state's concurrence exactly; the evolved state itself is
-never needed.  The same data also yields the renormalization factor p_t
-for non-trace-preserving channels, either through the reduced state of
-the input or through a sum over the generalized Bell basis.
+instead of the state of interest.  The normalized probe image of each
+channel side fixes that channel's Choi matrix, and :func:`choi_witness`
+contracts the Choi matrices of both sides (the exact identity on a side
+without a channel) into one witness: operators W and Q whose expectation
+values in the initial state are the MES overlap of the evolved state and
+the renormalization factor p_t = p/p'.  The one-sided bound is the
+two-sided one with the identity on the other side, and the report's p_t
+is read from Q; the evolved state itself is never needed.  W and Q are
+linear in the input, so many input states share one witness, and a stack
+of probes gives a stack of witnesses.
 
-With one channel on each side, the two probe images determine both
-channels' Choi matrices.  :func:`two_sided_witness` contracts them into
-operators W and Q whose expectation values in the input state are the
-MES overlap of the evolved state and p_t; both are linear in the input,
-so many input states share one witness.
+The paper's p_t formulas, through the reduced input state and through a
+sum over the generalized Bell basis, are kept as independent oracles.
 
 All formulas below assume the package's first-index-major vectorization,
 under which |psi> = (psi P^-1 o 1)|P> = (1 o psi^T (P^-1)^T)|P> holds
@@ -33,9 +34,7 @@ from .qlinalg import (
     PureState,
     TOL_RECONSTRUCT,
     first_false,
-    partial_trace,
     state_to_matrix,
-    swap_operator,
 )
 
 _RANK_FLOOR = 1e-8
@@ -152,49 +151,46 @@ def decompose_via_probe(psi: PureState, probe: ProbeState) -> np.ndarray:
     return state_to_matrix(psi) @ probe.inverse
 
 
-def _check_square(rho: DensityMatrix, probe: ProbeState):
-    if rho.dims[0] != rho.dims[1]:
-        raise DimensionMismatch(f"probe formulas need a square bipartition, got {rho.dims}")
-    if rho.dims != (probe.dim, probe.dim):
-        raise DimensionMismatch(f"state dims {rho.dims} do not match probe dim {probe.dim}")
+def _check_square(rho: DensityMatrix, n: int):
+    if rho.dims != (n, n):
+        raise DimensionMismatch(f"probe formulas need an {n} x {n} state, got dims {rho.dims}")
 
 
-def _swap_density(rho: DensityMatrix) -> DensityMatrix:
-    n = rho.dims[0]
-    s = swap_operator(n)
-    return DensityMatrix(rho.dims, s @ rho.matrix @ s)
+def _swap(mat: np.ndarray, n: int) -> np.ndarray:
+    """S mat S for the subsystem swap S, as an axis transpose of the (n, n, n, n) view."""
+    return mat.reshape(n, n, n, n).transpose(1, 0, 3, 2).reshape(n * n, n * n)
 
 
 def _to_first_side(rho, evolved_probe, probe, side):
     """Reduce the side="second" case to side="first" by swapping subsystems.
 
     Swapping both states and transposing the probe matrix turns
-    (1 o $)|P><P| into ($ o 1)|P^T><P^T|, after which every first-side
-    formula applies unchanged.
+    (1 o $)|P><P| into ($ o 1)|P^T><P^T|; the first-side formulas apply to
+    the returned matrices, and P^T, valid whenever P is, is not revalidated.
     """
     if side == "first":
-        return rho, evolved_probe, probe
+        return rho.matrix, evolved_probe.matrix, probe
     if side != "second":
         raise ValueError(f"side must be 'first' or 'second', got {side!r}")
-    return (_swap_density(rho), _swap_density(evolved_probe),
-            probe_from_matrix(probe.matrix.T))
+    n = probe.dim
+    mirrored = ProbeState(n, probe.matrix.T, probe.inverse.T, probe.condition)
+    return _swap(rho.matrix, n), _swap(evolved_probe.matrix, n), mirrored
 
 
 def pt_via_reduced(rho: DensityMatrix, evolved_probe: DensityMatrix, probe: ProbeState,
-                   p_prime: float = 1.0, side: str = "first") -> float:
+                   side: str = "first") -> float:
     """Renormalization factor p_t = p/p' from the reduced input state.
 
     p_t = Tr[ rho_P' (1 o (P^-1 rho_A P^-dag)^*) ] with rho_A the reduced
-    state of the input on the channel side.  ``p_prime`` is carried for
-    bookkeeping (p = p_t * p'); the normalized probe image already
-    contains the 1/p' factor, so the value does not depend on it.
+    state of the input on the channel side.  The normalized probe image
+    already carries the 1/p' factor.
     """
-    _check_square(rho, probe)
-    rho, evolved_probe, probe = _to_first_side(rho, evolved_probe, probe, side)
+    _check_square(rho, probe.dim)
+    rho, image, probe = _to_first_side(rho, evolved_probe, probe, side)
     n = probe.dim
-    rho_a = partial_trace(rho, keep="first")
-    window = np.kron(np.eye(n), (probe.inverse @ rho_a @ probe.inverse.conj().T).conj())
-    return float(np.real(np.trace(evolved_probe.matrix @ window)))
+    rho_a = np.trace(rho.reshape(n, n, n, n), axis1=1, axis2=3)
+    window = (probe.inverse @ rho_a @ probe.inverse.conj().T).conj()
+    return float(np.einsum("axay,yx->", image.reshape(n, n, n, n), window).real)
 
 
 def pt_via_mes_sum(rho: DensityMatrix, evolved_probe: DensityMatrix, probe: ProbeState,
@@ -205,103 +201,127 @@ def pt_via_mes_sum(rho: DensityMatrix, evolved_probe: DensityMatrix, probe: Prob
     one term per basis state (four for a pair of qubits).  Agrees with
     :func:`pt_via_reduced` to machine precision.
     """
-    _check_square(rho, probe)
-    rho, evolved_probe, probe = _to_first_side(rho, evolved_probe, probe, side)
+    _check_square(rho, probe.dim)
+    rho, image, probe = _to_first_side(rho, evolved_probe, probe, side)
     n = probe.dim
-    s = swap_operator(n)
-    srs = s @ rho.matrix.conj() @ s
+    srs = _swap(rho.conj(), n)
     total = 0.0
     for c in mes_basis(n).coefficient_matrices():
         left = np.kron(c, probe.inverse.conj())
-        total += np.real(np.trace(evolved_probe.matrix @ left @ srs @ left.conj().T))
+        total += np.real(np.trace(image @ left @ srs @ left.conj().T))
     return float(total)
 
 
-def _warn_if_ill_conditioned(probe: ProbeState):
-    if probe.condition > CONDITION_WARN:
-        warnings.warn(
-            f"probe condition number {probe.condition:.3g} exceeds {CONDITION_WARN:.0e}; "
-            "the bound may carry amplified rounding error",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-
-
-def lower_bound_one_sided(rho: DensityMatrix, evolved_probe: DensityMatrix, probe: ProbeState,
-                          p_prime: float = 1.0, side: str = "first") -> BoundValue:
-    """Concurrence lower bound of the one-sided channel image, probe data only.
-
-    Evaluates sqrt(2R/(R-1)) (Tr[f(rho_P') rho^*] - 1/R) with
-    f(x) = (1/(p_t R)) S (1 o (P^-1)^T) x (1 o (P^-1)^*) S, which equals
-    the fidelity lower bound of the directly evolved state.  ``rho`` is
-    the *initial* state; the evolved state is never constructed.
-
-    Raises
-    ------
-    ZeroProbability
-        If p_t falls below 1e-14.
-    """
-    _check_square(rho, probe)
-    _warn_if_ill_conditioned(probe)
-    rho_f, ep_f, probe_f = _to_first_side(rho, evolved_probe, probe, side)
-    n = probe_f.dim
-    p_t = pt_via_reduced(rho_f, ep_f, probe_f)
-    if p_t <= _PT_FLOOR:
-        raise ZeroProbability(f"p_t = {p_t!r}; channel annihilates the state")
-    s = swap_operator(n)
-    pinv = probe_f.inverse
-    dressed = np.kron(np.eye(n), pinv.T) @ ep_f.matrix @ np.kron(np.eye(n), pinv.conj())
-    fid = np.real(np.trace(s @ rho_f.matrix.conj() @ s @ dressed)) / (p_t * n)
-    return BoundValue(float(_prefactor(n) * (fid - 1.0 / n)), "lower")
+def _warn_if_ill_conditioned(condition):
+    for value in np.atleast_1d(condition):
+        if value > CONDITION_WARN:
+            warnings.warn(f"probe condition number {value:.3g} exceeds {CONDITION_WARN:.0e}; "
+                          "the bound may carry amplified rounding error", RuntimeWarning,
+                          stacklevel=4)
 
 
 @dataclass(frozen=True)
-class TwoSidedWitness:
-    """Operators W and Q with Tr[W rho] = <mes|($1 o $2) rho|mes> / (p1' p2')
-    and Tr[Q rho] = p_t = p / (p1' p2') for every input state rho."""
+class Witness:
+    """Operators W (``overlap``) and Q (``trace``) with
+    Tr[W rho] = <mes|($1 o $2) rho|mes> / (p1' p2') and Tr[Q rho] = p_t =
+    p / (p1' p2') for every input state rho; a side without a channel has
+    the identity and p' = 1.  Both have shape (..., d, d), any leading
+    axes running over probes.
+    """
 
     dim: int
     overlap: np.ndarray
     trace: np.ndarray
 
     def lower_bounds(self, mats):
-        """Raw two-sided lower bounds for a (k, d, d) stack of input states.
+        """Raw lower bounds and p_t of input states ``mats`` (..., d, d).
 
-        Returns (values, fault): ``fault`` is None or (index,
-        ZeroProbability) for the first state with p_t <= 1e-14, and
-        ``values`` covers the states before that index.
+        The leading axes of the witness and of ``mats`` broadcast (one
+        witness, many states, or the reverse) and are flattened in the
+        result (values, p_t, fault): ``fault`` is None or (index,
+        ZeroProbability) for the first entry with p_t <= 1e-14, and
+        ``values`` covers the entries before it.
         """
-        p_t = np.einsum("xy,kyx->k", self.trace, mats).real
+        # Tr[A rho] as an elementwise sum, reduced in the same order for any stack
+        ops = np.stack([self.overlap, self.trace], axis=-3)
+        products = ops * mats.swapaxes(-1, -2)[..., None, :, :]
+        overlap, p_t = products.sum(axis=(-2, -1)).real.reshape(-1, 2).T
         k = first_false(p_t > _PT_FLOOR)
-        overlap = np.einsum("xy,kyx->k", self.overlap, mats[:k]).real
-        values = _prefactor(self.dim) * (overlap / p_t[:k] - 1.0 / self.dim)
-        if k == len(p_t):
-            return values, None
-        return values, (k, ZeroProbability(
-            f"two-sided probability {p_t[k]!r}; channels annihilate the state"))
+        values = _prefactor(self.dim) * (overlap[:k] / p_t[:k] - 1.0 / self.dim)
+        fault = None if k == len(p_t) else (
+            k, ZeroProbability(f"p_t = {p_t[k]!r}; the channels annihilate the state"))
+        return values, p_t, fault
+
+    def bound(self, rho: DensityMatrix):
+        """(lower bound, p_t) for one input state; raises DimensionMismatch
+        unless it is N x N, and ZeroProbability if p_t <= 1e-14."""
+        _check_square(rho, self.dim)
+        values, p_t, fault = self.lower_bounds(rho.matrix[None])
+        if fault is not None:
+            raise fault[1]
+        return BoundValue(float(values[0]), "lower"), float(p_t[0])
 
 
-def two_sided_witness(evolved_probe_1: DensityMatrix, evolved_probe_2: DensityMatrix,
-                      probe: ProbeState) -> TwoSidedWitness:
-    """Build the two-sided witness from the normalized probe images.
+def choi_witness(image_1, image_2, inverse, condition) -> Witness:
+    """Build the witness from the normalized probe images of both sides.
 
-    The images fix both channels' Choi matrices, J1 = sum_ij $1(|i><j|) o |i><j|
-    and J2 = sum_ij |i><j| o $2(|i><j|):
+    ``image_1`` (``image_2``) is the image of |P><P| under the first-side
+    (second-side) channel divided by its trace p1' (p2'), or None for a
+    side without a channel.  The images fix the channels' Choi matrices,
+    J1 = sum_ij $1(|i><j|) o |i><j| and J2 = sum_ij |i><j| o $2(|i><j|):
     J1/p1' = (1 o P^-T) rho_P1' (1 o P^-T)^dag and
     J2/p2' = (P^-1 o 1) rho_P2' (P^-1 o 1)^dag
     (ancilla-assisted process tomography, D'Ariano & Lo Presti, PRL 86,
-    4195 (2001)).  Contracting them over the canonical MES gives W, and
-    their partial traces give Q.
+    4195 (2001)); a side without a channel gets the exact identity Choi
+    matrix.  Contracting them over the canonical MES gives W, and their
+    partial traces give Q.  The images (..., d, d), ``inverse`` = P^-1
+    (..., n, n) and the probes' ``condition`` numbers may carry leading
+    probe axes; each probe conditioned worse than 1e4 warns.
     """
-    _warn_if_ill_conditioned(probe)
-    n = probe.dim
-    left_1 = np.kron(np.eye(n), probe.inverse.T)
-    left_2 = np.kron(probe.inverse, np.eye(n))
-    j1 = (left_1 @ evolved_probe_1.matrix @ left_1.conj().T).reshape(n, n, n, n)
-    j2 = (left_2 @ evolved_probe_2.matrix @ left_2.conj().T).reshape(n, n, n, n)
-    overlap = np.einsum("aicj,kalc->jlik", j1, j2).reshape(n * n, n * n) / n
-    trace = np.kron(np.einsum("aiaj->ji", j1), np.einsum("kblb->lk", j2))
-    return TwoSidedWitness(n, overlap, trace)
+    _warn_if_ill_conditioned(condition)
+    n = inverse.shape[-1]
+    identity = np.einsum("ai,cj->aicj", np.eye(n), np.eye(n))
+
+    def choi(image, spec):
+        if image is None:
+            return identity
+        return np.einsum(spec, inverse, image.reshape(image.shape[:-2] + (n,) * 4),
+                         inverse.conj())
+
+    j1 = choi(image_1, "...xi,...axcy,...yj->...aicj")
+    j2 = choi(image_2, "...ix,...xbyd,...jy->...ibjd")
+    shape = np.broadcast_shapes(j1.shape[:-4], j2.shape[:-4]) + (n * n, n * n)
+    overlap = np.einsum("...aicj,...kalc->...jlik", j1, j2).reshape(shape) / n
+    trace = np.einsum("...aiaj,...kblb->...jlik", j1, j2).reshape(shape)
+    return Witness(n, overlap, trace)
+
+
+def one_sided_witness(evolved_probe: DensityMatrix, probe: ProbeState,
+                      side: str = "first") -> Witness:
+    """:func:`choi_witness` for one channel on ``side`` and the identity on the other."""
+    if side not in ("first", "second"):
+        raise ValueError(f"side must be 'first' or 'second', got {side!r}")
+    images = (evolved_probe.matrix, None) if side == "first" else (None, evolved_probe.matrix)
+    return choi_witness(*images, probe.inverse, probe.condition)
+
+
+def two_sided_witness(evolved_probe_1: DensityMatrix, evolved_probe_2: DensityMatrix,
+                      probe: ProbeState) -> Witness:
+    """:func:`choi_witness` for a first-side and a second-side channel."""
+    return choi_witness(evolved_probe_1.matrix, evolved_probe_2.matrix, probe.inverse,
+                        probe.condition)
+
+
+def lower_bound_one_sided(rho: DensityMatrix, evolved_probe: DensityMatrix, probe: ProbeState,
+                          side: str = "first") -> BoundValue:
+    """Concurrence lower bound of the one-sided channel image, probe data only.
+
+    ``rho`` is the *initial* state and ``evolved_probe`` the normalized
+    probe image under the channel on ``side``; the witness has the
+    identity on the other side.  Equals the fidelity lower bound of the
+    directly evolved state.  Raises ZeroProbability if p_t <= 1e-14.
+    """
+    return one_sided_witness(evolved_probe, probe, side).bound(rho)[0]
 
 
 def lower_bound_two_sided(rho: DensityMatrix, evolved_probe_1: DensityMatrix,
@@ -309,20 +329,8 @@ def lower_bound_two_sided(rho: DensityMatrix, evolved_probe_1: DensityMatrix,
     """Concurrence lower bound of the two-sided channel image, probe data only.
 
     ``evolved_probe_1`` is the normalized image of the probe under the
-    first-side channel, ``evolved_probe_2`` under the second-side one.
-    The MES-fidelity of the evolved state and the total two-sided
-    probability are both linear in ``rho``; :func:`two_sided_witness`
-    builds the two functionals from the images, and they are applied here
-    to ``rho``.  Stage probabilities cancel in the ratio.
-
-    Raises
-    ------
-    ZeroProbability
-        If p_t falls below 1e-14.
+    first-side channel, ``evolved_probe_2`` under the second-side one;
+    the stage probabilities cancel in the ratio of the witness's two
+    functionals.  Raises ZeroProbability if p_t <= 1e-14.
     """
-    _check_square(rho, probe)
-    values, fault = two_sided_witness(evolved_probe_1, evolved_probe_2,
-                                      probe).lower_bounds(rho.matrix[None])
-    if fault is not None:
-        raise fault[1]
-    return BoundValue(float(values[0]), "lower")
+    return two_sided_witness(evolved_probe_1, evolved_probe_2, probe).bound(rho)[0]

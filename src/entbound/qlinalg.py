@@ -219,8 +219,7 @@ def canonical_mes(dims) -> PureState:
     n1, n2 = _check_dims(dims)
     r = min(n1, n2)
     amp = np.zeros(n1 * n2, dtype=complex)
-    for i in range(r):
-        amp[i * n2 + i] = 1.0 / np.sqrt(r)
+    amp[np.arange(r) * (n2 + 1)] = 1.0 / np.sqrt(r)
     return PureState((n1, n2), amp)
 
 

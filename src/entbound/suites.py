@@ -48,20 +48,11 @@ def _random_tp_channel(dim, count, rng) -> ch.KrausChannel:
 
 
 def _minor_sum_concurrence(psi: ql.PureState) -> float:
-    """Coefficient-form concurrence: root of the summed squared 2x2 minors."""
+    """Coefficient-form concurrence: root of the summed squared 2x2 minors
+    m_ip m_jq - m_iq m_jp (those with i = j or p = q vanish)."""
     m = ql.state_to_matrix(psi)
-    n1, n2 = psi.dims
-    total = 0.0
-    for i in range(n1):
-        for j in range(n1):
-            if i == j:
-                continue
-            for p in range(n2):
-                for q in range(n2):
-                    if p == q:
-                        continue
-                    total += abs(m[i, p] * m[j, q] - m[i, q] * m[j, p]) ** 2
-    return float(np.sqrt(total))
+    minors = np.einsum("ip,jq->ijpq", m, m) - np.einsum("iq,jp->ijpq", m, m)
+    return float(np.sqrt(np.sum(np.abs(minors) ** 2)))
 
 
 def two_sided_bound_mes(rho, evolved_probe_1, evolved_probe_2, probe, p_t) -> float:
@@ -69,22 +60,19 @@ def two_sided_bound_mes(rho, evolved_probe_1, evolved_probe_2, probe, p_t) -> fl
 
     Tr[|mes><mes| ($1 o $2) rho] / (p1' p2') comes from the double
     Bell-basis sum over the normalized probe images, with no decomposition
-    of rho; p_t = p / (p1' p2') is supplied by the caller.
+    of rho; p_t = p / (p1' p2') is supplied by the caller.  np.kron of the
+    (n^2, n, n) stack of basis matrices with an n x n matrix gives all n^2
+    Kronecker factors of a side at once; one einsum gives the n^4 traces.
     """
     n = probe.dim
-    s = ql.swap_operator(n)
     pinv = probe.inverse
-    cs = pr.mes_basis(n).coefficient_matrices()
-    vecs = np.column_stack([c.reshape(-1) for c in cs])
-    weights = vecs.conj().T @ evolved_probe_2.matrix @ vecs  # <Phi_m| A2 |Phi_n>
-    srs = s @ rho.matrix @ s
-    a1c = evolved_probe_1.matrix.conj()
-    lefts = [a1c @ np.kron(c.T @ pinv.T, pinv) @ srs for c in cs]
-    rights = [np.kron(pinv.conj() @ c.conj(), pinv.conj().T) for c in cs]
-    total = 0.0 + 0.0j
-    for m in range(n * n):
-        for k in range(n * n):
-            total += weights[m, k] * np.trace(lefts[m] @ rights[k])
+    cs = np.array(pr.mes_basis(n).coefficient_matrices())
+    rows = cs.reshape(n * n, n * n)  # row m holds |Phi_m>
+    weights = rows.conj() @ evolved_probe_2.matrix @ rows.T  # <Phi_m| A2 |Phi_n>
+    srs = rho.matrix.reshape(n, n, n, n).transpose(1, 0, 3, 2).reshape(n * n, n * n)
+    lefts = evolved_probe_1.matrix.conj() @ np.kron(cs.transpose(0, 2, 1) @ pinv.T, pinv) @ srs
+    rights = np.kron(pinv.conj() @ cs.conj(), pinv.conj().T)
+    total = np.sum(weights * np.einsum("mxy,kyx->mk", lefts, rights))
     return float(conc._prefactor(n) * (np.real(total) / n / p_t - 1.0 / n))
 
 
@@ -147,6 +135,35 @@ def suite_theorem1(seed=0, trials=1000) -> SuiteResult:
     return SuiteResult("theorem1", failures == 0 < count, count, failures, worst, repro)
 
 
+def _raise_fault(fault):
+    if fault is not None:
+        raise fault[1]
+
+
+def _probe_stack_bounds(rho, channels, probes):
+    """Probe-route lower bounds of ``rho``, one per probe, in one stacked pass.
+
+    ``channels`` holds the first-side and second-side channel, None for
+    no channel.  Every probe density and normalized image is validated
+    and the first fault raises.  Returns each side's images and traces
+    (None without a channel) and the bounds.
+    """
+    vecs = np.array([probe.matrix.reshape(-1) for probe in probes])
+    densities = vecs[:, :, None] * vecs[:, None, :].conj()
+    _raise_fault(ql.density_fault(densities))
+    images, traces = [None, None], [None, None]
+    for i, (channel, side) in enumerate(zip(channels, ("first", "second"))):
+        if channel is not None:
+            images[i], traces[i], fault = ch.apply_stacked(channel, densities, rho.dims, side)
+            _raise_fault(fault)
+            _raise_fault(ql.density_fault(images[i]))
+    witness = pr.choi_witness(*images, np.array([probe.inverse for probe in probes]),
+                              np.array([probe.condition for probe in probes]))
+    values, _, fault = witness.lower_bounds(rho.matrix)
+    _raise_fault(fault)
+    return images, traces, values
+
+
 def suite_probe_invariance(seed=0, trials=100) -> SuiteResult:
     """Probe independence of the lower bound, and its agreement with the
     directly evolved state (one- and two-sided, non-TP truncations included)."""
@@ -168,26 +185,18 @@ def suite_probe_invariance(seed=0, trials=100) -> SuiteResult:
             else:
                 evolved = ch.apply_one_sided(channel, rho, "first")
             direct = conc.fidelity_lower_bound(evolved.output).raw
-            values = []
-            mes_gap = 0.0
-            for _ in range(trials):
-                probe = pr.random_probe(n, rng)
-                app = ch.apply_one_sided(channel, probe.density(), side="first")
-                if two_sided:
-                    app2 = ch.apply_one_sided(channel_2, probe.density(), side="second")
-                    values.append(pr.lower_bound_two_sided(rho, app.output, app2.output,
-                                                           probe).raw)
-                    if len(values) == 1:  # the paper's double sum, once per pair
-                        p_t = evolved.probability / (app.probability * app2.probability)
-                        mes_gap = abs(two_sided_bound_mes(rho, app.output, app2.output,
-                                                          probe, p_t) - values[0])
-                else:
-                    values.append(pr.lower_bound_one_sided(rho, app.output, probe,
-                                                           p_prime=app.probability).raw)
-            if not values:
+            probes = [pr.random_probe(n, rng) for _ in range(trials)]
+            if not probes:
                 continue
-            spread = max(values) - min(values)
-            oracle_gap = max(abs(v - direct) for v in values)
+            images, traces, values = _probe_stack_bounds(
+                rho, (channel, channel_2 if two_sided else None), probes)
+            mes_gap = 0.0
+            if two_sided:  # the paper's double sum, once per pair
+                out1, out2 = (ql.DensityMatrix((n, n), image[0]) for image in images)
+                p_t = evolved.probability / (traces[0][0] * traces[1][0])
+                mes_gap = abs(two_sided_bound_mes(rho, out1, out2, probes[0], p_t) - values[0])
+            spread = float(np.ptp(values))
+            oracle_gap = float(np.abs(values - direct).max())
             res = max(spread, oracle_gap, mes_gap)
             worst = max(worst, res)
             pairs += 1
@@ -216,7 +225,7 @@ def suite_pt_equivalence(seed=0, trials=200) -> SuiteResult:
             channel = ch.KrausChannel(n, channel.operators[:1])
         probe = pr.random_probe(n, rng)
         app = ch.apply_one_sided(channel, probe.density(), side="first")
-        pt_red = pr.pt_via_reduced(rho, app.output, probe, p_prime=app.probability)
+        pt_red = pr.pt_via_reduced(rho, app.output, probe)
         pt_sum = pr.pt_via_mes_sum(rho, app.output, probe)
         res = abs(pt_red - pt_sum)
         if trace_preserving:

@@ -90,8 +90,7 @@ def test_criterion_2_probe_invariance():
             for _ in range(100):
                 probe = random_probe(n, rng)
                 app = apply_one_sided(channel, probe_density(probe), "first")
-                values.append(lower_bound_one_sided(rho, app.output, probe,
-                                                    app.probability).raw)
+                values.append(lower_bound_one_sided(rho, app.output, probe).raw)
             worst = max(worst, max(values) - min(values))
     report(2, "probe invariance", worst <= 1e-8, f"max_spread={worst:.2e}")
 
@@ -110,7 +109,7 @@ def test_criterion_3_probe_vs_direct():
             app = apply_one_sided(ch1, probe_density(probe), "first")
             direct = fidelity_lower_bound(
                 apply_one_sided(ch1, rho, "first").output).raw
-            got = lower_bound_one_sided(rho, app.output, probe, app.probability).raw
+            got = lower_bound_one_sided(rho, app.output, probe).raw
         else:
             ch2 = random_tp_kraus(n, int(rng.integers(2, 4)), rng)
             if trial % 5 == 0:
@@ -176,7 +175,7 @@ def test_criterion_7_pt_consistency():
         if not trace_preserving:
             channel = KrausChannel(n, channel.operators[:1])
         app = apply_one_sided(channel, probe_density(probe), "first")
-        via_reduced = pt_via_reduced(rho, app.output, probe, app.probability)
+        via_reduced = pt_via_reduced(rho, app.output, probe)
         via_sum = pt_via_mes_sum(rho, app.output, probe)
         worst_pair = max(worst_pair, abs(via_reduced - via_sum))
         if trace_preserving:

@@ -28,7 +28,8 @@ from entbound import (
     state_to_matrix,
     tensor_product,
 )
-from entbound.probe import two_sided_witness
+from entbound.cli import evaluate_bound
+from entbound.probe import choi_witness, one_sided_witness, two_sided_witness
 from entbound.suites import two_sided_bound_mes
 from conftest import probe_density, random_mixed, random_probe, random_tp_kraus
 
@@ -143,7 +144,7 @@ class TestPtFactor:
             probe = random_probe(n, rng)
             ch = random_tp_kraus(n, int(rng.integers(2, 4)), rng)
             app = apply_one_sided(ch, probe_density(probe), "first")
-            assert pt_via_reduced(rho, app.output, probe, app.probability) \
+            assert pt_via_reduced(rho, app.output, probe) \
                 == pytest.approx(1.0, abs=1e-10)
 
     def test_mes_probe_maximally_mixed_state(self, rng):
@@ -152,7 +153,7 @@ class TestPtFactor:
         ch = random_tp_kraus(n, 3, rng)
         probe = canonical_probe(n)
         app = apply_one_sided(ch, probe_density(probe), "first")
-        assert pt_via_reduced(rho, app.output, probe, app.probability) \
+        assert pt_via_reduced(rho, app.output, probe) \
             == pytest.approx(1.0, abs=1e-10)
 
     def test_reduced_equals_mes_sum(self, rng):
@@ -164,7 +165,7 @@ class TestPtFactor:
             if trial % 3 == 0:
                 ch = KrausChannel(n, ch.operators[:1])
             app = apply_one_sided(ch, probe_density(probe), "first")
-            a = pt_via_reduced(rho, app.output, probe, app.probability)
+            a = pt_via_reduced(rho, app.output, probe)
             b = pt_via_mes_sum(rho, app.output, probe)
             assert abs(a - b) < 1e-10
 
@@ -175,7 +176,7 @@ class TestPtFactor:
             probe = random_probe(n, rng)
             ch = KrausChannel(n, random_tp_kraus(n, 3, rng).operators[:2])
             app = apply_one_sided(ch, probe_density(probe), "first")
-            p_t = pt_via_reduced(rho, app.output, probe, app.probability)
+            p_t = pt_via_reduced(rho, app.output, probe)
             p_direct = apply_one_sided(ch, rho, "first").probability
             assert abs(p_t * app.probability - p_direct) < 1e-10
 
@@ -190,7 +191,7 @@ class TestLowerBoundOneSided:
             rho = random_mixed((3, 3), int(rng.integers(1, 10)), rng)
             probe = random_probe(3, rng)
             app = apply_one_sided(identity, probe_density(probe), "first")
-            probe_value = lower_bound_one_sided(rho, app.output, probe, app.probability).raw
+            probe_value = lower_bound_one_sided(rho, app.output, probe).raw
             assert abs(probe_value - fidelity_lower_bound(rho).raw) < 1e-10
 
     def test_matches_direct_evolution(self, rng):
@@ -204,8 +205,7 @@ class TestLowerBoundOneSided:
             side = "first" if trial % 5 else "second"
             app = apply_one_sided(ch, probe_density(probe), side)
             evolved = apply_one_sided(ch, rho, side)
-            probe_value = lower_bound_one_sided(rho, app.output, probe,
-                                                app.probability, side=side).raw
+            probe_value = lower_bound_one_sided(rho, app.output, probe, side=side).raw
             assert abs(probe_value - fidelity_lower_bound(evolved.output).raw) < 1e-8
 
     def test_bundled_example_with_damping(self):
@@ -214,7 +214,7 @@ class TestLowerBoundOneSided:
         probe = canonical_probe(2)
         app = apply_one_sided(ch, probe_density(probe), "first")
         evolved = apply_one_sided(ch, rho, "first")
-        probe_value = lower_bound_one_sided(rho, app.output, probe, app.probability).raw
+        probe_value = lower_bound_one_sided(rho, app.output, probe).raw
         assert abs(probe_value - fidelity_lower_bound(evolved.output).raw) < 1e-8
 
     def test_probe_invariance(self, rng):
@@ -224,7 +224,7 @@ class TestLowerBoundOneSided:
         for _ in range(100):
             probe = random_probe(2, rng)
             app = apply_one_sided(ch, probe_density(probe), "first")
-            values.append(lower_bound_one_sided(rho, app.output, probe, app.probability).raw)
+            values.append(lower_bound_one_sided(rho, app.output, probe).raw)
         assert max(values) - min(values) < 1e-8
 
     def test_real_inputs_stay_real_valued(self, rng):
@@ -235,7 +235,7 @@ class TestLowerBoundOneSided:
         ch = amplitude_damping(0.3)
         app = apply_one_sided(ch, probe_density(probe), "first")
         evolved = apply_one_sided(ch, rho, "first")
-        probe_value = lower_bound_one_sided(rho, app.output, probe, app.probability).raw
+        probe_value = lower_bound_one_sided(rho, app.output, probe).raw
         assert abs(probe_value - fidelity_lower_bound(evolved.output).raw) < 1e-10
 
     def test_zero_probability(self):
@@ -245,7 +245,7 @@ class TestLowerBoundOneSided:
         probe = canonical_probe(2)
         app = apply_one_sided(kill, probe_density(probe), "first")
         with pytest.raises(ZeroProbability):
-            lower_bound_one_sided(rho, app.output, probe, app.probability)
+            lower_bound_one_sided(rho, app.output, probe)
 
     def test_ill_conditioned_probe_warns(self):
         skewed = np.diag([1.0, 2e-5])
@@ -253,7 +253,7 @@ class TestLowerBoundOneSided:
         rho = random_density((2, 2), 2, seed=0)
         app = apply_one_sided(amplitude_damping(0.1), probe_density(probe), "first")
         with pytest.warns(RuntimeWarning, match="condition"):
-            lower_bound_one_sided(rho, app.output, probe, app.probability)
+            lower_bound_one_sided(rho, app.output, probe)
 
     def test_dimension_mismatch(self, rng):
         probe = random_probe(2, rng)
@@ -356,7 +356,7 @@ class TestTwoSidedWitness:
         a1 = apply_one_sided(ch1, probe_density(probe), "first")
         a2 = apply_one_sided(ch2, probe_density(probe), "second")
         states = [random_mixed((2, 2), r, rng) for r in (1, 2, 3, 4)]
-        values, fault = two_sided_witness(a1.output, a2.output, probe).lower_bounds(
+        values, _, fault = two_sided_witness(a1.output, a2.output, probe).lower_bounds(
             np.array([s.matrix for s in states]))
         assert fault is None
         for state, value in zip(states, values):
@@ -368,7 +368,115 @@ class TestTwoSidedWitness:
         a1 = apply_one_sided(kill, probe_density(probe), "first")
         a2 = apply_one_sided(kill, probe_density(probe), "second")
         states = np.array([np.diag(d).astype(complex) for d in ([1.0, 0, 0, 0], [0, 0, 0, 1.0])])
-        values, (index, error) = two_sided_witness(a1.output, a2.output, probe).lower_bounds(states)
+        values, _, (index, error) = two_sided_witness(a1.output, a2.output, probe).lower_bounds(
+            states)
         assert index == 1 and isinstance(error, ZeroProbability) and len(values) == 1
         with pytest.raises(ZeroProbability):
             lower_bound_two_sided(DensityMatrix((2, 2), states[1]), a1.output, a2.output, probe)
+
+
+class TestSecondSideOracles:
+    def test_pt_formulas_match_direct_probability(self, rng):
+        for trial in range(40):
+            n = (2, 3, 4)[trial % 3]
+            rho = random_mixed((n, n), int(rng.integers(1, n * n + 1)), rng)
+            probe = random_probe(n, rng)
+            ch = random_tp_kraus(n, int(rng.integers(2, 4)), rng)
+            if trial % 2 == 0:  # non-trace-preserving truncation
+                ch = KrausChannel(n, ch.operators[:1])
+            app = apply_one_sided(ch, probe_density(probe), "second")
+            p_t = apply_one_sided(ch, rho, "second").probability / app.probability
+            assert abs(pt_via_reduced(rho, app.output, probe, side="second") - p_t) < 1e-10
+            assert abs(pt_via_mes_sum(rho, app.output, probe, side="second") - p_t) < 1e-10
+
+    def test_unknown_side(self, rng):
+        probe = random_probe(2, rng)
+        rho = random_mixed((2, 2), 2, rng)
+        with pytest.raises(ValueError):
+            pt_via_reduced(rho, probe_density(probe), probe, side="both")
+
+
+class TestWitness:
+    def test_probe_stack_matches_single_builds(self, rng):
+        for n in (2, 3):
+            rho = random_mixed((n, n), n, rng)
+            ch1, ch2 = random_tp_kraus(n, 2, rng), random_tp_kraus(n, 3, rng)
+            probes = [random_probe(n, rng) for _ in range(6)]
+            a1 = [apply_one_sided(ch1, probe_density(p), "first").output for p in probes]
+            a2 = [apply_one_sided(ch2, probe_density(p), "second").output for p in probes]
+            inverses = np.array([p.inverse for p in probes])
+            conditions = np.array([p.condition for p in probes])
+            for images_1, images_2, singles in (
+                    (a1, a2, [two_sided_witness(x, y, p) for x, y, p in zip(a1, a2, probes)]),
+                    (a1, None, [one_sided_witness(x, p, "first") for x, p in zip(a1, probes)]),
+                    (None, a2, [one_sided_witness(y, p, "second") for y, p in zip(a2, probes)])):
+                stack = choi_witness(
+                    None if images_1 is None else np.array([a.matrix for a in images_1]),
+                    None if images_2 is None else np.array([a.matrix for a in images_2]),
+                    inverses, conditions)
+                assert stack.overlap.shape == stack.trace.shape == (6, n * n, n * n)
+                values, p_t, fault = stack.lower_bounds(rho.matrix)
+                assert fault is None and values.shape == p_t.shape == (6,)
+                for k, single in enumerate(singles):
+                    np.testing.assert_allclose(stack.overlap[k], single.overlap, atol=1e-12)
+                    np.testing.assert_allclose(stack.trace[k], single.trace, atol=1e-12)
+                    bound, pt_single = single.bound(rho)
+                    assert abs(values[k] - bound.raw) < 1e-12
+                    assert abs(p_t[k] - pt_single) < 1e-12
+
+    @pytest.mark.parametrize("side", ["first", "second"])
+    def test_one_sided_functionals_match_direct_evolution(self, rng, side):
+        for trial in range(30):
+            n = (2, 3, 4)[trial % 3]
+            rho = random_mixed((n, n), int(rng.integers(1, n * n + 1)), rng)
+            probe = random_probe(n, rng)
+            ch = random_tp_kraus(n, int(rng.integers(2, 4)), rng)
+            if trial % 2 == 0:  # non-trace-preserving truncation
+                ch = KrausChannel(n, ch.operators[:1])
+            app = apply_one_sided(ch, probe_density(probe), side)
+            witness = one_sided_witness(app.output, probe, side)
+            evolved = apply_one_sided(ch, rho, side)
+            mes = canonical_mes((n, n)).amplitudes
+            overlap = np.vdot(mes, evolved.output.matrix @ mes).real * evolved.probability
+            assert abs(np.trace(witness.overlap @ rho.matrix).real * app.probability
+                       - overlap) < 1e-10
+            assert abs(np.trace(witness.trace @ rho.matrix).real * app.probability
+                       - evolved.probability) < 1e-10
+
+    def test_no_channel_side_is_exact_identity(self, rng):
+        # with the identity on both sides the witness is built from no probe data
+        probe = random_probe(3, rng)
+        witness = choi_witness(None, None, probe.inverse, probe.condition)
+        omega = np.eye(3).reshape(-1)  # sqrt(3) times the canonical MES
+        np.testing.assert_array_equal(witness.overlap, np.outer(omega, omega) / 3)
+        np.testing.assert_array_equal(witness.trace, np.eye(9))
+
+    def test_unknown_side(self, rng):
+        probe = random_probe(2, rng)
+        with pytest.raises(ValueError):
+            one_sided_witness(probe_density(probe), probe, side="both")
+
+    def test_stacked_probes_warn_once_each(self):
+        skewed = np.diag([1.0, 2e-5])
+        bad = probe_from_matrix(skewed / np.linalg.norm(skewed))
+        good = canonical_probe(2)
+        images = np.array([probe_density(p).matrix for p in (bad, good, bad)])
+        with pytest.warns(RuntimeWarning, match="condition") as caught:
+            choi_witness(images, None, np.array([bad.inverse, good.inverse, bad.inverse]),
+                         np.array([bad.condition, good.condition, bad.condition]))
+        assert len([w for w in caught if "condition" in str(w.message)]) == 2
+
+    @pytest.mark.parametrize("side", ["first", "second"])
+    def test_evaluate_bound_reports_pt_from_witness(self, rng, side):
+        for trial in range(12):
+            n = (2, 3)[trial % 2]
+            rho = random_mixed((n, n), int(rng.integers(1, n * n + 1)), rng)
+            probe = random_probe(n, rng)
+            ch = random_tp_kraus(n, 3, rng)
+            if trial % 3 == 0:  # non-trace-preserving truncation
+                ch = KrausChannel(n, ch.operators[:2])
+            report = evaluate_bound(rho, (ch,), side, probe, "probe")
+            evolved = apply_one_sided(ch, rho, side)
+            assert abs(report.p_t * report.p_prime - evolved.probability) < 1e-10
+            assert abs(report.p - evolved.probability) < 1e-15
+            assert abs(report.lower_raw - fidelity_lower_bound(evolved.output).raw) < 1e-8
