@@ -50,20 +50,19 @@ class KrausChannel:
             raise DimensionMismatch(f"input_dim must be positive, got {self.input_dim}")
         if len(self.operators) == 0:
             raise InvalidChannel("a channel needs at least one Kraus operator")
-        ops = []
-        for m in self.operators:
-            m = np.array(m, dtype=complex)
+        ops = [np.array(m, dtype=complex) for m in self.operators]
+        for m in ops:
             if m.shape != (d, d):
                 raise DimensionMismatch(f"Kraus operator shape {m.shape} != ({d}, {d})")
-            if not np.all(np.isfinite(m.view(float))):
-                raise InvalidChannel("Kraus operator has non-finite entries")
-            m.setflags(write=False)
-            ops.append(m)
-        total = sum(m.conj().T @ m for m in ops)
-        gap = total - np.eye(d)
-        if np.linalg.eigvalsh(gap)[-1] > TP_TOLERANCE:
+        ops = np.array(ops)
+        if not np.all(np.isfinite(ops.view(float))):
+            raise InvalidChannel("Kraus operator has non-finite entries")
+        ops.setflags(write=False)
+        total = (ops.conj().swapaxes(1, 2) @ ops).sum(axis=0)
+        w = np.linalg.eigvalsh(total - np.eye(d))  # Hermitian gap: |w| are its singular values
+        if w[-1] > TP_TOLERANCE:
             raise InvalidChannel("sum M^dag M exceeds the identity; probabilities would exceed 1")
-        defect = np.linalg.norm(gap, 2)
+        defect = max(-w[0], w[-1])
         object.__setattr__(self, "input_dim", d)
         object.__setattr__(self, "operators", tuple(ops))
         object.__setattr__(self, "completeness_defect", float(defect))
@@ -78,28 +77,34 @@ class ChannelApplication:
     probability: float
 
 
-def apply_stacked(channel: KrausChannel, mats, dims, side: str = "first"):
+def apply_stacked(channel, mats, dims, side: str = "first"):
     """:func:`apply_one_sided` for every matrix of a (k, d, d) stack.
 
+    ``channel`` is one KrausChannel for the whole stack or a sequence of
+    k channels, one per entry; their Kraus sets are zero-padded to the
+    largest count, and a zero operator adds an exact 0 to the image.
     Returns (outputs, p, fault): ``p`` holds the traces of the raw images
     and ``fault`` is None or (index, ZeroProbability) for the first entry
     with p <= 1e-14.  ``outputs`` holds the normalized images of the
     entries before that index, not yet validated as density matrices.
     """
     n1, n2 = dims
-    ops = np.array(channel.operators)
-    if side == "first":
-        if channel.input_dim != n1:
-            raise DimensionMismatch(f"channel acts on dim {channel.input_dim}, subsystem has dim {n1}")
-        lifted = ops[:, :, None, :, None] * np.eye(n2)[:, None, :]  # M_k o I
-    elif side == "second":
-        if channel.input_dim != n2:
-            raise DimensionMismatch(f"channel acts on dim {channel.input_dim}, subsystem has dim {n2}")
-        lifted = np.eye(n1)[:, None, :, None] * ops[:, None, :, None, :]  # I o M_k
-    else:
+    if side not in ("first", "second"):
         raise ValueError(f"side must be 'first' or 'second', got {side!r}")
-    lifted = lifted.reshape(len(ops), n1 * n2, n1 * n2)
-    images = (lifted[:, None] @ mats @ lifted.conj().transpose(0, 2, 1)[:, None]).sum(axis=0)
+    channels = (channel,) if isinstance(channel, KrausChannel) else tuple(channel)
+    n = n1 if side == "first" else n2
+    width = max((len(c.operators) for c in channels), default=1)
+    ops = np.zeros((width, len(channels), n, n), dtype=complex)
+    for j, c in enumerate(channels):
+        if c.input_dim != n:
+            raise DimensionMismatch(f"channel acts on dim {c.input_dim}, subsystem has dim {n}")
+        ops[:len(c.operators), j] = c.operators
+    for i, m in enumerate(ops):  # one Kraus index at a time, summed in index order
+        lifted = (m[:, :, None, :, None] * np.eye(n2)[:, None, :] if side == "first"  # M_k o I
+                  else np.eye(n1)[:, None, :, None] * m[:, None, :, None, :])  # I o M_k
+        lifted = lifted.reshape(len(channels), n1 * n2, n1 * n2)
+        term = lifted @ mats @ lifted.conj().swapaxes(-1, -2)
+        images = term if i == 0 else images + term
     p = np.trace(images, axis1=1, axis2=2).real
     k = first_false(p > PROBABILITY_FLOOR)
     fault = None if k == len(p) else (k, ZeroProbability(f"channel image has trace {p[k]!r}"))
@@ -135,6 +140,17 @@ def apply_two_sided(ch1: KrausChannel, ch2: KrausChannel, rho: DensityMatrix) ->
     first = apply_one_sided(ch1, rho, side="first")
     second = apply_one_sided(ch2, first.output, side="second")
     return ChannelApplication(second.output, first.probability * second.probability)
+
+
+def random_tp_channel(dim: int, count: int, seed) -> KrausChannel:
+    """Trace-preserving channel G_k (sum G^dag G)^(-1/2) from ``count`` complex
+    Gaussian factors G_k; ``seed`` may also be a Generator, which is then drawn from."""
+    rng = np.random.default_rng(seed)
+    block = rng.standard_normal((count, 2, dim, dim))  # the stream of one factor at a time
+    gs = block[:, 0] + 1j * block[:, 1]
+    w, v = np.linalg.eigh((gs.conj().swapaxes(1, 2) @ gs).sum(axis=0))
+    root_inv = v @ np.diag(1.0 / np.sqrt(w)) @ v.conj().T
+    return KrausChannel(dim, tuple(gs @ root_inv))
 
 
 def amplitude_damping(gamma: float) -> KrausChannel:

@@ -176,8 +176,9 @@ def run_sweep(config: SweepConfig, output_path) -> None:
     if dims == (2, 2):
         values = spin_flip_concurrence(np.concatenate([out2, rho]))
         exact = values[:k]
-        upper = (values[k:] * upper_bound_factor(app1.output, config.probe.matrix)
-                 * upper_bound_factor(app2.output, config.probe.matrix))
+        factor1, factor2 = upper_bound_factor(np.array([app1.output.matrix, app2.output.matrix]),
+                                              np.array([config.probe.matrix] * 2))
+        upper = values[k:] * factor1 * factor2
     lines = ["x,lower_bound,concurrence,upper_bound,p_total"]
     for row in zip(grid, np.maximum(0.0, lower), exact, upper, p1 * p2):
         lines.append(",".join("" if v is None else _fmt(v) for v in row))
@@ -294,7 +295,7 @@ def _cmd_check(args) -> int:
     for res in results:
         status = "PASS" if res.passed else "FAIL"
         lines.append(f"{res.name}: {status} trials={res.trials} failures={res.failures} "
-                     f"worst_residual={res.worst_residual:.3e}")
+                     f"worst_residual={res.worst_residual:.3e} wall_s={res.wall_s:.3f}")
         all_passed = all_passed and res.passed
     report_text = "\n".join(lines) + "\n"
     print(report_text, end="")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, SingularProbe, TrivialDimension
-from .qlinalg import DensityMatrix, PureState, canonical_mes, state_to_matrix
+from .qlinalg import DensityMatrix, PureState, canonical_mes, first_false, state_to_matrix
 
 _SIGMA_Y = np.array([[0.0, -1j], [1j, 0.0]])
 _SPIN_FLIP = np.kron(_SIGMA_Y, _SIGMA_Y)
@@ -103,6 +103,15 @@ def wootters_concurrence(rho: DensityMatrix) -> float:
     return float(spin_flip_concurrence(rho.matrix[None])[0])
 
 
+def fidelity_lower_bounds(mats, dims) -> np.ndarray:
+    """Raw :func:`fidelity_lower_bound` of each state of a (k, d, d) stack with dims ``dims``."""
+    r = min(dims)
+    if r < 2:
+        raise TrivialDimension("concurrence is identically 0 when min(N1, N2) = 1")
+    mes = canonical_mes(dims).amplitudes
+    return _prefactor(r) * (((mats @ mes) @ mes.conj()).real - 1.0 / r)
+
+
 def fidelity_lower_bound(rho: DensityMatrix) -> BoundValue:
     """Lower bound sqrt(2R/(R-1)) (<mes|rho|mes> - 1/R) on the concurrence.
 
@@ -114,12 +123,7 @@ def fidelity_lower_bound(rho: DensityMatrix) -> BoundValue:
     TrivialDimension
         When min(N1, N2) = 1 and the prefactor is singular.
     """
-    r = min(rho.dims)
-    if r < 2:
-        raise TrivialDimension("concurrence is identically 0 when min(N1, N2) = 1")
-    mes = canonical_mes(rho.dims).amplitudes
-    fid = np.real(np.vdot(mes, rho.matrix @ mes))
-    return BoundValue(float(_prefactor(r) * (fid - 1.0 / r)), "lower")
+    return BoundValue(float(fidelity_lower_bounds(rho.matrix[None], rho.dims)[0]), "lower")
 
 
 def fef_two_qubit(rho: DensityMatrix) -> float:
@@ -177,14 +181,25 @@ def theorem1_bound(rho: DensityMatrix, samples: int = 10_000, seed: int = 0) -> 
     return BoundValue(float(_prefactor(r) * (fid - 1.0 / r)), "lower")
 
 
-def _probe_det(probe_matrix) -> float:
-    p = np.asarray(probe_matrix, dtype=complex)
-    if p.shape != (2, 2):
-        raise DimensionMismatch(f"probe coefficient matrix must be 2x2, got {p.shape}")
-    det = abs(np.linalg.det(p))
-    if det <= _DET_FLOOR:
-        raise SingularProbe(f"|det P| = {det!r} is numerically singular")
-    return det
+def upper_bound_factor(images, probe_matrices) -> np.ndarray:
+    """Channel-side factors C(rho_P)/(2|det P|) of the upper bounds for a (k, 4, 4)
+    stack of normalized probe images and the (k, 2, 2) probe matrices; the whole
+    stack is checked first, and the first |det P| <= 1e-12 raises SingularProbe."""
+    p = np.asarray(probe_matrices, dtype=complex)
+    if p.shape[-2:] != (2, 2):
+        raise DimensionMismatch(f"probe coefficient matrix must be 2x2, got {p.shape[-2:]}")
+    det = np.abs(np.linalg.det(p))
+    k = first_false(det > _DET_FLOOR)
+    if k < len(det):
+        raise SingularProbe(f"|det P| = {det[k]!r} of probe {k} is numerically singular")
+    return spin_flip_concurrence(images) / (2.0 * det)
+
+
+def _factors(rho_ps, probe_matrix) -> np.ndarray:
+    """:func:`upper_bound_factor` of validated probe images under one probe matrix."""
+    if np.shape(probe_matrix) != (2, 2) or any(r.dims != (2, 2) for r in rho_ps):
+        raise DimensionMismatch("needs a 2x2 probe matrix and 2x2 probe images")
+    return upper_bound_factor(np.array([r.matrix for r in rho_ps]), [probe_matrix] * len(rho_ps))
 
 
 def upper_bound_one_sided(c_in: float, rho_p: DensityMatrix, probe_matrix) -> BoundValue:
@@ -195,13 +210,7 @@ def upper_bound_one_sided(c_in: float, rho_p: DensityMatrix, probe_matrix) -> Bo
     For pure two-qubit inputs under trace-preserving channels the bound
     is an equality.
     """
-    det = _probe_det(probe_matrix)
-    return BoundValue(float(c_in * wootters_concurrence(rho_p) / (2.0 * det)), "upper")
-
-
-def upper_bound_factor(rho_p: DensityMatrix, probe_matrix) -> float:
-    """One channel side's factor C(rho_P)/(2|det P|) of the two-sided upper bound."""
-    return wootters_concurrence(rho_p) / (2.0 * _probe_det(probe_matrix))
+    return BoundValue(float(c_in * _factors((rho_p,), probe_matrix)[0]), "upper")
 
 
 def upper_bound_two_sided(c_in: float, rho_p1: DensityMatrix, rho_p2: DensityMatrix,
@@ -210,6 +219,5 @@ def upper_bound_two_sided(c_in: float, rho_p1: DensityMatrix, rho_p2: DensityMat
 
     c_in * C(rho_P1)/(2|det P|) * C(rho_P2)/(2|det P|).
     """
-    factor1 = upper_bound_factor(rho_p1, probe_matrix)
-    factor2 = upper_bound_factor(rho_p2, probe_matrix)
+    factor1, factor2 = _factors((rho_p1, rho_p2), probe_matrix)
     return BoundValue(float(c_in * factor1 * factor2), "upper")

@@ -22,6 +22,7 @@ literally for coefficient matrices psi.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -83,8 +84,9 @@ class ProbeState:
         return DensityMatrix((self.dim, self.dim), np.outer(vec, vec.conj()))
 
 
+@functools.lru_cache(maxsize=None)
 def mes_basis(n: int) -> MesBasis:
-    """Generalized Bell basis for an N x N bipartition, N >= 2."""
+    """Generalized Bell basis for an N x N bipartition, N >= 2, built once per N."""
     if n < 2:
         raise ValueError(f"need N >= 2, got {n}")
     states = []
@@ -125,15 +127,35 @@ def probe_from_matrix(p) -> ProbeState:
     return ProbeState(p.shape[0], p, inv, float(s[0] / s[-1]))
 
 
-def random_probe(dim: int, seed) -> ProbeState:
-    """Probe from standard complex Gaussians, redrawn while its smallest
-    singular value is at most 1e-4; ``seed`` may also be a Generator."""
+def random_probes(dim: int, count: int, seed):
+    """``count`` probes from standard complex Gaussians as stacks (matrices,
+    inverses, condition numbers); ``seed`` may also be a Generator.
+
+    A normalized candidate is kept if its smallest singular value exceeds
+    1e-4 (one SVD also gives the condition number).  The missing candidates
+    are drawn as one (m, 2, N, N) block, in the stream order of m single
+    draws, so neither the probes nor the generator's final state depend on
+    how many are drawn at once."""
     rng = np.random.default_rng(seed)
-    while True:
-        p = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        p = p / np.linalg.norm(p)
-        if np.linalg.svd(p, compute_uv=False)[-1] > 1e-4:
-            return probe_from_matrix(p)
+    matrices, svals = np.empty((0, dim, dim), dtype=complex), np.empty((0, dim))
+    while len(matrices) < count:
+        block = rng.standard_normal((count - len(matrices), 2, dim, dim))
+        candidates = block[:, 0] + 1j * block[:, 1]
+        candidates = candidates / np.linalg.norm(candidates, axis=(1, 2))[:, None, None]
+        s = np.linalg.svd(candidates, compute_uv=False)
+        keep = s[:, -1] > 1e-4
+        matrices = np.concatenate([matrices, candidates[keep]])
+        svals = np.concatenate([svals, s[keep]])
+    inverses = np.linalg.inv(matrices)
+    matrices.setflags(write=False)
+    inverses.setflags(write=False)
+    return matrices, inverses, svals[:, 0] / svals[:, -1]
+
+
+def random_probe(dim: int, seed) -> ProbeState:
+    """One probe of :func:`random_probes`."""
+    matrices, inverses, conditions = random_probes(dim, 1, seed)
+    return ProbeState(dim, matrices[0], inverses[0], float(conditions[0]))
 
 
 def canonical_probe(n: int) -> ProbeState:
@@ -213,7 +235,7 @@ def pt_via_mes_sum(rho: DensityMatrix, evolved_probe: DensityMatrix, probe: Prob
 
 
 def _warn_if_ill_conditioned(condition):
-    for value in np.atleast_1d(condition):
+    for value in np.ravel(condition):
         if value > CONDITION_WARN:
             warnings.warn(f"probe condition number {value:.3g} exceeds {CONDITION_WARN:.0e}; "
                           "the bound may carry amplified rounding error", RuntimeWarning,

@@ -10,6 +10,7 @@ least one trial and none failed.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,19 +33,11 @@ class SuiteResult:
     failures: int
     worst_residual: float
     repro: dict = field(default=None)
+    wall_s: float = 0.0
 
 
 def _rng(seed, trial):
     return np.random.default_rng([int(seed), int(trial)])
-
-
-def _random_tp_channel(dim, count, rng) -> ch.KrausChannel:
-    gs = [rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-          for _ in range(count)]
-    total = sum(g.conj().T @ g for g in gs)
-    w, v = np.linalg.eigh(total)
-    root_inv = v @ np.diag(1.0 / np.sqrt(w)) @ v.conj().T
-    return ch.KrausChannel(dim, tuple(g @ root_inv for g in gs))
 
 
 def _minor_sum_concurrence(psi: ql.PureState) -> float:
@@ -55,22 +48,22 @@ def _minor_sum_concurrence(psi: ql.PureState) -> float:
     return float(np.sqrt(np.sum(np.abs(minors) ** 2)))
 
 
-def two_sided_bound_mes(rho, evolved_probe_1, evolved_probe_2, probe, p_t) -> float:
+def two_sided_bound_mes(rho, image_1, image_2, pinv, p_t) -> float:
     """The paper's two-sided probe bound, an oracle independent of the witness route.
 
     Tr[|mes><mes| ($1 o $2) rho] / (p1' p2') comes from the double
-    Bell-basis sum over the normalized probe images, with no decomposition
+    Bell-basis sum over the normalized probe images ``image_1``, ``image_2``
+    and the probe inverse ``pinv`` (plain matrices), with no decomposition
     of rho; p_t = p / (p1' p2') is supplied by the caller.  np.kron of the
     (n^2, n, n) stack of basis matrices with an n x n matrix gives all n^2
     Kronecker factors of a side at once; one einsum gives the n^4 traces.
     """
-    n = probe.dim
-    pinv = probe.inverse
+    n = len(pinv)
     cs = np.array(pr.mes_basis(n).coefficient_matrices())
     rows = cs.reshape(n * n, n * n)  # row m holds |Phi_m>
-    weights = rows.conj() @ evolved_probe_2.matrix @ rows.T  # <Phi_m| A2 |Phi_n>
-    srs = rho.matrix.reshape(n, n, n, n).transpose(1, 0, 3, 2).reshape(n * n, n * n)
-    lefts = evolved_probe_1.matrix.conj() @ np.kron(cs.transpose(0, 2, 1) @ pinv.T, pinv) @ srs
+    weights = rows.conj() @ image_2 @ rows.T  # <Phi_m| A2 |Phi_n>
+    srs = rho.reshape(n, n, n, n).transpose(1, 0, 3, 2).reshape(n * n, n * n)
+    lefts = image_1.conj() @ np.kron(cs.transpose(0, 2, 1) @ pinv.T, pinv) @ srs
     rights = np.kron(pinv.conj() @ cs.conj(), pinv.conj().T)
     total = np.sum(weights * np.einsum("mxy,kyx->mk", lefts, rights))
     return float(conc._prefactor(n) * (np.real(total) / n / p_t - 1.0 / n))
@@ -140,73 +133,84 @@ def _raise_fault(fault):
         raise fault[1]
 
 
-def _probe_stack_bounds(rho, channels, probes):
-    """Probe-route lower bounds of ``rho``, one per probe, in one stacked pass.
-
-    ``channels`` holds the first-side and second-side channel, None for
-    no channel.  Every probe density and normalized image is validated
-    and the first fault raises.  Returns each side's images and traces
-    (None without a channel) and the bounds.
-    """
-    vecs = np.array([probe.matrix.reshape(-1) for probe in probes])
-    densities = vecs[:, :, None] * vecs[:, None, :].conj()
-    _raise_fault(ql.density_fault(densities))
-    images, traces = [None, None], [None, None]
-    for i, (channel, side) in enumerate(zip(channels, ("first", "second"))):
-        if channel is not None:
-            images[i], traces[i], fault = ch.apply_stacked(channel, densities, rho.dims, side)
-            _raise_fault(fault)
-            _raise_fault(ql.density_fault(images[i]))
-    witness = pr.choi_witness(*images, np.array([probe.inverse for probe in probes]),
-                              np.array([probe.condition for probe in probes]))
-    values, _, fault = witness.lower_bounds(rho.matrix)
+def _stage(channels, mats, side):
+    """Validated normalized images of a (k, ..., d, d) stack of N x N states,
+    ``channels[j]`` acting on ``side`` of every state in ``mats[j]``, and the
+    stage probabilities, both shaped like the stack; the first fault raises."""
+    d = mats.shape[-1]
+    repeat = int(np.prod(mats.shape[1:-2]))
+    n = round(d ** 0.5)
+    outputs, p, fault = ch.apply_stacked([c for c in channels for _ in range(repeat)],
+                                         mats.reshape(-1, d, d), (n, n), side)
     _raise_fault(fault)
-    return images, traces, values
+    _raise_fault(ql.density_fault(outputs))
+    return outputs.reshape(mats.shape), p.reshape(mats.shape[:-2])
+
+
+def _densities(matrices):
+    """Stack of |P><P| for a (..., n, n) stack of probe matrices, validated."""
+    vecs = matrices.reshape(matrices.shape[:-2] + (-1,))
+    densities = vecs[..., :, None] * vecs[..., None, :].conj()
+    _raise_fault(ql.density_fault(densities.reshape((-1,) + densities.shape[-2:])))
+    return densities
 
 
 def suite_probe_invariance(seed=0, trials=100) -> SuiteResult:
     """Probe independence of the lower bound, and its agreement with the
-    directly evolved state (one- and two-sided, non-TP truncations included)."""
-    worst = 0.0
-    failures = 0
-    repro = None
-    pairs = 0
+    directly evolved state (one- and two-sided, non-TP truncations included).
+
+    Every (state, channel) pair of one dimension is drawn first; both
+    routes then run as stacks over all pairs, ``trials`` probes per pair.
+    """
+    if trials < 1:  # no probe, so no evaluated pair
+        return SuiteResult("probe-invariance", False, 0, 0, 0.0)
+    worst, failures, pairs, repro = 0.0, 0, 0, None
     for n, n_pairs in ((2, 20), (3, 20)):
+        rhos, channels, channels_2, probes = [], [], [], []
         for t in range(n_pairs):
             rng = _rng(seed, t + 1000 * n)
-            rho = ql.random_density((n, n), int(rng.integers(1, n * n + 1)), rng)
-            channel = _random_tp_channel(n, int(rng.integers(2, 4)), rng)
+            rhos.append(ql.random_density((n, n), int(rng.integers(1, n * n + 1)), rng))
+            channel = ch.random_tp_channel(n, int(rng.integers(2, 4)), rng)
             if t % 4 == 0:  # non-trace-preserving truncation
                 channel = ch.KrausChannel(n, channel.operators[:1])
-            two_sided = t % 2 == 1
-            if two_sided:
-                channel_2 = _random_tp_channel(n, int(rng.integers(2, 4)), rng)
-                evolved = ch.apply_two_sided(channel, channel_2, rho)
-            else:
-                evolved = ch.apply_one_sided(channel, rho, "first")
-            direct = conc.fidelity_lower_bound(evolved.output).raw
-            probes = [pr.random_probe(n, rng) for _ in range(trials)]
-            if not probes:
-                continue
-            images, traces, values = _probe_stack_bounds(
-                rho, (channel, channel_2 if two_sided else None), probes)
-            mes_gap = 0.0
-            if two_sided:  # the paper's double sum, once per pair
-                out1, out2 = (ql.DensityMatrix((n, n), image[0]) for image in images)
-                p_t = evolved.probability / (traces[0][0] * traces[1][0])
-                mes_gap = abs(two_sided_bound_mes(rho, out1, out2, probes[0], p_t) - values[0])
-            spread = float(np.ptp(values))
-            oracle_gap = float(np.abs(values - direct).max())
-            res = max(spread, oracle_gap, mes_gap)
-            worst = max(worst, res)
-            pairs += 1
-            if res > 1e-8:
-                failures += 1
-                repro = repro or {"suite": "probe-invariance", "seed": seed,
-                                  "dim": n, "pair": t, "spread": spread,
-                                  "oracle_gap": oracle_gap, "mes_gap": mes_gap,
-                                  "state": state_to_json(rho),
-                                  "channel": channel_to_json(channel)}
+            channels.append(channel)
+            if t % 2 == 1:  # two-sided pair
+                channels_2.append(ch.random_tp_channel(n, int(rng.integers(2, 4)), rng))
+            probes.append(pr.random_probes(n, trials, rng))
+        one, two = slice(0, None, 2), slice(1, None, 2)
+        mats = np.array([rho.matrix for rho in rhos])[:, None]  # (pairs, 1, d, d)
+        evolved, p = _stage(channels, mats, "first")
+        evolved[two], p_2 = _stage(channels_2, evolved[two], "second")
+        p[two] *= p_2
+        direct = conc.fidelity_lower_bounds(evolved[:, 0], (n, n))
+        matrices, inverses, conditions = (np.array(stack) for stack in zip(*probes))
+        densities = _densities(matrices)
+        images, p_1 = _stage(channels, densities, "first")
+        images_2, p_2 = _stage(channels_2, densities[two], "second")
+        values = np.empty((n_pairs, trials))
+        w_one = pr.choi_witness(images[one], None, inverses[one], conditions[one])
+        w_two = pr.choi_witness(images[two], images_2, inverses[two], conditions[two])
+        for sel, witness in ((one, w_one), (two, w_two)):
+            bounds, _, fault = witness.lower_bounds(mats[sel])
+            _raise_fault(fault)
+            values[sel] = bounds.reshape(-1, trials)
+        mes_gap = np.zeros(n_pairs)
+        for t in range(1, n_pairs, 2):  # the paper's double sum, once per pair on its first probe
+            p_t = p[t, 0] / (p_1[t, 0] * p_2[t // 2, 0])
+            mes_gap[t] = abs(two_sided_bound_mes(mats[t, 0], images[t, 0], images_2[t // 2, 0],
+                                                 inverses[t, 0], p_t) - values[t, 0])
+        spread, oracle_gap = np.ptp(values, axis=1), np.abs(values - direct[:, None]).max(axis=1)
+        res = np.maximum(np.maximum(spread, oracle_gap), mes_gap)
+        worst = max(worst, float(res.max()))
+        pairs += n_pairs
+        failed = np.flatnonzero(res > 1e-8)
+        failures += len(failed)
+        if len(failed) and repro is None:
+            t = int(failed[0])
+            repro = {"suite": "probe-invariance", "seed": seed, "dim": n, "pair": t,
+                     "spread": float(spread[t]), "oracle_gap": float(oracle_gap[t]),
+                     "mes_gap": float(mes_gap[t]), "state": state_to_json(rhos[t]),
+                     "channel": channel_to_json(channels[t])}
     return SuiteResult("probe-invariance", failures == 0 < pairs, pairs, failures, worst, repro)
 
 
@@ -219,7 +223,7 @@ def suite_pt_equivalence(seed=0, trials=200) -> SuiteResult:
         rng = _rng(seed, t)
         n = 2 if t % 2 == 0 else 3
         rho = ql.random_density((n, n), int(rng.integers(1, n * n + 1)), rng)
-        channel = _random_tp_channel(n, int(rng.integers(2, 4)), rng)
+        channel = ch.random_tp_channel(n, int(rng.integers(2, 4)), rng)
         trace_preserving = t % 3 != 0
         if not trace_preserving:
             channel = ch.KrausChannel(n, channel.operators[:1])
@@ -246,43 +250,50 @@ def suite_sandwich(seed=0, trials=500) -> SuiteResult:
     """lower <= concurrence <= upper for random two-qubit states and TP channels.
 
     Pure inputs under a one-sided channel additionally saturate the upper
-    bound, which is asserted as an equality.
+    bound, which is asserted as an equality.  Every trial is drawn first
+    and all of them are evaluated as one stack.
     """
-    worst = 0.0
-    failures = 0
-    repro = None
+    if trials < 1:
+        return SuiteResult("sandwich", False, 0, 0, 0.0)
+    canonical = pr.canonical_probe(2)
+    probes, channels, channels_2, rhos, c_pure = [], [], [], [], []
     for t in range(trials):
         rng = _rng(seed, t)
-        probe = pr.canonical_probe(2) if t % 3 else pr.random_probe(2, rng)
-        ch1 = _random_tp_channel(2, int(rng.integers(2, 4)), rng)
-        app1 = ch.apply_one_sided(ch1, probe.density(), side="first")
-        if t % 2 == 0:
-            # pure input, one-sided channel: the upper bound is an equality
+        probes.append(canonical.matrix if t % 3 else pr.random_probe(2, rng).matrix)
+        channels.append(ch.random_tp_channel(2, int(rng.integers(2, 4)), rng))
+        if t % 2 == 0:  # pure input, one-sided channel: the upper bound is an equality
             psi = ql.random_pure_state((2, 2), rng)
-            rho = psi.density()
-            evolved = ch.apply_one_sided(ch1, rho, "first").output
-            exact = conc.wootters_concurrence(evolved)
-            lower = conc.fidelity_lower_bound(evolved).clamped
-            upper = conc.upper_bound_one_sided(conc.concurrence_pure(psi),
-                                               app1.output, probe.matrix).raw
-            res = max(lower - exact, abs(exact - upper))
+            rhos.append(psi.density())
+            c_pure.append(conc.concurrence_pure(psi))
         else:
-            rho = ql.random_density((2, 2), int(rng.integers(1, 5)), rng)
-            ch2 = _random_tp_channel(2, int(rng.integers(2, 4)), rng)
-            app2 = ch.apply_one_sided(ch2, probe.density(), side="second")
-            evolved = ch.apply_two_sided(ch1, ch2, rho).output
-            exact = conc.wootters_concurrence(evolved)
-            lower = conc.fidelity_lower_bound(evolved).clamped
-            upper = conc.upper_bound_two_sided(conc.wootters_concurrence(rho),
-                                               app1.output, app2.output, probe.matrix).raw
-            res = max(lower - exact, exact - upper)
-        worst = max(worst, res)
-        if res > 1e-9:
-            failures += 1
-            repro = repro or {"suite": "sandwich", "seed": seed, "trial": t,
-                              "violation": res, "state": state_to_json(rho),
-                              "channel_1": channel_to_json(ch1)}
-    return SuiteResult("sandwich", failures == 0 < trials, trials, failures, worst, repro)
+            rhos.append(ql.random_density((2, 2), int(rng.integers(1, 5)), rng))
+            channels_2.append(ch.random_tp_channel(2, int(rng.integers(2, 4)), rng))
+    pure, mixed = slice(0, None, 2), slice(1, None, 2)
+    probes = np.array(probes)
+    mats = np.array([rho.matrix for rho in rhos])
+    densities = _densities(probes)
+    images, _ = _stage(channels, densities, "first")
+    images_2, _ = _stage(channels_2, densities[mixed], "second")
+    evolved, _ = _stage(channels, mats, "first")
+    evolved[mixed], _ = _stage(channels_2, evolved[mixed], "second")
+    values = conc.spin_flip_concurrence(np.concatenate([evolved, mats[mixed]]))
+    exact, c_mixed = values[:trials], values[trials:]
+    lower = np.maximum(0.0, conc.fidelity_lower_bounds(evolved, (2, 2)))
+    factors = conc.upper_bound_factor(np.concatenate([images, images_2]),
+                                      np.concatenate([probes, probes[mixed]]))
+    upper = np.empty(trials)
+    upper[pure] = np.array(c_pure) * factors[:trials][pure]
+    upper[mixed] = c_mixed * factors[:trials][mixed] * factors[trials:]
+    res = lower - exact
+    res[pure] = np.maximum(res[pure], np.abs(exact - upper)[pure])
+    res[mixed] = np.maximum(res[mixed], (exact - upper)[mixed])
+    failed = np.flatnonzero(res > 1e-9)
+    t = int(failed[0]) if len(failed) else None
+    repro = None if t is None else {"suite": "sandwich", "seed": seed, "trial": t,
+                                    "violation": float(res[t]), "state": state_to_json(rhos[t]),
+                                    "channel_1": channel_to_json(channels[t])}
+    worst = max(0.0, float(res.max()))
+    return SuiteResult("sandwich", len(failed) == 0, trials, len(failed), worst, repro)
 
 
 def suite_structural(seed=0, trials=1000) -> SuiteResult:
@@ -327,7 +338,8 @@ _SUITES = {
 
 
 def run_suites(name: str, seed: int = 0, trials: int = None) -> list:
-    """Run one named suite, or every suite for name "all"."""
+    """Run one named suite, or every suite for name "all"; each result
+    carries the suite's wall time in seconds."""
     if name == "all":
         names = SUITE_NAMES
     elif name in _SUITES:
@@ -336,9 +348,9 @@ def run_suites(name: str, seed: int = 0, trials: int = None) -> list:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES + ('all',)}")
     results = []
     for item in names:
-        fn = _SUITES[item]
-        if trials is None:
-            results.append(fn(seed=seed))
-        else:
-            results.append(fn(seed=seed, trials=trials))
+        start = time.perf_counter()
+        kwargs = {} if trials is None else {"trials": trials}
+        result = _SUITES[item](seed=seed, **kwargs)
+        result.wall_s = time.perf_counter() - start
+        results.append(result)
     return results

@@ -1,40 +1,15 @@
-"""Shared input generators for the test suite."""
+"""Shared input generators for the test suite: the library's own draws."""
 
 import numpy as np
 import pytest
 
-from entbound import DensityMatrix, KrausChannel, ProbeState, probe_from_matrix
+from entbound import ProbeState, random_density
+from entbound.channels import random_tp_channel
+from entbound.probe import random_probe
 
-
-def random_tp_kraus(dim, count, rng) -> KrausChannel:
-    """Random trace-preserving channel from Gaussian factors."""
-    gs = [rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-          for _ in range(count)]
-    total = sum(g.conj().T @ g for g in gs)
-    w, v = np.linalg.eigh(total)
-    root_inv = v @ np.diag(1.0 / np.sqrt(w)) @ v.conj().T
-    return KrausChannel(dim, tuple(g @ root_inv for g in gs))
-
-
-def random_probe(dim, rng) -> ProbeState:
-    """Random full-rank normalized probe; redraws on (rare) near-singular draws."""
-    while True:
-        p = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        p = p / np.linalg.norm(p)
-        if np.linalg.svd(p, compute_uv=False)[-1] > 1e-4:
-            return probe_from_matrix(p)
-
-
-def probe_density(probe: ProbeState) -> DensityMatrix:
-    vec = probe.matrix.reshape(-1)
-    return DensityMatrix((probe.dim, probe.dim), np.outer(vec, vec.conj()))
-
-
-def random_mixed(dims, rank, rng) -> DensityMatrix:
-    d = dims[0] * dims[1]
-    g = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
-    rho = g @ g.conj().T
-    return DensityMatrix(dims, rho / np.trace(rho).real)
+random_tp_kraus = random_tp_channel
+random_mixed = random_density
+probe_density = ProbeState.density
 
 
 @pytest.fixture

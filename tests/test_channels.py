@@ -18,7 +18,7 @@ from entbound import (
     phase_damping,
     random_density,
 )
-from entbound.channels import apply_stacked
+from entbound.channels import apply_stacked, random_tp_channel
 from conftest import random_tp_kraus
 
 IDENTITY_CHANNEL = KrausChannel(2, (np.eye(2),))
@@ -76,6 +76,16 @@ class TestKrausChannelValidation:
                 maker(-0.1)
             with pytest.raises(OutOfRange):
                 maker(1.1)
+
+
+class TestCompletenessDefect:
+    def test_defect_is_spectral_norm_of_gap(self, rng):
+        for count in (1, 2, 3):
+            ops = random_tp_kraus(3, 3, rng).operators[:count]
+            gap = sum(m.conj().T @ m for m in ops) - np.eye(3)
+            channel = KrausChannel(3, ops)
+            assert abs(channel.completeness_defect - np.linalg.norm(gap, 2)) < 1e-15
+            assert channel.trace_preserving == (count == 3)
 
 
 class TestApplyOneSided:
@@ -217,3 +227,33 @@ class TestApplyStacked:
         index, error = fault
         assert index == 1 and isinstance(error, ZeroProbability)
         assert len(outputs) == 1 and len(p) == 4
+
+    @pytest.mark.parametrize("side", ["first", "second"])
+    def test_channel_sequence_matches_per_entry(self, rng, side):
+        # mixed Kraus counts, trace-preserving and truncated (non-TP) channels
+        channels = []
+        for j in range(6):
+            full = random_tp_channel(3, 1 + j % 3, rng)
+            channels.append(KrausChannel(3, full.operators[:2]) if j % 4 == 3 else full)
+        states = [random_density((3, 3), 1 + j, rng) for j in range(6)]
+        outputs, p, fault = apply_stacked(channels, np.array([s.matrix for s in states]),
+                                          (3, 3), side)
+        assert fault is None
+        for channel, state, out, prob in zip(channels, states, outputs, p):
+            single = apply_one_sided(channel, state, side)
+            np.testing.assert_allclose(out, single.output.matrix, rtol=0, atol=1e-12)
+            assert abs(prob - single.probability) < 1e-12
+
+    def test_channel_sequence_first_zero_probability_is_the_fault(self):
+        keep_ground = KrausChannel(2, (np.diag([1.0, 0.0]),))
+        channels = [IDENTITY_CHANNEL, amplitude_damping(0.3), keep_ground, keep_ground]
+        stack = np.array([basis_density(i, (2, 2)).matrix for i in (3, 2, 2, 3)])
+        outputs, p, fault = apply_stacked(channels, stack, (2, 2), "first")
+        index, error = fault
+        assert index == 2 and isinstance(error, ZeroProbability)
+        assert len(outputs) == 2 and len(p) == 4 and p[3] == 0.0
+
+    def test_channel_sequence_dimension_mismatch(self):
+        stack = np.array([basis_density(0, (2, 3)).matrix])
+        with pytest.raises(DimensionMismatch):
+            apply_stacked([amplitude_damping(0.1)], stack, (2, 3), "second")

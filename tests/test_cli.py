@@ -340,6 +340,18 @@ class TestCheck:
         assert run_cli("check", "sandwich", "--trials", "40", "--seed", "2") == 0
         assert "sandwich: PASS" in capsys.readouterr().out
 
+    def test_prints_suite_wall_time(self, capsys):
+        assert run_cli("check", "sandwich", "--trials", "3") == 0
+        line = capsys.readouterr().out.strip()
+        assert line.startswith("sandwich: PASS trials=3 ")
+        assert float(line.split("wall_s=")[1]) > 0.0
+
+    @pytest.mark.parametrize("suite", ["sandwich", "probe-invariance"])
+    def test_one_trial_suite_passes(self, suite):
+        from entbound.suites import run_suites
+        result, = run_suites(suite, seed=0, trials=1)
+        assert result.passed and result.trials == (1 if suite == "sandwich" else 40)
+
     @pytest.mark.parametrize("trials", ["0", "-3"])
     def test_trials_below_one_rejected(self, trials):
         with pytest.raises(SystemExit) as exc:

@@ -24,7 +24,8 @@ from entbound import (
     wootters_concurrence,
     amplitude_damping,
 )
-from entbound.concurrence import spin_flip_concurrence
+from entbound.concurrence import fidelity_lower_bounds, spin_flip_concurrence, \
+    upper_bound_factor
 from conftest import probe_density, random_mixed, random_probe, random_tp_kraus
 
 SY = np.array([[0, -1j], [1j, 0]])
@@ -145,6 +146,12 @@ class TestFidelityLowerBound:
         for _ in range(200):
             rho = random_mixed((2, 2), int(rng.integers(1, 5)), rng)
             assert fidelity_lower_bound(rho).raw <= wootters_concurrence(rho) + 1e-12
+
+    def test_stack_matches_single_states(self, rng):
+        states = [random_mixed((3, 3), r, rng) for r in (1, 4, 9)]
+        values = fidelity_lower_bounds(np.array([s.matrix for s in states]), (3, 3))
+        for value, state in zip(values, states):
+            assert abs(value - fidelity_lower_bound(state).raw) < 1e-15
 
     def test_trivial_dimension(self):
         with pytest.raises(TrivialDimension):
@@ -284,6 +291,22 @@ class TestUpperBounds:
     def test_singular_probe(self):
         with pytest.raises(SingularProbe):
             upper_bound_one_sided(1.0, BELL.density(), np.diag([1.0, 0.0]))
+
+    def test_stacked_factor_matches_single_calls(self, rng):
+        channels = [random_tp_kraus(2, int(rng.integers(2, 4)), rng) for _ in range(8)]
+        probes = [random_probe(2, rng) for _ in range(8)]
+        images = [apply_one_sided(c, probe_density(p), side).output
+                  for c, p, side in zip(channels, probes, ["first", "second"] * 4)]
+        factors = upper_bound_factor(np.array([r.matrix for r in images]),
+                                     np.array([p.matrix for p in probes]))
+        for factor, image, probe in zip(factors, images, probes):
+            assert abs(factor - upper_bound_one_sided(1.0, image, probe.matrix).raw) < 1e-15
+
+    def test_stacked_factor_singular_entry(self):
+        probes = np.array([np.eye(2) / np.sqrt(2), np.diag([1.0, 0.0]), np.eye(2) / np.sqrt(2)])
+        images = np.array([BELL.density().matrix] * 3)
+        with pytest.raises(SingularProbe, match="probe 1"):
+            upper_bound_factor(images, probes)
 
     def test_sandwich_holds(self, rng):
         for _ in range(100):

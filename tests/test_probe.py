@@ -29,7 +29,7 @@ from entbound import (
     tensor_product,
 )
 from entbound.cli import evaluate_bound
-from entbound.probe import choi_witness, one_sided_witness, two_sided_witness
+from entbound.probe import choi_witness, one_sided_witness, random_probes, two_sided_witness
 from entbound.suites import two_sided_bound_mes
 from conftest import probe_density, random_mixed, random_probe, random_tp_kraus
 
@@ -78,6 +78,70 @@ class TestMesBasis:
         for state, t in zip(basis.states, basis.transition_matrices()):
             lifted = tensor_product(t / np.sqrt(3) @ probe.inverse, np.eye(3))
             np.testing.assert_allclose(lifted @ pvec, state.amplitudes, atol=1e-10)
+
+    def test_built_once_per_dimension(self):
+        basis = mes_basis(3)
+        assert mes_basis(3) is basis
+        assert not basis.states[0].amplitudes.flags.writeable
+
+
+class _Stream(np.random.Generator):
+    """Generator whose standard normals come from a fixed list, in order."""
+
+    def __init__(self, values):
+        super().__init__(np.random.PCG64(0))
+        self.values, self.used = np.asarray(values, dtype=float), 0
+
+    def standard_normal(self, size=None):
+        count = int(np.prod(size))
+        out = self.values[self.used:self.used + count].reshape(size)
+        self.used += count
+        return out
+
+
+def sequential_probes(n, count, rng):
+    """One candidate at a time, each validated on its own: the draw the stack replaces."""
+    probes, rejected = [], 0
+    while len(probes) < count:
+        p = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        p = p / np.linalg.norm(p)
+        if np.linalg.svd(p, compute_uv=False)[-1] > 1e-4:
+            probes.append(probe_from_matrix(p))
+        else:
+            rejected += 1
+    return probes, rejected
+
+
+class TestRandomProbes:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_stack_equals_sequential_draws(self, n):
+        for seed in range(5):
+            stacked_rng, sequential_rng = (np.random.default_rng([seed, n]) for _ in range(2))
+            matrices, inverses, conditions = random_probes(n, 7, stacked_rng)
+            probes, _ = sequential_probes(n, 7, sequential_rng)
+            for probe, m, inv, cond in zip(probes, matrices, inverses, conditions):
+                np.testing.assert_allclose(m, probe.matrix, rtol=0, atol=1e-15)
+                np.testing.assert_allclose(inv, probe.inverse, rtol=0, atol=1e-12 * cond)
+                assert abs(cond - probe.condition) < 1e-12 * cond
+            assert stacked_rng.bit_generator.state == sequential_rng.bit_generator.state
+            assert not matrices.flags.writeable and not inverses.flags.writeable
+
+    def test_rejected_candidate_is_redrawn(self):
+        # the second of four candidates has rank 1 and must be replaced by the fifth
+        values = np.random.default_rng(5).standard_normal(5 * 2 * 4)
+        values[8:16] = [1.0, 2.0, 2.0, 4.0, 0.0, 0.0, 0.0, 0.0]
+        stream = _Stream(values)
+        matrices, _, _ = random_probes(2, 4, stream)
+        probes, rejected = sequential_probes(2, 4, _Stream(values))
+        assert rejected == 1 and stream.used == len(values)
+        for probe, m in zip(probes, matrices):
+            np.testing.assert_allclose(m, probe.matrix, rtol=0, atol=1e-15)
+        z = values[16:20] + 1j * values[20:24]
+        np.testing.assert_allclose(matrices[1], (z / np.linalg.norm(z)).reshape(2, 2), atol=1e-15)
+
+    def test_no_probes(self):
+        matrices, inverses, conditions = random_probes(3, 0, 1)
+        assert matrices.shape == inverses.shape == (0, 3, 3) and conditions.shape == (0,)
 
 
 class TestProbeState:
@@ -310,7 +374,8 @@ class TestLowerBoundTwoSided:
             a1 = apply_one_sided(ch1, probe_density(probe), "first")
             a2 = apply_one_sided(ch2, probe_density(probe), "second")
             p_t = apply_two_sided(ch1, ch2, rho).probability / (a1.probability * a2.probability)
-            mes_val = two_sided_bound_mes(rho, a1.output, a2.output, probe, p_t)
+            mes_val = two_sided_bound_mes(rho.matrix, a1.output.matrix, a2.output.matrix,
+                                          probe.inverse, p_t)
             witness_val = lower_bound_two_sided(rho, a1.output, a2.output, probe).raw
             assert abs(mes_val - witness_val) < 1e-8
 
@@ -465,6 +530,27 @@ class TestWitness:
             choi_witness(images, None, np.array([bad.inverse, good.inverse, bad.inverse]),
                          np.array([bad.condition, good.condition, bad.condition]))
         assert len([w for w in caught if "condition" in str(w.message)]) == 2
+
+    def test_two_dimensional_probe_stack(self, rng):
+        # a (2, 3) probe axis builds, warns once per ill-conditioned probe, and
+        # gives each probe's own witness
+        skewed = np.diag([1.0, 2e-5])
+        bad = probe_from_matrix(skewed / np.linalg.norm(skewed))
+        probes = [[bad, random_probe(2, rng), canonical_probe(2)],
+                  [random_probe(2, rng), bad, bad]]
+        ch = random_tp_kraus(2, 2, rng)
+        images = np.array([[apply_one_sided(ch, probe_density(p), "first").output.matrix
+                            for p in row] for row in probes])
+        with pytest.warns(RuntimeWarning, match="condition") as caught:
+            witness = choi_witness(images, None,
+                                   np.array([[p.inverse for p in row] for row in probes]),
+                                   np.array([[p.condition for p in row] for row in probes]))
+        assert len([w for w in caught if "condition" in str(w.message)]) == 3
+        assert witness.overlap.shape == witness.trace.shape == (2, 3, 4, 4)
+        for i, j in np.ndindex(2, 3):
+            single = choi_witness(images[i, j], None, probes[i][j].inverse, 1.0)
+            np.testing.assert_allclose(witness.overlap[i, j], single.overlap, atol=1e-10)
+            np.testing.assert_allclose(witness.trace[i, j], single.trace, atol=1e-10)
 
     @pytest.mark.parametrize("side", ["first", "second"])
     def test_evaluate_bound_reports_pt_from_witness(self, rng, side):
