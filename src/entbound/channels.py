@@ -37,12 +37,16 @@ class KrausChannel:
         Spectral norm of sum(M^dag M) - I.
     trace_preserving : bool
         True when the defect is at most 1e-10.
+    superoperator : ndarray
+        The n^2 x n^2 matrix S[(a,c),(i,j)] = <a|$(|i><j|)|c> of the channel
+        $, read-only; every application goes through it.
     """
 
     input_dim: int
     operators: tuple
     completeness_defect: float = field(init=False)
     trace_preserving: bool = field(init=False)
+    superoperator: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         d = int(self.input_dim)
@@ -63,10 +67,13 @@ class KrausChannel:
         if w[-1] > TP_TOLERANCE:
             raise InvalidChannel("sum M^dag M exceeds the identity; probabilities would exceed 1")
         defect = max(-w[0], w[-1])
+        superoperator = np.einsum("kai,kcj->acij", ops, ops.conj()).reshape(d * d, d * d)
+        superoperator.setflags(write=False)
         object.__setattr__(self, "input_dim", d)
         object.__setattr__(self, "operators", tuple(ops))
         object.__setattr__(self, "completeness_defect", float(defect))
         object.__setattr__(self, "trace_preserving", bool(defect <= TP_TOLERANCE))
+        object.__setattr__(self, "superoperator", superoperator)
 
 
 @dataclass(frozen=True)
@@ -77,34 +84,28 @@ class ChannelApplication:
     probability: float
 
 
-def apply_stacked(channel, mats, dims, side: str = "first"):
+def apply_stacked(superoperators, mats, dims, side: str = "first"):
     """:func:`apply_one_sided` for every matrix of a (k, d, d) stack.
 
-    ``channel`` is one KrausChannel for the whole stack or a sequence of
-    k channels, one per entry; their Kraus sets are zero-padded to the
-    largest count, and a zero operator adds an exact 0 to the image.
-    Returns (outputs, p, fault): ``p`` holds the traces of the raw images
-    and ``fault`` is None or (index, ZeroProbability) for the first entry
-    with p <= 1e-14.  ``outputs`` holds the normalized images of the
-    entries before that index, not yet validated as density matrices.
+    ``superoperators`` is one channel's (n^2, n^2) superoperator for the
+    whole stack or a (k, n^2, n^2) stack of them, one per entry.  Returns
+    (outputs, p, fault): ``p`` holds the traces of the raw images and
+    ``fault`` is None or (index, ZeroProbability) for the first entry with
+    p <= 1e-14.  ``outputs`` holds the normalized images of the entries
+    before that index, not yet validated as density matrices.
     """
-    n1, n2 = dims
     if side not in ("first", "second"):
         raise ValueError(f"side must be 'first' or 'second', got {side!r}")
-    channels = (channel,) if isinstance(channel, KrausChannel) else tuple(channel)
-    n = n1 if side == "first" else n2
-    width = max((len(c.operators) for c in channels), default=1)
-    ops = np.zeros((width, len(channels), n, n), dtype=complex)
-    for j, c in enumerate(channels):
-        if c.input_dim != n:
-            raise DimensionMismatch(f"channel acts on dim {c.input_dim}, subsystem has dim {n}")
-        ops[:len(c.operators), j] = c.operators
-    for i, m in enumerate(ops):  # one Kraus index at a time, summed in index order
-        lifted = (m[:, :, None, :, None] * np.eye(n2)[:, None, :] if side == "first"  # M_k o I
-                  else np.eye(n1)[:, None, :, None] * m[:, None, :, None, :])  # I o M_k
-        lifted = lifted.reshape(len(channels), n1 * n2, n1 * n2)
-        term = lifted @ mats @ lifted.conj().swapaxes(-1, -2)
-        images = term if i == 0 else images + term
+    n1, n2 = dims
+    n, m = (n1, n2) if side == "first" else (n2, n1)
+    if superoperators.shape[-2:] != (n * n, n * n):
+        raise DimensionMismatch(f"superoperator of shape {superoperators.shape[-2:]} does not "
+                                f"act on a subsystem of dim {n}")
+    # (k, i, j, x, y): the channel side's row and column indices first
+    axes = (0, 1, 3, 2, 4) if side == "first" else (0, 2, 4, 1, 3)
+    blocks = mats.reshape(-1, n1, n2, n1, n2).transpose(axes).reshape(-1, n * n, m * m)
+    images = (superoperators @ blocks).reshape(-1, n, n, m, m).transpose(np.argsort(axes))
+    images = images.reshape(mats.shape)
     p = np.trace(images, axis1=1, axis2=2).real
     k = first_false(p > PROBABILITY_FLOOR)
     fault = None if k == len(p) else (k, ZeroProbability(f"channel image has trace {p[k]!r}"))
@@ -124,7 +125,7 @@ def apply_one_sided(channel: KrausChannel, rho: DensityMatrix, side: str = "firs
     ZeroProbability
         If p <= 1e-14, i.e. the channel annihilates the state.
     """
-    outputs, p, fault = apply_stacked(channel, rho.matrix[None], rho.dims, side)
+    outputs, p, fault = apply_stacked(channel.superoperator, rho.matrix[None], rho.dims, side)
     if fault is not None:
         raise fault[1]
     return ChannelApplication(DensityMatrix(rho.dims, outputs[0]), float(p[0]))

@@ -27,8 +27,8 @@ from .channels import KrausChannel, amplitude_damping, apply_one_sided, apply_st
 from .concurrence import fidelity_lower_bound, spin_flip_concurrence, upper_bound_factor, \
     upper_bound_one_sided, upper_bound_two_sided, wootters_concurrence
 from .errors import DimensionMismatch, SingularProbe, ZeroProbability
-from .probe import ProbeState, canonical_probe, lower_bound_two_sided, one_sided_witness, \
-    random_probe, two_sided_witness
+from .probe import ProbeState, canonical_probe, lower_bound_one_sided, lower_bound_two_sided, \
+    probe_channels, probe_route, random_probe
 from .qlinalg import DensityMatrix, PureState, density_fault, random_density, random_pure_state
 from .serialize import channel_from_json, channel_to_json, dump_json, load_json, \
     probe_from_json, probe_to_json, state_from_json, state_to_json
@@ -69,7 +69,7 @@ class SweepConfig:
         grid = np.asarray(self.x_grid, dtype=float)
         if grid.size == 0:
             raise ValueError("x_grid must be nonempty")
-        if np.any(grid < 0.0) or np.any(grid > 1.0):
+        if not np.all((grid >= 0.0) & (grid <= 1.0)):  # NaN fails both
             raise ValueError("x_grid values must lie in [0, 1]")
         if np.any(np.diff(grid) <= 0.0):
             raise ValueError("x_grid must be strictly increasing")
@@ -88,11 +88,9 @@ def default_sweep_config() -> SweepConfig:
 
 
 def sweep_config_from_json(doc: dict) -> SweepConfig:
+    if not isinstance(doc, dict):
+        raise ValueError(f"a sweep config must be a JSON object, got {type(doc).__name__}")
     cfg = default_sweep_config()
-    if "x_grid" in doc:
-        cfg_grid = np.asarray(doc["x_grid"], dtype=float)
-    else:
-        cfg_grid = cfg.x_grid
     base = state_from_json(doc["base_state"]) if "base_state" in doc else cfg.base_state
     if isinstance(base, PureState):
         base = base.density()
@@ -103,7 +101,7 @@ def sweep_config_from_json(doc: dict) -> SweepConfig:
     else:
         raise ValueError(f"a probe is required for non-square bipartition {base.dims}")
     return SweepConfig(
-        x_grid=cfg_grid,
+        x_grid=doc.get("x_grid", cfg.x_grid),
         base_state=base,
         channel_1=channel_from_json(doc["channel_1"]) if "channel_1" in doc else cfg.channel_1,
         channel_2=channel_from_json(doc["channel_2"]) if "channel_2" in doc else cfg.channel_2,
@@ -128,26 +126,24 @@ class BoundReport:
         return asdict(self)
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.12g}"
-
-
 def run_sweep(config: SweepConfig, output_path) -> None:
     """Evaluate lower bound, concurrence and upper bound over the x grid; write CSV.
 
-    All grid points form one stack that goes through channel_1 and then
-    channel_2, each stage normalized and validated; the probe-route lower
-    bound applies a witness built once.  The exact (spin-flip) concurrence
-    and the upper bound exist only for 2x2 bipartitions; for larger states
-    those two columns are left empty.  A failed check raises its
-    ArithmeticError or ValueError, naming the first x that fails.
+    All grid points form one stack that goes through the superoperators of
+    channel_1 and then channel_2, each stage normalized and validated; the
+    probe-route lower bound applies the two channels rebuilt once from the
+    probe images.  The exact (spin-flip) concurrence and the upper bound
+    exist only for 2x2 bipartitions; for larger states those two columns
+    are left empty.  A failed check raises its ArithmeticError or
+    ValueError, naming the first x that fails.
     """
     dims, grid = config.base_state.dims, config.x_grid
     d = dims[0] * dims[1]
     probe_rho = config.probe.density()
     app1 = apply_one_sided(config.channel_1, probe_rho, side="first")
     app2 = apply_one_sided(config.channel_2, probe_rho, side="second")
-    witness = two_sided_witness(app1.output, app2.output, config.probe)
+    stages = probe_channels(app1.output.matrix, app2.output.matrix, config.probe.inverse,
+                            config.probe.condition)
     x = grid[:, None, None]
     rho = x * config.base_state.matrix + (1.0 - x) * (np.eye(d) / d)
 
@@ -160,13 +156,14 @@ def run_sweep(config: SweepConfig, output_path) -> None:
             first[:] = fault
 
     keep(density_fault(rho))
-    out1, p1, fault = apply_stacked(config.channel_1, rho[:first[0]], dims, "first")
+    s1, s2 = config.channel_1.superoperator, config.channel_2.superoperator
+    out1, p1, fault = apply_stacked(s1, rho[:first[0]], dims, "first")
     keep(fault)
     keep(density_fault(out1[:first[0]]))
-    out2, p2, fault = apply_stacked(config.channel_2, out1[:first[0]], dims, "second")
+    out2, p2, fault = apply_stacked(s2, out1[:first[0]], dims, "second")
     keep(fault)
     keep(density_fault(out2[:first[0]]))
-    lower, _, fault = witness.lower_bounds(rho[:first[0]])
+    lower, _, fault = probe_route(rho[:first[0]], dims, *stages)
     keep(fault)
     k, error = first
     if error is not None:
@@ -181,7 +178,7 @@ def run_sweep(config: SweepConfig, output_path) -> None:
         upper = values[k:] * factor1 * factor2
     lines = ["x,lower_bound,concurrence,upper_bound,p_total"]
     for row in zip(grid, np.maximum(0.0, lower), exact, upper, p1 * p2):
-        lines.append(",".join("" if v is None else _fmt(v) for v in row))
+        lines.append(",".join("" if v is None else f"{v:.12g}" for v in row))
         log.debug("x=%s lower=%s exact=%s upper=%s", *row[:4])
 
     with open(output_path, "w", encoding="utf-8", newline="") as fh:
@@ -201,8 +198,7 @@ def _cmd_sweep(args) -> int:
     try:
         run_sweep(config, args.output)
     except OSError as exc:
-        print(f"error: could not write {args.output}: {exc}", file=sys.stderr)
-        return 2
+        return _unwritable(exc)
     except (ArithmeticError, ValueError, np.linalg.LinAlgError) as exc:
         print(f"error: numerical failure: {exc}", file=sys.stderr)
         return 3
@@ -220,19 +216,16 @@ def evaluate_bound(rho: DensityMatrix, channels, side: str, probe, method: str) 
     one = len(channels) == 1
     evolved = apply_one_sided(channels[0], rho, side=side) if one \
         else apply_two_sided(*channels, rho)
-    lb = p_prime = p_t = upper = exact = None
+    p_prime = p_t = upper = exact = None
     if probe is not None:
         apps = [apply_one_sided(channel, probe.density(), side=s)
                 for channel, s in zip(channels, (side,) if one else ("first", "second"))]
-        if one:
-            p_prime = apps[0].probability
-            lb, p_t = one_sided_witness(apps[0].output, probe, side).bound(rho)
-        else:
-            p_prime = apps[0].probability * apps[1].probability
-            p_t = evolved.probability / p_prime
-            if method == "probe":
-                lb = lower_bound_two_sided(rho, apps[0].output, apps[1].output, probe)
-    if method != "probe":
+        p_prime = apps[0].probability if one else apps[0].probability * apps[1].probability
+        p_t = evolved.probability / p_prime
+    if method == "probe":
+        lb = (lower_bound_one_sided(rho, apps[0].output, probe, side) if one else
+              lower_bound_two_sided(rho, apps[0].output, apps[1].output, probe))
+    else:
         lb = fidelity_lower_bound(evolved.output)
     if rho.dims == (2, 2):
         exact = wootters_concurrence(evolved.output)
@@ -299,17 +292,20 @@ def _cmd_check(args) -> int:
         all_passed = all_passed and res.passed
     report_text = "\n".join(lines) + "\n"
     print(report_text, end="")
-    if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(report_text)
-    if not all_passed:
-        first_failure = next(r for r in results if not r.passed)
-        base = args.report if args.report else f"entbound-{first_failure.name}"
-        repro_path = f"{base}.repro.json"
-        dump_json({"seed": args.seed, "trials": args.trials,
-                   "failure": first_failure.repro}, repro_path)
-        print(f"reproduction bundle written to {repro_path}", file=sys.stderr)
-        return 1
+    try:
+        if args.report:
+            with open(args.report, "w", encoding="utf-8") as fh:
+                fh.write(report_text)
+        if not all_passed:
+            first_failure = next(r for r in results if not r.passed)
+            base = args.report if args.report else f"entbound-{first_failure.name}"
+            repro_path = f"{base}.repro.json"
+            dump_json({"seed": args.seed, "trials": args.trials,
+                       "failure": first_failure.repro}, repro_path)
+            print(f"reproduction bundle written to {repro_path}", file=sys.stderr)
+            return 1
+    except OSError as exc:
+        return _unwritable(exc)
     return 0
 
 
@@ -336,8 +332,16 @@ def _cmd_gen(args) -> int:
     except (ValueError, TypeError) as exc:
         print(f"error: invalid parameters: {exc}", file=sys.stderr)
         return 2
-    dump_json(doc, args.output)
+    try:
+        dump_json(doc, args.output)
+    except OSError as exc:
+        return _unwritable(exc)
     return 0
+
+
+def _unwritable(exc: OSError) -> int:
+    print(f"error: could not write: {exc}", file=sys.stderr)
+    return 2
 
 
 def _require(value, flag):
@@ -399,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--gamma", type=float, default=None)
     p_gen.add_argument("--prob", type=float, default=None)
     p_gen.add_argument("--lam", type=float, default=None)
-    p_gen.add_argument("--dim", type=int, default=2, help="probe dimension")
+    p_gen.add_argument("--dim", type=_positive_int, default=2, help="probe dimension")
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.set_defaults(fn=_cmd_gen)
     return parser

@@ -109,7 +109,8 @@ def fidelity_lower_bounds(mats, dims) -> np.ndarray:
     if r < 2:
         raise TrivialDimension("concurrence is identically 0 when min(N1, N2) = 1")
     mes = canonical_mes(dims).amplitudes
-    return _prefactor(r) * (((mats @ mes) @ mes.conj()).real - 1.0 / r)
+    overlap = (mats * np.outer(mes.conj(), mes)).sum(axis=(-2, -1)).real  # same order for any k
+    return _prefactor(r) * (overlap - 1.0 / r)
 
 
 def fidelity_lower_bound(rho: DensityMatrix) -> BoundValue:

@@ -2,15 +2,14 @@
 
 A full-rank N x N pure "probe" state |P> is sent through the channel
 instead of the state of interest.  The normalized probe image of each
-channel side fixes that channel's Choi matrix, and :func:`choi_witness`
-contracts the Choi matrices of both sides (the exact identity on a side
-without a channel) into one witness: operators W and Q whose expectation
-values in the initial state are the MES overlap of the evolved state and
-the renormalization factor p_t = p/p'.  The one-sided bound is the
-two-sided one with the identity on the other side, and the report's p_t
-is read from Q; the evolved state itself is never needed.  W and Q are
-linear in the input, so many input states share one witness, and a stack
-of probes gives a stack of witnesses.
+channel side fixes that channel's superoperator up to the probe's own
+probability p', and :func:`probe_channels` rebuilds S/p' from it.
+:func:`probe_route` applies the rebuilt channels to the initial state
+through :func:`entbound.channels.apply_stacked`, the path the real
+channels take, and reads the fidelity lower bound of the result; its
+trace is the renormalization factor p_t = p/p'.  A side without a channel
+is simply not applied.  A stack of probes gives a stack of rebuilt
+channels, and one rebuilt channel applies to a stack of states.
 
 The paper's p_t formulas, through the reduced input state and through a
 sum over the generalized Bell basis, are kept as independent oracles.
@@ -28,18 +27,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .concurrence import BoundValue, _prefactor
-from .errors import DimensionMismatch, NotNormalized, SingularProbe, ZeroProbability
-from .qlinalg import (
-    DensityMatrix,
-    PureState,
-    TOL_RECONSTRUCT,
-    first_false,
-    state_to_matrix,
-)
+from .channels import apply_stacked
+from .concurrence import BoundValue, fidelity_lower_bounds
+from .errors import DimensionMismatch, NotNormalized, SingularProbe
+from .qlinalg import DensityMatrix, PureState, TOL_RECONSTRUCT, state_to_matrix
 
 _RANK_FLOOR = 1e-8
-_PT_FLOOR = 1e-14
 
 # P^-1 enters the one-sided bound quadratically and the two-sided bound
 # quartically; past this condition number the result deserves a warning.
@@ -234,104 +227,66 @@ def pt_via_mes_sum(rho: DensityMatrix, evolved_probe: DensityMatrix, probe: Prob
     return float(total)
 
 
-def _warn_if_ill_conditioned(condition):
+def probe_channels(image_1, image_2, inverse, condition):
+    """Superoperators S1/p1' and S2/p2' rebuilt from the normalized probe images.
+
+    ``image_1`` (``image_2``) is the image of |P><P| under the first-side
+    (second-side) channel divided by its trace p1' (p2'), or None for a
+    side without a channel, which stays None.  With
+    S[(a,c),(i,j)] = <a|$(|i><j|)|c>, the image fixes the channel
+    (ancilla-assisted process tomography, D'Ariano & Lo Presti, PRL 86,
+    4195 (2001)): S1/p1' = sum_xy P^-1[x,i] rho_P1'[(a,x),(c,y)] P^-1[y,j]^*
+    and S2/p2' = sum_xy P^-1[i,x] rho_P2'[(x,a),(y,c)] P^-1[j,y]^*.  The
+    images (..., d, d), ``inverse`` = P^-1 (..., n, n) and the probes'
+    ``condition`` numbers may carry leading probe axes; each probe
+    conditioned worse than 1e4 warns.
+    """
     for value in np.ravel(condition):
         if value > CONDITION_WARN:
             warnings.warn(f"probe condition number {value:.3g} exceeds {CONDITION_WARN:.0e}; "
                           "the bound may carry amplified rounding error", RuntimeWarning,
-                          stacklevel=4)
-
-
-@dataclass(frozen=True)
-class Witness:
-    """Operators W (``overlap``) and Q (``trace``) with
-    Tr[W rho] = <mes|($1 o $2) rho|mes> / (p1' p2') and Tr[Q rho] = p_t =
-    p / (p1' p2') for every input state rho; a side without a channel has
-    the identity and p' = 1.  Both have shape (..., d, d), any leading
-    axes running over probes.
-    """
-
-    dim: int
-    overlap: np.ndarray
-    trace: np.ndarray
-
-    def lower_bounds(self, mats):
-        """Raw lower bounds and p_t of input states ``mats`` (..., d, d).
-
-        The leading axes of the witness and of ``mats`` broadcast (one
-        witness, many states, or the reverse) and are flattened in the
-        result (values, p_t, fault): ``fault`` is None or (index,
-        ZeroProbability) for the first entry with p_t <= 1e-14, and
-        ``values`` covers the entries before it.
-        """
-        # Tr[A rho] as an elementwise sum, reduced in the same order for any stack
-        ops = np.stack([self.overlap, self.trace], axis=-3)
-        products = ops * mats.swapaxes(-1, -2)[..., None, :, :]
-        overlap, p_t = products.sum(axis=(-2, -1)).real.reshape(-1, 2).T
-        k = first_false(p_t > _PT_FLOOR)
-        values = _prefactor(self.dim) * (overlap[:k] / p_t[:k] - 1.0 / self.dim)
-        fault = None if k == len(p_t) else (
-            k, ZeroProbability(f"p_t = {p_t[k]!r}; the channels annihilate the state"))
-        return values, p_t, fault
-
-    def bound(self, rho: DensityMatrix):
-        """(lower bound, p_t) for one input state; raises DimensionMismatch
-        unless it is N x N, and ZeroProbability if p_t <= 1e-14."""
-        _check_square(rho, self.dim)
-        values, p_t, fault = self.lower_bounds(rho.matrix[None])
-        if fault is not None:
-            raise fault[1]
-        return BoundValue(float(values[0]), "lower"), float(p_t[0])
-
-
-def choi_witness(image_1, image_2, inverse, condition) -> Witness:
-    """Build the witness from the normalized probe images of both sides.
-
-    ``image_1`` (``image_2``) is the image of |P><P| under the first-side
-    (second-side) channel divided by its trace p1' (p2'), or None for a
-    side without a channel.  The images fix the channels' Choi matrices,
-    J1 = sum_ij $1(|i><j|) o |i><j| and J2 = sum_ij |i><j| o $2(|i><j|):
-    J1/p1' = (1 o P^-T) rho_P1' (1 o P^-T)^dag and
-    J2/p2' = (P^-1 o 1) rho_P2' (P^-1 o 1)^dag
-    (ancilla-assisted process tomography, D'Ariano & Lo Presti, PRL 86,
-    4195 (2001)); a side without a channel gets the exact identity Choi
-    matrix.  Contracting them over the canonical MES gives W, and their
-    partial traces give Q.  The images (..., d, d), ``inverse`` = P^-1
-    (..., n, n) and the probes' ``condition`` numbers may carry leading
-    probe axes; each probe conditioned worse than 1e4 warns.
-    """
-    _warn_if_ill_conditioned(condition)
+                          stacklevel=2)
     n = inverse.shape[-1]
-    identity = np.einsum("ai,cj->aicj", np.eye(n), np.eye(n))
 
-    def choi(image, spec):
+    def rebuild(image, spec):
         if image is None:
-            return identity
-        return np.einsum(spec, inverse, image.reshape(image.shape[:-2] + (n,) * 4),
-                         inverse.conj())
+            return None
+        stage = np.einsum(spec, inverse, image.reshape(image.shape[:-2] + (n,) * 4),
+                          inverse.conj())
+        return stage.reshape(stage.shape[:-4] + (n * n, n * n))
 
-    j1 = choi(image_1, "...xi,...axcy,...yj->...aicj")
-    j2 = choi(image_2, "...ix,...xbyd,...jy->...ibjd")
-    shape = np.broadcast_shapes(j1.shape[:-4], j2.shape[:-4]) + (n * n, n * n)
-    overlap = np.einsum("...aicj,...kalc->...jlik", j1, j2).reshape(shape) / n
-    trace = np.einsum("...aiaj,...kblb->...jlik", j1, j2).reshape(shape)
-    return Witness(n, overlap, trace)
+    return (rebuild(image_1, "...xi,...axcy,...yj->...acij"),
+            rebuild(image_2, "...ix,...xayc,...jy->...acij"))
 
 
-def one_sided_witness(evolved_probe: DensityMatrix, probe: ProbeState,
-                      side: str = "first") -> Witness:
-    """:func:`choi_witness` for one channel on ``side`` and the identity on the other."""
-    if side not in ("first", "second"):
-        raise ValueError(f"side must be 'first' or 'second', got {side!r}")
-    images = (evolved_probe.matrix, None) if side == "first" else (None, evolved_probe.matrix)
-    return choi_witness(*images, probe.inverse, probe.condition)
+def probe_route(mats, dims, s1, s2):
+    """Probe-route lower bounds of a (k, d, d) stack of input states.
+
+    Applies the rebuilt stages ``s1`` (first side) and ``s2`` (second
+    side) of :func:`probe_channels`, each (n^2, n^2) or (k, n^2, n^2) and
+    skipped when None, and returns (values, p_t, fault): the raw fidelity
+    lower bounds of the evolved states, p_t = p/(p1' p2') of the entries
+    that reached the last stage, and None or (index, ZeroProbability) for
+    the first entry whose stage trace is <= 1e-14.  A later stage sees
+    only the entries before an earlier fault, and ``values`` covers the
+    entries before the first one.
+    """
+    p_t, fault = np.ones(len(mats)), None
+    for stage, side in ((s1, "first"), (s2, "second")):
+        if stage is not None:
+            stage = stage if stage.ndim == 2 else stage[:len(mats)]
+            mats, p, stage_fault = apply_stacked(stage, mats, dims, side)
+            p_t, fault = p_t[:len(p)] * p, stage_fault or fault
+    return fidelity_lower_bounds(mats, dims), p_t, fault
 
 
-def two_sided_witness(evolved_probe_1: DensityMatrix, evolved_probe_2: DensityMatrix,
-                      probe: ProbeState) -> Witness:
-    """:func:`choi_witness` for a first-side and a second-side channel."""
-    return choi_witness(evolved_probe_1.matrix, evolved_probe_2.matrix, probe.inverse,
-                        probe.condition)
+def _bound(rho: DensityMatrix, probe: ProbeState, image_1, image_2) -> BoundValue:
+    _check_square(rho, probe.dim)
+    stages = probe_channels(image_1, image_2, probe.inverse, probe.condition)
+    values, _, fault = probe_route(rho.matrix[None], rho.dims, *stages)
+    if fault is not None:
+        raise fault[1]
+    return BoundValue(float(values[0]), "lower")
 
 
 def lower_bound_one_sided(rho: DensityMatrix, evolved_probe: DensityMatrix, probe: ProbeState,
@@ -339,11 +294,14 @@ def lower_bound_one_sided(rho: DensityMatrix, evolved_probe: DensityMatrix, prob
     """Concurrence lower bound of the one-sided channel image, probe data only.
 
     ``rho`` is the *initial* state and ``evolved_probe`` the normalized
-    probe image under the channel on ``side``; the witness has the
-    identity on the other side.  Equals the fidelity lower bound of the
-    directly evolved state.  Raises ZeroProbability if p_t <= 1e-14.
+    probe image under the channel on ``side``; the channel rebuilt from
+    it is applied to ``rho``.  Equals the fidelity lower bound of the
+    directly evolved state.  Raises ZeroProbability if p/p' <= 1e-14.
     """
-    return one_sided_witness(evolved_probe, probe, side).bound(rho)[0]
+    if side not in ("first", "second"):
+        raise ValueError(f"side must be 'first' or 'second', got {side!r}")
+    images = (evolved_probe.matrix, None) if side == "first" else (None, evolved_probe.matrix)
+    return _bound(rho, probe, *images)
 
 
 def lower_bound_two_sided(rho: DensityMatrix, evolved_probe_1: DensityMatrix,
@@ -352,7 +310,7 @@ def lower_bound_two_sided(rho: DensityMatrix, evolved_probe_1: DensityMatrix,
 
     ``evolved_probe_1`` is the normalized image of the probe under the
     first-side channel, ``evolved_probe_2`` under the second-side one;
-    the stage probabilities cancel in the ratio of the witness's two
-    functionals.  Raises ZeroProbability if p_t <= 1e-14.
+    both rebuilt channels are applied to ``rho``.  Raises ZeroProbability
+    if either stage's trace is <= 1e-14.
     """
-    return two_sided_witness(evolved_probe_1, evolved_probe_2, probe).bound(rho)[0]
+    return _bound(rho, probe, evolved_probe_1.matrix, evolved_probe_2.matrix)

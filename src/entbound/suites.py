@@ -49,7 +49,7 @@ def _minor_sum_concurrence(psi: ql.PureState) -> float:
 
 
 def two_sided_bound_mes(rho, image_1, image_2, pinv, p_t) -> float:
-    """The paper's two-sided probe bound, an oracle independent of the witness route.
+    """The paper's two-sided probe bound, an oracle independent of the probe route.
 
     Tr[|mes><mes| ($1 o $2) rho] / (p1' p2') comes from the double
     Bell-basis sum over the normalized probe images ``image_1``, ``image_2``
@@ -140,8 +140,9 @@ def _stage(channels, mats, side):
     d = mats.shape[-1]
     repeat = int(np.prod(mats.shape[1:-2]))
     n = round(d ** 0.5)
-    outputs, p, fault = ch.apply_stacked([c for c in channels for _ in range(repeat)],
-                                         mats.reshape(-1, d, d), (n, n), side)
+    superoperators = np.repeat(np.reshape([c.superoperator for c in channels], (-1, d, d)),
+                               repeat, axis=0)  # n^2 x n^2, like the states
+    outputs, p, fault = ch.apply_stacked(superoperators, mats.reshape(-1, d, d), (n, n), side)
     _raise_fault(fault)
     _raise_fault(ql.density_fault(outputs))
     return outputs.reshape(mats.shape), p.reshape(mats.shape[:-2])
@@ -188,10 +189,11 @@ def suite_probe_invariance(seed=0, trials=100) -> SuiteResult:
         images, p_1 = _stage(channels, densities, "first")
         images_2, p_2 = _stage(channels_2, densities[two], "second")
         values = np.empty((n_pairs, trials))
-        w_one = pr.choi_witness(images[one], None, inverses[one], conditions[one])
-        w_two = pr.choi_witness(images[two], images_2, inverses[two], conditions[two])
-        for sel, witness in ((one, w_one), (two, w_two)):
-            bounds, _, fault = witness.lower_bounds(mats[sel])
+        for sel, image_2 in ((one, None), (two, images_2)):
+            stages = pr.probe_channels(images[sel], image_2, inverses[sel], conditions[sel])
+            states = np.broadcast_to(mats[sel], images[sel].shape).reshape(-1, n * n, n * n)
+            stages = (None if s is None else s.reshape(states.shape) for s in stages)  # n^2 x n^2
+            bounds, _, fault = pr.probe_route(states, (n, n), *stages)
             _raise_fault(fault)
             values[sel] = bounds.reshape(-1, trials)
         mes_gap = np.zeros(n_pairs)

@@ -207,48 +207,88 @@ class TestChannelFamilies:
             assert maker(float(value)).completeness_defect < 1e-12
 
 
+def kron_oracle(channel, rho, dims, side):
+    """Raw image sum_k (M_k o I) rho (M_k o I)^dag (I o M_k for side "second"), by np.kron."""
+    n1, n2 = dims
+    lifts = [np.kron(m, np.eye(n2)) if side == "first" else np.kron(np.eye(n1), m)
+             for m in channel.operators]
+    return sum(lift @ rho @ lift.conj().T for lift in lifts)
+
+
+class TestSuperoperator:
+    def test_entries_are_images_of_matrix_units(self, rng):
+        channel = KrausChannel(3, random_tp_kraus(3, 3, rng).operators[:2])  # non-TP
+        s = channel.superoperator.reshape(3, 3, 3, 3)
+        for i, j in np.ndindex(3, 3):
+            unit = np.zeros((3, 3))
+            unit[i, j] = 1.0
+            image = sum(m @ unit @ m.conj().T for m in channel.operators)
+            np.testing.assert_allclose(s[:, :, i, j], image, rtol=0, atol=1e-15)
+
+    def test_read_only(self):
+        with pytest.raises(ValueError):
+            amplitude_damping(0.2).superoperator[0, 0] = 2.0
+
+
 class TestApplyStacked:
     @pytest.mark.parametrize("side", ["first", "second"])
     def test_matches_single_states(self, rng, side):
         channel = random_tp_kraus(2, 3, rng)
         states = [random_density((2, 2), r, seed=r) for r in (1, 2, 4)]
-        outputs, p, fault = apply_stacked(channel, np.array([s.matrix for s in states]),
-                                          (2, 2), side)
+        outputs, p, fault = apply_stacked(channel.superoperator,
+                                          np.array([s.matrix for s in states]), (2, 2), side)
         assert fault is None
         for state, out, prob in zip(states, outputs, p):
             single = apply_one_sided(channel, state, side)
             np.testing.assert_array_equal(out, single.output.matrix)
             assert prob == single.probability
+            raw = kron_oracle(channel, state.matrix, (2, 2), side)
+            np.testing.assert_allclose(out * prob, raw, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("side", ["first", "second"])
+    @pytest.mark.parametrize("dims", [(2, 3), (3, 2)])
+    def test_unequal_subsystems_match_kron_oracle(self, rng, side, dims):
+        n = dims[0] if side == "first" else dims[1]
+        channel = KrausChannel(n, random_tp_kraus(n, 3, rng).operators[:2])  # non-TP
+        states = np.array([random_density(dims, 1 + j, rng).matrix for j in range(4)])
+        outputs, p, fault = apply_stacked(channel.superoperator, states, dims, side)
+        assert fault is None
+        for state, out, prob in zip(states, outputs, p):
+            raw = kron_oracle(channel, state, dims, side)
+            assert abs(prob - np.trace(raw).real) < 1e-12
+            np.testing.assert_allclose(out * prob, raw, rtol=0, atol=1e-12)
 
     def test_first_annihilated_entry(self):
         keep_ground = KrausChannel(2, (np.diag([1.0, 0.0]),))
         stack = np.array([basis_density(i, (2, 2)).matrix for i in (0, 3, 2, 1)])
-        outputs, p, fault = apply_stacked(keep_ground, stack, (2, 2), "first")
+        outputs, p, fault = apply_stacked(keep_ground.superoperator, stack, (2, 2), "first")
         index, error = fault
         assert index == 1 and isinstance(error, ZeroProbability)
         assert len(outputs) == 1 and len(p) == 4
 
     @pytest.mark.parametrize("side", ["first", "second"])
     def test_channel_sequence_matches_per_entry(self, rng, side):
-        # mixed Kraus counts, trace-preserving and truncated (non-TP) channels
+        # a stack of superoperators, one per entry: mixed Kraus counts,
+        # trace-preserving and truncated (non-TP) channels
         channels = []
         for j in range(6):
             full = random_tp_channel(3, 1 + j % 3, rng)
             channels.append(KrausChannel(3, full.operators[:2]) if j % 4 == 3 else full)
         states = [random_density((3, 3), 1 + j, rng) for j in range(6)]
-        outputs, p, fault = apply_stacked(channels, np.array([s.matrix for s in states]),
-                                          (3, 3), side)
+        outputs, p, fault = apply_stacked(np.array([c.superoperator for c in channels]),
+                                          np.array([s.matrix for s in states]), (3, 3), side)
         assert fault is None
         for channel, state, out, prob in zip(channels, states, outputs, p):
-            single = apply_one_sided(channel, state, side)
-            np.testing.assert_allclose(out, single.output.matrix, rtol=0, atol=1e-12)
-            assert abs(prob - single.probability) < 1e-12
+            raw = kron_oracle(channel, state.matrix, (3, 3), side)
+            assert abs(prob - np.trace(raw).real) < 1e-12
+            np.testing.assert_allclose(out * prob, raw, rtol=0, atol=1e-12)
 
     def test_channel_sequence_first_zero_probability_is_the_fault(self):
         keep_ground = KrausChannel(2, (np.diag([1.0, 0.0]),))
         channels = [IDENTITY_CHANNEL, amplitude_damping(0.3), keep_ground, keep_ground]
         stack = np.array([basis_density(i, (2, 2)).matrix for i in (3, 2, 2, 3)])
-        outputs, p, fault = apply_stacked(channels, stack, (2, 2), "first")
+        outputs, p, fault = apply_stacked(np.array([c.superoperator for c in channels]), stack,
+                                          (2, 2), "first")
         index, error = fault
         assert index == 2 and isinstance(error, ZeroProbability)
         assert len(outputs) == 2 and len(p) == 4 and p[3] == 0.0
@@ -256,4 +296,5 @@ class TestApplyStacked:
     def test_channel_sequence_dimension_mismatch(self):
         stack = np.array([basis_density(0, (2, 3)).matrix])
         with pytest.raises(DimensionMismatch):
-            apply_stacked([amplitude_damping(0.1)], stack, (2, 3), "second")
+            apply_stacked(np.array([amplitude_damping(0.1).superoperator]), stack, (2, 3),
+                          "second")

@@ -69,6 +69,16 @@ class TestGen:
         assert run_cli("gen", "channel", str(tmp_path / "x.json"),
                        "--family", "depolarizing") == 2
 
+    def test_unwritable_output_exits_2(self, tmp_path, capsys):
+        missing = tmp_path / "missing" / "s.json"
+        assert run_cli("gen", "state", str(missing)) == 2
+        assert "error: could not write" in capsys.readouterr().err
+
+    def test_probe_dim_below_one_rejected(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("gen", "probe", str(tmp_path / "p.json"), "--dim", "0")
+        assert exc.value.code == 2
+
     def test_pure_state_when_rank_omitted(self, tmp_path):
         out = tmp_path / "pure.json"
         assert run_cli("gen", "state", str(out), "--dims", "2", "3", "--seed", "3") == 0
@@ -194,6 +204,20 @@ class TestSweep:
     def test_bad_config_exits_2(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         dump_json({"x_grid": [0.5, 0.2]}, cfg_path)  # not increasing
+        assert run_cli("sweep", "--config", str(cfg_path),
+                       "--output", str(tmp_path / "s.csv")) == 2
+
+    @pytest.mark.parametrize("doc", [[1], "x"])
+    def test_config_not_an_object_exits_2(self, tmp_path, doc):
+        cfg_path = tmp_path / "cfg.json"
+        dump_json(doc, cfg_path)
+        out = tmp_path / "s.csv"
+        assert run_cli("sweep", "--config", str(cfg_path), "--output", str(out)) == 2
+        assert not out.exists()
+
+    def test_nan_in_grid_exits_2(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        dump_json({"x_grid": [0.0, float("nan"), 1.0]}, cfg_path)
         assert run_cli("sweep", "--config", str(cfg_path),
                        "--output", str(tmp_path / "s.csv")) == 2
 
@@ -369,6 +393,24 @@ class TestCheck:
         assert run_cli("check", "mes-basis", "--report", str(report)) == 0
         assert "mes-basis: PASS" in report.read_text()
         capsys.readouterr()
+
+    def test_unwritable_report_exits_2(self, tmp_path, capsys):
+        report = tmp_path / "missing" / "report.txt"
+        assert run_cli("check", "mes-basis", "--report", str(report)) == 2
+        assert "error: could not write" in capsys.readouterr().err
+
+    def test_unwritable_repro_bundle_exits_2(self, tmp_path, capsys, monkeypatch):
+        import entbound.cli
+        from entbound.suites import SuiteResult
+
+        def fake_run(name, seed=0, trials=None):
+            return [SuiteResult("sandwich", False, 10, 1, 0.5, {"trial": 3})]
+
+        monkeypatch.setattr(entbound.cli, "run_suites", fake_run)
+        report = tmp_path / "report.txt"
+        (tmp_path / "report.txt.repro.json").mkdir()  # a directory is not writable as a file
+        assert run_cli("check", "sandwich", "--report", str(report)) == 2
+        assert "error: could not write" in capsys.readouterr().err
 
     def test_failure_writes_repro_bundle(self, tmp_path, capsys, monkeypatch):
         import entbound.cli

@@ -55,6 +55,17 @@ def haar_unitary(n, rng):
     return q * (d / np.abs(d))
 
 
+def haar_pairs(count, rng):
+    """``count`` pairs of 2x2 :func:`haar_unitary` draws as one (count, 2, 2, 2)
+    stack: the normal block has axes (sample, unitary, re/im, row, col), the
+    stream order of 2 * count single draws, and one batched QR takes the
+    same phase fix."""
+    block = rng.standard_normal((count, 2, 2, 2, 2))
+    q, r = np.linalg.qr(block[:, :, 0] + 1j * block[:, :, 1])
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
+
+
 class TestPureConcurrence:
     def test_bell(self):
         assert concurrence_pure(BELL) == pytest.approx(1.0, abs=1e-14)
@@ -174,16 +185,22 @@ class TestFullyEntangledFraction:
     def test_brute_force_never_exceeds(self):
         # sampled maximization over random local rotations of the MES must
         # stay below the closed form, and approach it from below
-        mes = BELL.amplitudes
+        mes = BELL.amplitudes.reshape(2, 2)
         rng = np.random.default_rng(99)
         for rho in (random_density((2, 2), 2, seed=1), random_density((2, 2), 4, seed=2)):
             value = fef_two_qubit(rho)
-            best = 0.0
-            for _ in range(100_000):
-                phi = np.kron(haar_unitary(2, rng), haar_unitary(2, rng)) @ mes
-                best = max(best, np.real(np.vdot(phi, rho.matrix @ phi)))
+            u = haar_pairs(100_000, rng)
+            phi = np.einsum("sai,sbj,ij->sab", u[:, 0], u[:, 1], mes).reshape(-1, 4)  # U1 o U2
+            best = np.einsum("sa,ab,sb->s", phi.conj(), rho.matrix, phi).real.max()
             assert best <= value + 1e-9
             assert value - best < 0.02  # sampling slack
+
+    def test_haar_pairs_follow_single_draws(self):
+        rng, stream = np.random.default_rng(99), np.random.default_rng(99)
+        pairs = haar_pairs(5, rng)
+        singles = np.array([[haar_unitary(2, stream) for _ in range(2)] for _ in range(5)])
+        np.testing.assert_allclose(pairs, singles, rtol=0, atol=1e-15)
+        assert rng.standard_normal() == stream.standard_normal()
 
     def test_dominates_fixed_mes_overlap(self, rng):
         mes = BELL.amplitudes

@@ -29,7 +29,8 @@ from entbound import (
     tensor_product,
 )
 from entbound.cli import evaluate_bound
-from entbound.probe import choi_witness, one_sided_witness, random_probes, two_sided_witness
+from entbound.concurrence import fidelity_lower_bounds
+from entbound.probe import probe_channels, probe_route, random_probes
 from entbound.suites import two_sided_bound_mes
 from conftest import probe_density, random_mixed, random_probe, random_tp_kraus
 
@@ -392,6 +393,19 @@ class TestLowerBoundTwoSided:
         assert max(values) - min(values) < 1e-8
 
 
+def rebuilt(image_1, image_2, probe):
+    """probe_channels of single DensityMatrix images (None for a side without a channel)."""
+    return probe_channels(None if image_1 is None else image_1.matrix,
+                          None if image_2 is None else image_2.matrix, probe.inverse,
+                          probe.condition)
+
+
+def hermiticity_gap(s, n):
+    """max |S[(a,c),(i,j)] - S[(c,a),(j,i)]^*|: zero for a Hermiticity-preserving map."""
+    s4 = s.reshape(n, n, n, n)
+    return np.abs(s4 - s4.transpose(1, 0, 3, 2).conj()).max()
+
+
 class TestTwoSidedWitness:
     def test_functionals_match_direct_evolution(self, rng):
         for trial in range(30):
@@ -404,16 +418,15 @@ class TestTwoSidedWitness:
             ch2 = random_tp_kraus(n, 3, rng)
             a1 = apply_one_sided(ch1, probe_density(probe), "first")
             a2 = apply_one_sided(ch2, probe_density(probe), "second")
-            witness = two_sided_witness(a1.output, a2.output, probe)
+            s1, s2 = rebuilt(a1.output, a2.output, probe)
+            np.testing.assert_allclose(s1 * a1.probability, ch1.superoperator, atol=1e-10)
+            np.testing.assert_allclose(s2 * a2.probability, ch2.superoperator, atol=1e-10)
+            assert max(hermiticity_gap(s1, n), hermiticity_gap(s2, n)) < 1e-10
+            values, p_t, fault = probe_route(rho.matrix[None], (n, n), s1, s2)
             evolved = apply_two_sided(ch1, ch2, rho)
-            p_prime = a1.probability * a2.probability
-            mes = canonical_mes((n, n)).amplitudes
-            overlap = np.vdot(mes, evolved.output.matrix @ mes).real * evolved.probability
-            assert abs(np.trace(witness.trace @ rho.matrix).real * p_prime
-                       - evolved.probability) < 1e-10
-            assert abs(np.trace(witness.overlap @ rho.matrix).real * p_prime - overlap) < 1e-10
-            for op in (witness.overlap, witness.trace):
-                np.testing.assert_allclose(op, op.conj().T, atol=1e-10)
+            assert fault is None
+            assert abs(p_t[0] * a1.probability * a2.probability - evolved.probability) < 1e-10
+            assert abs(values[0] - fidelity_lower_bound(evolved.output).raw) < 1e-10
 
     def test_stack_matches_single_states(self, rng):
         probe = random_probe(2, rng)
@@ -421,8 +434,8 @@ class TestTwoSidedWitness:
         a1 = apply_one_sided(ch1, probe_density(probe), "first")
         a2 = apply_one_sided(ch2, probe_density(probe), "second")
         states = [random_mixed((2, 2), r, rng) for r in (1, 2, 3, 4)]
-        values, _, fault = two_sided_witness(a1.output, a2.output, probe).lower_bounds(
-            np.array([s.matrix for s in states]))
+        values, _, fault = probe_route(np.array([s.matrix for s in states]), (2, 2),
+                                       *rebuilt(a1.output, a2.output, probe))
         assert fault is None
         for state, value in zip(states, values):
             assert value == lower_bound_two_sided(state, a1.output, a2.output, probe).raw
@@ -433,11 +446,23 @@ class TestTwoSidedWitness:
         a1 = apply_one_sided(kill, probe_density(probe), "first")
         a2 = apply_one_sided(kill, probe_density(probe), "second")
         states = np.array([np.diag(d).astype(complex) for d in ([1.0, 0, 0, 0], [0, 0, 0, 1.0])])
-        values, _, (index, error) = two_sided_witness(a1.output, a2.output, probe).lower_bounds(
-            states)
+        values, _, (index, error) = probe_route(states, (2, 2), *rebuilt(a1.output, a2.output,
+                                                                         probe))
         assert index == 1 and isinstance(error, ZeroProbability) and len(values) == 1
         with pytest.raises(ZeroProbability):
             lower_bound_two_sided(DensityMatrix((2, 2), states[1]), a1.output, a2.output, probe)
+
+    def test_later_stage_sees_entries_before_earlier_fault(self):
+        # |01>, |00>, |10> under keep-ground on both sides: the first stage
+        # faults at entry 2 (first qubit |1>) and the second at entry 0, so
+        # the fault is entry 0; with the order |00>, |10>, |01> the first
+        # stage faults at 1 and the second never sees entry 2
+        keep = KrausChannel(2, (np.diag([1.0, 0.0]),)).superoperator
+        states = np.array([np.diag(np.eye(4)[i]).astype(complex) for i in (1, 0, 2, 0, 2, 1)])
+        values, p_t, (index, _) = probe_route(states[:3], (2, 2), keep, keep)
+        assert index == 0 and len(values) == 0 and len(p_t) == 2
+        values, p_t, (index, _) = probe_route(states[3:], (2, 2), keep, keep)
+        assert index == 1 and len(values) == 1 and len(p_t) == 1
 
 
 class TestSecondSideOracles:
@@ -471,55 +496,61 @@ class TestWitness:
             a2 = [apply_one_sided(ch2, probe_density(p), "second").output for p in probes]
             inverses = np.array([p.inverse for p in probes])
             conditions = np.array([p.condition for p in probes])
-            for images_1, images_2, singles in (
-                    (a1, a2, [two_sided_witness(x, y, p) for x, y, p in zip(a1, a2, probes)]),
-                    (a1, None, [one_sided_witness(x, p, "first") for x, p in zip(a1, probes)]),
-                    (None, a2, [one_sided_witness(y, p, "second") for y, p in zip(a2, probes)])):
-                stack = choi_witness(
+            states = np.array([rho.matrix] * 6)
+            for images_1, images_2 in ((a1, a2), (a1, None), (None, a2)):
+                stack = probe_channels(
                     None if images_1 is None else np.array([a.matrix for a in images_1]),
                     None if images_2 is None else np.array([a.matrix for a in images_2]),
                     inverses, conditions)
-                assert stack.overlap.shape == stack.trace.shape == (6, n * n, n * n)
-                values, p_t, fault = stack.lower_bounds(rho.matrix)
+                assert [s is None for s in stack] == [images_1 is None, images_2 is None]
+                assert all(s.shape == (6, n * n, n * n) for s in stack if s is not None)
+                values, p_t, fault = probe_route(states, (n, n), *stack)
                 assert fault is None and values.shape == p_t.shape == (6,)
-                for k, single in enumerate(singles):
-                    np.testing.assert_allclose(stack.overlap[k], single.overlap, atol=1e-12)
-                    np.testing.assert_allclose(stack.trace[k], single.trace, atol=1e-12)
-                    bound, pt_single = single.bound(rho)
-                    assert abs(values[k] - bound.raw) < 1e-12
-                    assert abs(p_t[k] - pt_single) < 1e-12
+                for k, probe in enumerate(probes):
+                    single = rebuilt(None if images_1 is None else images_1[k],
+                                     None if images_2 is None else images_2[k], probe)
+                    for s_stack, s_single in zip(stack, single):
+                        if s_single is not None:
+                            np.testing.assert_allclose(s_stack[k], s_single, atol=1e-12)
+                    value, pt_single, _ = probe_route(rho.matrix[None], (n, n), *single)
+                    assert abs(values[k] - value[0]) < 1e-12
+                    assert abs(p_t[k] - pt_single[0]) < 1e-12
 
     @pytest.mark.parametrize("side", ["first", "second"])
     def test_one_sided_functionals_match_direct_evolution(self, rng, side):
         for trial in range(30):
-            n = (2, 3, 4)[trial % 3]
+            n = (2, 3, 4, 5, 6)[trial % 5]
             rho = random_mixed((n, n), int(rng.integers(1, n * n + 1)), rng)
             probe = random_probe(n, rng)
             ch = random_tp_kraus(n, int(rng.integers(2, 4)), rng)
             if trial % 2 == 0:  # non-trace-preserving truncation
                 ch = KrausChannel(n, ch.operators[:1])
             app = apply_one_sided(ch, probe_density(probe), side)
-            witness = one_sided_witness(app.output, probe, side)
+            stages = rebuilt(*((app.output, None) if side == "first" else (None, app.output)),
+                             probe)
+            stage = stages[0] if side == "first" else stages[1]
+            np.testing.assert_allclose(stage * app.probability, ch.superoperator, atol=1e-10)
+            values, p_t, fault = probe_route(rho.matrix[None], (n, n), *stages)
             evolved = apply_one_sided(ch, rho, side)
-            mes = canonical_mes((n, n)).amplitudes
-            overlap = np.vdot(mes, evolved.output.matrix @ mes).real * evolved.probability
-            assert abs(np.trace(witness.overlap @ rho.matrix).real * app.probability
-                       - overlap) < 1e-10
-            assert abs(np.trace(witness.trace @ rho.matrix).real * app.probability
-                       - evolved.probability) < 1e-10
+            assert fault is None
+            assert abs(p_t[0] * app.probability - evolved.probability) < 1e-10
+            assert abs(values[0] - fidelity_lower_bound(evolved.output).raw) < 1e-10
 
     def test_no_channel_side_is_exact_identity(self, rng):
-        # with the identity on both sides the witness is built from no probe data
+        # with no channel on either side nothing is rebuilt or applied
         probe = random_probe(3, rng)
-        witness = choi_witness(None, None, probe.inverse, probe.condition)
-        omega = np.eye(3).reshape(-1)  # sqrt(3) times the canonical MES
-        np.testing.assert_array_equal(witness.overlap, np.outer(omega, omega) / 3)
-        np.testing.assert_array_equal(witness.trace, np.eye(9))
+        assert probe_channels(None, None, probe.inverse, probe.condition) == (None, None)
+        states = np.array([random_mixed((3, 3), r, rng).matrix for r in (1, 5, 9)])
+        values, p_t, fault = probe_route(states, (3, 3), None, None)
+        assert fault is None
+        np.testing.assert_array_equal(values, fidelity_lower_bounds(states, (3, 3)))
+        np.testing.assert_array_equal(p_t, np.ones(3))
 
     def test_unknown_side(self, rng):
         probe = random_probe(2, rng)
+        rho = random_mixed((2, 2), 2, rng)
         with pytest.raises(ValueError):
-            one_sided_witness(probe_density(probe), probe, side="both")
+            lower_bound_one_sided(rho, probe_density(probe), probe, side="both")
 
     def test_stacked_probes_warn_once_each(self):
         skewed = np.diag([1.0, 2e-5])
@@ -527,13 +558,13 @@ class TestWitness:
         good = canonical_probe(2)
         images = np.array([probe_density(p).matrix for p in (bad, good, bad)])
         with pytest.warns(RuntimeWarning, match="condition") as caught:
-            choi_witness(images, None, np.array([bad.inverse, good.inverse, bad.inverse]),
-                         np.array([bad.condition, good.condition, bad.condition]))
+            probe_channels(images, None, np.array([bad.inverse, good.inverse, bad.inverse]),
+                           np.array([bad.condition, good.condition, bad.condition]))
         assert len([w for w in caught if "condition" in str(w.message)]) == 2
 
     def test_two_dimensional_probe_stack(self, rng):
         # a (2, 3) probe axis builds, warns once per ill-conditioned probe, and
-        # gives each probe's own witness
+        # gives each probe's own rebuilt channel
         skewed = np.diag([1.0, 2e-5])
         bad = probe_from_matrix(skewed / np.linalg.norm(skewed))
         probes = [[bad, random_probe(2, rng), canonical_probe(2)],
@@ -542,15 +573,14 @@ class TestWitness:
         images = np.array([[apply_one_sided(ch, probe_density(p), "first").output.matrix
                             for p in row] for row in probes])
         with pytest.warns(RuntimeWarning, match="condition") as caught:
-            witness = choi_witness(images, None,
-                                   np.array([[p.inverse for p in row] for row in probes]),
-                                   np.array([[p.condition for p in row] for row in probes]))
+            s1, s2 = probe_channels(images, None,
+                                    np.array([[p.inverse for p in row] for row in probes]),
+                                    np.array([[p.condition for p in row] for row in probes]))
         assert len([w for w in caught if "condition" in str(w.message)]) == 3
-        assert witness.overlap.shape == witness.trace.shape == (2, 3, 4, 4)
+        assert s1.shape == (2, 3, 4, 4) and s2 is None
         for i, j in np.ndindex(2, 3):
-            single = choi_witness(images[i, j], None, probes[i][j].inverse, 1.0)
-            np.testing.assert_allclose(witness.overlap[i, j], single.overlap, atol=1e-10)
-            np.testing.assert_allclose(witness.trace[i, j], single.trace, atol=1e-10)
+            single, _ = probe_channels(images[i, j], None, probes[i][j].inverse, 1.0)
+            np.testing.assert_allclose(s1[i, j], single, atol=1e-10)
 
     @pytest.mark.parametrize("side", ["first", "second"])
     def test_evaluate_bound_reports_pt_from_witness(self, rng, side):
@@ -566,3 +596,4 @@ class TestWitness:
             assert abs(report.p_t * report.p_prime - evolved.probability) < 1e-10
             assert abs(report.p - evolved.probability) < 1e-15
             assert abs(report.lower_raw - fidelity_lower_bound(evolved.output).raw) < 1e-8
+

@@ -23,7 +23,7 @@ from entbound import (
     upper_bound_two_sided,
     wootters_concurrence,
 )
-from entbound.probe import one_sided_witness
+from entbound.probe import probe_channels, probe_route
 from conftest import probe_density, random_mixed, random_probe, random_tp_kraus
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -33,6 +33,12 @@ SEEDS = st.integers(0, 2**32 - 1)
 def _channel(n, count, truncate, rng):
     ch = random_tp_kraus(n, count, rng)
     return KrausChannel(n, ch.operators[:1]) if truncate else ch
+
+
+def _rebuilt(image, probe, side):
+    """probe_channels with ``image`` on ``side`` and no channel on the other."""
+    images = (image.matrix, None) if side == "first" else (None, image.matrix)
+    return probe_channels(*images, probe.inverse, probe.condition)
 
 
 @PROPERTY
@@ -63,17 +69,31 @@ def test_probe_route_is_probe_invariant_and_matches_direct(seed, n, count, trunc
 @given(seed=SEEDS, n=st.sampled_from([2, 3, 4]), count=st.integers(1, 3),
        truncate=st.booleans(), side=st.sampled_from(["first", "second"]))
 def test_probability_factorizes(seed, n, count, truncate, side):
-    # p = p_t * p' for the witness's p_t and for both of the paper's formulas
+    # p = p_t * p' for the probe route's p_t and for both of the paper's formulas
     rng = np.random.default_rng(seed)
     rho = random_mixed((n, n), int(rng.integers(1, n * n + 1)), rng)
     ch = _channel(n, count, truncate, rng)
     probe = random_probe(n, rng)
     app = apply_one_sided(ch, probe_density(probe), side)
     p = apply_one_sided(ch, rho, side).probability
-    p_t = one_sided_witness(app.output, probe, side).bound(rho)[1]
+    p_t = probe_route(rho.matrix[None], (n, n), *_rebuilt(app.output, probe, side))[1][0]
     for value in (p_t, pt_via_reduced(rho, app.output, probe, side=side),
                   pt_via_mes_sum(rho, app.output, probe, side=side)):
         assert abs(value * app.probability - p) < 1e-10
+
+
+@PROPERTY
+@given(seed=SEEDS, n=st.integers(2, 6), count=st.integers(1, 3), truncate=st.booleans(),
+       side=st.sampled_from(["first", "second"]))
+def test_rebuilt_channel_is_the_superoperator(seed, n, count, truncate, side):
+    # the probe image fixes the channel: S/p' rebuilt from it, times p', is S
+    rng = np.random.default_rng(seed)
+    ch = _channel(n, count, truncate, rng)
+    probe = random_probe(n, rng)
+    app = apply_one_sided(ch, probe_density(probe), side)
+    stages = _rebuilt(app.output, probe, side)
+    stage = stages[0] if side == "first" else stages[1]
+    assert np.abs(stage * app.probability - ch.superoperator).max() < 1e-10
 
 
 @PROPERTY
