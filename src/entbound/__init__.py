@@ -45,7 +45,6 @@ from .probe import (
     MesBasis,
     ProbeState,
     canonical_probe,
-    decompose_via_probe,
     lower_bound_one_sided,
     lower_bound_two_sided,
     mes_basis,
@@ -58,14 +57,12 @@ from .qlinalg import (
     PureState,
     SchmidtForm,
     canonical_mes,
-    matrix_to_state,
     partial_trace,
     random_density,
     random_pure_state,
     schmidt_decompose,
     state_to_matrix,
     swap_operator,
-    tensor_product,
 )
 
 __all__ = [
@@ -92,13 +89,11 @@ __all__ = [
     "canonical_probe",
     "concurrence_pure",
     "concurrence_two_qubit_pure",
-    "decompose_via_probe",
     "depolarizing",
     "fef_two_qubit",
     "fidelity_lower_bound",
     "lower_bound_one_sided",
     "lower_bound_two_sided",
-    "matrix_to_state",
     "max_mes_fidelity",
     "mes_basis",
     "partial_trace",
@@ -112,7 +107,6 @@ __all__ = [
     "spin_flip_spectrum",
     "state_to_matrix",
     "swap_operator",
-    "tensor_product",
     "theorem1_bound",
     "upper_bound_one_sided",
     "upper_bound_two_sided",

@@ -22,14 +22,13 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import __version__
-from .channels import KrausChannel, amplitude_damping, apply_one_sided, apply_stacked, \
-    apply_two_sided, depolarizing, phase_damping
-from .concurrence import fidelity_lower_bound, spin_flip_concurrence, upper_bound_factor, \
-    upper_bound_one_sided, upper_bound_two_sided, wootters_concurrence
-from .errors import DimensionMismatch, SingularProbe, ZeroProbability
+from .channels import KrausChannel, amplitude_damping, apply_one_sided, depolarizing, \
+    phase_damping
+from .concurrence import evaluate
+from .errors import DimensionMismatch, SingularProbe, TrivialDimension
 from .probe import ProbeState, canonical_probe, lower_bound_one_sided, lower_bound_two_sided, \
     probe_channels, probe_route, random_probe
-from .qlinalg import DensityMatrix, PureState, density_fault, random_density, random_pure_state
+from .qlinalg import DensityMatrix, PureState, random_density, random_pure_state
 from .serialize import channel_from_json, channel_to_json, dump_json, load_json, \
     probe_from_json, probe_to_json, state_from_json, state_to_json
 from .suites import SUITE_NAMES, run_suites
@@ -73,6 +72,12 @@ class SweepConfig:
             raise ValueError("x_grid values must lie in [0, 1]")
         if np.any(np.diff(grid) <= 0.0):
             raise ValueError("x_grid must be strictly increasing")
+        n1, n2 = self.base_state.dims
+        dims = (self.channel_1.input_dim, self.channel_2.input_dim, self.probe.dim)
+        if n1 != n2 or any(n != n1 for n in dims):
+            raise DimensionMismatch(f"a sweep needs an N x N base_state and channels and probe "
+                                    f"of dim N, got {self.base_state.dims} and channel_1, "
+                                    f"channel_2, probe dims {dims}")
         self.x_grid = grid
 
 
@@ -94,12 +99,7 @@ def sweep_config_from_json(doc: dict) -> SweepConfig:
     base = state_from_json(doc["base_state"]) if "base_state" in doc else cfg.base_state
     if isinstance(base, PureState):
         base = base.density()
-    if "probe" in doc:
-        probe = probe_from_json(doc["probe"])
-    elif base.dims[0] == base.dims[1]:
-        probe = canonical_probe(base.dims[0])
-    else:
-        raise ValueError(f"a probe is required for non-square bipartition {base.dims}")
+    probe = probe_from_json(doc["probe"]) if "probe" in doc else canonical_probe(base.dims[0])
     return SweepConfig(
         x_grid=doc.get("x_grid", cfg.x_grid),
         base_state=base,
@@ -129,55 +129,35 @@ class BoundReport:
 def run_sweep(config: SweepConfig, output_path) -> None:
     """Evaluate lower bound, concurrence and upper bound over the x grid; write CSV.
 
-    All grid points form one stack that goes through the superoperators of
-    channel_1 and then channel_2, each stage normalized and validated; the
-    probe-route lower bound applies the two channels rebuilt once from the
-    probe images.  The exact (spin-flip) concurrence and the upper bound
-    exist only for 2x2 bipartitions; for larger states those two columns
-    are left empty.  A failed check raises its ArithmeticError or
-    ValueError, naming the first x that fails.
+    All grid points form one stack that :func:`entbound.concurrence.evaluate`
+    takes through channel_1 and then channel_2; the probe-route lower bound
+    applies the two channels rebuilt once from the probe images.  The exact
+    (spin-flip) concurrence and the upper bound exist only for 2x2
+    bipartitions; for larger states those two columns are left empty.  A
+    failed check raises its ArithmeticError or ValueError, naming the first
+    x that fails.
     """
     dims, grid = config.base_state.dims, config.x_grid
     d = dims[0] * dims[1]
     probe_rho = config.probe.density()
-    app1 = apply_one_sided(config.channel_1, probe_rho, side="first")
-    app2 = apply_one_sided(config.channel_2, probe_rho, side="second")
-    stages = probe_channels(app1.output.matrix, app2.output.matrix, config.probe.inverse,
-                            config.probe.condition)
+    images = (apply_one_sided(config.channel_1, probe_rho, side="first").output.matrix,
+              apply_one_sided(config.channel_2, probe_rho, side="second").output.matrix)
     x = grid[:, None, None]
     rho = x * config.base_state.matrix + (1.0 - x) * (np.eye(d) / d)
-
-    # The checks run in the order one point meets them, and each covers only
-    # the points before the earliest failure found so far.
-    first = [len(grid), None]
-
-    def keep(fault):
-        if fault is not None and fault[0] < first[0]:
-            first[:] = fault
-
-    keep(density_fault(rho))
-    s1, s2 = config.channel_1.superoperator, config.channel_2.superoperator
-    out1, p1, fault = apply_stacked(s1, rho[:first[0]], dims, "first")
-    keep(fault)
-    keep(density_fault(out1[:first[0]]))
-    out2, p2, fault = apply_stacked(s2, out1[:first[0]], dims, "second")
-    keep(fault)
-    keep(density_fault(out2[:first[0]]))
-    lower, _, fault = probe_route(rho[:first[0]], dims, *stages)
-    keep(fault)
-    k, error = first
-    if error is not None:
+    result = evaluate(rho, dims, ((config.channel_1.superoperator, "first"),
+                                  (config.channel_2.superoperator, "second")),
+                      config.probe.matrix, images)
+    stages = probe_channels(*images, config.probe.inverse, config.probe.condition)
+    lower, _, fault = probe_route(rho[:len(result.p)], dims, *stages)
+    fault = fault or result.fault  # the probe route saw only the points before result.fault
+    if fault is not None:
+        k, error = fault
         raise type(error)(f"sweep failed at x={grid[k]}: {error}") from error
 
-    exact = upper = [None] * k
-    if dims == (2, 2):
-        values = spin_flip_concurrence(np.concatenate([out2, rho]))
-        exact = values[:k]
-        factor1, factor2 = upper_bound_factor(np.array([app1.output.matrix, app2.output.matrix]),
-                                              np.array([config.probe.matrix] * 2))
-        upper = values[k:] * factor1 * factor2
+    blank = [None] * len(grid)
+    exact, upper = (blank if v is None else v for v in (result.exact, result.upper))
     lines = ["x,lower_bound,concurrence,upper_bound,p_total"]
-    for row in zip(grid, np.maximum(0.0, lower), exact, upper, p1 * p2):
+    for row in zip(grid, np.maximum(0.0, lower), exact, upper, result.p):
         lines.append(",".join("" if v is None else f"{v:.12g}" for v in row))
         log.debug("x=%s lower=%s exact=%s upper=%s", *row[:4])
 
@@ -208,32 +188,35 @@ def _cmd_sweep(args) -> int:
 def evaluate_bound(rho: DensityMatrix, channels, side: str, probe, method: str) -> BoundReport:
     """Compute a full bound report for one or two channels on a state.
 
-    ``probe`` may be None for non-square bipartitions with the direct
-    method; probe-derived report fields are then left out.
+    The state goes through :func:`entbound.concurrence.evaluate` as a stack
+    of one; ``method="probe"`` takes the lower bound from the probe images
+    instead.  ``probe`` may be None with the direct method; probe-derived
+    report fields are then left out.  A failed check of the evolved state
+    raises its ArithmeticError or ValueError.
     """
     if probe is None and method == "probe":
         raise DimensionMismatch("the probe method needs a square bipartition or a probe file")
-    one = len(channels) == 1
-    evolved = apply_one_sided(channels[0], rho, side=side) if one \
-        else apply_two_sided(*channels, rho)
-    p_prime = p_t = upper = exact = None
+    sides = (side,) if len(channels) == 1 else ("first", "second")
+    stages = [(channel.superoperator, s) for channel, s in zip(channels, sides, strict=True)]
+    images, probe_matrix, p_prime = (), None, None
     if probe is not None:
         apps = [apply_one_sided(channel, probe.density(), side=s)
-                for channel, s in zip(channels, (side,) if one else ("first", "second"))]
-        p_prime = apps[0].probability if one else apps[0].probability * apps[1].probability
-        p_t = evolved.probability / p_prime
+                for channel, s in zip(channels, sides)]
+        images = [app.output for app in apps]
+        probe_matrix, p_prime = probe.matrix, float(np.prod([app.probability for app in apps]))
+    result = evaluate(rho.matrix[None], rho.dims, stages, probe_matrix,
+                      [image.matrix for image in images], p_prime)
+    if result.fault is not None:
+        raise result.fault[1]
     if method == "probe":
-        lb = (lower_bound_one_sided(rho, apps[0].output, probe, side) if one else
-              lower_bound_two_sided(rho, apps[0].output, apps[1].output, probe))
+        lower = (lower_bound_one_sided(rho, images[0], probe, side) if len(channels) == 1 else
+                 lower_bound_two_sided(rho, *images, probe)).raw
     else:
-        lb = fidelity_lower_bound(evolved.output)
-    if rho.dims == (2, 2):
-        exact = wootters_concurrence(evolved.output)
-        c_in = wootters_concurrence(rho)
-        upper = (upper_bound_one_sided(c_in, apps[0].output, probe.matrix) if one else
-                 upper_bound_two_sided(c_in, apps[0].output, apps[1].output, probe.matrix)).raw
-    return BoundReport(lb.raw, lb.clamped, exact, upper,
-                       evolved.probability, p_prime, p_t, method)
+        lower = float(result.lower[0])
+    exact, upper, p_t = (None if v is None else float(v[0])
+                         for v in (result.exact, result.upper, result.p_t))
+    return BoundReport(lower, max(0.0, lower), exact, upper, float(result.p[0]), p_prime, p_t,
+                       method)
 
 
 def _cmd_bound(args) -> int:
@@ -267,10 +250,10 @@ def _cmd_bound(args) -> int:
     except SingularProbe as exc:
         print(f"error: singular probe: {exc}", file=sys.stderr)
         return 5
-    except DimensionMismatch as exc:
+    except (DimensionMismatch, TrivialDimension) as exc:
         print(f"error: dimension mismatch: {exc}", file=sys.stderr)
         return 4
-    except ZeroProbability as exc:
+    except (ArithmeticError, ValueError) as exc:
         print(f"error: numerical failure: {exc}", file=sys.stderr)
         return 3
     print(json.dumps(report.to_json(), indent=2))

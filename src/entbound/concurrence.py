@@ -13,8 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .channels import apply_stacked
 from .errors import DimensionMismatch, SingularProbe, TrivialDimension
-from .qlinalg import DensityMatrix, PureState, canonical_mes, first_false, state_to_matrix
+from .qlinalg import DensityMatrix, PureState, canonical_mes, density_fault, first_false, \
+    state_to_matrix
 
 _SIGMA_Y = np.array([[0.0, -1j], [1j, 0.0]])
 _SPIN_FLIP = np.kron(_SIGMA_Y, _SIGMA_Y)
@@ -184,23 +186,19 @@ def theorem1_bound(rho: DensityMatrix, samples: int = 10_000, seed: int = 0) -> 
 
 def upper_bound_factor(images, probe_matrices) -> np.ndarray:
     """Channel-side factors C(rho_P)/(2|det P|) of the upper bounds for a (k, 4, 4)
-    stack of normalized probe images and the (k, 2, 2) probe matrices; the whole
-    stack is checked first, and the first |det P| <= 1e-12 raises SingularProbe."""
+    stack of normalized probe images and the (k, 2, 2) probe matrices (either may
+    hold one entry for all); the whole stack is checked first, and the first
+    |det P| <= 1e-12 raises SingularProbe."""
+    images = np.asarray(images)
     p = np.asarray(probe_matrices, dtype=complex)
-    if p.shape[-2:] != (2, 2):
-        raise DimensionMismatch(f"probe coefficient matrix must be 2x2, got {p.shape[-2:]}")
+    if images.shape[-2:] != (4, 4) or p.shape[-2:] != (2, 2):
+        raise DimensionMismatch(f"needs 2x2 probe matrices and 4x4 probe images, got "
+                                f"{p.shape[-2:]} and {images.shape[-2:]}")
     det = np.abs(np.linalg.det(p))
     k = first_false(det > _DET_FLOOR)
     if k < len(det):
         raise SingularProbe(f"|det P| = {det[k]!r} of probe {k} is numerically singular")
     return spin_flip_concurrence(images) / (2.0 * det)
-
-
-def _factors(rho_ps, probe_matrix) -> np.ndarray:
-    """:func:`upper_bound_factor` of validated probe images under one probe matrix."""
-    if np.shape(probe_matrix) != (2, 2) or any(r.dims != (2, 2) for r in rho_ps):
-        raise DimensionMismatch("needs a 2x2 probe matrix and 2x2 probe images")
-    return upper_bound_factor(np.array([r.matrix for r in rho_ps]), [probe_matrix] * len(rho_ps))
 
 
 def upper_bound_one_sided(c_in: float, rho_p: DensityMatrix, probe_matrix) -> BoundValue:
@@ -211,7 +209,8 @@ def upper_bound_one_sided(c_in: float, rho_p: DensityMatrix, probe_matrix) -> Bo
     For pure two-qubit inputs under trace-preserving channels the bound
     is an equality.
     """
-    return BoundValue(float(c_in * _factors((rho_p,), probe_matrix)[0]), "upper")
+    return BoundValue(float(c_in * upper_bound_factor(rho_p.matrix[None], [probe_matrix])[0]),
+                      "upper")
 
 
 def upper_bound_two_sided(c_in: float, rho_p1: DensityMatrix, rho_p2: DensityMatrix,
@@ -220,5 +219,58 @@ def upper_bound_two_sided(c_in: float, rho_p1: DensityMatrix, rho_p2: DensityMat
 
     c_in * C(rho_P1)/(2|det P|) * C(rho_P2)/(2|det P|).
     """
-    factor1, factor2 = _factors((rho_p1, rho_p2), probe_matrix)
+    factor1, factor2 = upper_bound_factor(np.array([rho_p1.matrix, rho_p2.matrix]),
+                                          [probe_matrix] * 2)
     return BoundValue(float(c_in * factor1 * factor2), "upper")
+
+
+@dataclass(frozen=True)
+class Evaluation:
+    """Per-entry arrays of :func:`evaluate` for the entries before ``fault``, which is
+    None or (index, error) of the first entry to fail a check.  ``lower`` is the raw
+    direct lower bound; ``exact``, ``upper`` and ``p_t`` are None where undefined."""
+
+    lower: np.ndarray
+    exact: np.ndarray
+    upper: np.ndarray
+    p: np.ndarray
+    p_t: np.ndarray
+    fault: tuple
+
+
+def evaluate(mats, dims, stages, probe_matrices=None, images=(), p_prime=None) -> Evaluation:
+    """Evolve a (k, d, d) stack of states and bracket the concurrence of each image.
+
+    ``stages`` lists (superoperators, side) pairs for
+    :func:`entbound.channels.apply_stacked`, each (n^2, n^2) or (k, n^2, n^2).
+    The inputs and each stage's images pass :func:`density_fault` and each
+    stage's traces the probability floor, every check only before the
+    earliest fault so far, so the fault returned is the first entry to
+    fail, whichever check it meets.  At 2x2 one spin-flip call
+    gives the exact values and C(rho); with the (2, 2) or (k, 2, 2)
+    ``probe_matrices`` and one normalized probe image per stage, (d, d) or
+    (k, d, d), the upper bound is C(rho) times each stage's
+    :func:`upper_bound_factor`.  ``p_prime``, the probe images' total
+    probability, gives p_t = p/p'.
+    """
+    fault = density_fault(mats)
+    k = len(mats) if fault is None else fault[0]
+    out, p = mats[:k], np.ones(k)
+    for superoperators, side in stages:
+        superoperators = superoperators if superoperators.ndim == 2 else superoperators[:k]
+        out, stage_p, stage_fault = apply_stacked(superoperators, out, dims, side)
+        fault = density_fault(out) or stage_fault or fault
+        k = len(out) if fault is None else fault[0]
+        out, p = out[:k], p[:k] * stage_p[:k]
+    exact = upper = p_t = None
+    if tuple(dims) == (2, 2):
+        values = spin_flip_concurrence(np.concatenate([out, mats[:k]]))
+        exact, c_in = values[:k], values[k:]
+        if probe_matrices is not None:
+            upper = c_in
+            for image in images:  # a shared (m, m) matrix reshapes to a stack of one
+                upper = upper * upper_bound_factor(np.reshape(image, (-1, 4, 4))[:k],
+                                                   np.reshape(probe_matrices, (-1, 2, 2))[:k])
+    if p_prime is not None:
+        p_t = p / p_prime
+    return Evaluation(fidelity_lower_bounds(out, dims), exact, upper, p, p_t, fault)

@@ -34,8 +34,10 @@ from .qlinalg import DensityMatrix, PureState, TOL_RECONSTRUCT, state_to_matrix
 
 _RANK_FLOOR = 1e-8
 
-# P^-1 enters the one-sided bound quadratically and the two-sided bound
-# quartically; past this condition number the result deserves a warning.
+# Rounding error of the probe route grows as kappa^2 in the probe's
+# condition number kappa, for one- and two-sided channels alike (n = 3:
+# about 3e-14, 3e-12, 3e-10, 3e-8 at kappa = 1e2, 1e3, 1e4, 1e5); past
+# this condition number the result deserves a warning.
 CONDITION_WARN = 1e4
 
 
@@ -154,16 +156,6 @@ def random_probe(dim: int, seed) -> ProbeState:
 def canonical_probe(n: int) -> ProbeState:
     """The canonical MES as a probe: P = I/sqrt(N)."""
     return probe_from_matrix(np.eye(n) / np.sqrt(n))
-
-
-def decompose_via_probe(psi: PureState, probe: ProbeState) -> np.ndarray:
-    """Operator L = psi P^-1 with (L o 1)|P> = |psi>.
-
-    The mirrored form (1 o psi^T (P^-1)^T)|P> = |psi> holds as well.
-    """
-    if psi.dims != (probe.dim, probe.dim):
-        raise DimensionMismatch(f"state dims {psi.dims} do not match probe dim {probe.dim}")
-    return state_to_matrix(psi) @ probe.inverse
 
 
 def _check_square(rho: DensityMatrix, n: int):

@@ -152,31 +152,6 @@ def state_to_matrix(psi: PureState) -> np.ndarray:
     return psi.amplitudes.reshape(psi.n1, psi.n2).copy()
 
 
-def matrix_to_state(m, dims) -> PureState:
-    """Inverse of :func:`state_to_matrix`.
-
-    Raises
-    ------
-    DimensionMismatch
-        If ``m`` is not N1 x N2.
-    NotNormalized
-        If the Frobenius norm deviates from 1 by more than 1e-10.
-    """
-    n1, n2 = _check_dims(dims)
-    m = np.asarray(m, dtype=complex)
-    if m.shape != (n1, n2):
-        raise DimensionMismatch(f"expected {n1}x{n2} matrix, got shape {m.shape}")
-    norm = np.linalg.norm(m)
-    if abs(norm - 1.0) > TOL_RECONSTRUCT:
-        raise NotNormalized(f"Frobenius norm {norm!r} is not 1 within 1e-10")
-    return PureState((n1, n2), m.reshape(-1) / norm)
-
-
-def tensor_product(a, b) -> np.ndarray:
-    """Kronecker product of two matrices."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-
-
 def partial_trace(rho: DensityMatrix, keep: str = "first") -> np.ndarray:
     """Reduced state of one subsystem.
 

@@ -252,43 +252,42 @@ def suite_sandwich(seed=0, trials=500) -> SuiteResult:
     """lower <= concurrence <= upper for random two-qubit states and TP channels.
 
     Pure inputs under a one-sided channel additionally saturate the upper
-    bound, which is asserted as an equality.  Every trial is drawn first
-    and all of them are evaluated as one stack.
+    bound, which is asserted as an equality.  Every trial is drawn first;
+    the one-sided and the two-sided trials are then evaluated as one stack
+    each.
     """
     if trials < 1:
         return SuiteResult("sandwich", False, 0, 0, 0.0)
     canonical = pr.canonical_probe(2)
-    probes, channels, channels_2, rhos, c_pure = [], [], [], [], []
+    probes, channels, channels_2, rhos = [], [], [], []
     for t in range(trials):
         rng = _rng(seed, t)
         probes.append(canonical.matrix if t % 3 else pr.random_probe(2, rng).matrix)
         channels.append(ch.random_tp_channel(2, int(rng.integers(2, 4)), rng))
         if t % 2 == 0:  # pure input, one-sided channel: the upper bound is an equality
-            psi = ql.random_pure_state((2, 2), rng)
-            rhos.append(psi.density())
-            c_pure.append(conc.concurrence_pure(psi))
+            rhos.append(ql.random_pure_state((2, 2), rng).density())
         else:
             rhos.append(ql.random_density((2, 2), int(rng.integers(1, 5)), rng))
             channels_2.append(ch.random_tp_channel(2, int(rng.integers(2, 4)), rng))
     pure, mixed = slice(0, None, 2), slice(1, None, 2)
     probes = np.array(probes)
     mats = np.array([rho.matrix for rho in rhos])
+    superoperators, superoperators_2 = (np.reshape([c.superoperator for c in cs], (-1, 4, 4))
+                                        for cs in (channels, channels_2))
     densities = _densities(probes)
     images, _ = _stage(channels, densities, "first")
     images_2, _ = _stage(channels_2, densities[mixed], "second")
-    evolved, _ = _stage(channels, mats, "first")
-    evolved[mixed], _ = _stage(channels_2, evolved[mixed], "second")
-    values = conc.spin_flip_concurrence(np.concatenate([evolved, mats[mixed]]))
-    exact, c_mixed = values[:trials], values[trials:]
-    lower = np.maximum(0.0, conc.fidelity_lower_bounds(evolved, (2, 2)))
-    factors = conc.upper_bound_factor(np.concatenate([images, images_2]),
-                                      np.concatenate([probes, probes[mixed]]))
-    upper = np.empty(trials)
-    upper[pure] = np.array(c_pure) * factors[:trials][pure]
-    upper[mixed] = c_mixed * factors[:trials][mixed] * factors[trials:]
-    res = lower - exact
-    res[pure] = np.maximum(res[pure], np.abs(exact - upper)[pure])
-    res[mixed] = np.maximum(res[mixed], (exact - upper)[mixed])
+    one_sided = conc.evaluate(mats[pure], (2, 2), [(superoperators[pure], "first")],
+                              probes[pure], [images[pure]])
+    two_sided = conc.evaluate(mats[mixed], (2, 2), [(superoperators[mixed], "first"),
+                                                    (superoperators_2, "second")],
+                              probes[mixed], [images[mixed], images_2])
+    res = np.empty(trials)
+    for sel, result in ((pure, one_sided), (mixed, two_sided)):
+        _raise_fault(result.fault)
+        gap = result.exact - result.upper
+        res[sel] = np.maximum(np.maximum(0.0, result.lower) - result.exact,
+                              np.abs(gap) if sel is pure else gap)
     failed = np.flatnonzero(res > 1e-9)
     t = int(failed[0]) if len(failed) else None
     repro = None if t is None else {"suite": "sandwich", "seed": seed, "trial": t,

@@ -6,11 +6,12 @@ import warnings
 import numpy as np
 import pytest
 
-from entbound import (DensityMatrix, KrausChannel, amplitude_damping, apply_two_sided,
-                      canonical_mes, random_density, upper_bound_two_sided,
-                      wootters_concurrence)
-from entbound.cli import SweepConfig, default_base_state, default_sweep_config, main, run_sweep
-from entbound.serialize import channel_to_json, dump_json, state_to_json
+from entbound import (DensityMatrix, KrausChannel, PureState, amplitude_damping,
+                      apply_one_sided, apply_two_sided, canonical_mes, canonical_probe,
+                      random_density, upper_bound_two_sided, wootters_concurrence)
+from entbound.cli import SweepConfig, default_base_state, default_sweep_config, \
+    evaluate_bound, main, run_sweep
+from entbound.serialize import channel_to_json, dump_json, probe_to_json, state_to_json
 from conftest import random_probe, random_tp_kraus
 
 
@@ -135,6 +136,12 @@ class TestBound:
         channel = write_channel(tmp_path / "ch.json", amplitude_damping(0.2))
         assert run_cli("bound", state, channel) == 4
 
+    def test_trivial_dimension_exits_4(self, tmp_path, capsys):
+        state = write_state(tmp_path / "rho.json", random_density((2, 1), 2, seed=1))
+        channel = write_channel(tmp_path / "ch.json", amplitude_damping(0.2))
+        assert run_cli("bound", state, channel) == 4
+        assert "error: dimension mismatch" in capsys.readouterr().err
+
     def test_non_square_direct_method(self, tmp_path, capsys):
         from entbound import random_density
         state = write_state(tmp_path / "rho.json", random_density((2, 3), 3, seed=2))
@@ -155,6 +162,25 @@ class TestBound:
         state_path = write_state(tmp_path / "rho.json", state)
         channel = write_channel(tmp_path / "kill.json", KrausChannel(2, (np.diag([1.0, 0.0]),)))
         assert run_cli("bound", state_path, channel) == 3
+
+    def test_nearly_annihilating_channel_exits_3(self, tmp_path, capsys):
+        # p ~ 2.5e-7 clears the 1e-14 floor, but normalizing the image
+        # amplifies rounding past the 1e-12 Hermiticity check
+        v = np.array([1.0, 1.0 + 1e-3])
+        w = np.array([0.18651688 + 0.9500471j, -0.19597346 + 0.15561606j])
+        psi = PureState((2, 2), np.kron(v / np.linalg.norm(v), w / np.linalg.norm(w)))
+        a = 1.0 / np.sqrt(2.0)
+        kill = KrausChannel(2, (np.array([[a, -a], [0.0, 0.0]]),))
+        state = write_state(tmp_path / "psi.json", psi)
+        channel = write_channel(tmp_path / "m.json", kill)
+        assert run_cli("bound", state, channel) == 3
+        assert "error: numerical failure: matrix is not Hermitian" in capsys.readouterr().err
+
+    def test_evaluate_bound_without_probe(self):
+        rho, channel = default_base_state(), amplitude_damping(0.2)
+        report = evaluate_bound(rho, (channel,), "first", None, "direct")
+        assert report.exact == wootters_concurrence(apply_one_sided(channel, rho).output)
+        assert report.upper is None and report.p_prime is None and report.p_t is None
 
     def test_non_square_probe_method_exits_4(self, tmp_path):
         from entbound import random_density
@@ -220,6 +246,23 @@ class TestSweep:
         dump_json({"x_grid": [0.0, float("nan"), 1.0]}, cfg_path)
         assert run_cli("sweep", "--config", str(cfg_path),
                        "--output", str(tmp_path / "s.csv")) == 2
+
+    @pytest.mark.parametrize("case", ["non_square_state", "channel_1_dim", "probe_dim"])
+    def test_mis_dimensioned_config_exits_2(self, tmp_path, capsys, case):
+        cfg = {"x_grid": [0.0, 0.5, 1.0]}
+        if case == "non_square_state":
+            cfg["base_state"] = state_to_json(random_density((2, 3), 3, seed=2))
+            cfg["probe"] = probe_to_json(canonical_probe(2))
+        elif case == "channel_1_dim":
+            cfg["channel_1"] = channel_to_json(KrausChannel(3, (np.eye(3),)))
+        else:
+            cfg["probe"] = probe_to_json(canonical_probe(3))
+        cfg_path = tmp_path / "cfg.json"
+        dump_json(cfg, cfg_path)
+        out = tmp_path / "s.csv"
+        assert run_cli("sweep", "--config", str(cfg_path), "--output", str(out)) == 2
+        assert "could not build sweep config" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_qutrit_sweep_leaves_two_qubit_columns_empty(self, tmp_path):
         from entbound import KrausChannel, random_density
@@ -332,12 +375,12 @@ class TestStackedSweep:
         assert "x=1.0" in capsys.readouterr().err
 
     def test_programming_error_is_not_exit_3(self, tmp_path, monkeypatch):
-        import entbound.cli
+        import entbound.concurrence
 
         def broken(*args):
             raise TypeError("not a numerical failure")
 
-        monkeypatch.setattr(entbound.cli, "spin_flip_concurrence", broken)
+        monkeypatch.setattr(entbound.concurrence, "spin_flip_concurrence", broken)
         with pytest.raises(TypeError):
             run_cli("sweep", "--output", str(tmp_path / "s.csv"))
 

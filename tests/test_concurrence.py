@@ -7,8 +7,10 @@ from entbound import (
     DensityMatrix,
     DimensionMismatch,
     PureState,
+    KrausChannel,
     SingularProbe,
     TrivialDimension,
+    ZeroProbability,
     apply_one_sided,
     canonical_mes,
     concurrence_pure,
@@ -24,7 +26,7 @@ from entbound import (
     wootters_concurrence,
     amplitude_damping,
 )
-from entbound.concurrence import fidelity_lower_bounds, spin_flip_concurrence, \
+from entbound.concurrence import evaluate, fidelity_lower_bounds, spin_flip_concurrence, \
     upper_bound_factor
 from conftest import probe_density, random_mixed, random_probe, random_tp_kraus
 
@@ -364,3 +366,53 @@ class TestSpinFlipStack:
         values = spin_flip_concurrence(np.array([s.density().matrix for s in states]))
         for psi, value in zip(states, values):
             assert abs(value - concurrence_two_qubit_pure(psi)) < 1e-10
+
+
+class TestEvaluate:
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_stack_equals_each_entry(self, rng, n):
+        # first stage: one channel per entry; second stage: one channel for the stack
+        k = 12
+        mats = np.array([random_mixed((n, n), int(rng.integers(1, n * n + 1)), rng).matrix
+                         for _ in range(k)])
+        channels = [random_tp_kraus(n, int(rng.integers(2, 4)), rng) for _ in range(k)]
+        channels[0] = KrausChannel(n, channels[0].operators[:1])  # not trace preserving
+        shared = random_tp_kraus(n, 2, rng)
+        probes = [random_probe(n, rng) for _ in range(k)]
+        images_1 = np.array([apply_one_sided(c, probe_density(p), "first").output.matrix
+                             for c, p in zip(channels, probes)])
+        images_2 = np.array([apply_one_sided(shared, probe_density(p), "second").output.matrix
+                             for p in probes])
+        superoperators = np.array([c.superoperator for c in channels])
+        matrices = np.array([p.matrix for p in probes]) if n == 2 else None
+
+        def run(sel):
+            return evaluate(mats[sel], (n, n), [(superoperators[sel], "first"),
+                                                (shared.superoperator, "second")],
+                            None if matrices is None else matrices[sel],
+                            [images_1[sel], images_2[sel]], p_prime=0.3)
+
+        stack = run(slice(None))
+        assert stack.fault is None and len(stack.p) == k
+        assert (stack.exact is None) == (stack.upper is None) == (n != 2)
+        for j in range(k):
+            single = run(slice(j, j + 1))
+            for field in ("lower", "exact", "upper", "p", "p_t"):
+                value = getattr(single, field)
+                if value is not None:
+                    assert value[0] == getattr(stack, field)[j], (field, j)
+
+    @pytest.mark.parametrize("annihilated, invalid, expected", [
+        (1, 3, ZeroProbability),  # the annihilated entry comes first
+        (2, 1, ValueError),       # the invalid input comes first
+    ])
+    def test_fault_is_first_failing_entry(self, annihilated, invalid, expected):
+        mats = np.array([np.eye(4, dtype=complex) / 4] * 5)
+        mats[annihilated] = np.diag([0.0, 0.0, 0.0, 1.0])  # |11><11|
+        mats[invalid, 0, 1] = 1e-3  # not Hermitian
+        keep_0 = KrausChannel(2, (np.diag([1.0, 0.0]),))  # annihilates |11><11|
+        result = evaluate(mats, (2, 2), [(keep_0.superoperator, "first")])
+        k, error = result.fault
+        assert k == min(annihilated, invalid) and type(error) is expected
+        assert len(result.lower) == len(result.exact) == len(result.p) == k
+        assert result.upper is None and result.p_t is None

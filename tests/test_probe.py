@@ -15,7 +15,6 @@ from entbound import (
     apply_two_sided,
     canonical_mes,
     canonical_probe,
-    decompose_via_probe,
     fidelity_lower_bound,
     lower_bound_one_sided,
     lower_bound_two_sided,
@@ -26,7 +25,6 @@ from entbound import (
     random_density,
     random_pure_state,
     state_to_matrix,
-    tensor_product,
 )
 from entbound.cli import evaluate_bound
 from entbound.concurrence import fidelity_lower_bounds
@@ -77,7 +75,7 @@ class TestMesBasis:
         basis = mes_basis(3)
         pvec = probe.matrix.reshape(-1)
         for state, t in zip(basis.states, basis.transition_matrices()):
-            lifted = tensor_product(t / np.sqrt(3) @ probe.inverse, np.eye(3))
+            lifted = np.kron(t / np.sqrt(3) @ probe.inverse, np.eye(3))
             np.testing.assert_allclose(lifted @ pvec, state.amplitudes, atol=1e-10)
 
     def test_built_once_per_dimension(self):
@@ -175,15 +173,17 @@ class TestProbeState:
 
 
 class TestDecomposeViaProbe:
+    """L = psi P^-1 satisfies (L o 1)|P> = |psi> under the package's vectorization."""
+
     def test_probe_itself_gives_identity(self, rng):
         probe = random_probe(2, rng)
         psi = random_pure_state((2, 2), 0)
         psi = type(psi)((2, 2), probe.matrix.reshape(-1))  # |P> as a PureState
-        np.testing.assert_allclose(decompose_via_probe(psi, probe), np.eye(2), atol=1e-12)
+        np.testing.assert_allclose(state_to_matrix(psi) @ probe.inverse, np.eye(2), atol=1e-12)
 
     def test_mes_probe_scales_coefficients(self):
         psi = random_pure_state((3, 3), 5)
-        left = decompose_via_probe(psi, canonical_probe(3))
+        left = state_to_matrix(psi) @ canonical_probe(3).inverse
         np.testing.assert_allclose(left, np.sqrt(3) * state_to_matrix(psi), atol=1e-12)
 
     def test_reconstruction(self, rng):
@@ -191,13 +191,12 @@ class TestDecomposeViaProbe:
             n = int(rng.integers(2, 5))
             psi = random_pure_state((n, n), int(rng.integers(1e6)))
             probe = random_probe(n, rng)
-            left = decompose_via_probe(psi, probe)
-            rebuilt = tensor_product(left, np.eye(n)) @ probe.matrix.reshape(-1)
+            left = state_to_matrix(psi) @ probe.inverse
+            rebuilt = np.kron(left, np.eye(n)) @ probe.matrix.reshape(-1)
             np.testing.assert_allclose(rebuilt, psi.amplitudes, atol=1e-10)
             # mirrored second-sided form
             psi_m = state_to_matrix(psi)
-            mirrored = tensor_product(np.eye(n), psi_m.T @ probe.inverse.T) \
-                @ probe.matrix.reshape(-1)
+            mirrored = np.kron(np.eye(n), psi_m.T @ probe.inverse.T) @ probe.matrix.reshape(-1)
             np.testing.assert_allclose(mirrored, psi.amplitudes, atol=1e-10)
 
 

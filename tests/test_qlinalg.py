@@ -5,19 +5,16 @@ import pytest
 
 from entbound import (
     DensityMatrix,
-    DimensionMismatch,
     InvalidRank,
     NotNormalized,
     PureState,
     canonical_mes,
-    matrix_to_state,
     partial_trace,
     random_density,
     random_pure_state,
     schmidt_decompose,
     state_to_matrix,
     swap_operator,
-    tensor_product,
 )
 from entbound.qlinalg import density_fault
 
@@ -49,47 +46,14 @@ class TestStateMatrixConversion:
     def test_round_trip_random(self):
         for seed in range(50):
             psi = random_pure_state((3, 4), seed)
-            back = matrix_to_state(state_to_matrix(psi), (3, 4))
-            np.testing.assert_allclose(back.amplitudes, psi.amplitudes, atol=1e-14)
-
-    def test_matrix_to_state_bell(self):
-        psi = matrix_to_state(np.eye(2) / np.sqrt(2), (2, 2))
-        np.testing.assert_allclose(psi.amplitudes, BELL.amplitudes)
-
-    def test_matrix_to_state_2x3_basis(self):
-        m = np.zeros((2, 3))
-        m[1, 2] = 1.0
-        psi = matrix_to_state(m, (2, 3))
-        assert psi.amplitudes[1 * 3 + 2] == 1.0
-
-    def test_unnormalized_rejected(self):
-        with pytest.raises(NotNormalized):
-            matrix_to_state(np.ones((2, 2)), (2, 2))  # norm is 2
-
-    def test_wrong_shape_rejected(self):
-        with pytest.raises(DimensionMismatch):
-            matrix_to_state(np.eye(3) / np.sqrt(3), (2, 2))
+            m = state_to_matrix(psi)
+            assert m.shape == (3, 4)
+            back = PureState((3, 4), m.reshape(-1))
+            np.testing.assert_array_equal(back.amplitudes, psi.amplitudes)
 
     def test_pure_state_norm_invariant(self):
         with pytest.raises(NotNormalized):
             PureState((2, 2), np.array([1, 0, 0, 1], dtype=complex))
-
-
-class TestTensorProduct:
-    def test_identity(self):
-        np.testing.assert_array_equal(tensor_product(np.eye(2), np.eye(2)), np.eye(4))
-
-    def test_projectors(self):
-        a = np.diag([1.0, 0.0])
-        b = np.diag([0.0, 1.0])
-        np.testing.assert_array_equal(tensor_product(a, b), np.diag([0.0, 1.0, 0.0, 0.0]))
-
-    def test_mixed_product_identity(self, rng):
-        for _ in range(10):
-            a, b, c, d = (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-                          for _ in range(4))
-            np.testing.assert_allclose(tensor_product(a, b) @ tensor_product(c, d),
-                                       tensor_product(a @ c, b @ d), atol=1e-12)
 
 
 class TestPartialTrace:
@@ -116,7 +80,7 @@ class TestPartialTrace:
             psi = random_pure_state((3, 3), seed)
             m = state_to_matrix(psi)
             mes = canonical_mes((3, 3))
-            lift = tensor_product(m, np.eye(3))
+            lift = np.kron(m, np.eye(3))
             blown = 3 * lift @ mes.density().matrix @ lift.conj().T
             np.testing.assert_allclose(
                 np.trace(blown.reshape(3, 3, 3, 3), axis1=1, axis2=3),
@@ -179,8 +143,7 @@ class TestSwapOperator:
         for _ in range(5):
             a, b = (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
                     for _ in range(2))
-            np.testing.assert_allclose(s @ tensor_product(a, b) @ s,
-                                       tensor_product(b, a), atol=1e-12)
+            np.testing.assert_allclose(s @ np.kron(a, b) @ s, np.kron(b, a), atol=1e-12)
 
 
 class TestRandomGenerators:
