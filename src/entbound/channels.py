@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidChannel, OutOfRange, ZeroProbability
-from .qlinalg import DensityMatrix, first_false
+from .qlinalg import DensityMatrix, first_false, raise_fault
 
 # Completeness defect below this is treated as exactly trace preserving.
 TP_TOLERANCE = 1e-10
@@ -59,21 +59,44 @@ class KrausChannel:
             if m.shape != (d, d):
                 raise DimensionMismatch(f"Kraus operator shape {m.shape} != ({d}, {d})")
         ops = np.array(ops)
-        if not np.all(np.isfinite(ops.view(float))):
-            raise InvalidChannel("Kraus operator has non-finite entries")
+        defects, superoperators = kraus_superoperators(ops[None])
         ops.setflags(write=False)
-        total = (ops.conj().swapaxes(1, 2) @ ops).sum(axis=0)
-        w = np.linalg.eigvalsh(total - np.eye(d))  # Hermitian gap: |w| are its singular values
-        if w[-1] > TP_TOLERANCE:
-            raise InvalidChannel("sum M^dag M exceeds the identity; probabilities would exceed 1")
-        defect = max(-w[0], w[-1])
-        superoperator = np.einsum("kai,kcj->acij", ops, ops.conj()).reshape(d * d, d * d)
-        superoperator.setflags(write=False)
         object.__setattr__(self, "input_dim", d)
         object.__setattr__(self, "operators", tuple(ops))
-        object.__setattr__(self, "completeness_defect", float(defect))
-        object.__setattr__(self, "trace_preserving", bool(defect <= TP_TOLERANCE))
-        object.__setattr__(self, "superoperator", superoperator)
+        object.__setattr__(self, "completeness_defect", float(defects[0]))
+        object.__setattr__(self, "trace_preserving", bool(defects[0] <= TP_TOLERANCE))
+        object.__setattr__(self, "superoperator", superoperators[0])
+
+
+def kraus_superoperators(ops):
+    """Validate a (k, K, d, d) stack of Kraus sets and return (defects, superoperators).
+
+    Set j holds the K operators ops[j]; all-zero operators may pad shorter
+    sets and change nothing.  ``defects`` are the spectral norms of
+    sum M^dag M - I and ``superoperators`` the read-only (k, d^2, d^2)
+    stack S[(a,c),(i,j)] = sum_m M_m[a,i] M_m[c,j]^*.
+
+    Raises
+    ------
+    DimensionMismatch
+        If the operators are not square.
+    InvalidChannel
+        If an entry is not finite, or some sum M^dag M exceeds the identity by
+        more than 1e-10, so that probabilities would exceed 1.
+    """
+    ops = np.asarray(ops, dtype=complex)
+    if ops.ndim != 4 or ops.shape[-1] != ops.shape[-2]:
+        raise DimensionMismatch(f"need a (k, K, d, d) stack of square operators, got {ops.shape}")
+    if not np.all(np.isfinite(ops.view(float))):
+        raise InvalidChannel("Kraus operator has non-finite entries")
+    k, d = len(ops), ops.shape[-1]
+    total = (ops.conj().swapaxes(-1, -2) @ ops).sum(axis=1)
+    w = np.linalg.eigvalsh(total - np.eye(d))  # Hermitian gap: |w| are its singular values
+    if np.any(w[:, -1] > TP_TOLERANCE):
+        raise InvalidChannel("sum M^dag M exceeds the identity; probabilities would exceed 1")
+    superoperators = np.einsum("mkai,mkcj->macij", ops, ops.conj()).reshape(k, d * d, d * d)
+    superoperators.setflags(write=False)
+    return np.maximum(-w[:, 0], w[:, -1]), superoperators
 
 
 @dataclass(frozen=True)
@@ -126,8 +149,7 @@ def apply_one_sided(channel: KrausChannel, rho: DensityMatrix, side: str = "firs
         If p <= 1e-14, i.e. the channel annihilates the state.
     """
     outputs, p, fault = apply_stacked(channel.superoperator, rho.matrix[None], rho.dims, side)
-    if fault is not None:
-        raise fault[1]
+    raise_fault(fault)
     return ChannelApplication(DensityMatrix(rho.dims, outputs[0]), float(p[0]))
 
 
@@ -143,15 +165,26 @@ def apply_two_sided(ch1: KrausChannel, ch2: KrausChannel, rho: DensityMatrix) ->
     return ChannelApplication(second.output, first.probability * second.probability)
 
 
+def kraus_factors(dim: int, count: int, rng) -> np.ndarray:
+    """(count, dim, dim) standard complex Gaussian factors, drawn as one (count, 2, dim, dim)
+    block: the stream of one factor at a time, real part before imaginary part."""
+    block = rng.standard_normal((count, 2, dim, dim))
+    return block[:, 0] + 1j * block[:, 1]
+
+
+def tp_kraus(factors) -> np.ndarray:
+    """Trace-preserving Kraus sets G_m (sum G^dag G)^(-1/2) of a (k, K, d, d) stack of
+    factor sets; all-zero factors may pad shorter sets and stay zero."""
+    w, v = np.linalg.eigh((factors.conj().swapaxes(-1, -2) @ factors).sum(axis=1))
+    root_inv = v @ (np.eye(w.shape[-1]) / np.sqrt(w)[:, None, :]) @ v.conj().swapaxes(-1, -2)
+    return factors @ root_inv[:, None]
+
+
 def random_tp_channel(dim: int, count: int, seed) -> KrausChannel:
     """Trace-preserving channel G_k (sum G^dag G)^(-1/2) from ``count`` complex
     Gaussian factors G_k; ``seed`` may also be a Generator, which is then drawn from."""
-    rng = np.random.default_rng(seed)
-    block = rng.standard_normal((count, 2, dim, dim))  # the stream of one factor at a time
-    gs = block[:, 0] + 1j * block[:, 1]
-    w, v = np.linalg.eigh((gs.conj().swapaxes(1, 2) @ gs).sum(axis=0))
-    root_inv = v @ np.diag(1.0 / np.sqrt(w)) @ v.conj().T
-    return KrausChannel(dim, tuple(gs @ root_inv))
+    factors = kraus_factors(dim, count, np.random.default_rng(seed))
+    return KrausChannel(dim, tuple(tp_kraus(factors[None])[0]))
 
 
 def amplitude_damping(gamma: float) -> KrausChannel:

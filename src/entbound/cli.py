@@ -28,7 +28,7 @@ from .concurrence import evaluate
 from .errors import DimensionMismatch, SingularProbe, TrivialDimension
 from .probe import ProbeState, canonical_probe, lower_bound_one_sided, lower_bound_two_sided, \
     probe_channels, probe_route, random_probe
-from .qlinalg import DensityMatrix, PureState, random_density, random_pure_state
+from .qlinalg import DensityMatrix, PureState, raise_fault, random_density, random_pure_state
 from .serialize import channel_from_json, channel_to_json, dump_json, load_json, \
     probe_from_json, probe_to_json, state_from_json, state_to_json
 from .suites import SUITE_NAMES, run_suites
@@ -78,6 +78,9 @@ class SweepConfig:
             raise DimensionMismatch(f"a sweep needs an N x N base_state and channels and probe "
                                     f"of dim N, got {self.base_state.dims} and channel_1, "
                                     f"channel_2, probe dims {dims}")
+        if n1 < 2:
+            raise TrivialDimension("a sweep needs N >= 2: concurrence is identically 0 "
+                                   "when N = 1")
         self.x_grid = grid
 
 
@@ -206,8 +209,7 @@ def evaluate_bound(rho: DensityMatrix, channels, side: str, probe, method: str) 
         probe_matrix, p_prime = probe.matrix, float(np.prod([app.probability for app in apps]))
     result = evaluate(rho.matrix[None], rho.dims, stages, probe_matrix,
                       [image.matrix for image in images], p_prime)
-    if result.fault is not None:
-        raise result.fault[1]
+    raise_fault(result.fault)
     if method == "probe":
         lower = (lower_bound_one_sided(rho, images[0], probe, side) if len(channels) == 1 else
                  lower_bound_two_sided(rho, *images, probe)).raw

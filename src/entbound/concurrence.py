@@ -55,6 +55,13 @@ def _prefactor(r: int) -> float:
     return np.sqrt(2.0 * r / (r - 1.0))
 
 
+def pure_concurrences(coefficients) -> np.ndarray:
+    """:func:`concurrence_pure` of each (N1, N2) coefficient matrix of a (k, N1, N2) stack."""
+    s = np.linalg.svd(coefficients, compute_uv=False)
+    total = np.sum(s**2, axis=-1)
+    return np.sqrt(np.maximum(0.0, 2.0 * (total * total - np.sum(s**4, axis=-1))))
+
+
 def concurrence_pure(psi: PureState) -> float:
     """Concurrence of a pure bipartite state from its Schmidt spectrum.
 
@@ -62,9 +69,7 @@ def concurrence_pure(psi: PureState) -> float:
     coefficient matrix; ranges over [0, sqrt(2(R-1)/R)] with
     R = min(N1, N2).
     """
-    s = np.linalg.svd(state_to_matrix(psi), compute_uv=False)
-    total = np.sum(s**2)
-    return float(np.sqrt(max(0.0, 2.0 * (total * total - np.sum(s**4)))))
+    return float(pure_concurrences(state_to_matrix(psi)[None])[0])
 
 
 def concurrence_two_qubit_pure(psi: PureState) -> float:
@@ -105,14 +110,18 @@ def wootters_concurrence(rho: DensityMatrix) -> float:
     return float(spin_flip_concurrence(rho.matrix[None])[0])
 
 
-def fidelity_lower_bounds(mats, dims) -> np.ndarray:
-    """Raw :func:`fidelity_lower_bound` of each state of a (k, d, d) stack with dims ``dims``."""
-    r = min(dims)
+def fidelity_bound(fidelity, r: int):
+    """The bound sqrt(2R/(R-1)) (F - 1/R) from an MES fidelity F, elementwise."""
     if r < 2:
         raise TrivialDimension("concurrence is identically 0 when min(N1, N2) = 1")
+    return _prefactor(r) * (fidelity - 1.0 / r)
+
+
+def fidelity_lower_bounds(mats, dims) -> np.ndarray:
+    """Raw :func:`fidelity_lower_bound` of each state of a (k, d, d) stack with dims ``dims``."""
     mes = canonical_mes(dims).amplitudes
     overlap = (mats * np.outer(mes.conj(), mes)).sum(axis=(-2, -1)).real  # same order for any k
-    return _prefactor(r) * (overlap - 1.0 / r)
+    return fidelity_bound(overlap, min(dims))
 
 
 def fidelity_lower_bound(rho: DensityMatrix) -> BoundValue:
@@ -129,6 +138,12 @@ def fidelity_lower_bound(rho: DensityMatrix) -> BoundValue:
     return BoundValue(float(fidelity_lower_bounds(rho.matrix[None], rho.dims)[0]), "lower")
 
 
+def fully_entangled_fractions(mats) -> np.ndarray:
+    """:func:`fef_two_qubit` of each matrix of a (k, 4, 4) stack."""
+    overlap = _MAGIC_BASIS.conj().T @ mats @ _MAGIC_BASIS
+    return np.linalg.eigvalsh(overlap.real)[:, -1]
+
+
 def fef_two_qubit(rho: DensityMatrix) -> float:
     """Fully entangled fraction: max over maximally entangled |phi> of <phi|rho|phi>.
 
@@ -137,8 +152,7 @@ def fef_two_qubit(rho: DensityMatrix) -> float:
     """
     if rho.dims != (2, 2):
         raise DimensionMismatch(f"requires a 2x2 bipartition, got {rho.dims}")
-    overlap = _MAGIC_BASIS.conj().T @ rho.matrix @ _MAGIC_BASIS
-    return float(np.linalg.eigvalsh(overlap.real)[-1])
+    return float(fully_entangled_fractions(rho.matrix[None])[0])
 
 
 def _haar_unitary(n: int, rng) -> np.ndarray:
@@ -181,7 +195,7 @@ def theorem1_bound(rho: DensityMatrix, samples: int = 10_000, seed: int = 0) -> 
     if r < 2:
         raise TrivialDimension("concurrence is identically 0 when min(N1, N2) = 1")
     fid = max_mes_fidelity(rho, samples=samples, seed=seed)
-    return BoundValue(float(_prefactor(r) * (fid - 1.0 / r)), "lower")
+    return BoundValue(float(fidelity_bound(fid, r)), "lower")
 
 
 def upper_bound_factor(images, probe_matrices) -> np.ndarray:
@@ -249,8 +263,8 @@ def evaluate(mats, dims, stages, probe_matrices=None, images=(), p_prime=None) -
     fail, whichever check it meets.  At 2x2 one spin-flip call
     gives the exact values and C(rho); with the (2, 2) or (k, 2, 2)
     ``probe_matrices`` and one normalized probe image per stage, (d, d) or
-    (k, d, d), the upper bound is C(rho) times each stage's
-    :func:`upper_bound_factor`.  ``p_prime``, the probe images' total
+    (k, d, d), the upper bound is C(rho) times each stage's factor, all
+    stages' factors from one :func:`upper_bound_factor` call.  ``p_prime``, the probe images' total
     probability, gives p_t = p/p'.
     """
     fault = density_fault(mats)
@@ -266,11 +280,16 @@ def evaluate(mats, dims, stages, probe_matrices=None, images=(), p_prime=None) -
     if tuple(dims) == (2, 2):
         values = spin_flip_concurrence(np.concatenate([out, mats[:k]]))
         exact, c_in = values[:k], values[k:]
-        if probe_matrices is not None:
+        if probe_matrices is not None:  # one factor call for the images of every side
+            images = [np.reshape(image, (-1, 4, 4))[:k] for image in images]  # shared: one entry
+            probes = np.reshape(probe_matrices, (-1, 2, 2))[:k]
+            lengths = [max(len(image), len(probes)) for image in images]
+            factors = upper_bound_factor(
+                np.concatenate([np.broadcast_to(im, (m, 4, 4)) for im, m in zip(images, lengths)]),
+                np.concatenate([np.broadcast_to(probes, (m, 2, 2)) for m in lengths]))
             upper = c_in
-            for image in images:  # a shared (m, m) matrix reshapes to a stack of one
-                upper = upper * upper_bound_factor(np.reshape(image, (-1, 4, 4))[:k],
-                                                   np.reshape(probe_matrices, (-1, 2, 2))[:k])
+            for factor in np.split(factors, np.cumsum(lengths)[:-1]):
+                upper = upper * factor
     if p_prime is not None:
         p_t = p / p_prime
     return Evaluation(fidelity_lower_bounds(out, dims), exact, upper, p, p_t, fault)

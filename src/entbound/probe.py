@@ -30,7 +30,8 @@ import numpy as np
 from .channels import apply_stacked
 from .concurrence import BoundValue, fidelity_lower_bounds
 from .errors import DimensionMismatch, NotNormalized, SingularProbe
-from .qlinalg import DensityMatrix, PureState, TOL_RECONSTRUCT, state_to_matrix
+from .qlinalg import DensityMatrix, PureState, TOL_RECONSTRUCT, kron_stack, raise_fault, \
+    state_to_matrix, swap_subsystems
 
 _RANK_FLOOR = 1e-8
 
@@ -163,11 +164,6 @@ def _check_square(rho: DensityMatrix, n: int):
         raise DimensionMismatch(f"probe formulas need an {n} x {n} state, got dims {rho.dims}")
 
 
-def _swap(mat: np.ndarray, n: int) -> np.ndarray:
-    """S mat S for the subsystem swap S, as an axis transpose of the (n, n, n, n) view."""
-    return mat.reshape(n, n, n, n).transpose(1, 0, 3, 2).reshape(n * n, n * n)
-
-
 def _to_first_side(rho, evolved_probe, probe, side):
     """Reduce the side="second" case to side="first" by swapping subsystems.
 
@@ -181,7 +177,27 @@ def _to_first_side(rho, evolved_probe, probe, side):
         raise ValueError(f"side must be 'first' or 'second', got {side!r}")
     n = probe.dim
     mirrored = ProbeState(n, probe.matrix.T, probe.inverse.T, probe.condition)
-    return _swap(rho.matrix, n), _swap(evolved_probe.matrix, n), mirrored
+    return swap_subsystems(rho.matrix, n), swap_subsystems(evolved_probe.matrix, n), mirrored
+
+
+def pt_reduced_stack(mats, images, inverses) -> np.ndarray:
+    """:func:`pt_via_reduced` on side "first" for (k, d, d) stacks of input states and
+    normalized probe images and the (k, n, n) probe inverses."""
+    n = inverses.shape[-1]
+    rho_a = np.trace(mats.reshape(-1, n, n, n, n), axis1=2, axis2=4)
+    window = (inverses @ rho_a @ inverses.conj().swapaxes(1, 2)).conj()
+    return np.einsum("kaxay,kyx->k", images.reshape(-1, n, n, n, n), window).real
+
+
+def pt_mes_sum_stack(mats, images, inverses) -> np.ndarray:
+    """:func:`pt_via_mes_sum` on side "first" for (k, d, d) stacks of input states and
+    normalized probe images and the (k, n, n) probe inverses."""
+    n = inverses.shape[-1]
+    srs = swap_subsystems(mats.conj(), n)[:, None]
+    cs = np.array(mes_basis(n).coefficient_matrices())  # (n^2, n, n)
+    lefts = kron_stack(cs, inverses.conj()[:, None])  # (k, m): C_m o (P^-1)^*
+    terms = images[:, None] @ lefts @ srs @ lefts.conj().swapaxes(-1, -2)
+    return np.trace(terms, axis1=-2, axis2=-1).real.sum(axis=1)
 
 
 def pt_via_reduced(rho: DensityMatrix, evolved_probe: DensityMatrix, probe: ProbeState,
@@ -194,10 +210,7 @@ def pt_via_reduced(rho: DensityMatrix, evolved_probe: DensityMatrix, probe: Prob
     """
     _check_square(rho, probe.dim)
     rho, image, probe = _to_first_side(rho, evolved_probe, probe, side)
-    n = probe.dim
-    rho_a = np.trace(rho.reshape(n, n, n, n), axis1=1, axis2=3)
-    window = (probe.inverse @ rho_a @ probe.inverse.conj().T).conj()
-    return float(np.einsum("axay,yx->", image.reshape(n, n, n, n), window).real)
+    return float(pt_reduced_stack(rho[None], image[None], probe.inverse[None])[0])
 
 
 def pt_via_mes_sum(rho: DensityMatrix, evolved_probe: DensityMatrix, probe: ProbeState,
@@ -210,13 +223,7 @@ def pt_via_mes_sum(rho: DensityMatrix, evolved_probe: DensityMatrix, probe: Prob
     """
     _check_square(rho, probe.dim)
     rho, image, probe = _to_first_side(rho, evolved_probe, probe, side)
-    n = probe.dim
-    srs = _swap(rho.conj(), n)
-    total = 0.0
-    for c in mes_basis(n).coefficient_matrices():
-        left = np.kron(c, probe.inverse.conj())
-        total += np.real(np.trace(image @ left @ srs @ left.conj().T))
-    return float(total)
+    return float(pt_mes_sum_stack(rho[None], image[None], probe.inverse[None])[0])
 
 
 def probe_channels(image_1, image_2, inverse, condition):
@@ -276,8 +283,7 @@ def _bound(rho: DensityMatrix, probe: ProbeState, image_1, image_2) -> BoundValu
     _check_square(rho, probe.dim)
     stages = probe_channels(image_1, image_2, probe.inverse, probe.condition)
     values, _, fault = probe_route(rho.matrix[None], rho.dims, *stages)
-    if fault is not None:
-        raise fault[1]
+    raise_fault(fault)
     return BoundValue(float(values[0]), "lower")
 
 

@@ -63,9 +63,7 @@ class PureState:
         n1, n2 = _check_dims(self.dims)
         object.__setattr__(self, "dims", (n1, n2))
         amp = _frozen_complex(self.amplitudes, shape=(n1 * n2,))
-        norm = np.linalg.norm(amp)
-        if abs(norm - 1.0) > TOL_STRUCTURE:
-            raise NotNormalized(f"|norm - 1| = {abs(norm - 1.0):.3e} exceeds {TOL_STRUCTURE}")
+        _check_unit_norms(amp[None])
         object.__setattr__(self, "amplitudes", amp)
 
     @property
@@ -97,9 +95,7 @@ class DensityMatrix:
         object.__setattr__(self, "dims", (n1, n2))
         d = n1 * n2
         mat = _frozen_complex(self.matrix, shape=(d, d))
-        fault = density_fault(mat[None])
-        if fault is not None:
-            raise fault[1]
+        raise_fault(density_fault(mat[None]))
         object.__setattr__(self, "matrix", mat)
 
     @property
@@ -114,6 +110,28 @@ class DensityMatrix:
 def first_false(ok) -> int:
     """Index of the first False entry of a 1-D mask, else its length."""
     return len(ok) if ok.all() else int(ok.argmin())
+
+
+def _norms(vecs) -> np.ndarray:
+    """Euclidean norms of a (k, d) stack of complex vectors, each summed exactly as
+    np.linalg.norm sums one vector (a dot product of the real and of the imaginary parts)."""
+    re, im = vecs.real[:, None], vecs.imag[:, None]
+    return np.sqrt((re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2))[:, 0, 0])
+
+
+def _check_unit_norms(vecs):
+    """Raise NotNormalized for the first vector of a (k, d) stack whose norm is off 1
+    by more than 1e-12."""
+    off = np.abs(_norms(vecs) - 1.0)
+    k = first_false(off <= TOL_STRUCTURE)
+    if k < len(off):
+        raise NotNormalized(f"|norm - 1| = {off[k]:.3e} exceeds {TOL_STRUCTURE}")
+
+
+def raise_fault(fault):
+    """Raise the error of a (index, error) fault; None passes."""
+    if fault is not None:
+        raise fault[1]
 
 
 def density_fault(mats):
@@ -176,6 +194,13 @@ def schmidt_decompose(psi: PureState) -> SchmidtForm:
     return SchmidtForm(coefficients=s, left_basis=u, right_basis=vh.conj().T)
 
 
+def swap_subsystems(mats, n: int) -> np.ndarray:
+    """S mat S for the subsystem swap S and each matrix of a (..., n^2, n^2) stack, as an
+    axis transpose of the (n, n, n, n) view."""
+    view = mats.reshape(mats.shape[:-2] + (n,) * 4)
+    return np.swapaxes(view, -4, -3).swapaxes(-2, -1).reshape(mats.shape)
+
+
 def swap_operator(n: int) -> np.ndarray:
     """N^2 x N^2 permutation matrix with S|j>|k> = |k>|j>; symmetric and S^2 = I."""
     s = np.zeros((n * n, n * n))
@@ -198,6 +223,54 @@ def canonical_mes(dims) -> PureState:
     return PureState((n1, n2), amp)
 
 
+def kron_stack(a, b) -> np.ndarray:
+    """np.kron of the last two axes of two stacks, broadcast over the leading axes."""
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(out.shape[:-4] + (a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1]))
+
+
+def gaussian(rng, shape) -> np.ndarray:
+    """Standard complex Gaussians: the real parts are drawn first, then the imaginary parts."""
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def pure_stack(vecs) -> np.ndarray:
+    """Normalized (k, d) stack of a (k, d) stack of nonzero vectors, checked finite
+    and of unit norm; each entry equals that vector normalized alone."""
+    vecs = np.asarray(vecs, dtype=complex)
+    amps = vecs / _norms(vecs)[:, None]
+    if not np.all(np.isfinite(amps.view(float))):
+        raise ValueError("entries must be finite")
+    _check_unit_norms(amps)
+    return amps
+
+
+def pure_densities(vecs) -> np.ndarray:
+    """Stack of |v><v| for a (..., d) stack of unit vectors, validated as density matrices."""
+    densities = vecs[..., :, None] * vecs[..., None, :].conj()
+    raise_fault(density_fault(densities.reshape((-1,) + densities.shape[-2:])))
+    return densities
+
+
+def density_stack(dims, factors) -> np.ndarray:
+    """Validated (k, d, d) stack of G G^dagger / Tr for a sequence of d x r Gaussian
+    factors G, d = N1*N2; factors of one rank r form one stack, so each entry equals
+    its factor built alone."""
+    n1, n2 = _check_dims(dims)
+    d = n1 * n2
+    ranks = [np.shape(g)[-1] for g in factors]
+    out = np.empty((len(factors), d, d), dtype=complex)
+    for rank in sorted(set(ranks)):  # not np.unique: its first call costs 2 MiB of RSS
+        index = [i for i, r in enumerate(ranks) if r == rank]
+        g = np.array([factors[i] for i in index], dtype=complex)
+        if g.shape[1] != d:
+            raise DimensionMismatch(f"factors need {d} rows, got {g.shape[1]}")
+        rho = g @ g.conj().swapaxes(1, 2)
+        out[index] = rho / np.trace(rho, axis1=1, axis2=2).real[:, None, None]
+    raise_fault(density_fault(out))
+    return out
+
+
 def random_pure_state(dims, seed) -> PureState:
     """Haar-distributed pure state: normalized vector of standard complex Gaussians.
 
@@ -205,8 +278,7 @@ def random_pure_state(dims, seed) -> PureState:
     """
     n1, n2 = _check_dims(dims)
     rng = np.random.default_rng(seed)
-    z = rng.standard_normal(n1 * n2) + 1j * rng.standard_normal(n1 * n2)
-    return PureState((n1, n2), z / np.linalg.norm(z))
+    return PureState((n1, n2), pure_stack(gaussian(rng, n1 * n2)[None])[0])
 
 
 def random_density(dims, rank, seed) -> DensityMatrix:
@@ -219,6 +291,4 @@ def random_density(dims, rank, seed) -> DensityMatrix:
     if not 1 <= rank <= d:
         raise InvalidRank(f"rank must be in [1, {d}], got {rank}")
     rng = np.random.default_rng(seed)
-    g = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
-    rho = g @ g.conj().T
-    return DensityMatrix((n1, n2), rho / np.trace(rho).real)
+    return DensityMatrix((n1, n2), density_stack((n1, n2), [gaussian(rng, (d, rank))])[0])

@@ -264,6 +264,20 @@ class TestSweep:
         assert "could not build sweep config" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_one_level_config_exits_2(self, tmp_path, capsys):
+        cfg = {"x_grid": [0.0, 0.5, 1.0],
+               "base_state": {"dims": [1, 1], "kind": "density", "data": [[[1.0, 0.0]]]},
+               "channel_1": channel_to_json(KrausChannel(1, (np.eye(1),))),
+               "channel_2": channel_to_json(KrausChannel(1, (np.eye(1),))),
+               "probe": {"dim": 1, "matrix": [[[1.0, 0.0]]]}}
+        cfg_path = tmp_path / "cfg.json"
+        dump_json(cfg, cfg_path)
+        out = tmp_path / "s.csv"
+        assert run_cli("sweep", "--config", str(cfg_path), "--output", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "could not build sweep config" in err and "N >= 2" in err
+        assert not out.exists()
+
     def test_qutrit_sweep_leaves_two_qubit_columns_empty(self, tmp_path):
         from entbound import KrausChannel, random_density
         from entbound.serialize import channel_to_json

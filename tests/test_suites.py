@@ -1,0 +1,201 @@
+"""Stacked suite inputs: built stacks equal one-at-a-time draws; failures stay reproducible."""
+
+import numpy as np
+import pytest
+
+from entbound import DimensionMismatch, InvalidChannel, KrausChannel, random_density, \
+    random_pure_state
+from entbound import suites
+from entbound.channels import kraus_superoperators, random_tp_channel
+from entbound.qlinalg import density_stack
+from entbound.serialize import channel_to_json, state_to_json
+from entbound.suites import _channel_factors, _channel_stack, _density_factor, _pure_states, \
+    _rng, run_suites
+
+TRIALS = 12
+
+
+def bits(a, b):
+    """Bit-for-bit equality of two complex arrays."""
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def state_after(rng):
+    return rng.bit_generator.state
+
+
+@pytest.mark.parametrize("n", [2, 3])
+class TestStackedBuildersMatchSingleDraws:
+    def test_channels_tp_and_truncated(self, n):
+        rngs = [_rng(5, t) for t in range(TRIALS)]
+        factor_sets = [_channel_factors(n, rng) for rng in rngs]
+        truncated = np.arange(TRIALS) % 3 == 0
+        superoperators, kraus = _channel_stack(n, factor_sets, truncated)
+        for t, rng in enumerate(rngs):
+            alone = _rng(5, t)
+            channel = random_tp_channel(n, int(alone.integers(2, 4)), alone)
+            if truncated[t]:
+                channel = KrausChannel(n, channel.operators[:1])
+            assert bits(kraus[t], channel.operators)
+            assert bits(superoperators[t], channel.superoperator)
+            assert state_after(rng) == state_after(alone)
+
+    def test_densities(self, n):
+        rngs = [_rng(6, t) for t in range(TRIALS)]
+        mats = density_stack((n, n), [_density_factor(n, rng) for rng in rngs])
+        for t, rng in enumerate(rngs):
+            alone = _rng(6, t)
+            rho = random_density((n, n), int(alone.integers(1, n * n + 1)), alone)
+            assert bits(mats[t], rho.matrix)
+            assert state_after(rng) == state_after(alone)
+
+    def test_pure_states(self, n):
+        rngs = [_rng(7, t) for t in range(TRIALS)]
+        amps = _pure_states((n, n), rngs)
+        for t, rng in enumerate(rngs):
+            alone = _rng(7, t)
+            assert bits(amps[t], random_pure_state((n, n), alone).amplitudes)
+            assert state_after(rng) == state_after(alone)
+
+
+class TestSharedKrausValidation:
+    def test_exceeding_identity(self):
+        ops = np.array([[np.eye(2)], [1.1 * np.eye(2)]])
+        with pytest.raises(InvalidChannel):
+            kraus_superoperators(ops)
+        with pytest.raises(InvalidChannel):
+            KrausChannel(2, (1.1 * np.eye(2),))
+
+    def test_non_finite_entries(self):
+        bad = np.eye(2) * np.array([1.0, np.nan])
+        with pytest.raises(InvalidChannel):
+            kraus_superoperators(np.array([[np.eye(2)], [bad]]))
+        with pytest.raises(InvalidChannel):
+            KrausChannel(2, (bad,))
+
+    def test_wrong_shape(self):
+        with pytest.raises(DimensionMismatch):
+            kraus_superoperators(np.zeros((2, 1, 2, 3)))
+        with pytest.raises(DimensionMismatch):
+            kraus_superoperators(np.zeros((1, 2, 2)))
+        with pytest.raises(DimensionMismatch):
+            KrausChannel(2, (np.zeros((2, 3)),))
+
+    def test_zero_padding_changes_nothing(self, rng):
+        channel = random_tp_channel(3, 2, rng)
+        padded = np.concatenate([channel.operators, np.zeros((1, 3, 3))])[None]
+        defects, superoperators = kraus_superoperators(padded)
+        assert bits(superoperators[0], channel.superoperator)
+        assert defects[0] == channel.completeness_defect
+
+
+def _offset_trial(monkeypatch, module, name, trial, group_of):
+    """Shift the stacked oracle's value of one trial by 1.0, whatever its group."""
+    original = getattr(module, name)
+    group, index = group_of(trial)
+    calls = []  # the suite calls the oracle once per group, in group order
+
+    def shifted(*args):
+        values = np.array(original(*args))
+        if len(calls) == group:
+            values[index] += 1.0
+        calls.append(None)
+        return values
+
+    monkeypatch.setattr(module, name, shifted)
+
+
+class TestForcedFailureRepro:
+    @pytest.mark.parametrize("trial", [4, 7, 9])
+    def test_structural(self, monkeypatch, trial):
+        _offset_trial(monkeypatch, suites, "_minor_sum_concurrence", trial,
+                      lambda t: (t % 3, t // 3))
+        result, = run_suites("structural", seed=3, trials=30)
+        assert not result.passed and result.failures == 1
+        assert result.repro["trial"] == trial
+        dims = ((2, 2), (2, 3), (3, 3))[trial % 3]
+        assert result.repro["state"] == state_to_json(random_pure_state(dims, _rng(3, trial)))
+
+    @pytest.mark.parametrize("trial", [3, 4, 6, 8])  # 3 and 6: truncated channels
+    def test_pt_equivalence(self, monkeypatch, trial):
+        _offset_trial(monkeypatch, suites.pr, "pt_mes_sum_stack", trial,
+                      lambda t: (t % 2, t // 2))
+        result, = run_suites("pt-equivalence", seed=2, trials=10)
+        assert not result.passed and result.failures == 1
+        assert result.repro["trial"] == trial
+        n = 2 if trial % 2 == 0 else 3
+        rng = _rng(2, trial)
+        rho = random_density((n, n), int(rng.integers(1, n * n + 1)), rng)
+        channel = random_tp_channel(n, int(rng.integers(2, 4)), rng)
+        if trial % 3 == 0:
+            channel = KrausChannel(n, channel.operators[:1])
+        assert result.repro["state"] == state_to_json(rho)
+        assert result.repro["channel"] == channel_to_json(channel)
+
+
+# (name, trials reported at the default trial counts, a twentieth of the default
+# trial count (None: mes-basis has none), trials reported at it)
+TRIAL_COUNTS = [("theorem1", 1042, 50, 54), ("probe-invariance", 40, 5, 40),
+                ("pt-equivalence", 200, 10, 10), ("sandwich", 500, 25, 25),
+                ("mes-basis", 3, None, 3), ("structural", 1033, 50, 83)]
+
+
+class TestTrialCounts:
+    def test_default_trials(self):
+        counts = {r.name: r.trials for r in run_suites("all", 0)}
+        assert counts == {name: default for name, default, _, _ in TRIAL_COUNTS}
+
+    @pytest.mark.parametrize("name, default, trials, expected", TRIAL_COUNTS)
+    def test_twentieth_trials(self, name, default, trials, expected):
+        result, = run_suites(name, seed=1, trials=trials)
+        assert result.passed and result.trials == expected
+
+
+
+class TestStackedCores:
+    """Each stacked core on a stack gives what its scalar wrapper gives per entry."""
+
+    def test_concurrence_cores(self, rng):
+        from entbound import concurrence_pure, fef_two_qubit
+        from entbound.concurrence import fully_entangled_fractions, pure_concurrences
+        states = [random_pure_state((2, 3), rng) for _ in range(5)]
+        values = pure_concurrences(np.array([s.amplitudes.reshape(2, 3) for s in states]))
+        assert list(values) == [concurrence_pure(s) for s in states]
+        rhos = [random_density((2, 2), r, rng) for r in (1, 2, 3, 4)]
+        fractions = fully_entangled_fractions(np.array([r.matrix for r in rhos]))
+        assert list(fractions) == [fef_two_qubit(r) for r in rhos]
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_pt_formulas(self, rng, n):
+        from entbound import apply_one_sided, pt_via_mes_sum, pt_via_reduced
+        from entbound.probe import pt_mes_sum_stack, pt_reduced_stack, random_probe
+        rhos, images, probes = [], [], []
+        for t in range(6):
+            rhos.append(random_density((n, n), 1 + t % (n * n), rng))
+            probes.append(random_probe(n, rng))
+            channel = random_tp_channel(n, 2, rng)
+            if t % 2:
+                channel = KrausChannel(n, channel.operators[:1])
+            images.append(apply_one_sided(channel, probes[-1].density()).output)
+        stacks = (np.array([r.matrix for r in rhos]), np.array([i.matrix for i in images]),
+                  np.array([p.inverse for p in probes]))
+        for stacked, single in ((pt_reduced_stack, pt_via_reduced),
+                                (pt_mes_sum_stack, pt_via_mes_sum)):
+            expected = [single(*args) for args in zip(rhos, images, probes)]
+            assert np.allclose(stacked(*stacks), expected, rtol=0, atol=1e-14)
+
+    def test_two_sided_oracle_stack(self, rng):
+        from entbound import apply_one_sided
+        from entbound.probe import random_probe
+        args = []
+        for _ in range(4):
+            rho = random_density((3, 3), 4, rng)
+            probe = random_probe(3, rng)
+            image_1 = apply_one_sided(random_tp_channel(3, 2, rng), probe.density(), "first")
+            image_2 = apply_one_sided(random_tp_channel(3, 3, rng), probe.density(), "second")
+            args.append((rho.matrix, image_1.output.matrix, image_2.output.matrix,
+                         probe.inverse, 0.9))
+        stacked = suites.two_sided_bound_mes(*(np.array(column) for column in zip(*args)))
+        expected = [suites.two_sided_bound_mes(*a) for a in args]
+        assert np.allclose(stacked, expected, rtol=0, atol=1e-14)
