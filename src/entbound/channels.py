@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidChannel, OutOfRange, ZeroProbability
-from .qlinalg import DensityMatrix, first_false, raise_fault
+from .qlinalg import DensityMatrix, density_fault, first_false, raise_fault
 
 # Completeness defect below this is treated as exactly trace preserving.
 TP_TOLERANCE = 1e-10
@@ -133,6 +133,21 @@ def apply_stacked(superoperators, mats, dims, side: str = "first"):
     k = first_false(p > PROBABILITY_FLOOR)
     fault = None if k == len(p) else (k, ZeroProbability(f"channel image has trace {p[k]!r}"))
     return images[:k] / p[:k, None, None], p, fault
+
+
+def apply_checked(superoperators, mats, side: str = "first"):
+    """:func:`apply_stacked` on a (k, ..., d, d) stack of N x N states, returning the images
+    and traces shaped like the stack; the first trace <= 1e-14 or image that is not a
+    density matrix raises.  ``superoperators`` is one (n^2, n^2) channel for every state,
+    or a (k, n^2, n^2) stack whose entry j acts on every state of ``mats[j]``."""
+    d = mats.shape[-1]
+    n = round(d ** 0.5)
+    if superoperators.ndim == 3:
+        superoperators = np.repeat(superoperators, int(np.prod(mats.shape[1:-2])), axis=0)
+    outputs, p, fault = apply_stacked(superoperators, mats.reshape(-1, d, d), (n, n), side)
+    raise_fault(fault)
+    raise_fault(density_fault(outputs))
+    return outputs.reshape(mats.shape), p.reshape(mats.shape[:-2])
 
 
 def apply_one_sided(channel: KrausChannel, rho: DensityMatrix, side: str = "first") -> ChannelApplication:

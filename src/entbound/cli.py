@@ -22,6 +22,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import __version__
+# unused here, kept: perfbench/test_perfbench.py asserts cli.apply_one_sided is restored
 from .channels import KrausChannel, amplitude_damping, apply_one_sided, depolarizing, \
     phase_damping
 from .concurrence import evaluate
@@ -66,8 +67,8 @@ class SweepConfig:
 
     def __post_init__(self):
         grid = np.asarray(self.x_grid, dtype=float)
-        if grid.size == 0:
-            raise ValueError("x_grid must be nonempty")
+        if grid.ndim != 1 or grid.size == 0:
+            raise ValueError(f"x_grid must be a nonempty 1-D list, got shape {grid.shape}")
         if not np.all((grid >= 0.0) & (grid <= 1.0)):  # NaN fails both
             raise ValueError("x_grid values must lie in [0, 1]")
         if np.any(np.diff(grid) <= 0.0):
@@ -142,15 +143,12 @@ def run_sweep(config: SweepConfig, output_path) -> None:
     """
     dims, grid = config.base_state.dims, config.x_grid
     d = dims[0] * dims[1]
-    probe_rho = config.probe.density()
-    images = (apply_one_sided(config.channel_1, probe_rho, side="first").output.matrix,
-              apply_one_sided(config.channel_2, probe_rho, side="second").output.matrix)
     x = grid[:, None, None]
     rho = x * config.base_state.matrix + (1.0 - x) * (np.eye(d) / d)
     result = evaluate(rho, dims, ((config.channel_1.superoperator, "first"),
                                   (config.channel_2.superoperator, "second")),
-                      config.probe.matrix, images)
-    stages = probe_channels(*images, config.probe.inverse, config.probe.condition)
+                      config.probe.matrix)
+    stages = probe_channels(*result.images, config.probe.inverse, config.probe.condition)
     lower, _, fault = probe_route(rho[:len(result.p)], dims, *stages)
     fault = fault or result.fault  # the probe route saw only the points before result.fault
     if fault is not None:
@@ -201,30 +199,24 @@ def evaluate_bound(rho: DensityMatrix, channels, side: str, probe, method: str) 
         raise DimensionMismatch("the probe method needs a square bipartition or a probe file")
     sides = (side,) if len(channels) == 1 else ("first", "second")
     stages = [(channel.superoperator, s) for channel, s in zip(channels, sides, strict=True)]
-    images, probe_matrix, p_prime = (), None, None
-    if probe is not None:
-        apps = [apply_one_sided(channel, probe.density(), side=s)
-                for channel, s in zip(channels, sides)]
-        images = [app.output for app in apps]
-        probe_matrix, p_prime = probe.matrix, float(np.prod([app.probability for app in apps]))
-    result = evaluate(rho.matrix[None], rho.dims, stages, probe_matrix,
-                      [image.matrix for image in images], p_prime)
+    result = evaluate(rho.matrix[None], rho.dims, stages, None if probe is None else probe.matrix)
     raise_fault(result.fault)
     if method == "probe":
+        images = [DensityMatrix((probe.dim,) * 2, image) for image in result.images]
         lower = (lower_bound_one_sided(rho, images[0], probe, side) if len(channels) == 1 else
                  lower_bound_two_sided(rho, *images, probe)).raw
     else:
         lower = float(result.lower[0])
-    exact, upper, p_t = (None if v is None else float(v[0])
-                         for v in (result.exact, result.upper, result.p_t))
+    exact, upper, p_prime, p_t = (None if v is None else float(v[0]) for v in
+                                  (result.exact, result.upper, result.p_prime, result.p_t))
     return BoundReport(lower, max(0.0, lower), exact, upper, float(result.p[0]), p_prime, p_t,
                        method)
 
 
 def _cmd_bound(args) -> int:
-    if len(args.channels) > 2:
-        print(f"error: bound takes one or two channel files, got {len(args.channels)}",
-              file=sys.stderr)
+    if len(args.channels) > 2 or (len(args.channels) == 2 and args.side is not None):
+        print(f"error: bound takes one channel file, with an optional --side, or two without "
+              f"--side; got {len(args.channels)} and --side {args.side}", file=sys.stderr)
         return 2
     try:
         state = state_from_json(load_json(args.state))
@@ -248,7 +240,7 @@ def _cmd_bound(args) -> int:
         print(f"error: could not parse probe: {exc}", file=sys.stderr)
         return 2
     try:
-        report = evaluate_bound(state, channels, args.side, probe, args.method)
+        report = evaluate_bound(state, channels, args.side or "first", probe, args.method)
     except SingularProbe as exc:
         print(f"error: singular probe: {exc}", file=sys.stderr)
         return 5
@@ -364,8 +356,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_bound = sub.add_parser("bound", help="evaluate bounds for one state and channel(s)")
     p_bound.add_argument("state", help="state JSON file")
     p_bound.add_argument("channels", nargs="+", help="one or two channel JSON files")
-    p_bound.add_argument("--side", choices=("first", "second"), default="first",
-                         help="subsystem a single channel acts on")
+    p_bound.add_argument("--side", choices=("first", "second"),
+                         help="subsystem a single channel acts on (default: first)")
     p_bound.add_argument("--probe-path", help="probe JSON file (default: canonical MES)")
     p_bound.add_argument("--method", choices=("direct", "probe"), default="direct")
     p_bound.set_defaults(fn=_cmd_bound)

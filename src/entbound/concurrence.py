@@ -13,10 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import apply_stacked
+from .channels import apply_checked, apply_stacked
 from .errors import DimensionMismatch, SingularProbe, TrivialDimension
 from .qlinalg import DensityMatrix, PureState, canonical_mes, density_fault, first_false, \
-    state_to_matrix
+    pure_densities, state_to_matrix
 
 _SIGMA_Y = np.array([[0.0, -1j], [1j, 0.0]])
 _SPIN_FLIP = np.kron(_SIGMA_Y, _SIGMA_Y)
@@ -242,17 +242,21 @@ def upper_bound_two_sided(c_in: float, rho_p1: DensityMatrix, rho_p2: DensityMat
 class Evaluation:
     """Per-entry arrays of :func:`evaluate` for the entries before ``fault``, which is
     None or (index, error) of the first entry to fail a check.  ``lower`` is the raw
-    direct lower bound; ``exact``, ``upper`` and ``p_t`` are None where undefined."""
+    direct lower bound; ``exact``, ``upper``, ``p_prime`` and ``p_t`` are None where
+    undefined.  ``images`` holds each stage's normalized probe image, (d, d) where
+    probe and channel are shared, else one for each of the k input entries."""
 
     lower: np.ndarray
     exact: np.ndarray
     upper: np.ndarray
     p: np.ndarray
+    p_prime: np.ndarray
     p_t: np.ndarray
+    images: tuple
     fault: tuple
 
 
-def evaluate(mats, dims, stages, probe_matrices=None, images=(), p_prime=None) -> Evaluation:
+def evaluate(mats, dims, stages, probe_matrices=None) -> Evaluation:
     """Evolve a (k, d, d) stack of states and bracket the concurrence of each image.
 
     ``stages`` lists (superoperators, side) pairs for
@@ -260,12 +264,12 @@ def evaluate(mats, dims, stages, probe_matrices=None, images=(), p_prime=None) -
     The inputs and each stage's images pass :func:`density_fault` and each
     stage's traces the probability floor, every check only before the
     earliest fault so far, so the fault returned is the first entry to
-    fail, whichever check it meets.  At 2x2 one spin-flip call
-    gives the exact values and C(rho); with the (2, 2) or (k, 2, 2)
-    ``probe_matrices`` and one normalized probe image per stage, (d, d) or
-    (k, d, d), the upper bound is C(rho) times each stage's factor, all
-    stages' factors from one :func:`upper_bound_factor` call.  ``p_prime``, the probe images' total
-    probability, gives p_t = p/p'.
+    fail, whichever check it meets.  Each stage alone takes |P><P| of
+    ``probe_matrices``, one (n, n) probe or one per entry (k, n, n), through
+    :func:`entbound.channels.apply_checked`, which raises a probe image's
+    fault; the traces multiply into p' and p_t = p/p'.  At 2x2 one
+    spin-flip call gives the exact values and C(rho), and one
+    :func:`upper_bound_factor` call every stage's factor of the upper bound.
     """
     fault = density_fault(mats)
     k = len(mats) if fault is None else fault[0]
@@ -276,20 +280,28 @@ def evaluate(mats, dims, stages, probe_matrices=None, images=(), p_prime=None) -
         fault = density_fault(out) or stage_fault or fault
         k = len(out) if fault is None else fault[0]
         out, p = out[:k], p[:k] * stage_p[:k]
-    exact = upper = p_t = None
+    exact = upper = p_prime = p_t = None
+    images = ()
+    if probe_matrices is not None:
+        probes = np.asarray(probe_matrices)
+        densities = pure_densities(probes.reshape(probes.shape[:-2] + (probes.shape[-1] ** 2,)))
+        p_prime = np.ones(len(mats))
+        for superoperators, side in stages:  # a shared probe meets a per-entry channel k times
+            shape = np.broadcast_shapes(superoperators.shape[:-2] + (1, 1), densities.shape)
+            image, stage_p = apply_checked(superoperators, np.broadcast_to(densities, shape), side)
+            images, p_prime = images + (image,), p_prime * stage_p
+        p_prime = p_prime[:k]
+        p_t = p / p_prime
     if tuple(dims) == (2, 2):
         values = spin_flip_concurrence(np.concatenate([out, mats[:k]]))
         exact, c_in = values[:k], values[k:]
-        if probe_matrices is not None:  # one factor call for the images of every side
-            images = [np.reshape(image, (-1, 4, 4))[:k] for image in images]  # shared: one entry
-            probes = np.reshape(probe_matrices, (-1, 2, 2))[:k]
-            lengths = [max(len(image), len(probes)) for image in images]
-            factors = upper_bound_factor(
-                np.concatenate([np.broadcast_to(im, (m, 4, 4)) for im, m in zip(images, lengths)]),
-                np.concatenate([np.broadcast_to(probes, (m, 2, 2)) for m in lengths]))
+        if images:  # one factor call for the images of every side; a shared image is one entry
+            stacks = [np.reshape(image, (-1, 4, 4))[:k] for image in images]
+            probes = np.reshape(probes, (-1, 2, 2))[:k]
+            factors = upper_bound_factor(np.concatenate(stacks), np.concatenate(
+                [np.broadcast_to(probes, (len(stack), 2, 2)) for stack in stacks]))
             upper = c_in
-            for factor in np.split(factors, np.cumsum(lengths)[:-1]):
+            for factor in np.split(factors, np.cumsum([len(stack) for stack in stacks])[:-1]):
                 upper = upper * factor
-    if p_prime is not None:
-        p_t = p / p_prime
-    return Evaluation(fidelity_lower_bounds(out, dims), exact, upper, p, p_t, fault)
+    return Evaluation(fidelity_lower_bounds(out, dims), exact, upper, p, p_prime, p_t, images,
+                      fault)

@@ -30,8 +30,8 @@ import numpy as np
 from .channels import apply_stacked
 from .concurrence import BoundValue, fidelity_lower_bounds
 from .errors import DimensionMismatch, NotNormalized, SingularProbe
-from .qlinalg import DensityMatrix, PureState, TOL_RECONSTRUCT, kron_stack, raise_fault, \
-    state_to_matrix, swap_subsystems
+from .qlinalg import DensityMatrix, PureState, TOL_RECONSTRUCT, _frozen_complex, kron_stack, \
+    raise_fault, state_to_matrix, swap_subsystems
 
 _RANK_FLOOR = 1e-8
 
@@ -104,10 +104,12 @@ def probe_from_matrix(p) -> ProbeState:
         If the smallest singular value is at most 1e-8.
     NotNormalized
         If the Frobenius norm is off 1 by more than 1e-10.
+    ValueError
+        If an entry is not finite (checked first).
     DimensionMismatch
         If the matrix is not square.
     """
-    p = np.array(p, dtype=complex)
+    p = _frozen_complex(p)
     if p.ndim != 2 or p.shape[0] != p.shape[1]:
         raise DimensionMismatch(f"probe matrix must be square, got shape {p.shape}")
     norm = np.linalg.norm(p)

@@ -170,26 +170,6 @@ def suite_theorem1(seed=0, trials=1000) -> SuiteResult:
     return SuiteResult("theorem1", failures == 0 < count, count, failures, worst, repro)
 
 
-def _stage(superoperators, mats, side):
-    """Validated normalized images of a (k, ..., d, d) stack of N x N states, the
-    channel with superoperator ``superoperators[j]`` acting on ``side`` of every state
-    in ``mats[j]``, and the stage probabilities, both shaped like the stack; the first
-    fault raises."""
-    d = mats.shape[-1]
-    repeat = int(np.prod(mats.shape[1:-2]))
-    n = round(d ** 0.5)
-    outputs, p, fault = ch.apply_stacked(np.repeat(superoperators, repeat, axis=0),
-                                         mats.reshape(-1, d, d), (n, n), side)
-    ql.raise_fault(fault)
-    ql.raise_fault(ql.density_fault(outputs))
-    return outputs.reshape(mats.shape), p.reshape(mats.shape[:-2])
-
-
-def _probe_densities(matrices):
-    """Validated |P><P| for a (..., n, n) stack of probe matrices."""
-    return ql.pure_densities(matrices.reshape(matrices.shape[:-2] + (-1,)))
-
-
 def suite_probe_invariance(seed=0, trials=100) -> SuiteResult:
     """Probe independence of the lower bound, and its agreement with the
     directly evolved state (one- and two-sided, non-TP truncations included).
@@ -214,14 +194,14 @@ def suite_probe_invariance(seed=0, trials=100) -> SuiteResult:
         # every fourth pair's channel is a non-trace-preserving truncation
         superoperators, kraus = _channel_stack(n, factors, np.arange(n_pairs) % 4 == 0)
         superoperators_2, _ = _channel_stack(n, factors_2, False)
-        evolved, p = _stage(superoperators, mats, "first")
-        evolved[two], p_2 = _stage(superoperators_2, evolved[two], "second")
+        evolved, p = ch.apply_checked(superoperators, mats, "first")
+        evolved[two], p_2 = ch.apply_checked(superoperators_2, evolved[two], "second")
         p[two] *= p_2
         direct = conc.fidelity_lower_bounds(evolved[:, 0], (n, n))
         matrices, inverses, conditions = (np.array(stack) for stack in zip(*probes))
-        densities = _probe_densities(matrices)
-        images, p_1 = _stage(superoperators, densities, "first")
-        images_2, p_2 = _stage(superoperators_2, densities[two], "second")
+        densities = ql.pure_densities(matrices.reshape(n_pairs, trials, n * n))
+        images, p_1 = ch.apply_checked(superoperators, densities, "first")
+        images_2, p_2 = ch.apply_checked(superoperators_2, densities[two], "second")
         values = np.empty((n_pairs, trials))
         for sel, image_2 in ((one, None), (two, images_2)):
             stages = pr.probe_channels(images[sel], image_2, inverses[sel], conditions[sel])
@@ -272,10 +252,11 @@ def suite_pt_equivalence(seed=0, trials=200) -> SuiteResult:
         rhos = ql.density_stack((n, n), rank_factors)
         superoperators, kraus = _channel_stack(n, factors, truncated)
         matrices, inverses, _ = (np.concatenate(stack) for stack in zip(*probes))
-        images, p_prime = _stage(superoperators, _probe_densities(matrices), "first")
+        images, p_prime = ch.apply_checked(
+            superoperators, ql.pure_densities(matrices.reshape(-1, n * n)), "first")
         pt_red = pr.pt_reduced_stack(rhos, images, inverses)
         residual = np.abs(pt_red - 1.0)  # trace preserving: p_t = 1
-        _, p_direct = _stage(superoperators[truncated], rhos[truncated], "first")
+        _, p_direct = ch.apply_checked(superoperators[truncated], rhos[truncated], "first")
         residual[truncated] = np.abs(pt_red[truncated] * p_prime[truncated] - p_direct)
         res[first::2] = np.maximum(np.abs(pt_red - pr.pt_mes_sum_stack(rhos, images, inverses)),
                                    residual)
@@ -322,14 +303,10 @@ def suite_sandwich(seed=0, trials=500) -> SuiteResult:
     mats[mixed] = ql.density_stack((2, 2), rank_factors)
     superoperators, kraus = _channel_stack(2, factors, False)
     superoperators_2, _ = _channel_stack(2, factors_2, False)
-    densities = _probe_densities(probes)
-    images, _ = _stage(superoperators, densities, "first")
-    images_2, _ = _stage(superoperators_2, densities[mixed], "second")
     one_sided = conc.evaluate(mats[pure], (2, 2), [(superoperators[pure], "first")],
-                              probes[pure], [images[pure]])
+                              probes[pure])
     two_sided = conc.evaluate(mats[mixed], (2, 2), [(superoperators[mixed], "first"),
-                                                    (superoperators_2, "second")],
-                              probes[mixed], [images[mixed], images_2])
+                                                    (superoperators_2, "second")], probes[mixed])
     res = np.empty(trials)
     for sel, result in ((pure, one_sided), (mixed, two_sided)):
         ql.raise_fault(result.fault)

@@ -182,6 +182,46 @@ class TestBound:
         assert report.exact == wootters_concurrence(apply_one_sided(channel, rho).output)
         assert report.upper is None and report.p_prime is None and report.p_t is None
 
+    def test_probe_of_another_dimension_exits_4(self, tmp_path, capsys):
+        state = write_state(tmp_path / "rho.json", default_base_state())
+        channel = write_channel(tmp_path / "ad.json", amplitude_damping(0.2))
+        probe_path = tmp_path / "probe.json"
+        dump_json(probe_to_json(canonical_probe(3)), probe_path)
+        for method in ("direct", "probe"):
+            assert run_cli("bound", state, channel, "--probe-path", str(probe_path),
+                           "--method", method) == 4
+            assert "error: dimension mismatch" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("side", ["first", "second"])
+    def test_side_with_two_channels_exits_2(self, tmp_path, capsys, side):
+        state = write_state(tmp_path / "rho.json", default_base_state())
+        ch1 = write_channel(tmp_path / "c1.json", amplitude_damping(0.2))
+        ch2 = write_channel(tmp_path / "c2.json", amplitude_damping(0.3))
+        assert run_cli("bound", state, ch1, ch2, "--side", side) == 2
+        assert "--side" in capsys.readouterr().err
+
+    def test_side_selects_the_subsystem_of_one_channel(self, tmp_path, capsys):
+        rho, channel = default_base_state(), amplitude_damping(0.2)
+        state = write_state(tmp_path / "rho.json", rho)
+        path = write_channel(tmp_path / "ad.json", channel)
+        reports = {}
+        for side in (None, "first", "second"):
+            assert run_cli("bound", state, path, *(("--side", side) if side else ())) == 0
+            reports[side] = json.loads(capsys.readouterr().out)
+        assert reports[None] == reports["first"] != reports["second"]
+        expected = evaluate_bound(rho, (channel,), "second", canonical_probe(2), "direct")
+        assert reports["second"] == expected.to_json()
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_probe_exits_2(self, tmp_path, capsys, bad):
+        state = write_state(tmp_path / "rho.json", default_base_state())
+        channel = write_channel(tmp_path / "ad.json", amplitude_damping(0.2))
+        probe_path = tmp_path / "probe.json"
+        dump_json({"dim": 2, "matrix": [[[bad, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]},
+                  probe_path)
+        assert run_cli("bound", state, channel, "--probe-path", str(probe_path)) == 2
+        assert "entries must be finite" in capsys.readouterr().err
+
     def test_non_square_probe_method_exits_4(self, tmp_path):
         from entbound import random_density
         state = write_state(tmp_path / "rho.json", random_density((2, 3), 3, seed=2))
@@ -246,6 +286,16 @@ class TestSweep:
         dump_json({"x_grid": [0.0, float("nan"), 1.0]}, cfg_path)
         assert run_cli("sweep", "--config", str(cfg_path),
                        "--output", str(tmp_path / "s.csv")) == 2
+
+    @pytest.mark.parametrize("grid", [[[0.1, 0.2], [0.3, 0.4]], 0.5])
+    def test_grid_not_one_dimensional_exits_2(self, tmp_path, capsys, grid):
+        cfg_path = tmp_path / "cfg.json"
+        dump_json({"x_grid": grid}, cfg_path)
+        out = tmp_path / "s.csv"
+        assert run_cli("sweep", "--config", str(cfg_path), "--output", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "could not build sweep config" in err and "1-D" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("case", ["non_square_state", "channel_1_dim", "probe_dim"])
     def test_mis_dimensioned_config_exits_2(self, tmp_path, capsys, case):

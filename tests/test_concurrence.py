@@ -13,6 +13,7 @@ from entbound import (
     ZeroProbability,
     apply_one_sided,
     canonical_mes,
+    canonical_probe,
     concurrence_pure,
     concurrence_two_qubit_pure,
     fef_two_qubit,
@@ -378,26 +379,19 @@ class TestEvaluate:
         channels = [random_tp_kraus(n, int(rng.integers(2, 4)), rng) for _ in range(k)]
         channels[0] = KrausChannel(n, channels[0].operators[:1])  # not trace preserving
         shared = random_tp_kraus(n, 2, rng)
-        probes = [random_probe(n, rng) for _ in range(k)]
-        images_1 = np.array([apply_one_sided(c, probe_density(p), "first").output.matrix
-                             for c, p in zip(channels, probes)])
-        images_2 = np.array([apply_one_sided(shared, probe_density(p), "second").output.matrix
-                             for p in probes])
+        matrices = np.array([random_probe(n, rng).matrix for _ in range(k)])
         superoperators = np.array([c.superoperator for c in channels])
-        matrices = np.array([p.matrix for p in probes]) if n == 2 else None
 
         def run(sel):
             return evaluate(mats[sel], (n, n), [(superoperators[sel], "first"),
-                                                (shared.superoperator, "second")],
-                            None if matrices is None else matrices[sel],
-                            [images_1[sel], images_2[sel]], p_prime=0.3)
+                                                (shared.superoperator, "second")], matrices[sel])
 
         stack = run(slice(None))
         assert stack.fault is None and len(stack.p) == k
         assert (stack.exact is None) == (stack.upper is None) == (n != 2)
         for j in range(k):
             single = run(slice(j, j + 1))
-            for field in ("lower", "exact", "upper", "p", "p_t"):
+            for field in ("lower", "exact", "upper", "p", "p_prime", "p_t"):
                 value = getattr(single, field)
                 if value is not None:
                     assert value[0] == getattr(stack, field)[j], (field, j)
@@ -416,3 +410,60 @@ class TestEvaluate:
         assert k == min(annihilated, invalid) and type(error) is expected
         assert len(result.lower) == len(result.exact) == len(result.p) == k
         assert result.upper is None and result.p_t is None
+
+    # (first stage per entry, sides, probe per entry); a second stage is one channel
+    PROBE_CASES = {
+        "first": (False, ("first",), False),
+        "second": (False, ("second",), False),
+        "two_sided": (False, ("first", "second"), False),
+        "shared_probe_per_entry_channels": (True, ("first", "second"), False),
+        "per_entry_probes": (False, ("first", "second"), True),
+    }
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("case", sorted(PROBE_CASES))
+    def test_probe_images_equal_apply_one_sided(self, rng, n, case):
+        per_entry_channels, sides, per_entry_probes = self.PROBE_CASES[case]
+        k = 4
+        mats = np.array([random_mixed((n, n), n, rng).matrix for _ in range(k)])
+        firsts = [random_tp_kraus(n, 2, rng) for _ in range(k)]
+        firsts[1] = KrausChannel(n, firsts[1].operators[:1])  # not trace preserving
+        second = random_tp_kraus(n, 3, rng)
+        probes = [random_probe(n, rng) for _ in range(k)]
+        stage_channels = [firsts if per_entry_channels else [firsts[1]] * k, [second] * k]
+        stages = [(np.array([c.superoperator for c in firsts]) if per_entry_channels
+                   else firsts[1].superoperator, sides[0]), (second.superoperator, "second")]
+        result = evaluate(mats, (n, n), stages[:len(sides)],
+                          np.array([p.matrix for p in probes]) if per_entry_probes
+                          else probes[0].matrix)
+        assert len(result.images) == len(sides)
+        assert result.images[0].ndim == (3 if per_entry_channels or per_entry_probes else 2)
+        for j in range(k):
+            probe = probe_density(probes[j] if per_entry_probes else probes[0])
+            apps = [apply_one_sided(channels[j], probe, side)
+                    for channels, side in zip(stage_channels, sides)]
+            for image, app in zip(result.images, apps):
+                assert np.array_equal(image if image.ndim == 2 else image[j], app.output.matrix)
+            assert result.p_prime[j] == float(np.prod([app.probability for app in apps]))
+            assert result.p_t[j] == result.p[j] / result.p_prime[j]
+
+    def test_zero_trace_probe_image_raises(self):
+        mats = np.array([np.eye(4, dtype=complex) / 4] * 3)
+        zero = KrausChannel(2, (np.zeros((2, 2)),))  # annihilates every state and probe
+        stack = np.array([np.eye(4), zero.superoperator, np.eye(4)])
+        assert evaluate(mats, (2, 2), [(stack, "first")]).fault[0] == 1  # states: returned
+        with pytest.raises(ZeroProbability, match="trace"):  # probe image: raised
+            evaluate(mats, (2, 2), [(stack, "first")], canonical_probe(2).matrix)
+
+    def test_probe_of_another_dimension_raises_dimension_mismatch(self):
+        mats = np.array([np.eye(4, dtype=complex) / 4])
+        with pytest.raises(DimensionMismatch):
+            evaluate(mats, (2, 2), [(amplitude_damping(0.2).superoperator, "first")],
+                     canonical_probe(3).matrix)
+
+    def test_empty_probe_stack(self):
+        result = evaluate(np.empty((0, 4, 4), dtype=complex), (2, 2),
+                          [(np.empty((0, 4, 4)), "first"), (np.eye(4), "second")],
+                          np.empty((0, 2, 2)))
+        assert result.fault is None
+        assert all(len(v) == 0 for v in (result.upper, result.p_prime, result.p_t))

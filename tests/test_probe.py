@@ -165,6 +165,13 @@ class TestProbeState:
         with pytest.raises(DimensionMismatch):
             probe_from_matrix(np.ones((2, 3)) / np.sqrt(6))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_non_finite_rejected_first(self, bad):
+        p = np.eye(2, dtype=complex) / np.sqrt(2)
+        p[1, 0] = bad
+        with pytest.raises(ValueError, match="entries must be finite"):  # no RuntimeWarning
+            probe_from_matrix(p)
+
     def test_inverse_cached(self, rng):
         for _ in range(20):
             probe = random_probe(3, rng)
