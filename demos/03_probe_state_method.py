@@ -53,7 +53,8 @@ print("\np_t via reduced state :", pt_via_reduced(rho, app.output, probe))
 print("p_t via Bell-basis sum:", pt_via_mes_sum(rho, app.output, probe))
 
 # The Bell-basis sum has one term per basis state; for qubits the four
-# transition matrices are the identity and the Pauli matrices.
+# transition matrices sqrt(N) C_j, C_j the basis states' coefficient
+# matrices, are the identity and the Pauli matrices.
 print("\ntransition matrices for N = 2:")
-for t in mes_basis(2).transition_matrices():
-    print(np.round(t, 12))
+for c in mes_basis(2).coefficient_matrices():
+    print(np.round(np.sqrt(2) * c, 12))

@@ -25,7 +25,7 @@ from . import __version__
 # unused here, kept: perfbench/test_perfbench.py asserts cli.apply_one_sided is restored
 from .channels import KrausChannel, amplitude_damping, apply_one_sided, depolarizing, \
     phase_damping
-from .concurrence import evaluate
+from .concurrence import evaluate, fidelity_lower_bounds
 from .errors import DimensionMismatch, SingularProbe, TrivialDimension
 from .probe import ProbeState, canonical_probe, lower_bound_one_sided, lower_bound_two_sided, \
     probe_channels, probe_route, random_probe
@@ -206,7 +206,7 @@ def evaluate_bound(rho: DensityMatrix, channels, side: str, probe, method: str) 
         lower = (lower_bound_one_sided(rho, images[0], probe, side) if len(channels) == 1 else
                  lower_bound_two_sided(rho, *images, probe)).raw
     else:
-        lower = float(result.lower[0])
+        lower = float(fidelity_lower_bounds(result.states, rho.dims)[0])
     exact, upper, p_prime, p_t = (None if v is None else float(v[0]) for v in
                                   (result.exact, result.upper, result.p_prime, result.p_t))
     return BoundReport(lower, max(0.0, lower), exact, upper, float(result.p[0]), p_prime, p_t,
@@ -327,11 +327,14 @@ def _require(value, flag):
     return value
 
 
-def _positive_int(text) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(low):
+    """An argparse type: an int of at least ``low``, else exit 2 naming the option."""
+    def integer(text) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return integer
 
 
 def _setup_logging():
@@ -364,8 +367,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="run quantified property suites")
     p_check.add_argument("suite", choices=SUITE_NAMES + ("all",))
-    p_check.add_argument("--seed", type=int, default=0)
-    p_check.add_argument("--trials", type=_positive_int, default=None)
+    p_check.add_argument("--seed", type=_int_at_least(0), default=0)
+    p_check.add_argument("--trials", type=_int_at_least(1), default=None)
     p_check.add_argument("--report", help="also write the report text to this path")
     p_check.set_defaults(fn=_cmd_check)
 
@@ -380,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--gamma", type=float, default=None)
     p_gen.add_argument("--prob", type=float, default=None)
     p_gen.add_argument("--lam", type=float, default=None)
-    p_gen.add_argument("--dim", type=_positive_int, default=2, help="probe dimension")
+    p_gen.add_argument("--dim", type=_int_at_least(1), default=2, help="probe dimension")
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.set_defaults(fn=_cmd_gen)
     return parser

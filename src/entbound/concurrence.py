@@ -241,12 +241,12 @@ def upper_bound_two_sided(c_in: float, rho_p1: DensityMatrix, rho_p2: DensityMat
 @dataclass(frozen=True)
 class Evaluation:
     """Per-entry arrays of :func:`evaluate` for the entries before ``fault``, which is
-    None or (index, error) of the first entry to fail a check.  ``lower`` is the raw
-    direct lower bound; ``exact``, ``upper``, ``p_prime`` and ``p_t`` are None where
+    None or (index, error) of the first entry to fail a check.  ``states`` is the
+    evolved stack; ``exact``, ``upper``, ``p_prime`` and ``p_t`` are None where
     undefined.  ``images`` holds each stage's normalized probe image, (d, d) where
     probe and channel are shared, else one for each of the k input entries."""
 
-    lower: np.ndarray
+    states: np.ndarray
     exact: np.ndarray
     upper: np.ndarray
     p: np.ndarray
@@ -257,7 +257,7 @@ class Evaluation:
 
 
 def evaluate(mats, dims, stages, probe_matrices=None) -> Evaluation:
-    """Evolve a (k, d, d) stack of states and bracket the concurrence of each image.
+    """Evolve a (k, d, d) stack of states; at 2x2 also bound its images' concurrence.
 
     ``stages`` lists (superoperators, side) pairs for
     :func:`entbound.channels.apply_stacked`, each (n^2, n^2) or (k, n^2, n^2).
@@ -303,5 +303,4 @@ def evaluate(mats, dims, stages, probe_matrices=None) -> Evaluation:
             upper = c_in
             for factor in np.split(factors, np.cumsum([len(stack) for stack in stacks])[:-1]):
                 upper = upper * factor
-    return Evaluation(fidelity_lower_bounds(out, dims), exact, upper, p, p_prime, p_t, images,
-                      fault)
+    return Evaluation(out, exact, upper, p, p_prime, p_t, images, fault)

@@ -56,14 +56,6 @@ class MesBasis:
         """Unit-Frobenius-norm coefficient matrices C_j with vec(C_j) = |Phi_j>."""
         return [state_to_matrix(s) for s in self.states]
 
-    def transition_matrices(self):
-        """Unitaries sqrt(N) C_j mapping the canonical MES onto each basis state.
-
-        For N = 2 these are the identity and the three Pauli matrices
-        (sigma_y carrying a factor i).
-        """
-        return [np.sqrt(self.dim) * state_to_matrix(s) for s in self.states]
-
 
 @dataclass(frozen=True)
 class ProbeState:

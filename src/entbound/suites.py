@@ -11,8 +11,9 @@ dimension: states through :func:`entbound.qlinalg.pure_stack`,
 through :func:`entbound.channels.tp_kraus` and
 :func:`~entbound.channels.kraus_superoperators`, each entry equal to its
 object built alone.  Only a failing trial's state and channel are built
-as objects, for its reproduction record.  A suite passes only when it
-evaluated at least one trial and none failed.
+as objects, for its reproduction record.  Every suite ends in one
+:func:`_verdict`, the one pass rule: a check fails unless it is within its
+tolerance, so a NaN fails, and a suite with no checks fails.
 """
 
 from __future__ import annotations
@@ -28,9 +29,6 @@ from . import probe as pr
 from . import qlinalg as ql
 from .serialize import channel_to_json, state_to_json
 
-SUITE_NAMES = ("theorem1", "probe-invariance", "pt-equivalence", "sandwich",
-               "mes-basis", "structural")
-
 
 @dataclass
 class SuiteResult:
@@ -41,6 +39,28 @@ class SuiteResult:
     worst_residual: float
     repro: dict = field(default=None)
     wall_s: float = 0.0
+
+
+def _verdict(name, checks) -> SuiteResult:
+    """The one pass rule of every suite.
+
+    ``checks`` lists (ok, residuals, repro) groups in report order.  An entry
+    of the boolean array ``ok`` fails unless it is True, so a NaN residual
+    fails its tolerance comparison; the suite passes only when it counted at
+    least one entry and none failed.  The worst residual is the largest of
+    all ``residuals`` (0.0 when there are none, NaN when any is NaN).
+    ``repro(i)`` of the first group with a failure, i its first failing
+    entry, is the reproduction record.
+    """
+    count = failures = 0
+    repro = None
+    for ok, _, make_repro in checks:
+        failed = np.flatnonzero(np.logical_not(ok))
+        count, failures = count + np.size(ok), failures + len(failed)
+        if len(failed) and repro is None:
+            repro = make_repro(int(failed[0]))
+    worst = float(np.max([np.max(res, initial=0.0) for _, res, _ in checks], initial=0.0))
+    return SuiteResult(name, failures == 0 < count, count, failures, worst, repro)
 
 
 def _rng(seed, trial):
@@ -113,26 +133,34 @@ def two_sided_bound_mes(rho, image_1, image_2, pinv, p_t):
 
 def suite_mes_basis(seed=0, trials=None) -> SuiteResult:
     """Orthonormality and completeness of the generalized Bell basis, N = 2..4."""
-    worst = 0.0
-    failures = 0
-    count = 0
-    repro = None
+    res = []
     for n in (2, 3, 4):
         basis = pr.mes_basis(n)
         vecs = np.column_stack([s.amplitudes for s in basis.states])
-        gram = vecs.conj().T @ vecs
-        complete = vecs @ vecs.conj().T
-        res = max(np.max(np.abs(gram - np.eye(n * n))),
-                  np.max(np.abs(complete - np.eye(n * n))))
-        schmidt_res = max(np.max(np.abs(ql.schmidt_decompose(s).coefficients - 1 / np.sqrt(n)))
-                          for s in basis.states)
-        res = max(res, schmidt_res)
-        worst = max(worst, res)
-        count += 1
-        if res >= 1e-12:
-            failures += 1
-            repro = repro or {"suite": "mes-basis", "n": n, "residual": res}
-    return SuiteResult("mes-basis", failures == 0 < count, count, failures, worst, repro)
+        schmidt = np.array([ql.schmidt_decompose(s).coefficients for s in basis.states])
+        res.append(np.max([np.max(np.abs(vecs.conj().T @ vecs - np.eye(n * n))),
+                           np.max(np.abs(vecs @ vecs.conj().T - np.eye(n * n))),
+                           np.max(np.abs(schmidt - 1 / np.sqrt(n)))]))
+    res = np.array(res)
+    return _verdict("mes-basis", [(res < 1e-12, res, lambda i: {
+        "suite": "mes-basis", "n": i + 2, "residual": float(res[i])})])
+
+
+def _mes_saturation(seed, trials, n) -> list:
+    """The n x n checks of :func:`suite_theorem1`: the bound equals the concurrence of
+    the canonical MES, and lies strictly below it on max(1, trials // 50) pure states."""
+    samples = max(1, trials // 50)
+    amps = np.concatenate([ql.canonical_mes((n, n)).amplitudes[None],
+                           _pure_states((n, n), (_rng(seed, 10_000 * n + t)
+                                                 for t in range(samples)))])
+    bounds = conc.fidelity_lower_bounds(ql.pure_densities(amps), (n, n))
+    values = conc.pure_concurrences(amps.reshape(-1, n, n))
+    res = abs(bounds[0] - values[0])
+    margins = values[1:] - bounds[1:]  # bound must be strictly below away from MES
+    return [(res <= 1e-12, res, lambda _: {"suite": "theorem1", "mes_dim": n,
+                                           "residual": float(res)}),
+            (margins > 1e-10, (), lambda t: {"suite": "theorem1", "seed": seed, "dim": n,
+                                             "trial": t, "margin": float(margins[t])})]
 
 
 def suite_theorem1(seed=0, trials=1000) -> SuiteResult:
@@ -141,33 +169,56 @@ def suite_theorem1(seed=0, trials=1000) -> SuiteResult:
     amps = _pure_states((2, 2), (_rng(seed, t) for t in range(trials)))
     fef = conc.fully_entangled_fractions(ql.pure_densities(amps))
     res = np.abs(conc.fidelity_bound(fef, 2) - conc.pure_concurrences(amps.reshape(-1, 2, 2)))
-    worst = float(np.max(res, initial=0.0))
-    failed = np.flatnonzero(res > 1e-9)
-    failures, count = len(failed), trials
-    repro = None if not failures else {
-        "suite": "theorem1", "seed": seed, "trial": int(failed[0]),
-        "state": state_to_json(ql.PureState((2, 2), amps[failed[0]])),
-        "residual": float(res[failed[0]])}
-    for n in (3, 4):
-        samples = max(1, trials // 50)
-        amps = np.concatenate([ql.canonical_mes((n, n)).amplitudes[None],
-                               _pure_states((n, n), (_rng(seed, 10_000 * n + t)
-                                                     for t in range(samples)))])
-        bounds = conc.fidelity_lower_bounds(ql.pure_densities(amps), (n, n))
-        values = conc.pure_concurrences(amps.reshape(-1, n, n))
-        res = abs(bounds[0] - values[0])
-        worst = max(worst, float(res))
-        count += 1 + samples
-        if res > 1e-12:
-            failures += 1
-            repro = repro or {"suite": "theorem1", "mes_dim": n, "residual": float(res)}
-        margins = values[1:] - bounds[1:]
-        failed = np.flatnonzero(margins <= 1e-10)  # bound must be strictly below away from MES
-        failures += len(failed)
-        if len(failed):
-            repro = repro or {"suite": "theorem1", "seed": seed, "dim": n,
-                              "trial": int(failed[0]), "margin": float(margins[failed[0]])}
-    return SuiteResult("theorem1", failures == 0 < count, count, failures, worst, repro)
+    return _verdict("theorem1", [(res <= 1e-9, res, lambda t: {
+        "suite": "theorem1", "seed": seed, "trial": t,
+        "state": state_to_json(ql.PureState((2, 2), amps[t])), "residual": float(res[t])})]
+        + _mes_saturation(seed, trials, 3) + _mes_saturation(seed, trials, 4))
+
+
+def _probe_invariance_pairs(seed, trials, n, n_pairs) -> tuple:
+    """The (ok, residuals, repro) check of :func:`suite_probe_invariance` on ``n_pairs``
+    (state, channel) pairs of dimension n."""
+    rank_factors, factors, factors_2, probes = [], [], [], []
+    for t in range(n_pairs):
+        rng = _rng(seed, t + 1000 * n)
+        rank_factors.append(_density_factor(n, rng))
+        factors.append(_channel_factors(n, rng))
+        if t % 2 == 1:  # two-sided pair
+            factors_2.append(_channel_factors(n, rng))
+        probes.append(pr.random_probes(n, trials, rng))
+    one, two = slice(0, None, 2), slice(1, None, 2)
+    mats = ql.density_stack((n, n), rank_factors)[:, None]  # (pairs, 1, d, d)
+    # every fourth pair's channel is a non-trace-preserving truncation
+    superoperators, kraus = _channel_stack(n, factors, np.arange(n_pairs) % 4 == 0)
+    superoperators_2, _ = _channel_stack(n, factors_2, False)
+    evolved, p = ch.apply_checked(superoperators, mats, "first")
+    evolved[two], p_2 = ch.apply_checked(superoperators_2, evolved[two], "second")
+    p[two] *= p_2
+    direct = conc.fidelity_lower_bounds(evolved[:, 0], (n, n))
+    matrices, inverses, conditions = (np.array(stack) for stack in zip(*probes))
+    densities = ql.pure_densities(matrices.reshape(n_pairs, trials, n * n))
+    images, p_1 = ch.apply_checked(superoperators, densities, "first")
+    images_2, p_2 = ch.apply_checked(superoperators_2, densities[two], "second")
+    values = np.empty((n_pairs, trials))
+    for sel, image_2 in ((one, None), (two, images_2)):
+        stages = pr.probe_channels(images[sel], image_2, inverses[sel], conditions[sel])
+        states = np.broadcast_to(mats[sel], images[sel].shape).reshape(-1, n * n, n * n)
+        stages = (None if s is None else s.reshape(states.shape) for s in stages)  # n^2 x n^2
+        bounds, _, fault = pr.probe_route(states, (n, n), *stages)
+        ql.raise_fault(fault)
+        values[sel] = bounds.reshape(-1, trials)
+    mes_gap = np.zeros(n_pairs)  # the paper's double sum, once per pair on its first probe
+    p_t = p[two, 0] / (p_1[two, 0] * p_2[:, 0])
+    mes_gap[two] = np.abs(two_sided_bound_mes(mats[two, 0], images[two, 0], images_2[:, 0],
+                                              inverses[two, 0], p_t) - values[two, 0])
+    spread, oracle_gap = np.ptp(values, axis=1), np.abs(values - direct[:, None]).max(axis=1)
+    res = np.maximum(np.maximum(spread, oracle_gap), mes_gap)
+    return res <= 1e-8, res, lambda t: {
+        "suite": "probe-invariance", "seed": seed, "dim": n, "pair": t,
+        "spread": float(spread[t]), "oracle_gap": float(oracle_gap[t]),
+        "mes_gap": float(mes_gap[t]),
+        "state": state_to_json(ql.DensityMatrix((n, n), mats[t, 0])),
+        "channel": channel_to_json(ch.KrausChannel(n, kraus[t]))}
 
 
 def suite_probe_invariance(seed=0, trials=100) -> SuiteResult:
@@ -178,56 +229,9 @@ def suite_probe_invariance(seed=0, trials=100) -> SuiteResult:
     routes then run as stacks over all pairs, ``trials`` probes per pair.
     """
     if trials < 1:  # no probe, so no evaluated pair
-        return SuiteResult("probe-invariance", False, 0, 0, 0.0)
-    worst, failures, pairs, repro = 0.0, 0, 0, None
-    for n, n_pairs in ((2, 20), (3, 20)):
-        rank_factors, factors, factors_2, probes = [], [], [], []
-        for t in range(n_pairs):
-            rng = _rng(seed, t + 1000 * n)
-            rank_factors.append(_density_factor(n, rng))
-            factors.append(_channel_factors(n, rng))
-            if t % 2 == 1:  # two-sided pair
-                factors_2.append(_channel_factors(n, rng))
-            probes.append(pr.random_probes(n, trials, rng))
-        one, two = slice(0, None, 2), slice(1, None, 2)
-        mats = ql.density_stack((n, n), rank_factors)[:, None]  # (pairs, 1, d, d)
-        # every fourth pair's channel is a non-trace-preserving truncation
-        superoperators, kraus = _channel_stack(n, factors, np.arange(n_pairs) % 4 == 0)
-        superoperators_2, _ = _channel_stack(n, factors_2, False)
-        evolved, p = ch.apply_checked(superoperators, mats, "first")
-        evolved[two], p_2 = ch.apply_checked(superoperators_2, evolved[two], "second")
-        p[two] *= p_2
-        direct = conc.fidelity_lower_bounds(evolved[:, 0], (n, n))
-        matrices, inverses, conditions = (np.array(stack) for stack in zip(*probes))
-        densities = ql.pure_densities(matrices.reshape(n_pairs, trials, n * n))
-        images, p_1 = ch.apply_checked(superoperators, densities, "first")
-        images_2, p_2 = ch.apply_checked(superoperators_2, densities[two], "second")
-        values = np.empty((n_pairs, trials))
-        for sel, image_2 in ((one, None), (two, images_2)):
-            stages = pr.probe_channels(images[sel], image_2, inverses[sel], conditions[sel])
-            states = np.broadcast_to(mats[sel], images[sel].shape).reshape(-1, n * n, n * n)
-            stages = (None if s is None else s.reshape(states.shape) for s in stages)  # n^2 x n^2
-            bounds, _, fault = pr.probe_route(states, (n, n), *stages)
-            ql.raise_fault(fault)
-            values[sel] = bounds.reshape(-1, trials)
-        mes_gap = np.zeros(n_pairs)  # the paper's double sum, once per pair on its first probe
-        p_t = p[two, 0] / (p_1[two, 0] * p_2[:, 0])
-        mes_gap[two] = np.abs(two_sided_bound_mes(mats[two, 0], images[two, 0], images_2[:, 0],
-                                                  inverses[two, 0], p_t) - values[two, 0])
-        spread, oracle_gap = np.ptp(values, axis=1), np.abs(values - direct[:, None]).max(axis=1)
-        res = np.maximum(np.maximum(spread, oracle_gap), mes_gap)
-        worst = max(worst, float(res.max()))
-        pairs += n_pairs
-        failed = np.flatnonzero(res > 1e-8)
-        failures += len(failed)
-        if len(failed) and repro is None:
-            t = int(failed[0])
-            repro = {"suite": "probe-invariance", "seed": seed, "dim": n, "pair": t,
-                     "spread": float(spread[t]), "oracle_gap": float(oracle_gap[t]),
-                     "mes_gap": float(mes_gap[t]),
-                     "state": state_to_json(ql.DensityMatrix((n, n), mats[t, 0])),
-                     "channel": channel_to_json(ch.KrausChannel(n, kraus[t]))}
-    return SuiteResult("probe-invariance", failures == 0 < pairs, pairs, failures, worst, repro)
+        return _verdict("probe-invariance", [])
+    return _verdict("probe-invariance",
+                    [_probe_invariance_pairs(seed, trials, n, 20) for n in (2, 3)])
 
 
 def suite_pt_equivalence(seed=0, trials=200) -> SuiteResult:
@@ -261,18 +265,15 @@ def suite_pt_equivalence(seed=0, trials=200) -> SuiteResult:
         res[first::2] = np.maximum(np.abs(pt_red - pr.pt_mes_sum_stack(rhos, images, inverses)),
                                    residual)
         inputs.append((rhos, kraus))
-    worst = float(np.max(res, initial=0.0))
-    failed = np.flatnonzero(res > 1e-10)
-    repro = None
-    if len(failed):
-        t = int(failed[0])
+
+    def repro(t):
         n = 2 + t % 2
         rhos, kraus = inputs[t % 2]
-        repro = {"suite": "pt-equivalence", "seed": seed, "trial": t, "residual": float(res[t]),
-                 "state": state_to_json(ql.DensityMatrix((n, n), rhos[t // 2])),
-                 "channel": channel_to_json(ch.KrausChannel(n, kraus[t // 2]))}
-    return SuiteResult("pt-equivalence", len(failed) == 0 < trials, trials, len(failed), worst,
-                       repro)
+        return {"suite": "pt-equivalence", "seed": seed, "trial": t, "residual": float(res[t]),
+                "state": state_to_json(ql.DensityMatrix((n, n), rhos[t // 2])),
+                "channel": channel_to_json(ch.KrausChannel(n, kraus[t // 2]))}
+
+    return _verdict("pt-equivalence", [(res <= 1e-10, res, repro)])
 
 
 def suite_sandwich(seed=0, trials=500) -> SuiteResult:
@@ -284,7 +285,7 @@ def suite_sandwich(seed=0, trials=500) -> SuiteResult:
     each.
     """
     if trials < 1:
-        return SuiteResult("sandwich", False, 0, 0, 0.0)
+        return _verdict("sandwich", [])
     canonical = pr.canonical_probe(2)
     probes, factors, factors_2, pure_draws, rank_factors = [], [], [], [], []
     for t in range(trials):
@@ -310,17 +311,14 @@ def suite_sandwich(seed=0, trials=500) -> SuiteResult:
     res = np.empty(trials)
     for sel, result in ((pure, one_sided), (mixed, two_sided)):
         ql.raise_fault(result.fault)
+        lower = conc.fidelity_lower_bounds(result.states, (2, 2))
         gap = result.exact - result.upper
-        res[sel] = np.maximum(np.maximum(0.0, result.lower) - result.exact,
+        res[sel] = np.maximum(np.maximum(0.0, lower) - result.exact,
                               np.abs(gap) if sel is pure else gap)
-    failed = np.flatnonzero(res > 1e-9)
-    t = int(failed[0]) if len(failed) else None
-    repro = None if t is None else {
+    return _verdict("sandwich", [(res <= 1e-9, res, lambda t: {
         "suite": "sandwich", "seed": seed, "trial": t, "violation": float(res[t]),
         "state": state_to_json(ql.DensityMatrix((2, 2), mats[t])),
-        "channel_1": channel_to_json(ch.KrausChannel(2, kraus[t]))}
-    worst = max(0.0, float(res.max()))
-    return SuiteResult("sandwich", len(failed) == 0, trials, len(failed), worst, repro)
+        "channel_1": channel_to_json(ch.KrausChannel(2, kraus[t]))})])
 
 
 def suite_structural(seed=0, trials=1000) -> SuiteResult:
@@ -328,42 +326,35 @@ def suite_structural(seed=0, trials=1000) -> SuiteResult:
 
     Trial t draws a pure state of dims (2, 2), (2, 3), (3, 3) by t mod 3;
     each of the three is one stack."""
+    shapes = ((2, 2), (2, 3), (3, 3))
     res, amps = np.empty(trials), []
-    for first, dims in enumerate(((2, 2), (2, 3), (3, 3))):
+    for first, dims in enumerate(shapes):
         amps.append(_pure_states(dims, (_rng(seed, t) for t in range(first, trials, 3))))
         ms = amps[-1].reshape((-1,) + dims)
         res[first::3] = np.abs(conc.pure_concurrences(ms) - _minor_sum_concurrence(ms))
-    worst = float(np.max(res, initial=0.0))
-    failed = np.flatnonzero(res > 1e-10)
-    failures, count = len(failed), trials
-    repro = None
-    if failures:
-        t = int(failed[0])
-        psi = ql.PureState(((2, 2), (2, 3), (3, 3))[t % 3], amps[t % 3][t // 3])
-        repro = {"suite": "structural", "seed": seed, "trial": t,
-                 "state": state_to_json(psi), "residual": float(res[t])}
-    for maker, params in ((ch.amplitude_damping, np.linspace(0, 1, 11)),
-                          (ch.depolarizing, np.linspace(0, 1, 11)),
-                          (ch.phase_damping, np.linspace(0, 1, 11))):
-        for value in params:
-            defect = maker(float(value)).completeness_defect
-            worst = max(worst, defect)
-            count += 1
-            if defect > 1e-12:
-                failures += 1
-                repro = repro or {"suite": "structural", "family": maker.__name__,
-                                  "parameter": float(value), "defect": defect}
-    return SuiteResult("structural", failures == 0 < count, count, failures, worst, repro)
+    families = [(maker, float(value))
+                for maker in (ch.amplitude_damping, ch.depolarizing, ch.phase_damping)
+                for value in np.linspace(0, 1, 11)]
+    defects = np.array([maker(value).completeness_defect for maker, value in families])
+    return _verdict("structural", [
+        (res <= 1e-10, res, lambda t: {
+            "suite": "structural", "seed": seed, "trial": t,
+            "state": state_to_json(ql.PureState(shapes[t % 3], amps[t % 3][t // 3])),
+            "residual": float(res[t])}),
+        (defects <= 1e-12, defects, lambda i: {
+            "suite": "structural", "family": families[i][0].__name__,
+            "parameter": families[i][1], "defect": float(defects[i])})])
 
 
 _SUITES = {
-    "mes-basis": suite_mes_basis,
     "theorem1": suite_theorem1,
     "probe-invariance": suite_probe_invariance,
     "pt-equivalence": suite_pt_equivalence,
     "sandwich": suite_sandwich,
+    "mes-basis": suite_mes_basis,
     "structural": suite_structural,
 }
+SUITE_NAMES = tuple(_SUITES)  # the order of ``check all``
 
 
 def run_suites(name: str, seed: int = 0, trials: int = None) -> list:

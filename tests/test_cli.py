@@ -489,6 +489,13 @@ class TestCheck:
             run_cli("check", "sandwich", "--trials", trials)
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("suite", ["mes-basis", "theorem1", "all"])
+    def test_negative_seed_rejected(self, suite, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("check", suite, "--seed", "-1")
+        assert exc.value.code == 2
+        assert "argument --seed: must be at least 0, got -1" in capsys.readouterr().err
+
     @pytest.mark.parametrize("suite", ["sandwich", "probe-invariance"])
     def test_zero_trial_suite_fails(self, suite):
         from entbound.suites import run_suites

@@ -391,10 +391,10 @@ class TestEvaluate:
         assert (stack.exact is None) == (stack.upper is None) == (n != 2)
         for j in range(k):
             single = run(slice(j, j + 1))
-            for field in ("lower", "exact", "upper", "p", "p_prime", "p_t"):
+            for field in ("states", "exact", "upper", "p", "p_prime", "p_t"):
                 value = getattr(single, field)
                 if value is not None:
-                    assert value[0] == getattr(stack, field)[j], (field, j)
+                    assert np.array_equal(value[0], getattr(stack, field)[j]), (field, j)
 
     @pytest.mark.parametrize("annihilated, invalid, expected", [
         (1, 3, ZeroProbability),  # the annihilated entry comes first
@@ -408,7 +408,7 @@ class TestEvaluate:
         result = evaluate(mats, (2, 2), [(keep_0.superoperator, "first")])
         k, error = result.fault
         assert k == min(annihilated, invalid) and type(error) is expected
-        assert len(result.lower) == len(result.exact) == len(result.p) == k
+        assert len(result.states) == len(result.exact) == len(result.p) == k
         assert result.upper is None and result.p_t is None
 
     # (first stage per entry, sides, probe per entry); a second stage is one channel

@@ -48,7 +48,7 @@ class TestMesBasis:
 
     def test_bell_basis_transition_matrices(self):
         # scaled coefficient matrices are the identity and the Paulis
-        mats = mes_basis(2).transition_matrices()
+        mats = [np.sqrt(2) * c for c in mes_basis(2).coefficient_matrices()]
         np.testing.assert_allclose(mats[0], np.eye(2), atol=1e-15)
         np.testing.assert_allclose(mats[1], [[0, 1], [1, 0]], atol=1e-15)
         np.testing.assert_allclose(mats[2], [[1, 0], [0, -1]], atol=1e-15)
@@ -70,11 +70,13 @@ class TestMesBasis:
                                        np.full(n, 1 / np.sqrt(n)), atol=1e-12)
 
     def test_transition_matrices_reproduce_states(self, rng):
-        # |Phi_m> = (T_m / sqrt(N) P^-1 o 1)|P> with T_m the unitary transition matrix
+        # |Phi_m> = (T_m / sqrt(N) P^-1 o 1)|P> with T_m = sqrt(N) C_m the unitary
+        # transition matrix
         probe = random_probe(3, rng)
         basis = mes_basis(3)
         pvec = probe.matrix.reshape(-1)
-        for state, t in zip(basis.states, basis.transition_matrices()):
+        for state, c in zip(basis.states, basis.coefficient_matrices()):
+            t = np.sqrt(3) * c
             lifted = np.kron(t / np.sqrt(3) @ probe.inverse, np.eye(3))
             np.testing.assert_allclose(lifted @ pvec, state.amplitudes, atol=1e-10)
 

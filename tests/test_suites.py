@@ -90,20 +90,27 @@ class TestSharedKrausValidation:
         assert defects[0] == channel.completeness_defect
 
 
-def _offset_trial(monkeypatch, module, name, trial, group_of):
-    """Shift the stacked oracle's value of one trial by 1.0, whatever its group."""
+def _shift_oracle(monkeypatch, module, name, shifts):
+    """Add ``shifts[(call, index)]`` to entry ``index`` of the stacked oracle's ``call``-th
+    result (calls counted from 0)."""
     original = getattr(module, name)
-    group, index = group_of(trial)
-    calls = []  # the suite calls the oracle once per group, in group order
+    calls = []
 
     def shifted(*args):
         values = np.array(original(*args))
-        if len(calls) == group:
-            values[index] += 1.0
+        for (call, index), shift in shifts.items():
+            if len(calls) == call:
+                values[index] += shift
         calls.append(None)
         return values
 
     monkeypatch.setattr(module, name, shifted)
+
+
+def _offset_trial(monkeypatch, module, name, trial, group_of, shift=1.0):
+    """Shift the stacked oracle's value of one trial by ``shift``, whatever its group; the
+    suite calls the oracle once per group, in group order."""
+    _shift_oracle(monkeypatch, module, name, {group_of(trial): shift})
 
 
 class TestForcedFailureRepro:
@@ -132,6 +139,96 @@ class TestForcedFailureRepro:
             channel = KrausChannel(n, channel.operators[:1])
         assert result.repro["state"] == state_to_json(rho)
         assert result.repro["channel"] == channel_to_json(channel)
+
+
+def _truncated_depolarizing(p):
+    """Stands in for ``channels.depolarizing``: a channel with completeness defect 1."""
+    return KrausChannel(2, (np.diag([1.0, 0.0]),))
+
+
+_truncated_depolarizing.__name__ = "depolarizing"
+
+
+class TestVerdict:
+    """One pass rule for every suite: NaN fails, no checks fail, the first failing group
+    gives the repro, and the worst residual is a float that keeps a NaN."""
+
+    def test_no_checks_fail(self):
+        assert suites._verdict("x", []) == suites.SuiteResult("x", False, 0, 0, 0.0)
+        empty = (np.array([], dtype=bool), [], None)
+        assert suites._verdict("x", [empty]) == suites.SuiteResult("x", False, 0, 0, 0.0)
+
+    def test_counts_worst_and_first_repro(self):
+        calls = []
+
+        def repro(group):
+            return lambda i: calls.append((group, i)) or {"group": group, "entry": i}
+
+        checks = [(np.array([True, True]), np.array([-2.0, 1e-3]), repro(0)),
+                  (np.array([True, False, False]), [0.5, 2.0, 3.0], repro(1)),
+                  (np.array([False]), [], repro(2))]
+        result = suites._verdict("x", checks)
+        assert (result.passed, result.trials, result.failures) == (False, 6, 3)
+        assert result.worst_residual == 3.0 and type(result.worst_residual) is float
+        assert result.repro == {"group": 1, "entry": 1} and calls == [(1, 1)]
+        negative = suites._verdict("x", [(np.array([True]), np.array([-2.0]), None)])
+        assert negative.passed and negative.worst_residual == 0.0
+
+    def test_nan_fails_and_propagates(self):
+        ok = np.array([0.1, np.nan, 0.2]) <= 1.0
+        result = suites._verdict("x", [(ok, [0.1, np.nan, 0.2], lambda i: {"entry": i}),
+                                       (np.array([True]), [5.0], None)])
+        assert not result.passed and result.failures == 1 and result.repro == {"entry": 1}
+        assert np.isnan(result.worst_residual)
+
+    @pytest.mark.parametrize("trial", [0, 7])
+    def test_nan_structural_oracle_fails(self, monkeypatch, trial):
+        _offset_trial(monkeypatch, suites, "_minor_sum_concurrence", trial,
+                      lambda t: (t % 3, t // 3), np.nan)
+        result, = run_suites("structural", seed=3, trials=30)
+        assert not result.passed and result.failures == 1 and result.repro["trial"] == trial
+        assert np.isnan(result.worst_residual)
+
+    @pytest.mark.parametrize("trial", [2, 5])  # pure one-sided, mixed two-sided
+    def test_nan_sandwich_oracle_fails(self, monkeypatch, trial):
+        # spin-flip calls: one-sided exact values, its factors, two-sided exact values, ...
+        _offset_trial(monkeypatch, suites.conc, "spin_flip_concurrence", trial,
+                      lambda t: (2 * (t % 2), t // 2), np.nan)
+        result, = run_suites("sandwich", seed=3, trials=30)
+        assert not result.passed and result.failures == 1 and result.repro["trial"] == trial
+        assert np.isnan(result.worst_residual)
+
+    @pytest.mark.parametrize("shifts, expected", [
+        ({(0, 5): 1.0, (1, 0): 1.0, (1, 1): -10.0}, {"trial": 5}),
+        ({(1, 0): 1.0, (1, 1): -10.0}, {"mes_dim": 3}),
+        ({(1, 1): -10.0, (2, 0): 1.0}, {"dim": 3, "trial": 0}),
+    ])
+    def test_theorem1_repro_follows_group_order(self, monkeypatch, shifts, expected):
+        # pure-concurrence calls: the 2x2 trials, then [MES, samples] at n = 3 and n = 4
+        _shift_oracle(monkeypatch, suites.conc, "pure_concurrences", shifts)
+        result, = run_suites("theorem1", seed=1, trials=30)
+        assert not result.passed and result.failures == len(shifts)
+        assert {key: result.repro[key] for key in expected} == expected
+
+    @pytest.mark.parametrize("state_fails", [True, False])
+    def test_structural_state_before_family(self, monkeypatch, state_fails):
+        monkeypatch.setattr(suites.ch, "depolarizing", _truncated_depolarizing)
+        if state_fails:
+            _offset_trial(monkeypatch, suites, "_minor_sum_concurrence", 4,
+                          lambda t: (t % 3, t // 3))
+        result, = run_suites("structural", seed=3, trials=30)
+        assert not result.passed and result.failures == 11 + state_fails
+        assert result.worst_residual >= 1.0  # a defect of 1
+        if state_fails:
+            assert list(result.repro) == ["suite", "seed", "trial", "state", "residual"]
+            assert result.repro["trial"] == 4
+        else:
+            assert result.repro == {"suite": "structural", "family": "depolarizing",
+                                    "parameter": 0.0, "defect": 1.0}
+
+    def test_every_worst_residual_is_a_float(self):
+        for result in run_suites("all", seed=1, trials=5):
+            assert result.passed and type(result.worst_residual) is float, result.name
 
 
 # (name, trials reported at the default trial counts, a twentieth of the default
