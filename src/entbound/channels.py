@@ -202,38 +202,57 @@ def random_tp_channel(dim: int, count: int, seed) -> KrausChannel:
     return KrausChannel(dim, tuple(tp_kraus(factors[None])[0]))
 
 
+def _unit_interval(values, name: str) -> np.ndarray:
+    """``values`` as a 1-D float array; OutOfRange names the first one outside [0, 1]."""
+    values = np.asarray(values, dtype=float).reshape(-1)
+    outside = ~((0.0 <= values) & (values <= 1.0))
+    if outside.any():
+        raise OutOfRange(f"{name} must be in [0, 1], got {float(values[outside][0])}")
+    return values
+
+
+def amplitude_damping_kraus(gammas) -> np.ndarray:
+    """(k, 2, 2, 2) Kraus sets of qubit amplitude damping, one per gamma in [0, 1]:
+    diag(1, sqrt(1-gamma)) and sqrt(gamma)|0><1|."""
+    gammas = _unit_interval(gammas, "gamma")
+    ops = np.zeros((len(gammas), 2, 2, 2), dtype=complex)
+    ops[:, 0, 0, 0] = 1.0
+    ops[:, 0, 1, 1] = np.sqrt(1.0 - gammas)
+    ops[:, 1, 0, 1] = np.sqrt(gammas)
+    return ops
+
+
+def depolarizing_kraus(ps) -> np.ndarray:
+    """(k, 4, 2, 2) Kraus sets of the qubit depolarizing channel rho -> (1-p) rho + p I/2,
+    one per p in [0, 1]: sqrt(1 - 3p/4) I and sqrt(p/4) times each Pauli matrix."""
+    ps = _unit_interval(ps, "p")
+    paulis = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]],
+                       [[1, 0], [0, -1]]], dtype=complex)
+    scales = np.sqrt(np.stack([1.0 - 3.0 * ps / 4.0] + [ps / 4.0] * 3, axis=1))
+    return scales[:, :, None, None] * paulis
+
+
+def phase_damping_kraus(lams) -> np.ndarray:
+    """(k, 2, 2, 2) Kraus sets of qubit phase damping, one per lambda in [0, 1]:
+    diag(1, sqrt(1-lambda)) and diag(0, sqrt(lambda)); coherences shrink."""
+    lams = _unit_interval(lams, "lambda")
+    ops = np.zeros((len(lams), 2, 2, 2), dtype=complex)
+    ops[:, 0, 0, 0] = 1.0
+    ops[:, 0, 1, 1] = np.sqrt(1.0 - lams)
+    ops[:, 1, 1, 1] = np.sqrt(lams)
+    return ops
+
+
 def amplitude_damping(gamma: float) -> KrausChannel:
-    """Qubit amplitude damping: diag(1, sqrt(1-gamma)) and sqrt(gamma)|0><1|."""
-    gamma = float(gamma)
-    if not 0.0 <= gamma <= 1.0:
-        raise OutOfRange(f"gamma must be in [0, 1], got {gamma}")
-    m1 = np.array([[1.0, 0.0], [0.0, np.sqrt(1.0 - gamma)]])
-    m2 = np.array([[0.0, np.sqrt(gamma)], [0.0, 0.0]])
-    return KrausChannel(2, (m1, m2))
+    """Qubit amplitude damping, the one-channel case of :func:`amplitude_damping_kraus`."""
+    return KrausChannel(2, tuple(amplitude_damping_kraus(gamma)[0]))
 
 
 def depolarizing(p: float) -> KrausChannel:
-    """Qubit depolarizing channel: rho -> (1-p) rho + p I/2."""
-    p = float(p)
-    if not 0.0 <= p <= 1.0:
-        raise OutOfRange(f"p must be in [0, 1], got {p}")
-    eye = np.eye(2, dtype=complex)
-    sx = np.array([[0, 1], [1, 0]], dtype=complex)
-    sy = np.array([[0, -1j], [1j, 0]])
-    sz = np.array([[1, 0], [0, -1]], dtype=complex)
-    return KrausChannel(2, (
-        np.sqrt(1.0 - 3.0 * p / 4.0) * eye,
-        np.sqrt(p / 4.0) * sx,
-        np.sqrt(p / 4.0) * sy,
-        np.sqrt(p / 4.0) * sz,
-    ))
+    """Qubit depolarizing channel, the one-channel case of :func:`depolarizing_kraus`."""
+    return KrausChannel(2, tuple(depolarizing_kraus(p)[0]))
 
 
 def phase_damping(lam: float) -> KrausChannel:
-    """Qubit phase damping: diagonal entries untouched, coherences shrink."""
-    lam = float(lam)
-    if not 0.0 <= lam <= 1.0:
-        raise OutOfRange(f"lambda must be in [0, 1], got {lam}")
-    m1 = np.array([[1.0, 0.0], [0.0, np.sqrt(1.0 - lam)]])
-    m2 = np.array([[0.0, 0.0], [0.0, np.sqrt(lam)]])
-    return KrausChannel(2, (m1, m2))
+    """Qubit phase damping, the one-channel case of :func:`phase_damping_kraus`."""
+    return KrausChannel(2, tuple(phase_damping_kraus(lam)[0]))

@@ -155,12 +155,15 @@ def run_sweep(config: SweepConfig, output_path) -> None:
         k, error = fault
         raise type(error)(f"sweep failed at x={grid[k]}: {error}") from error
 
-    blank = [None] * len(grid)
-    exact, upper = (blank if v is None else v for v in (result.exact, result.upper))
+    columns = [grid, np.maximum(0.0, lower), result.exact, result.upper, result.p]
+    cells = [[""] * len(grid) if c is None else [f"{v:.12g}" for v in c.tolist()]
+             for c in columns]  # a Python float formats as its np.float64 does
     lines = ["x,lower_bound,concurrence,upper_bound,p_total"]
-    for row in zip(grid, np.maximum(0.0, lower), exact, upper, result.p):
-        lines.append(",".join("" if v is None else f"{v:.12g}" for v in row))
-        log.debug("x=%s lower=%s exact=%s upper=%s", *row[:4])
+    lines += [",".join(row) for row in zip(*cells)]
+    if log.isEnabledFor(logging.DEBUG):
+        blank = [None] * len(grid)
+        for row in zip(*(blank if c is None else c for c in columns[:4])):
+            log.debug("x=%s lower=%s exact=%s upper=%s", *row)
 
     with open(output_path, "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join(lines) + "\n")

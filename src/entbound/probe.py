@@ -35,6 +35,10 @@ from .qlinalg import DensityMatrix, PureState, TOL_RECONSTRUCT, _frozen_complex,
 
 _RANK_FLOOR = 1e-8
 
+# A random probe candidate is redrawn unless its smallest singular value
+# exceeds this.
+PROBE_SIGMA_FLOOR = 1e-4
+
 # Rounding error of the probe route grows as kappa^2 in the probe's
 # condition number kappa, for one- and two-sided channels alike (n = 3:
 # about 3e-14, 3e-12, 3e-10, 3e-8 at kappa = 1e2, 1e3, 1e4, 1e5); past
@@ -117,29 +121,54 @@ def probe_from_matrix(p) -> ProbeState:
     return ProbeState(p.shape[0], p, inv, float(s[0] / s[-1]))
 
 
-def random_probes(dim: int, count: int, seed):
-    """``count`` probes from standard complex Gaussians as stacks (matrices,
-    inverses, condition numbers); ``seed`` may also be a Generator.
+def _candidates(blocks):
+    """Normalized probe candidates of (..., 2, N, N) Gaussian blocks (real part first)
+    and their singular values."""
+    candidates = blocks[..., 0, :, :] + 1j * blocks[..., 1, :, :]
+    candidates = candidates / np.linalg.norm(candidates, axis=(-2, -1))[..., None, None]
+    return candidates, np.linalg.svd(candidates, compute_uv=False)
 
-    A normalized candidate is kept if its smallest singular value exceeds
-    1e-4 (one SVD also gives the condition number).  The missing candidates
-    are drawn as one (m, 2, N, N) block, in the stream order of m single
-    draws, so neither the probes nor the generator's final state depend on
-    how many are drawn at once."""
-    rng = np.random.default_rng(seed)
-    matrices, svals = np.empty((0, dim, dim), dtype=complex), np.empty((0, dim))
-    while len(matrices) < count:
-        block = rng.standard_normal((count - len(matrices), 2, dim, dim))
-        candidates = block[:, 0] + 1j * block[:, 1]
-        candidates = candidates / np.linalg.norm(candidates, axis=(1, 2))[:, None, None]
-        s = np.linalg.svd(candidates, compute_uv=False)
-        keep = s[:, -1] > 1e-4
-        matrices = np.concatenate([matrices, candidates[keep]])
-        svals = np.concatenate([svals, s[keep]])
+
+def random_probe_stack(dim: int, count: int, rngs):
+    """``count`` probes per generator of ``rngs`` as stacks (matrices, inverses,
+    condition numbers) of shape (g, count, ...); entry j equals
+    :func:`random_probes` (dim, count, rngs[j]), which leaves each generator
+    in the same state.
+
+    Each generator draws its first ``count`` candidates as one (count, 2, N, N)
+    block, in the stream order of single draws; one norm and one SVD then
+    cover every block.  A candidate is kept if its smallest singular value
+    exceeds 1e-4 (the SVD also gives the condition number), and a generator
+    that lost candidates draws the missing ones from its own stream, again
+    as one block, until it has ``count``; so neither the probes nor the
+    final states depend on how many are drawn at once.
+    """
+    rngs = list(rngs)
+    blocks = np.reshape([rng.standard_normal((count, 2, dim, dim)) for rng in rngs],
+                        (len(rngs), count, 2, dim, dim))
+    matrices, svals = _candidates(blocks)
+    for j in np.flatnonzero(~np.all(svals[..., -1] > PROBE_SIGMA_FLOOR, axis=1)):
+        keep = svals[j, :, -1] > PROBE_SIGMA_FLOOR
+        kept, kept_svals = matrices[j, keep], svals[j, keep]
+        while len(kept) < count:
+            candidates, s = _candidates(rngs[j].standard_normal((count - len(kept), 2, dim, dim)))
+            keep = s[:, -1] > PROBE_SIGMA_FLOOR
+            kept = np.concatenate([kept, candidates[keep]])
+            kept_svals = np.concatenate([kept_svals, s[keep]])
+        matrices[j], svals[j] = kept, kept_svals
     inverses = np.linalg.inv(matrices)
     matrices.setflags(write=False)
     inverses.setflags(write=False)
-    return matrices, inverses, svals[:, 0] / svals[:, -1]
+    return matrices, inverses, svals[..., 0] / svals[..., -1]
+
+
+def random_probes(dim: int, count: int, seed):
+    """``count`` probes from standard complex Gaussians as stacks (matrices,
+    inverses, condition numbers); ``seed`` may also be a Generator.  The
+    one-generator case of :func:`random_probe_stack`."""
+    matrices, inverses, conditions = random_probe_stack(dim, count,
+                                                        [np.random.default_rng(seed)])
+    return matrices[0], inverses[0], conditions[0]
 
 
 def random_probe(dim: int, seed) -> ProbeState:

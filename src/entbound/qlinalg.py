@@ -134,13 +134,45 @@ def raise_fault(fault):
         raise fault[1]
 
 
+def _certificate_shift(d: int) -> float:
+    """The shift tau of the Cholesky certificate in :func:`density_fault` for d x d matrices.
+
+    Cholesky and eigvalsh both read the lower triangle, so they see the same
+    Hermitian A, and A has passed the trace check.  If cholesky(A + tau I)
+    runs to completion, its factor R is exact for A + tau I + E with
+    |E| <= gamma_(d+1) |R^H||R|, and ||E||_2 <= d(d+1) eps ||A + tau I + E||_2
+    (Higham, Accuracy and Stability of Numerical Algorithms, Thm 10.3 and
+    Sec. 10.1.1); the shifted sum is R^H R, positive semidefinite, so its
+    2-norm is at most its trace, 1 + d tau + tr E <= 2.  Hence
+    lambda_min(A) >= -tau - 2 d(d+1) eps, and eigvalsh, backward stable, is
+    off lambda_min(A) by at most p(d) eps ||A||_2 with p(d) <= d(d+1) and
+    ||A||_2 <= 2.  A margin of 16 d(d+1) eps covers both, with a factor of 4
+    for complex arithmetic and the rounding of the shifted diagonal, so a
+    Cholesky that succeeds certifies what eigvalsh would report: no
+    eigenvalue below -1e-10.  The bound holds for any sign of tau; where the
+    margin reaches the floor (d >= 168) tau < 0, the certificate fails on
+    every singular state and eigvalsh decides.
+    """
+    return -EIGENVALUE_FLOOR - 16 * d * (d + 1) * np.finfo(float).eps
+
+
 def density_fault(mats):
     """(index, ValueError) for the first entry of a (k, d, d) stack that is not
-    Hermitian and of unit trace within 1e-12 with eigenvalues >= -1e-10, else None."""
+    Hermitian and of unit trace within 1e-12 with eigenvalues >= -1e-10, else None.
+
+    The eigenvalue floor of the entries that pass the structure checks is
+    first certified by one Cholesky factorization of the shifted stack (see
+    :func:`_certificate_shift`); only when it fails does eigvalsh name the
+    first entry below the floor."""
     asym = np.abs(mats - mats.conj().swapaxes(1, 2)).max(axis=(1, 2))
     trace = mats.trace(axis1=1, axis2=2).real
     k = first_false((asym <= TOL_STRUCTURE) & (np.abs(trace - 1.0) <= TOL_STRUCTURE))
-    low = first_false(np.linalg.eigvalsh(mats[:k])[:, 0] >= EIGENVALUE_FLOOR)
+    d = mats.shape[-1]
+    try:
+        np.linalg.cholesky(mats[:k] + _certificate_shift(d) * np.eye(d))
+        low = k
+    except np.linalg.LinAlgError:
+        low = first_false(np.linalg.eigvalsh(mats[:k])[:, 0] >= EIGENVALUE_FLOOR)
     if low < k:
         return low, ValueError("matrix has an eigenvalue below -1e-10")
     if k == len(mats):

@@ -85,15 +85,22 @@ def _channel_factors(n, rng):
     return ch.kraus_factors(n, int(rng.integers(2, 4)), rng)
 
 
+def _padded(sets, n):
+    """(k, K, n, n) stack of a sequence of k sets of n x n operators, the shorter sets
+    padded with zero operators."""
+    count = max((len(s) for s in sets), default=1)
+    padded = np.zeros((len(sets), count, n, n), dtype=complex)
+    for j, operators in enumerate(sets):
+        padded[j, :len(operators)] = operators
+    return padded
+
+
 def _channel_stack(n, factor_sets, truncated):
     """Superoperators (k, n^2, n^2) and Kraus sets of the trace-preserving channels built
     from ``factor_sets``; a set flagged in ``truncated`` keeps only its first operator
     (not trace preserving)."""
-    count = max((len(f) for f in factor_sets), default=1)
-    padded = np.zeros((len(factor_sets), count, n, n), dtype=complex)
-    for j, factors in enumerate(factor_sets):
-        padded[j, :len(factors)] = factors
-    ops = ch.tp_kraus(padded)
+    ops = ch.tp_kraus(_padded(factor_sets, n))
+    count = ops.shape[1]
     counts = np.where(truncated, 1, [len(f) for f in factor_sets])
     ops[np.arange(count) >= np.reshape(counts, (-1, 1))] = 0.0
     _, superoperators = ch.kraus_superoperators(ops)
@@ -137,7 +144,9 @@ def suite_mes_basis(seed=0, trials=None) -> SuiteResult:
     for n in (2, 3, 4):
         basis = pr.mes_basis(n)
         vecs = np.column_stack([s.amplitudes for s in basis.states])
-        schmidt = np.array([ql.schmidt_decompose(s).coefficients for s in basis.states])
+        # the Schmidt coefficients of every basis state: the SVD job of schmidt_decompose
+        _, schmidt, _ = np.linalg.svd(np.array(basis.coefficient_matrices()),
+                                      full_matrices=False)
         res.append(np.max([np.max(np.abs(vecs.conj().T @ vecs - np.eye(n * n))),
                            np.max(np.abs(vecs @ vecs.conj().T - np.eye(n * n))),
                            np.max(np.abs(schmidt - 1 / np.sqrt(n)))]))
@@ -166,6 +175,8 @@ def _mes_saturation(seed, trials, n) -> list:
 def suite_theorem1(seed=0, trials=1000) -> SuiteResult:
     """Saturation of the fidelity bounds: exact for two-qubit pure states,
     exact for maximally entangled states in higher dimension, strict otherwise."""
+    if trials < 1:  # the fixed MES checks alone evaluate no drawn trial
+        return _verdict("theorem1", [])
     amps = _pure_states((2, 2), (_rng(seed, t) for t in range(trials)))
     fef = conc.fully_entangled_fractions(ql.pure_densities(amps))
     res = np.abs(conc.fidelity_bound(fef, 2) - conc.pure_concurrences(amps.reshape(-1, 2, 2)))
@@ -178,14 +189,15 @@ def suite_theorem1(seed=0, trials=1000) -> SuiteResult:
 def _probe_invariance_pairs(seed, trials, n, n_pairs) -> tuple:
     """The (ok, residuals, repro) check of :func:`suite_probe_invariance` on ``n_pairs``
     (state, channel) pairs of dimension n."""
-    rank_factors, factors, factors_2, probes = [], [], [], []
+    rngs, rank_factors, factors, factors_2 = [], [], [], []
     for t in range(n_pairs):
         rng = _rng(seed, t + 1000 * n)
+        rngs.append(rng)
         rank_factors.append(_density_factor(n, rng))
         factors.append(_channel_factors(n, rng))
         if t % 2 == 1:  # two-sided pair
             factors_2.append(_channel_factors(n, rng))
-        probes.append(pr.random_probes(n, trials, rng))
+    matrices, inverses, conditions = pr.random_probe_stack(n, trials, rngs)  # the last draws
     one, two = slice(0, None, 2), slice(1, None, 2)
     mats = ql.density_stack((n, n), rank_factors)[:, None]  # (pairs, 1, d, d)
     # every fourth pair's channel is a non-trace-preserving truncation
@@ -195,7 +207,6 @@ def _probe_invariance_pairs(seed, trials, n, n_pairs) -> tuple:
     evolved[two], p_2 = ch.apply_checked(superoperators_2, evolved[two], "second")
     p[two] *= p_2
     direct = conc.fidelity_lower_bounds(evolved[:, 0], (n, n))
-    matrices, inverses, conditions = (np.array(stack) for stack in zip(*probes))
     densities = ql.pure_densities(matrices.reshape(n_pairs, trials, n * n))
     images, p_1 = ch.apply_checked(superoperators, densities, "first")
     images_2, p_2 = ch.apply_checked(superoperators_2, densities[two], "second")
@@ -244,18 +255,18 @@ def suite_pt_equivalence(seed=0, trials=200) -> SuiteResult:
     for t in range(trials):
         rng = _rng(seed, t)
         n = 2 if t % 2 == 0 else 3
-        draws[n].append((_density_factor(n, rng), _channel_factors(n, rng),
-                         pr.random_probes(n, 1, rng)))
+        draws[n].append((rng, _density_factor(n, rng), _channel_factors(n, rng)))
     res, inputs = np.empty(trials), []
     for n, first in ((2, 0), (3, 1)):
         if not draws[n]:
             continue
-        rank_factors, factors, probes = zip(*draws[n])
+        rngs, rank_factors, factors = zip(*draws[n])
         trial = np.arange(first, trials, 2)
         truncated = trial % 3 == 0
         rhos = ql.density_stack((n, n), rank_factors)
         superoperators, kraus = _channel_stack(n, factors, truncated)
-        matrices, inverses, _ = (np.concatenate(stack) for stack in zip(*probes))
+        # each trial's last draw is its one probe
+        matrices, inverses, _ = (a[:, 0] for a in pr.random_probe_stack(n, 1, rngs))
         images, p_prime = ch.apply_checked(
             superoperators, ql.pure_densities(matrices.reshape(-1, n * n)), "first")
         pt_red = pr.pt_reduced_stack(rhos, images, inverses)
@@ -326,24 +337,27 @@ def suite_structural(seed=0, trials=1000) -> SuiteResult:
 
     Trial t draws a pure state of dims (2, 2), (2, 3), (3, 3) by t mod 3;
     each of the three is one stack."""
+    if trials < 1:  # the built-in channel families alone evaluate no drawn trial
+        return _verdict("structural", [])
     shapes = ((2, 2), (2, 3), (3, 3))
     res, amps = np.empty(trials), []
     for first, dims in enumerate(shapes):
         amps.append(_pure_states(dims, (_rng(seed, t) for t in range(first, trials, 3))))
         ms = amps[-1].reshape((-1,) + dims)
         res[first::3] = np.abs(conc.pure_concurrences(ms) - _minor_sum_concurrence(ms))
-    families = [(maker, float(value))
-                for maker in (ch.amplitude_damping, ch.depolarizing, ch.phase_damping)
-                for value in np.linspace(0, 1, 11)]
-    defects = np.array([maker(value).completeness_defect for maker, value in families])
+    values = np.linspace(0, 1, 11)
+    families = (("amplitude_damping", ch.amplitude_damping_kraus),
+                ("depolarizing", ch.depolarizing_kraus), ("phase_damping", ch.phase_damping_kraus))
+    defects, _ = ch.kraus_superoperators(_padded(
+        [kraus for _, make in families for kraus in make(values)], 2))
     return _verdict("structural", [
         (res <= 1e-10, res, lambda t: {
             "suite": "structural", "seed": seed, "trial": t,
             "state": state_to_json(ql.PureState(shapes[t % 3], amps[t % 3][t // 3])),
             "residual": float(res[t])}),
         (defects <= 1e-12, defects, lambda i: {
-            "suite": "structural", "family": families[i][0].__name__,
-            "parameter": families[i][1], "defect": float(defects[i])})])
+            "suite": "structural", "family": families[i // len(values)][0],
+            "parameter": float(values[i % len(values)]), "defect": float(defects[i])})])
 
 
 _SUITES = {

@@ -18,7 +18,8 @@ from entbound import (
     phase_damping,
     random_density,
 )
-from entbound.channels import apply_stacked, random_tp_channel
+from entbound.channels import amplitude_damping_kraus, apply_stacked, depolarizing_kraus, \
+    phase_damping_kraus, random_tp_channel
 from conftest import random_tp_kraus
 
 IDENTITY_CHANNEL = KrausChannel(2, (np.eye(2),))
@@ -205,6 +206,20 @@ class TestChannelFamilies:
     def test_families_trace_preserving(self, maker):
         for value in np.linspace(0.0, 1.0, 11):
             assert maker(float(value)).completeness_defect < 1e-12
+
+    def test_stacked_operators_by_formula(self):
+        g = np.array([0.0, 0.36])
+        np.testing.assert_allclose(amplitude_damping_kraus(g)[1],
+                                   [[[1, 0], [0, 0.8]], [[0, 0.6], [0, 0]]], rtol=0, atol=1e-15)
+        np.testing.assert_allclose(phase_damping_kraus(g)[1],
+                                   [[[1, 0], [0, 0.8]], [[0, 0], [0, 0.6]]], rtol=0, atol=1e-15)
+        ops = depolarizing_kraus([0.0, 1.0])
+        np.testing.assert_array_equal(ops[0, 1:], 0.0)
+        np.testing.assert_allclose(np.einsum("kab,kcb->ac", ops[1], ops[1].conj()),
+                                   np.eye(2), atol=1e-15)
+        for stacked in (amplitude_damping_kraus, depolarizing_kraus, phase_damping_kraus):
+            with pytest.raises(OutOfRange, match="got 1.5$"):  # the first value outside
+                stacked([0.5, 1.5, -1.0])
 
 
 def kron_oracle(channel, rho, dims, side):

@@ -209,3 +209,80 @@ class TestDensityFault:
 
     def test_nan_entry_fails(self):
         assert density_fault(np.full((1, 4, 4), np.nan))[0] == 0
+
+
+def eigvalsh_fault(mats):
+    """The density check entry by entry with eigvalsh alone: the reference the Cholesky
+    certificate of ``density_fault`` must agree with."""
+    for i, m in enumerate(mats):
+        trace = np.trace(m).real
+        if not np.abs(m - m.conj().T).max() <= 1e-12:
+            return i, "matrix is not Hermitian within 1e-12"
+        if not abs(trace - 1.0) <= 1e-12:
+            return i, f"trace = {trace!r} is not 1 within 1e-12"
+        if not np.linalg.eigvalsh(m)[0] >= -1e-10:
+            return i, "matrix has an eigenvalue below -1e-10"
+    return None
+
+
+def haar_unitary(d, rng):
+    q, r = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def with_smallest_eigenvalue(d, low, rng):
+    """A random unit-trace Hermitian d x d matrix whose smallest eigenvalue is ``low``."""
+    spectrum = np.concatenate([[low], rng.random(d - 1)])
+    spectrum[1:] *= (1.0 - low) / spectrum[1:].sum()
+    u = haar_unitary(d, rng)
+    return (u * spectrum) @ u.conj().T
+
+
+# smallest eigenvalues around the -1e-10 floor: just below it by 1e-17 (inside the
+# rounding of a shifted Cholesky, so only a margin keeps it out), on it, within
+# 1e-15..1e-12 of it on either side, at -0.99e-10 and at 0
+FLOOR_OFFSETS = (-1e-12, -1e-13, -1e-15, -1e-17, 0.0, 1e-15, 1e-13, 1e-12)
+LOWS = tuple(-1e-10 + offset for offset in FLOOR_OFFSETS) + (-0.99e-10, 0.0)
+
+
+def fault_summary(fault):
+    return None if fault is None else (fault[0], str(fault[1]))
+
+
+class TestCholeskyCertificate:
+    """``density_fault`` certifies the eigenvalue floor with one Cholesky and falls back
+    to eigvalsh; it reports exactly what the eigvalsh-only check reports."""
+
+    @pytest.mark.parametrize("d", [1, 4, 9, 36])
+    def test_agrees_with_eigvalsh_near_the_floor(self, d):
+        rng = np.random.default_rng([11, d])
+        pure = [np.outer(v, v.conj()) for v in (random_pure_state((1, d), rng).amplitudes
+                                                 for _ in range(3))]
+        near = [] if d == 1 else [with_smallest_eigenvalue(d, low, rng)
+                                  for low in LOWS for _ in range(6)]
+        for _ in range(4):  # four orders
+            stack = np.array(pure + near)[rng.permutation(len(pure) + len(near))]
+            expected = eigvalsh_fault(stack)
+            assert fault_summary(density_fault(stack)) == expected
+            first = len(stack) if expected is None else expected[0]
+            for at in (0, first // 2, first, first + 1, len(stack)):  # before and after
+                for broken in (stack[at % len(stack)] * 2.0,
+                               stack[at % len(stack)] + 1e-9j * np.triu(np.ones((d, d)), 1)):
+                    mixed = np.insert(stack, min(at, len(stack)), broken, axis=0)
+                    assert fault_summary(density_fault(mixed)) == eigvalsh_fault(mixed)
+
+    @pytest.mark.parametrize("d", [2, 4, 9, 36, 100, 167, 168, 400])
+    def test_shift_leaves_the_cholesky_backward_error_below_the_floor(self, d):
+        # Higham, Thm 10.3: a successful Cholesky is exact for a matrix off by up to
+        # d(d+1) eps ||A||, and ||A|| <= 2 for a unit-trace matrix that passes
+        from entbound.qlinalg import _certificate_shift
+        assert 1e-10 - _certificate_shift(d) >= 2 * d * (d + 1) * np.finfo(float).eps
+
+    def test_valid_stacks_skip_eigvalsh(self, monkeypatch):
+        stack = np.array([random_density((3, 3), r, seed=r).matrix for r in (1, 4, 9)])
+
+        def no_eigvalsh(mats):
+            raise AssertionError("eigvalsh ran on a certified stack")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
+        assert density_fault(stack) is None

@@ -5,7 +5,8 @@ import pytest
 
 from entbound import DimensionMismatch, InvalidChannel, KrausChannel, random_density, \
     random_pure_state
-from entbound import suites
+from entbound import channels as ch
+from entbound import probe, suites
 from entbound.channels import kraus_superoperators, random_tp_channel
 from entbound.qlinalg import density_stack
 from entbound.serialize import channel_to_json, state_to_json
@@ -57,6 +58,71 @@ class TestStackedBuildersMatchSingleDraws:
             alone = _rng(7, t)
             assert bits(amps[t], random_pure_state((n, n), alone).amplitudes)
             assert state_after(rng) == state_after(alone)
+
+
+def block_probes(n, count, rng):
+    """Probes drawn the way ``random_probes`` drew them before stacking: one block of
+    the missing candidates at a time, each block normalized and checked alone."""
+    matrices, svals = np.empty((0, n, n), dtype=complex), np.empty((0, n))
+    while len(matrices) < count:
+        block = rng.standard_normal((count - len(matrices), 2, n, n))
+        candidates = block[:, 0] + 1j * block[:, 1]
+        candidates = candidates / np.linalg.norm(candidates, axis=(1, 2))[:, None, None]
+        s = np.linalg.svd(candidates, compute_uv=False)
+        keep = s[:, -1] > probe.PROBE_SIGMA_FLOOR
+        matrices = np.concatenate([matrices, candidates[keep]])
+        svals = np.concatenate([svals, s[keep]])
+    return matrices, np.linalg.inv(matrices), svals[:, 0] / svals[:, -1]
+
+
+class TestStackedProbeDraws:
+    """One probe stack over many generators equals each generator's own draws."""
+
+    @pytest.mark.parametrize("n, count, floor", [(2, 5, 1e-4), (3, 1, 1e-4), (3, 4, 0.15),
+                                                 (2, 3, 0.3)])
+    def test_stack_equals_per_generator_draws(self, monkeypatch, n, count, floor):
+        monkeypatch.setattr(probe, "PROBE_SIGMA_FLOOR", floor)  # above 1e-4: forced redraws
+        rngs = [_after_draws(t, 3) for t in range(TRIALS)]  # the probe is the last draw
+        stacked = probe.random_probe_stack(n, count, rngs)
+        redrawn = 0
+        for t, rng in enumerate(rngs):
+            alone = _after_draws(t, 3)
+            reference = block_probes(n, count, alone)
+            single = probe.random_probes(n, count, _after_draws(t, 3))
+            for got, got_single, expected in zip(stacked, single, reference):
+                assert bits(got[t], expected) and bits(got_single, expected)
+            assert state_after(rng) == state_after(alone)
+            one_block = _after_draws(t, 3 + 2 * n * n * count)
+            redrawn += state_after(one_block) != state_after(alone)
+        assert (redrawn > 0) == (floor > 1e-4)
+        assert not stacked[0].flags.writeable and not stacked[1].flags.writeable
+
+    def test_no_generators_and_no_probes(self):
+        matrices, inverses, conditions = probe.random_probe_stack(2, 3, [])
+        assert matrices.shape == inverses.shape == (0, 3, 2, 2) and conditions.shape == (0, 3)
+        matrices, _, conditions = probe.random_probe_stack(2, 0, [_rng(1, 0)])
+        assert matrices.shape == (1, 0, 2, 2) and conditions.shape == (1, 0)
+
+
+def _after_draws(trial, count):
+    """The generator of ``trial`` after ``count`` standard normals."""
+    rng = _rng(8, trial)
+    rng.standard_normal(count)
+    return rng
+
+
+class TestStackedFamilies:
+    def test_defects_equal_each_channel(self):
+        values = np.linspace(0, 1, 11)
+        makers = ((ch.amplitude_damping, ch.amplitude_damping_kraus),
+                  (ch.depolarizing, ch.depolarizing_kraus),
+                  (ch.phase_damping, ch.phase_damping_kraus))
+        sets = [kraus for _, stacked in makers for kraus in stacked(values)]
+        defects, superoperators = kraus_superoperators(suites._padded(sets, 2))
+        channels = [maker(float(value)) for maker, _ in makers for value in values]
+        assert list(defects) == [c.completeness_defect for c in channels]
+        for s, c in zip(superoperators, channels):
+            assert bits(s, c.superoperator)
 
 
 class TestSharedKrausValidation:
@@ -141,12 +207,10 @@ class TestForcedFailureRepro:
         assert result.repro["channel"] == channel_to_json(channel)
 
 
-def _truncated_depolarizing(p):
-    """Stands in for ``channels.depolarizing``: a channel with completeness defect 1."""
-    return KrausChannel(2, (np.diag([1.0, 0.0]),))
-
-
-_truncated_depolarizing.__name__ = "depolarizing"
+def _truncated_depolarizing(ps):
+    """Stands in for ``channels.depolarizing_kraus``: one Kraus set of completeness
+    defect 1 per parameter."""
+    return np.broadcast_to(np.diag([1.0, 0.0]), (len(ps), 1, 2, 2))
 
 
 class TestVerdict:
@@ -212,7 +276,7 @@ class TestVerdict:
 
     @pytest.mark.parametrize("state_fails", [True, False])
     def test_structural_state_before_family(self, monkeypatch, state_fails):
-        monkeypatch.setattr(suites.ch, "depolarizing", _truncated_depolarizing)
+        monkeypatch.setattr(suites.ch, "depolarizing_kraus", _truncated_depolarizing)
         if state_fails:
             _offset_trial(monkeypatch, suites, "_minor_sum_concurrence", 4,
                           lambda t: (t % 3, t // 3))
@@ -247,6 +311,12 @@ class TestTrialCounts:
     def test_twentieth_trials(self, name, default, trials, expected):
         result, = run_suites(name, seed=1, trials=trials)
         assert result.passed and result.trials == expected
+
+    @pytest.mark.parametrize("name", [n for n, _, trials, _ in TRIAL_COUNTS if trials])
+    def test_zero_trials_fail(self, name):
+        # fixed checks (theorem1's MES, structural's channel families) are no drawn trial
+        result, = run_suites(name, seed=0, trials=0)
+        assert (result.passed, result.trials, result.failures) == (False, 0, 0)
 
 
 
