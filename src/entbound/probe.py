@@ -262,23 +262,34 @@ def probe_channels(image_1, image_2, inverse, condition):
     images (..., d, d), ``inverse`` = P^-1 (..., n, n) and the probes'
     ``condition`` numbers may carry leading probe axes; each probe
     conditioned worse than 1e4 warns.
+
+    Each sum is two matmuls over a reshaped image: with the image's axes
+    ordered (a, c, y, x), an (n^3, n) @ P^-1 contracts x, and after
+    swapping the last two axes an (n^3, n) @ P^-1* contracts y.  The
+    second side is the first with its image's subsystems swapped and P^-1
+    transposed.
     """
-    for value in np.ravel(condition):
-        if value > CONDITION_WARN:
-            warnings.warn(f"probe condition number {value:.3g} exceeds {CONDITION_WARN:.0e}; "
-                          "the bound may carry amplified rounding error", RuntimeWarning,
-                          stacklevel=2)
+    condition = np.asarray(condition)
+    for value in condition[condition > CONDITION_WARN]:
+        warnings.warn(f"probe condition number {value:.3g} exceeds {CONDITION_WARN:.0e}; "
+                      "the bound may carry amplified rounding error", RuntimeWarning,
+                      stacklevel=2)
     n = inverse.shape[-1]
 
-    def rebuild(image, spec):
+    def rebuild(image, axes, inv):
         if image is None:
             return None
-        stage = np.einsum(spec, inverse, image.reshape(image.shape[:-2] + (n,) * 4),
-                          inverse.conj())
-        return stage.reshape(stage.shape[:-4] + (n * n, n * n))
+        lead = image.shape[:-2]
+        k = len(lead)
+        image = image.reshape(lead + (n,) * 4).transpose(*range(k), *(k + a for a in axes))
+        half = image.reshape(lead + (n ** 3, n)) @ inv  # (..., a, c, y, i)
+        half = half.reshape(half.shape[:-2] + (n,) * 4).swapaxes(-1, -2)
+        stage = half.reshape(half.shape[:-4] + (n ** 3, n)) @ inv.conj()  # (..., a, c, i, j)
+        return stage.reshape(stage.shape[:-2] + (n * n, n * n))
 
-    return (rebuild(image_1, "...xi,...axcy,...yj->...acij"),
-            rebuild(image_2, "...ix,...xayc,...jy->...acij"))
+    # image axes (a, x, c, y) on the first side and (x, a, y, c) on the second
+    return (rebuild(image_1, (0, 2, 3, 1), inverse),
+            rebuild(image_2, (1, 3, 2, 0), inverse.swapaxes(-1, -2)))
 
 
 def probe_route(mats, dims, s1, s2):

@@ -262,8 +262,10 @@ def kron_stack(a, b) -> np.ndarray:
 
 
 def gaussian(rng, shape) -> np.ndarray:
-    """Standard complex Gaussians: the real parts are drawn first, then the imaginary parts."""
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    """Standard complex Gaussians of an int or tuple ``shape``, drawn as one (2,) + shape
+    block: the real parts are drawn first, then the imaginary parts."""
+    z = rng.standard_normal((2, *shape) if isinstance(shape, tuple) else (2, shape))
+    return z[0] + 1j * z[1]
 
 
 def pure_stack(vecs) -> np.ndarray:

@@ -4,8 +4,11 @@ Each suite draws seeded random inputs, evaluates one of the library's
 contracts at its stated tolerance, and reports the failure count plus
 the worst residual seen.  Every trial draws its inputs from its own
 generator, seeded with (seed, trial index), so any failure is
-reproducible from the suite name, seed and trial number alone.  The
-draws are then built, validated and evaluated as one stack per suite and
+reproducible from the suite name, seed and trial number alone.  Each
+generator equals ``np.random.default_rng([seed, trial])``; a suite builds
+all of its generators from one :func:`_generators` call, which runs
+numpy's SeedSequence hash over every trial index at once.  The draws are
+then built, validated and evaluated as one stack per suite and
 dimension: states through :func:`entbound.qlinalg.pure_stack`,
 :func:`~entbound.qlinalg.density_stack` and ``density_fault``, channels
 through :func:`entbound.channels.tp_kraus` and
@@ -63,8 +66,94 @@ def _verdict(name, checks) -> SuiteResult:
     return SuiteResult(name, failures == 0 < count, count, failures, worst, repro)
 
 
-def _rng(seed, trial):
-    return np.random.default_rng([int(seed), int(trial)])
+# numpy's SeedSequence constants (pool of four uint32 words, 16-bit xorshift)
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _hash_constants(init, mult, count) -> np.ndarray:
+    """(count + 1, 1) uint32 column of the hash constant and its ``count`` successors."""
+    values = [init]
+    for _ in range(count):
+        values.append(values[-1] * mult & _MASK32)
+    return np.array(values, dtype=np.uint32)[:, None]
+
+
+_OUTPUT_CONSTANTS = _hash_constants(_INIT_B, _MULT_B, 8)
+
+
+def _hashmix(values, constants):
+    """numpy's hashmix of the rows of ``values`` with successive hash constants: xor the
+    constant, multiply by its successor, xorshift.  Arrays only: a uint32 scalar product
+    warns on overflow, an array product wraps silently."""
+    values = (values ^ constants[:-1]) * constants[1:]
+    return values ^ (values >> 16)
+
+
+def _mix(x, y):
+    """numpy's mix of two pool words (rows of arrays)."""
+    values = _MIX_L * x - _MIX_R * y
+    return values ^ (values >> 16)
+
+
+def _uint32_words(n) -> list:
+    """Little-endian 32-bit words of a non-negative integer, as numpy's SeedSequence
+    splits its entropy."""
+    if n < 0:
+        raise ValueError("expected non-negative integer")
+    words = [n & _MASK32]
+    while n > _MASK32:
+        n >>= 32
+        words.append(n & _MASK32)
+    return words
+
+
+class _PoolState:
+    """A seed sequence whose one allowed output, 4 uint64 words, was hashed beforehand.
+
+    :func:`_generators` registers it as a numpy ``ISeedSequence`` on first use, so that
+    importing the package does not import ``numpy.random``."""
+
+    def __init__(self, words):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError("only the 4 uint64 words of a PCG64 seed were hashed")
+        return self.words
+
+
+def _generators(seed, trials) -> list:
+    """One generator per trial index, each equal to ``np.random.default_rng([seed,
+    trial])``, from one hash of all the indices.
+
+    numpy's SeedSequence hash of [seed, trial] runs on uint32 arrays, one column per
+    trial: the entropy words zero-padded to the pool of four, the hashmix/mix rounds,
+    then the output stage to the 4 uint64 words that seed PCG64.  The hash has a fixed
+    cost of about ten generators, so a suite hashes all its indices at once.  Trial
+    indices must lie in [0, 2^32).
+    """
+    trials = np.asarray(trials, dtype=np.int64).reshape(-1)
+    if np.any((trials < 0) | (trials > _MASK32)):
+        raise ValueError("trial indices must lie in [0, 2^32)")
+    words = _uint32_words(int(seed))
+    entropy = np.zeros((max(len(words) + 1, 4), len(trials)), dtype=np.uint32)
+    entropy[:len(words)] = np.array(words, dtype=np.uint32)[:, None]
+    entropy[len(words)] = trials
+    extra = len(entropy) - 4  # words beyond the pool, mixed into every pool word
+    constants = _hash_constants(_INIT_A, _MULT_A, 16 + 4 * extra)
+    pool = _hashmix(entropy[:4], constants[:5])
+    for src in range(4):
+        dst = [i for i in range(4) if i != src]
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], constants[4 + 3 * src:8 + 3 * src]))
+    for j in range(extra):
+        pool = _mix(pool, _hashmix(entropy[4 + j], constants[16 + 4 * j:21 + 4 * j]))
+    state = _hashmix(np.concatenate([pool, pool]), _OUTPUT_CONSTANTS).T
+    state = np.ascontiguousarray(state).astype("<u4").view("<u8").astype(np.uint64)
+    np.random.bit_generator.ISeedSequence.register(_PoolState)
+    return [np.random.Generator(np.random.PCG64(_PoolState(words))) for words in state]
 
 
 def _pure_states(dims, rngs) -> np.ndarray:
@@ -155,13 +244,12 @@ def suite_mes_basis(seed=0, trials=None) -> SuiteResult:
         "suite": "mes-basis", "n": i + 2, "residual": float(res[i])})])
 
 
-def _mes_saturation(seed, trials, n) -> list:
+def _mes_saturation(seed, n, rngs) -> list:
     """The n x n checks of :func:`suite_theorem1`: the bound equals the concurrence of
-    the canonical MES, and lies strictly below it on max(1, trials // 50) pure states."""
-    samples = max(1, trials // 50)
+    the canonical MES, and lies strictly below it on one pure state per generator of
+    ``rngs`` (trials 10_000 n + t)."""
     amps = np.concatenate([ql.canonical_mes((n, n)).amplitudes[None],
-                           _pure_states((n, n), (_rng(seed, 10_000 * n + t)
-                                                 for t in range(samples)))])
+                           _pure_states((n, n), rngs)])
     bounds = conc.fidelity_lower_bounds(ql.pure_densities(amps), (n, n))
     values = conc.pure_concurrences(amps.reshape(-1, n, n))
     res = abs(bounds[0] - values[0])
@@ -177,22 +265,24 @@ def suite_theorem1(seed=0, trials=1000) -> SuiteResult:
     exact for maximally entangled states in higher dimension, strict otherwise."""
     if trials < 1:  # the fixed MES checks alone evaluate no drawn trial
         return _verdict("theorem1", [])
-    amps = _pure_states((2, 2), (_rng(seed, t) for t in range(trials)))
+    samples = max(1, trials // 50)  # pure states per higher dimension
+    rngs = _generators(seed, np.concatenate(
+        [np.arange(trials)] + [10_000 * n + np.arange(samples) for n in (3, 4)]))
+    amps = _pure_states((2, 2), rngs[:trials])
     fef = conc.fully_entangled_fractions(ql.pure_densities(amps))
     res = np.abs(conc.fidelity_bound(fef, 2) - conc.pure_concurrences(amps.reshape(-1, 2, 2)))
     return _verdict("theorem1", [(res <= 1e-9, res, lambda t: {
         "suite": "theorem1", "seed": seed, "trial": t,
         "state": state_to_json(ql.PureState((2, 2), amps[t])), "residual": float(res[t])})]
-        + _mes_saturation(seed, trials, 3) + _mes_saturation(seed, trials, 4))
+        + _mes_saturation(seed, 3, rngs[trials:trials + samples])
+        + _mes_saturation(seed, 4, rngs[trials + samples:]))
 
 
-def _probe_invariance_pairs(seed, trials, n, n_pairs) -> tuple:
-    """The (ok, residuals, repro) check of :func:`suite_probe_invariance` on ``n_pairs``
-    (state, channel) pairs of dimension n."""
-    rngs, rank_factors, factors, factors_2 = [], [], [], []
-    for t in range(n_pairs):
-        rng = _rng(seed, t + 1000 * n)
-        rngs.append(rng)
+def _probe_invariance_pairs(seed, trials, n, rngs) -> tuple:
+    """The (ok, residuals, repro) check of :func:`suite_probe_invariance` on one
+    (state, channel) pair of dimension n per generator of ``rngs``."""
+    n_pairs, rank_factors, factors, factors_2 = len(rngs), [], [], []
+    for t, rng in enumerate(rngs):
         rank_factors.append(_density_factor(n, rng))
         factors.append(_channel_factors(n, rng))
         if t % 2 == 1:  # two-sided pair
@@ -241,8 +331,9 @@ def suite_probe_invariance(seed=0, trials=100) -> SuiteResult:
     """
     if trials < 1:  # no probe, so no evaluated pair
         return _verdict("probe-invariance", [])
-    return _verdict("probe-invariance",
-                    [_probe_invariance_pairs(seed, trials, n, 20) for n in (2, 3)])
+    rngs = _generators(seed, [1000 * n + t for n in (2, 3) for t in range(20)])
+    return _verdict("probe-invariance", [_probe_invariance_pairs(seed, trials, n, rngs[i:i + 20])
+                                         for n, i in ((2, 0), (3, 20))])
 
 
 def suite_pt_equivalence(seed=0, trials=200) -> SuiteResult:
@@ -252,8 +343,7 @@ def suite_pt_equivalence(seed=0, trials=200) -> SuiteResult:
     non-trace-preserving truncation; each dimension is one stack.
     """
     draws = {2: [], 3: []}
-    for t in range(trials):
-        rng = _rng(seed, t)
+    for t, rng in enumerate(_generators(seed, np.arange(trials))):
         n = 2 if t % 2 == 0 else 3
         draws[n].append((rng, _density_factor(n, rng), _channel_factors(n, rng)))
     res, inputs = np.empty(trials), []
@@ -297,11 +387,12 @@ def suite_sandwich(seed=0, trials=500) -> SuiteResult:
     """
     if trials < 1:
         return _verdict("sandwich", [])
-    canonical = pr.canonical_probe(2)
-    probes, factors, factors_2, pure_draws, rank_factors = [], [], [], [], []
-    for t in range(trials):
-        rng = _rng(seed, t)
-        probes.append(canonical.matrix if t % 3 else pr.random_probe(2, rng).matrix)
+    rngs = _generators(seed, np.arange(trials))
+    probes = np.empty((trials, 2, 2), dtype=complex)
+    probes[:] = pr.canonical_probe(2).matrix
+    probes[::3] = pr.random_probe_stack(2, 1, rngs[::3])[0][:, 0]  # each one's first draw
+    factors, factors_2, pure_draws, rank_factors = [], [], [], []
+    for t, rng in enumerate(rngs):
         factors.append(_channel_factors(2, rng))
         if t % 2 == 0:  # pure input, one-sided channel: the upper bound is an equality
             pure_draws.append(ql.gaussian(rng, 4))
@@ -309,7 +400,6 @@ def suite_sandwich(seed=0, trials=500) -> SuiteResult:
             rank_factors.append(_density_factor(2, rng))
             factors_2.append(_channel_factors(2, rng))
     pure, mixed = slice(0, None, 2), slice(1, None, 2)
-    probes = np.array(probes)
     mats = np.empty((trials, 4, 4), dtype=complex)
     mats[pure] = ql.pure_densities(ql.pure_stack(pure_draws))
     mats[mixed] = ql.density_stack((2, 2), rank_factors)
@@ -340,9 +430,10 @@ def suite_structural(seed=0, trials=1000) -> SuiteResult:
     if trials < 1:  # the built-in channel families alone evaluate no drawn trial
         return _verdict("structural", [])
     shapes = ((2, 2), (2, 3), (3, 3))
+    rngs = _generators(seed, np.arange(trials))
     res, amps = np.empty(trials), []
     for first, dims in enumerate(shapes):
-        amps.append(_pure_states(dims, (_rng(seed, t) for t in range(first, trials, 3))))
+        amps.append(_pure_states(dims, rngs[first::3]))
         ms = amps[-1].reshape((-1,) + dims)
         res[first::3] = np.abs(conc.pure_concurrences(ms) - _minor_sum_concurrence(ms))
     values = np.linspace(0, 1, 11)

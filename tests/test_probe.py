@@ -408,6 +408,22 @@ def rebuilt(image_1, image_2, probe):
                           probe.condition)
 
 
+def einsum_rebuild(image_1, image_2, inverse):
+    """Oracle of :func:`probe_channels`: each rebuilt stage as one three-operand einsum
+    of the tomography sums."""
+    n = inverse.shape[-1]
+
+    def rebuild(image, spec):
+        if image is None:
+            return None
+        stage = np.einsum(spec, inverse, image.reshape(image.shape[:-2] + (n,) * 4),
+                          inverse.conj())
+        return stage.reshape(stage.shape[:-4] + (n * n, n * n))
+
+    return (rebuild(image_1, "...xi,...axcy,...yj->...acij"),
+            rebuild(image_2, "...ix,...xayc,...jy->...acij"))
+
+
 def hermiticity_gap(s, n):
     """max |S[(a,c),(i,j)] - S[(c,a),(j,i)]^*|: zero for a Hermiticity-preserving map."""
     s4 = s.reshape(n, n, n, n)
@@ -561,14 +577,35 @@ class TestWitness:
             lower_bound_one_sided(rho, probe_density(probe), probe, side="both")
 
     def test_stacked_probes_warn_once_each(self):
-        skewed = np.diag([1.0, 2e-5])
-        bad = probe_from_matrix(skewed / np.linalg.norm(skewed))
+        bad, worse = (probe_from_matrix(np.diag([1.0, s]) / np.hypot(1.0, s))
+                      for s in (2e-5, 1e-6))
         good = canonical_probe(2)
-        images = np.array([probe_density(p).matrix for p in (bad, good, bad)])
+        stack = (worse, good, bad, good, bad)
+        images = np.array([probe_density(p).matrix for p in stack])
         with pytest.warns(RuntimeWarning, match="condition") as caught:
-            probe_channels(images, None, np.array([bad.inverse, good.inverse, bad.inverse]),
-                           np.array([bad.condition, good.condition, bad.condition]))
-        assert len([w for w in caught if "condition" in str(w.message)]) == 2
+            probe_channels(images, None, np.array([p.inverse for p in stack]),
+                           np.array([p.condition for p in stack]))
+        # one warning per ill-conditioned probe, in probe order
+        messages = [str(w.message) for w in caught if "condition" in str(w.message)]
+        assert messages == [f"probe condition number {p.condition:.3g} exceeds 1e+04; the bound "
+                            "may carry amplified rounding error" for p in (worse, bad, bad)]
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
+    def test_matmul_rebuild_matches_einsum_oracle(self, rng, n, lead):
+        count = int(np.prod(lead))
+        probes = [random_probe(n, rng) for _ in range(count)]
+        channels = [random_tp_kraus(n, 2, rng) for _ in range(2)]
+        images = [np.array([apply_one_sided(c, probe_density(p), side).output.matrix
+                            for p in probes]).reshape(lead + (n * n, n * n))
+                  for c, side in zip(channels, ("first", "second"))]
+        inverse = np.array([p.inverse for p in probes]).reshape(lead + (n, n))
+        stages = probe_channels(*images, inverse, np.ones(lead))
+        for stage, expected in zip(stages, einsum_rebuild(*images, inverse)):
+            assert stage.shape == lead + (n * n, n * n)
+            np.testing.assert_allclose(stage, expected, rtol=0, atol=1e-12)
+        one, none = probe_channels(images[0], None, inverse, np.ones(lead))
+        assert none is None and np.array_equal(one, stages[0])
 
     def test_two_dimensional_probe_stack(self, rng):
         # a (2, 3) probe axis builds, warns once per ill-conditioned probe, and

@@ -16,7 +16,7 @@ from entbound import (
     state_to_matrix,
     swap_operator,
 )
-from entbound.qlinalg import density_fault
+from entbound.qlinalg import density_fault, gaussian
 
 BELL = PureState((2, 2), np.array([1, 0, 0, 1]) / np.sqrt(2))
 
@@ -161,6 +161,16 @@ class TestRandomGenerators:
         for seed in range(20):
             rho = random_density((2, 3), rank=1, seed=seed)
             assert abs(np.linalg.eigvalsh(rho.matrix)[-1] - 1.0) < 1e-10
+
+    @pytest.mark.parametrize("shape", [(), 5, (4,), (9, 3)])
+    def test_gaussian_block_equals_two_draws(self, shape):
+        # one (2,) + shape block: the real parts first, then the imaginary parts
+        rng, alone = np.random.default_rng(11), np.random.default_rng(11)
+        z = gaussian(rng, shape)
+        expected = alone.standard_normal(shape) + 1j * alone.standard_normal(shape)
+        assert z.shape == np.shape(expected)
+        assert np.array_equal(np.atleast_1d(z).view(float), np.atleast_1d(expected).view(float))
+        assert rng.bit_generator.state == alone.bit_generator.state
 
     def test_invalid_rank(self):
         with pytest.raises(InvalidRank):

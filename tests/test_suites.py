@@ -10,8 +10,8 @@ from entbound import probe, suites
 from entbound.channels import kraus_superoperators, random_tp_channel
 from entbound.qlinalg import density_stack
 from entbound.serialize import channel_to_json, state_to_json
-from entbound.suites import _channel_factors, _channel_stack, _density_factor, _pure_states, \
-    _rng, run_suites
+from entbound.suites import _channel_factors, _channel_stack, _density_factor, _generators, \
+    _pure_states, run_suites
 
 TRIALS = 12
 
@@ -29,12 +29,12 @@ def state_after(rng):
 @pytest.mark.parametrize("n", [2, 3])
 class TestStackedBuildersMatchSingleDraws:
     def test_channels_tp_and_truncated(self, n):
-        rngs = [_rng(5, t) for t in range(TRIALS)]
+        rngs = [np.random.default_rng([5, t]) for t in range(TRIALS)]
         factor_sets = [_channel_factors(n, rng) for rng in rngs]
         truncated = np.arange(TRIALS) % 3 == 0
         superoperators, kraus = _channel_stack(n, factor_sets, truncated)
         for t, rng in enumerate(rngs):
-            alone = _rng(5, t)
+            alone = np.random.default_rng([5, t])
             channel = random_tp_channel(n, int(alone.integers(2, 4)), alone)
             if truncated[t]:
                 channel = KrausChannel(n, channel.operators[:1])
@@ -43,19 +43,19 @@ class TestStackedBuildersMatchSingleDraws:
             assert state_after(rng) == state_after(alone)
 
     def test_densities(self, n):
-        rngs = [_rng(6, t) for t in range(TRIALS)]
+        rngs = [np.random.default_rng([6, t]) for t in range(TRIALS)]
         mats = density_stack((n, n), [_density_factor(n, rng) for rng in rngs])
         for t, rng in enumerate(rngs):
-            alone = _rng(6, t)
+            alone = np.random.default_rng([6, t])
             rho = random_density((n, n), int(alone.integers(1, n * n + 1)), alone)
             assert bits(mats[t], rho.matrix)
             assert state_after(rng) == state_after(alone)
 
     def test_pure_states(self, n):
-        rngs = [_rng(7, t) for t in range(TRIALS)]
+        rngs = [np.random.default_rng([7, t]) for t in range(TRIALS)]
         amps = _pure_states((n, n), rngs)
         for t, rng in enumerate(rngs):
-            alone = _rng(7, t)
+            alone = np.random.default_rng([7, t])
             assert bits(amps[t], random_pure_state((n, n), alone).amplitudes)
             assert state_after(rng) == state_after(alone)
 
@@ -100,13 +100,56 @@ class TestStackedProbeDraws:
     def test_no_generators_and_no_probes(self):
         matrices, inverses, conditions = probe.random_probe_stack(2, 3, [])
         assert matrices.shape == inverses.shape == (0, 3, 2, 2) and conditions.shape == (0, 3)
-        matrices, _, conditions = probe.random_probe_stack(2, 0, [_rng(1, 0)])
+        rngs = [np.random.default_rng([1, 0])]
+        matrices, _, conditions = probe.random_probe_stack(2, 0, rngs)
         assert matrices.shape == (1, 0, 2, 2) and conditions.shape == (1, 0)
+
+
+# the suites' trial indices: plain, probe-invariance pairs (1000 n + t) and theorem1's
+# higher-dimensional pure states (10_000 n + t)
+SUITE_TRIALS = [0, 1, 999, 2000, 2019, 3000, 3019, 30_000, 30_019, 40_000, 40_019]
+
+
+class TestBatchedGenerators:
+    @pytest.mark.parametrize("seed", [0, 1, 2**31 - 1, 2**32, 2**32 + 5, 2**64 + 3])
+    def test_streams_equal_default_rng(self, seed):
+        for trial, rng in zip(SUITE_TRIALS, _generators(seed, SUITE_TRIALS), strict=True):
+            alone = np.random.default_rng([seed, trial])
+            assert state_after(rng) == state_after(alone)
+            assert np.array_equal(rng.standard_normal(7), alone.standard_normal(7))
+            assert rng.integers(0, 2**62) == alone.integers(0, 2**62)
+            assert state_after(rng) == state_after(alone)
+
+    def test_long_seed_mixes_extra_words(self):
+        # seeds of four or more words overflow the pool of four and take the extra rounds
+        for seed in (2**96 + 11, 2**200 + 2**33 + 1):
+            rng, = _generators(seed, [7])
+            assert state_after(rng) == state_after(np.random.default_rng([seed, 7]))
+
+    def test_no_trials(self):
+        assert _generators(3, []) == []
+
+    def test_out_of_range(self):
+        with pytest.raises(ValueError):
+            np.random.default_rng([-1, 0])
+        with pytest.raises(ValueError):
+            _generators(-1, [0])
+        with pytest.raises(ValueError):
+            _generators(0, [-1])
+        with pytest.raises(ValueError):
+            _generators(0, [2**32])
+
+    def test_only_the_pcg64_seed_was_hashed(self):
+        rng, = _generators(0, [0])
+        with pytest.raises(ValueError):
+            rng.bit_generator.seed_seq.generate_state(4)
+        with pytest.raises(ValueError):
+            rng.bit_generator.seed_seq.generate_state(2, np.uint64)
 
 
 def _after_draws(trial, count):
     """The generator of ``trial`` after ``count`` standard normals."""
-    rng = _rng(8, trial)
+    rng = np.random.default_rng([8, trial])
     rng.standard_normal(count)
     return rng
 
@@ -188,7 +231,8 @@ class TestForcedFailureRepro:
         assert not result.passed and result.failures == 1
         assert result.repro["trial"] == trial
         dims = ((2, 2), (2, 3), (3, 3))[trial % 3]
-        assert result.repro["state"] == state_to_json(random_pure_state(dims, _rng(3, trial)))
+        alone = np.random.default_rng([3, trial])
+        assert result.repro["state"] == state_to_json(random_pure_state(dims, alone))
 
     @pytest.mark.parametrize("trial", [3, 4, 6, 8])  # 3 and 6: truncated channels
     def test_pt_equivalence(self, monkeypatch, trial):
@@ -198,7 +242,7 @@ class TestForcedFailureRepro:
         assert not result.passed and result.failures == 1
         assert result.repro["trial"] == trial
         n = 2 if trial % 2 == 0 else 3
-        rng = _rng(2, trial)
+        rng = np.random.default_rng([2, trial])
         rho = random_density((n, n), int(rng.integers(1, n * n + 1)), rng)
         channel = random_tp_channel(n, int(rng.integers(2, 4)), rng)
         if trial % 3 == 0:
