@@ -121,54 +121,31 @@ def probe_from_matrix(p) -> ProbeState:
     return ProbeState(p.shape[0], p, inv, float(s[0] / s[-1]))
 
 
-def _candidates(blocks):
-    """Normalized probe candidates of (..., 2, N, N) Gaussian blocks (real part first)
-    and their singular values."""
-    candidates = blocks[..., 0, :, :] + 1j * blocks[..., 1, :, :]
-    candidates = candidates / np.linalg.norm(candidates, axis=(-2, -1))[..., None, None]
-    return candidates, np.linalg.svd(candidates, compute_uv=False)
+def random_probes(dim: int, count: int, seed):
+    """``count`` probes from standard complex Gaussians as stacks (matrices,
+    inverses, condition numbers); ``seed`` may also be a Generator, which is
+    then drawn from.
 
-
-def random_probe_stack(dim: int, count: int, rngs):
-    """``count`` probes per generator of ``rngs`` as stacks (matrices, inverses,
-    condition numbers) of shape (g, count, ...); entry j equals
-    :func:`random_probes` (dim, count, rngs[j]), which leaves each generator
-    in the same state.
-
-    Each generator draws its first ``count`` candidates as one (count, 2, N, N)
-    block, in the stream order of single draws; one norm and one SVD then
-    cover every block.  A candidate is kept if its smallest singular value
-    exceeds 1e-4 (the SVD also gives the condition number), and a generator
-    that lost candidates draws the missing ones from its own stream, again
-    as one block, until it has ``count``; so neither the probes nor the
-    final states depend on how many are drawn at once.
+    The candidates are drawn as one (count, 2, N, N) block (real parts before
+    imaginary parts, one candidate after another) and normalized, and one SVD
+    covers the block.  A candidate is kept if its smallest singular value
+    exceeds 1e-4 (the SVD also gives the condition number); the missing ones
+    are drawn again as one block until there are ``count``.
     """
-    rngs = list(rngs)
-    blocks = np.reshape([rng.standard_normal((count, 2, dim, dim)) for rng in rngs],
-                        (len(rngs), count, 2, dim, dim))
-    matrices, svals = _candidates(blocks)
-    for j in np.flatnonzero(~np.all(svals[..., -1] > PROBE_SIGMA_FLOOR, axis=1)):
-        keep = svals[j, :, -1] > PROBE_SIGMA_FLOOR
-        kept, kept_svals = matrices[j, keep], svals[j, keep]
-        while len(kept) < count:
-            candidates, s = _candidates(rngs[j].standard_normal((count - len(kept), 2, dim, dim)))
-            keep = s[:, -1] > PROBE_SIGMA_FLOOR
-            kept = np.concatenate([kept, candidates[keep]])
-            kept_svals = np.concatenate([kept_svals, s[keep]])
-        matrices[j], svals[j] = kept, kept_svals
+    rng = np.random.default_rng(seed)
+    matrices, svals = np.empty((0, dim, dim), dtype=complex), np.empty((0, dim))
+    while len(matrices) < count:
+        block = rng.standard_normal((count - len(matrices), 2, dim, dim))
+        candidates = block[:, 0] + 1j * block[:, 1]
+        candidates = candidates / np.linalg.norm(candidates, axis=(1, 2))[:, None, None]
+        s = np.linalg.svd(candidates, compute_uv=False)
+        keep = s[:, -1] > PROBE_SIGMA_FLOOR
+        matrices = np.concatenate([matrices, candidates[keep]])
+        svals = np.concatenate([svals, s[keep]])
     inverses = np.linalg.inv(matrices)
     matrices.setflags(write=False)
     inverses.setflags(write=False)
-    return matrices, inverses, svals[..., 0] / svals[..., -1]
-
-
-def random_probes(dim: int, count: int, seed):
-    """``count`` probes from standard complex Gaussians as stacks (matrices,
-    inverses, condition numbers); ``seed`` may also be a Generator.  The
-    one-generator case of :func:`random_probe_stack`."""
-    matrices, inverses, conditions = random_probe_stack(dim, count,
-                                                        [np.random.default_rng(seed)])
-    return matrices[0], inverses[0], conditions[0]
+    return matrices, inverses, svals[:, 0] / svals[:, -1]
 
 
 def random_probe(dim: int, seed) -> ProbeState:

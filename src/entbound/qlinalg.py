@@ -287,20 +287,14 @@ def pure_densities(vecs) -> np.ndarray:
 
 
 def density_stack(dims, factors) -> np.ndarray:
-    """Validated (k, d, d) stack of G G^dagger / Tr for a sequence of d x r Gaussian
-    factors G, d = N1*N2; factors of one rank r form one stack, so each entry equals
-    its factor built alone."""
+    """Validated (k, d, d) stack of G G^dagger / Tr for a (k, d, r) stack of Gaussian
+    factors G, d = N1*N2; zeroed columns lower an entry's rank."""
     n1, n2 = _check_dims(dims)
-    d = n1 * n2
-    ranks = [np.shape(g)[-1] for g in factors]
-    out = np.empty((len(factors), d, d), dtype=complex)
-    for rank in sorted(set(ranks)):  # not np.unique: its first call costs 2 MiB of RSS
-        index = [i for i, r in enumerate(ranks) if r == rank]
-        g = np.array([factors[i] for i in index], dtype=complex)
-        if g.shape[1] != d:
-            raise DimensionMismatch(f"factors need {d} rows, got {g.shape[1]}")
-        rho = g @ g.conj().swapaxes(1, 2)
-        out[index] = rho / np.trace(rho, axis1=1, axis2=2).real[:, None, None]
+    g = np.asarray(factors, dtype=complex)
+    if g.shape[1] != n1 * n2:
+        raise DimensionMismatch(f"factors need {n1 * n2} rows, got {g.shape[1]}")
+    rho = g @ g.conj().swapaxes(1, 2)
+    out = rho / np.trace(rho, axis1=1, axis2=2).real[:, None, None]
     raise_fault(density_fault(out))
     return out
 
@@ -325,4 +319,4 @@ def random_density(dims, rank, seed) -> DensityMatrix:
     if not 1 <= rank <= d:
         raise InvalidRank(f"rank must be in [1, {d}], got {rank}")
     rng = np.random.default_rng(seed)
-    return DensityMatrix((n1, n2), density_stack((n1, n2), [gaussian(rng, (d, rank))])[0])
+    return DensityMatrix((n1, n2), density_stack((n1, n2), gaussian(rng, (d, rank))[None])[0])

@@ -2,21 +2,21 @@
 
 Each suite draws seeded random inputs, evaluates one of the library's
 contracts at its stated tolerance, and reports the failure count plus
-the worst residual seen.  Every trial draws its inputs from its own
-generator, seeded with (seed, trial index), so any failure is
-reproducible from the suite name, seed and trial number alone.  Each
-generator equals ``np.random.default_rng([seed, trial])``; a suite builds
-all of its generators from one :func:`_generators` call, which runs
-numpy's SeedSequence hash over every trial index at once.  The draws are
-then built, validated and evaluated as one stack per suite and
-dimension: states through :func:`entbound.qlinalg.pure_stack`,
-:func:`~entbound.qlinalg.density_stack` and ``density_fault``, channels
-through :func:`entbound.channels.tp_kraus` and
-:func:`~entbound.channels.kraus_superoperators`, each entry equal to its
-object built alone.  Only a failing trial's state and channel are built
-as objects, for its reproduction record.  Every suite ends in one
-:func:`_verdict`, the one pass rule: a check fails unless it is within its
-tolerance, so a NaN fails, and a suite with no checks fails.
+the worst residual seen.  A suite's inputs are a function of (suite, seed,
+trials): the suite seeds one generator, ``np.random.default_rng([seed,
+key])`` with a key of its own (theorem1 1, probe-invariance 2,
+pt-equivalence 3, sandwich 4, structural 6; mes-basis draws nothing), and
+draws each kind of input for all its trials as one block: pure states
+through :func:`entbound.qlinalg.gaussian`, Kraus sets of 2 or 3 operators
+as three Gaussian factors per channel with the unused ones zeroed, mixed
+states as d x d factors with the columns past their random rank zeroed,
+and probes through one :func:`entbound.probe.random_probes` call.  A trial
+cannot be redrawn alone, so the reproduction record of a failing check
+carries every input the check used, with the seed and trial count that
+drew them.  The draws are built, validated and evaluated as one stack per
+suite and dimension.  Every suite ends in one :func:`_verdict`, the one
+pass rule: a check fails unless it is within its tolerance, so a NaN
+fails, and a suite with no checks fails.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from . import channels as ch
 from . import concurrence as conc
 from . import probe as pr
 from . import qlinalg as ql
-from .serialize import channel_to_json, state_to_json
+from .serialize import channel_to_json, probe_to_json, state_to_json
 
 
 @dataclass
@@ -66,112 +66,36 @@ def _verdict(name, checks) -> SuiteResult:
     return SuiteResult(name, failures == 0 < count, count, failures, worst, repro)
 
 
-# numpy's SeedSequence constants (pool of four uint32 words, 16-bit xorshift)
-_MASK32 = 0xFFFFFFFF
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+def _random_densities(n, k, rng) -> np.ndarray:
+    """(k, n^2, n^2) stack of random density matrices G G^dagger / Tr of random rank r,
+    drawn as one block of n^2 x n^2 Gaussian factors G with the columns past r zeroed."""
+    d = n * n
+    ranks = rng.integers(1, d + 1, k)
+    factors = ql.gaussian(rng, (k, d, d)) * (np.arange(d) < ranks[:, None, None])
+    return ql.density_stack((n, n), factors)
 
 
-def _hash_constants(init, mult, count) -> np.ndarray:
-    """(count + 1, 1) uint32 column of the hash constant and its ``count`` successors."""
-    values = [init]
-    for _ in range(count):
-        values.append(values[-1] * mult & _MASK32)
-    return np.array(values, dtype=np.uint32)[:, None]
+def _random_channels(n, k, rng, truncated=slice(0)):
+    """Superoperators (k, n^2, n^2) and Kraus sets (k, 3, n, n) of k random trace-preserving
+    channels of 2 or 3 operators, drawn as one block of three Gaussian factors per channel
+    with the unused ones zeroed; the channels selected by the index ``truncated`` keep only
+    their first operator (not trace preserving)."""
+    counts = rng.integers(2, 4, k)
+    factors = ch.kraus_factors(n, 3 * k, rng).reshape(k, 3, n, n)
+    factors[np.arange(3) >= counts[:, None]] = 0.0
+    ops = ch.tp_kraus(factors)
+    ops[truncated, 1:] = 0.0
+    return ch.kraus_superoperators(ops)[1], ops
 
 
-_OUTPUT_CONSTANTS = _hash_constants(_INIT_B, _MULT_B, 8)
+def _channel_json(n, ops) -> dict:
+    """One Kraus set of a zero-padded stack as a channel document, without the padding."""
+    return channel_to_json(ch.KrausChannel(n, tuple(m for m in ops if np.any(m))))
 
 
-def _hashmix(values, constants):
-    """numpy's hashmix of the rows of ``values`` with successive hash constants: xor the
-    constant, multiply by its successor, xorshift.  Arrays only: a uint32 scalar product
-    warns on overflow, an array product wraps silently."""
-    values = (values ^ constants[:-1]) * constants[1:]
-    return values ^ (values >> 16)
-
-
-def _mix(x, y):
-    """numpy's mix of two pool words (rows of arrays)."""
-    values = _MIX_L * x - _MIX_R * y
-    return values ^ (values >> 16)
-
-
-def _uint32_words(n) -> list:
-    """Little-endian 32-bit words of a non-negative integer, as numpy's SeedSequence
-    splits its entropy."""
-    if n < 0:
-        raise ValueError("expected non-negative integer")
-    words = [n & _MASK32]
-    while n > _MASK32:
-        n >>= 32
-        words.append(n & _MASK32)
-    return words
-
-
-class _PoolState:
-    """A seed sequence whose one allowed output, 4 uint64 words, was hashed beforehand.
-
-    :func:`_generators` registers it as a numpy ``ISeedSequence`` on first use, so that
-    importing the package does not import ``numpy.random``."""
-
-    def __init__(self, words):
-        self.words = words
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        if n_words != 4 or np.dtype(dtype) != np.uint64:
-            raise ValueError("only the 4 uint64 words of a PCG64 seed were hashed")
-        return self.words
-
-
-def _generators(seed, trials) -> list:
-    """One generator per trial index, each equal to ``np.random.default_rng([seed,
-    trial])``, from one hash of all the indices.
-
-    numpy's SeedSequence hash of [seed, trial] runs on uint32 arrays, one column per
-    trial: the entropy words zero-padded to the pool of four, the hashmix/mix rounds,
-    then the output stage to the 4 uint64 words that seed PCG64.  The hash has a fixed
-    cost of about ten generators, so a suite hashes all its indices at once.  Trial
-    indices must lie in [0, 2^32).
-    """
-    trials = np.asarray(trials, dtype=np.int64).reshape(-1)
-    if np.any((trials < 0) | (trials > _MASK32)):
-        raise ValueError("trial indices must lie in [0, 2^32)")
-    words = _uint32_words(int(seed))
-    entropy = np.zeros((max(len(words) + 1, 4), len(trials)), dtype=np.uint32)
-    entropy[:len(words)] = np.array(words, dtype=np.uint32)[:, None]
-    entropy[len(words)] = trials
-    extra = len(entropy) - 4  # words beyond the pool, mixed into every pool word
-    constants = _hash_constants(_INIT_A, _MULT_A, 16 + 4 * extra)
-    pool = _hashmix(entropy[:4], constants[:5])
-    for src in range(4):
-        dst = [i for i in range(4) if i != src]
-        pool[dst] = _mix(pool[dst], _hashmix(pool[src], constants[4 + 3 * src:8 + 3 * src]))
-    for j in range(extra):
-        pool = _mix(pool, _hashmix(entropy[4 + j], constants[16 + 4 * j:21 + 4 * j]))
-    state = _hashmix(np.concatenate([pool, pool]), _OUTPUT_CONSTANTS).T
-    state = np.ascontiguousarray(state).astype("<u4").view("<u8").astype(np.uint64)
-    np.random.bit_generator.ISeedSequence.register(_PoolState)
-    return [np.random.Generator(np.random.PCG64(_PoolState(words))) for words in state]
-
-
-def _pure_states(dims, rngs) -> np.ndarray:
-    """(k, N1*N2) amplitudes of one :func:`entbound.qlinalg.random_pure_state` draw per
-    generator."""
-    d = dims[0] * dims[1]
-    return ql.pure_stack(np.reshape([ql.gaussian(rng, d) for rng in rngs], (-1, d)))
-
-
-def _density_factor(n, rng):
-    """The draws of one :func:`entbound.qlinalg.random_density` call with a random rank."""
-    return ql.gaussian(rng, (n * n, int(rng.integers(1, n * n + 1))))
-
-
-def _channel_factors(n, rng):
-    """The draws of one :func:`entbound.channels.random_tp_channel` call with 2 or 3
-    operators."""
-    return ch.kraus_factors(n, int(rng.integers(2, 4)), rng)
+def _probe_json(matrix) -> dict:
+    """One probe matrix of a stack as a probe document."""
+    return probe_to_json(pr.probe_from_matrix(matrix))
 
 
 def _padded(sets, n):
@@ -182,18 +106,6 @@ def _padded(sets, n):
     for j, operators in enumerate(sets):
         padded[j, :len(operators)] = operators
     return padded
-
-
-def _channel_stack(n, factor_sets, truncated):
-    """Superoperators (k, n^2, n^2) and Kraus sets of the trace-preserving channels built
-    from ``factor_sets``; a set flagged in ``truncated`` keeps only its first operator
-    (not trace preserving)."""
-    ops = ch.tp_kraus(_padded(factor_sets, n))
-    count = ops.shape[1]
-    counts = np.where(truncated, 1, [len(f) for f in factor_sets])
-    ops[np.arange(count) >= np.reshape(counts, (-1, 1))] = 0.0
-    _, superoperators = ch.kraus_superoperators(ops)
-    return superoperators, [m[:c] for m, c in zip(ops, counts)]
 
 
 def _minor_sum_concurrence(ms) -> np.ndarray:
@@ -244,20 +156,20 @@ def suite_mes_basis(seed=0, trials=None) -> SuiteResult:
         "suite": "mes-basis", "n": i + 2, "residual": float(res[i])})])
 
 
-def _mes_saturation(seed, n, rngs) -> list:
+def _mes_saturation(seed, trials, n, amps) -> list:
     """The n x n checks of :func:`suite_theorem1`: the bound equals the concurrence of
-    the canonical MES, and lies strictly below it on one pure state per generator of
-    ``rngs`` (trials 10_000 n + t)."""
-    amps = np.concatenate([ql.canonical_mes((n, n)).amplitudes[None],
-                           _pure_states((n, n), rngs)])
+    the canonical MES, and lies strictly below it on each pure state of ``amps``."""
+    amps = np.concatenate([ql.canonical_mes((n, n)).amplitudes[None], amps])
     bounds = conc.fidelity_lower_bounds(ql.pure_densities(amps), (n, n))
     values = conc.pure_concurrences(amps.reshape(-1, n, n))
     res = abs(bounds[0] - values[0])
     margins = values[1:] - bounds[1:]  # bound must be strictly below away from MES
     return [(res <= 1e-12, res, lambda _: {"suite": "theorem1", "mes_dim": n,
                                            "residual": float(res)}),
-            (margins > 1e-10, (), lambda t: {"suite": "theorem1", "seed": seed, "dim": n,
-                                             "trial": t, "margin": float(margins[t])})]
+            (margins > 1e-10, (), lambda t: {
+                "suite": "theorem1", "seed": seed, "trials": trials, "dim": n, "trial": t,
+                "state": state_to_json(ql.PureState((n, n), amps[1 + t])),
+                "margin": float(margins[t])})]
 
 
 def suite_theorem1(seed=0, trials=1000) -> SuiteResult:
@@ -266,33 +178,29 @@ def suite_theorem1(seed=0, trials=1000) -> SuiteResult:
     if trials < 1:  # the fixed MES checks alone evaluate no drawn trial
         return _verdict("theorem1", [])
     samples = max(1, trials // 50)  # pure states per higher dimension
-    rngs = _generators(seed, np.concatenate(
-        [np.arange(trials)] + [10_000 * n + np.arange(samples) for n in (3, 4)]))
-    amps = _pure_states((2, 2), rngs[:trials])
+    rng = np.random.default_rng([seed, 1])
+    amps = ql.pure_stack(ql.gaussian(rng, (trials, 4)))
+    amps_3 = ql.pure_stack(ql.gaussian(rng, (samples, 9)))
+    amps_4 = ql.pure_stack(ql.gaussian(rng, (samples, 16)))
     fef = conc.fully_entangled_fractions(ql.pure_densities(amps))
     res = np.abs(conc.fidelity_bound(fef, 2) - conc.pure_concurrences(amps.reshape(-1, 2, 2)))
     return _verdict("theorem1", [(res <= 1e-9, res, lambda t: {
-        "suite": "theorem1", "seed": seed, "trial": t,
+        "suite": "theorem1", "seed": seed, "trials": trials, "trial": t,
         "state": state_to_json(ql.PureState((2, 2), amps[t])), "residual": float(res[t])})]
-        + _mes_saturation(seed, 3, rngs[trials:trials + samples])
-        + _mes_saturation(seed, 4, rngs[trials + samples:]))
+        + _mes_saturation(seed, trials, 3, amps_3) + _mes_saturation(seed, trials, 4, amps_4))
 
 
-def _probe_invariance_pairs(seed, trials, n, rngs) -> tuple:
-    """The (ok, residuals, repro) check of :func:`suite_probe_invariance` on one
-    (state, channel) pair of dimension n per generator of ``rngs``."""
-    n_pairs, rank_factors, factors, factors_2 = len(rngs), [], [], []
-    for t, rng in enumerate(rngs):
-        rank_factors.append(_density_factor(n, rng))
-        factors.append(_channel_factors(n, rng))
-        if t % 2 == 1:  # two-sided pair
-            factors_2.append(_channel_factors(n, rng))
-    matrices, inverses, conditions = pr.random_probe_stack(n, trials, rngs)  # the last draws
-    one, two = slice(0, None, 2), slice(1, None, 2)
-    mats = ql.density_stack((n, n), rank_factors)[:, None]  # (pairs, 1, d, d)
+def _probe_invariance_pairs(seed, trials, n, rng) -> tuple:
+    """The (ok, residuals, repro) check of :func:`suite_probe_invariance` on 20 (state,
+    channel) pairs of dimension n drawn from ``rng``, ``trials`` probes per pair."""
+    n_pairs = 20
+    one, two = slice(0, None, 2), slice(1, None, 2)  # odd pairs are two-sided
+    mats = _random_densities(n, n_pairs, rng)[:, None]  # (pairs, 1, d, d)
     # every fourth pair's channel is a non-trace-preserving truncation
-    superoperators, kraus = _channel_stack(n, factors, np.arange(n_pairs) % 4 == 0)
-    superoperators_2, _ = _channel_stack(n, factors_2, False)
+    superoperators, kraus = _random_channels(n, n_pairs, rng, slice(0, None, 4))
+    superoperators_2, kraus_2 = _random_channels(n, n_pairs // 2, rng)
+    matrices, inverses, conditions = (a.reshape((n_pairs, trials) + a.shape[1:])
+                                      for a in pr.random_probes(n, n_pairs * trials, rng))
     evolved, p = ch.apply_checked(superoperators, mats, "first")
     evolved[two], p_2 = ch.apply_checked(superoperators_2, evolved[two], "second")
     p[two] *= p_2
@@ -314,12 +222,19 @@ def _probe_invariance_pairs(seed, trials, n, rngs) -> tuple:
                                               inverses[two, 0], p_t) - values[two, 0])
     spread, oracle_gap = np.ptp(values, axis=1), np.abs(values - direct[:, None]).max(axis=1)
     res = np.maximum(np.maximum(spread, oracle_gap), mes_gap)
-    return res <= 1e-8, res, lambda t: {
-        "suite": "probe-invariance", "seed": seed, "dim": n, "pair": t,
-        "spread": float(spread[t]), "oracle_gap": float(oracle_gap[t]),
-        "mes_gap": float(mes_gap[t]),
-        "state": state_to_json(ql.DensityMatrix((n, n), mats[t, 0])),
-        "channel": channel_to_json(ch.KrausChannel(n, kraus[t]))}
+
+    def repro(t):
+        record = {"suite": "probe-invariance", "seed": seed, "trials": trials, "dim": n,
+                  "pair": t, "spread": float(spread[t]), "oracle_gap": float(oracle_gap[t]),
+                  "mes_gap": float(mes_gap[t]),
+                  "state": state_to_json(ql.DensityMatrix((n, n), mats[t, 0])),
+                  "channel": _channel_json(n, kraus[t])}
+        if t % 2:
+            record["channel_2"] = _channel_json(n, kraus_2[t // 2])
+        record["probes"] = [_probe_json(m) for m in matrices[t]]
+        return record
+
+    return res <= 1e-8, res, repro
 
 
 def suite_probe_invariance(seed=0, trials=100) -> SuiteResult:
@@ -331,9 +246,9 @@ def suite_probe_invariance(seed=0, trials=100) -> SuiteResult:
     """
     if trials < 1:  # no probe, so no evaluated pair
         return _verdict("probe-invariance", [])
-    rngs = _generators(seed, [1000 * n + t for n in (2, 3) for t in range(20)])
-    return _verdict("probe-invariance", [_probe_invariance_pairs(seed, trials, n, rngs[i:i + 20])
-                                         for n, i in ((2, 0), (3, 20))])
+    rng = np.random.default_rng([seed, 2])
+    return _verdict("probe-invariance", [_probe_invariance_pairs(seed, trials, n, rng)
+                                         for n in (2, 3)])
 
 
 def suite_pt_equivalence(seed=0, trials=200) -> SuiteResult:
@@ -342,21 +257,16 @@ def suite_pt_equivalence(seed=0, trials=200) -> SuiteResult:
     Even trials are 2x2, odd trials 3x3, and every third trial's channel is a
     non-trace-preserving truncation; each dimension is one stack.
     """
-    draws = {2: [], 3: []}
-    for t, rng in enumerate(_generators(seed, np.arange(trials))):
-        n = 2 if t % 2 == 0 else 3
-        draws[n].append((rng, _density_factor(n, rng), _channel_factors(n, rng)))
+    rng = np.random.default_rng([seed, 3])
     res, inputs = np.empty(trials), []
     for n, first in ((2, 0), (3, 1)):
-        if not draws[n]:
-            continue
-        rngs, rank_factors, factors = zip(*draws[n])
         trial = np.arange(first, trials, 2)
+        if not len(trial):
+            continue
         truncated = trial % 3 == 0
-        rhos = ql.density_stack((n, n), rank_factors)
-        superoperators, kraus = _channel_stack(n, factors, truncated)
-        # each trial's last draw is its one probe
-        matrices, inverses, _ = (a[:, 0] for a in pr.random_probe_stack(n, 1, rngs))
+        rhos = _random_densities(n, len(trial), rng)
+        superoperators, kraus = _random_channels(n, len(trial), rng, truncated)
+        matrices, inverses, _ = pr.random_probes(n, len(trial), rng)
         images, p_prime = ch.apply_checked(
             superoperators, ql.pure_densities(matrices.reshape(-1, n * n)), "first")
         pt_red = pr.pt_reduced_stack(rhos, images, inverses)
@@ -365,14 +275,15 @@ def suite_pt_equivalence(seed=0, trials=200) -> SuiteResult:
         residual[truncated] = np.abs(pt_red[truncated] * p_prime[truncated] - p_direct)
         res[first::2] = np.maximum(np.abs(pt_red - pr.pt_mes_sum_stack(rhos, images, inverses)),
                                    residual)
-        inputs.append((rhos, kraus))
+        inputs.append((rhos, kraus, matrices))
 
     def repro(t):
         n = 2 + t % 2
-        rhos, kraus = inputs[t % 2]
-        return {"suite": "pt-equivalence", "seed": seed, "trial": t, "residual": float(res[t]),
+        rhos, kraus, matrices = inputs[t % 2]
+        return {"suite": "pt-equivalence", "seed": seed, "trials": trials, "trial": t,
+                "residual": float(res[t]),
                 "state": state_to_json(ql.DensityMatrix((n, n), rhos[t // 2])),
-                "channel": channel_to_json(ch.KrausChannel(n, kraus[t // 2]))}
+                "channel": _channel_json(n, kraus[t // 2]), "probe": _probe_json(matrices[t // 2])}
 
     return _verdict("pt-equivalence", [(res <= 1e-10, res, repro)])
 
@@ -380,31 +291,25 @@ def suite_pt_equivalence(seed=0, trials=200) -> SuiteResult:
 def suite_sandwich(seed=0, trials=500) -> SuiteResult:
     """lower <= concurrence <= upper for random two-qubit states and TP channels.
 
-    Pure inputs under a one-sided channel additionally saturate the upper
-    bound, which is asserted as an equality.  Every trial is drawn first;
-    the one-sided and the two-sided trials are then evaluated as one stack
-    each.
+    Even trials are pure inputs under a one-sided channel, which additionally
+    saturate the upper bound, asserted as an equality; odd trials are mixed
+    inputs under a two-sided channel.  Every third trial uses a random probe,
+    the others the canonical one.  Every trial is drawn first; the one-sided
+    and the two-sided trials are then evaluated as one stack each.
     """
     if trials < 1:
         return _verdict("sandwich", [])
-    rngs = _generators(seed, np.arange(trials))
+    rng = np.random.default_rng([seed, 4])
+    pure, mixed = slice(0, None, 2), slice(1, None, 2)
+    n_pure, n_mixed = (trials + 1) // 2, trials // 2
     probes = np.empty((trials, 2, 2), dtype=complex)
     probes[:] = pr.canonical_probe(2).matrix
-    probes[::3] = pr.random_probe_stack(2, 1, rngs[::3])[0][:, 0]  # each one's first draw
-    factors, factors_2, pure_draws, rank_factors = [], [], [], []
-    for t, rng in enumerate(rngs):
-        factors.append(_channel_factors(2, rng))
-        if t % 2 == 0:  # pure input, one-sided channel: the upper bound is an equality
-            pure_draws.append(ql.gaussian(rng, 4))
-        else:
-            rank_factors.append(_density_factor(2, rng))
-            factors_2.append(_channel_factors(2, rng))
-    pure, mixed = slice(0, None, 2), slice(1, None, 2)
+    probes[::3] = pr.random_probes(2, len(probes[::3]), rng)[0]
+    superoperators, kraus = _random_channels(2, trials, rng)
+    superoperators_2, kraus_2 = _random_channels(2, n_mixed, rng)
     mats = np.empty((trials, 4, 4), dtype=complex)
-    mats[pure] = ql.pure_densities(ql.pure_stack(pure_draws))
-    mats[mixed] = ql.density_stack((2, 2), rank_factors)
-    superoperators, kraus = _channel_stack(2, factors, False)
-    superoperators_2, _ = _channel_stack(2, factors_2, False)
+    mats[pure] = ql.pure_densities(ql.pure_stack(ql.gaussian(rng, (n_pure, 4))))
+    mats[mixed] = _random_densities(2, n_mixed, rng)
     one_sided = conc.evaluate(mats[pure], (2, 2), [(superoperators[pure], "first")],
                               probes[pure])
     two_sided = conc.evaluate(mats[mixed], (2, 2), [(superoperators[mixed], "first"),
@@ -416,10 +321,18 @@ def suite_sandwich(seed=0, trials=500) -> SuiteResult:
         gap = result.exact - result.upper
         res[sel] = np.maximum(np.maximum(0.0, lower) - result.exact,
                               np.abs(gap) if sel is pure else gap)
-    return _verdict("sandwich", [(res <= 1e-9, res, lambda t: {
-        "suite": "sandwich", "seed": seed, "trial": t, "violation": float(res[t]),
-        "state": state_to_json(ql.DensityMatrix((2, 2), mats[t])),
-        "channel_1": channel_to_json(ch.KrausChannel(2, kraus[t]))})])
+
+    def repro(t):
+        record = {"suite": "sandwich", "seed": seed, "trials": trials, "trial": t,
+                  "violation": float(res[t]),
+                  "state": state_to_json(ql.DensityMatrix((2, 2), mats[t])),
+                  "channel_1": _channel_json(2, kraus[t])}
+        if t % 2:
+            record["channel_2"] = _channel_json(2, kraus_2[t // 2])
+        record["probe"] = _probe_json(probes[t])
+        return record
+
+    return _verdict("sandwich", [(res <= 1e-9, res, repro)])
 
 
 def suite_structural(seed=0, trials=1000) -> SuiteResult:
@@ -430,10 +343,10 @@ def suite_structural(seed=0, trials=1000) -> SuiteResult:
     if trials < 1:  # the built-in channel families alone evaluate no drawn trial
         return _verdict("structural", [])
     shapes = ((2, 2), (2, 3), (3, 3))
-    rngs = _generators(seed, np.arange(trials))
+    rng = np.random.default_rng([seed, 6])
     res, amps = np.empty(trials), []
     for first, dims in enumerate(shapes):
-        amps.append(_pure_states(dims, rngs[first::3]))
+        amps.append(ql.pure_stack(ql.gaussian(rng, (len(res[first::3]), dims[0] * dims[1]))))
         ms = amps[-1].reshape((-1,) + dims)
         res[first::3] = np.abs(conc.pure_concurrences(ms) - _minor_sum_concurrence(ms))
     values = np.linspace(0, 1, 11)
@@ -443,7 +356,7 @@ def suite_structural(seed=0, trials=1000) -> SuiteResult:
         [kraus for _, make in families for kraus in make(values)], 2))
     return _verdict("structural", [
         (res <= 1e-10, res, lambda t: {
-            "suite": "structural", "seed": seed, "trial": t,
+            "suite": "structural", "seed": seed, "trials": trials, "trial": t,
             "state": state_to_json(ql.PureState(shapes[t % 3], amps[t % 3][t // 3])),
             "residual": float(res[t])}),
         (defects <= 1e-12, defects, lambda i: {

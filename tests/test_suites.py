@@ -1,17 +1,25 @@
-"""Stacked suite inputs: built stacks equal one-at-a-time draws; failures stay reproducible."""
+"""Suite inputs drawn as blocks: stacked builders equal single builds; every failure
+record carries the inputs of its check."""
+
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from entbound import DimensionMismatch, InvalidChannel, KrausChannel, random_density, \
-    random_pure_state
+from entbound import DimensionMismatch, InvalidChannel, KrausChannel, apply_one_sided, \
+    apply_two_sided, concurrence_pure, fidelity_lower_bound, lower_bound_one_sided, \
+    lower_bound_two_sided, pt_via_mes_sum, pt_via_reduced, random_density, \
+    random_pure_state, wootters_concurrence
 from entbound import channels as ch
 from entbound import probe, suites
+from entbound import qlinalg as ql
 from entbound.channels import kraus_superoperators, random_tp_channel
-from entbound.qlinalg import density_stack
-from entbound.serialize import channel_to_json, state_to_json
-from entbound.suites import _channel_factors, _channel_stack, _density_factor, _generators, \
-    _pure_states, run_suites
+from entbound.serialize import channel_from_json, probe_from_json, state_from_json
+from entbound.suites import run_suites
 
 TRIALS = 12
 
@@ -22,47 +30,49 @@ def bits(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
-def state_after(rng):
-    return rng.bit_generator.state
-
-
 @pytest.mark.parametrize("n", [2, 3])
 class TestStackedBuildersMatchSingleDraws:
+    """Each entry of a suite's input block equals the object built alone from that
+    entry's draws."""
+
     def test_channels_tp_and_truncated(self, n):
-        rngs = [np.random.default_rng([5, t]) for t in range(TRIALS)]
-        factor_sets = [_channel_factors(n, rng) for rng in rngs]
         truncated = np.arange(TRIALS) % 3 == 0
-        superoperators, kraus = _channel_stack(n, factor_sets, truncated)
-        for t, rng in enumerate(rngs):
-            alone = np.random.default_rng([5, t])
-            channel = random_tp_channel(n, int(alone.integers(2, 4)), alone)
+        superoperators, kraus = suites._random_channels(n, TRIALS, np.random.default_rng(5),
+                                                        truncated)
+        rng = np.random.default_rng(5)
+        counts = rng.integers(2, 4, TRIALS)
+        factors = ch.kraus_factors(n, 3 * TRIALS, rng).reshape(TRIALS, 3, n, n)
+        for t, count in enumerate(counts):
+            channel = KrausChannel(n, tuple(ch.tp_kraus(factors[None, t, :count])[0]))
             if truncated[t]:
                 channel = KrausChannel(n, channel.operators[:1])
-            assert bits(kraus[t], channel.operators)
+            assert bits(kraus[t, :len(channel.operators)], channel.operators)
+            assert not np.any(kraus[t, len(channel.operators):])
             assert bits(superoperators[t], channel.superoperator)
-            assert state_after(rng) == state_after(alone)
 
     def test_densities(self, n):
-        rngs = [np.random.default_rng([6, t]) for t in range(TRIALS)]
-        mats = density_stack((n, n), [_density_factor(n, rng) for rng in rngs])
-        for t, rng in enumerate(rngs):
-            alone = np.random.default_rng([6, t])
-            rho = random_density((n, n), int(alone.integers(1, n * n + 1)), alone)
-            assert bits(mats[t], rho.matrix)
-            assert state_after(rng) == state_after(alone)
+        d = n * n
+        mats = suites._random_densities(n, TRIALS, np.random.default_rng(6))
+        rng = np.random.default_rng(6)
+        ranks = rng.integers(1, d + 1, TRIALS)
+        factors = ql.gaussian(rng, (TRIALS, d, d))
+        for t, rank in enumerate(ranks):
+            g = factors[t, :, :rank]
+            rho = ql.DensityMatrix((n, n), g @ g.conj().T / np.trace(g @ g.conj().T).real)
+            # the zeroed columns change the length of the sum, not its terms
+            np.testing.assert_allclose(mats[t], rho.matrix, rtol=0, atol=d * 2.0 ** -52)
+            assert np.linalg.matrix_rank(mats[t], tol=1e-10) == rank
 
     def test_pure_states(self, n):
-        rngs = [np.random.default_rng([7, t]) for t in range(TRIALS)]
-        amps = _pure_states((n, n), rngs)
-        for t, rng in enumerate(rngs):
-            alone = np.random.default_rng([7, t])
-            assert bits(amps[t], random_pure_state((n, n), alone).amplitudes)
-            assert state_after(rng) == state_after(alone)
+        vecs = ql.gaussian(np.random.default_rng(7), (TRIALS, n * n))
+        amps = ql.pure_stack(vecs)
+        for t, vec in enumerate(vecs):
+            assert bits(amps[t], ql.PureState((n, n), vec / np.linalg.norm(vec)).amplitudes)
 
 
 def block_probes(n, count, rng):
-    """Probes drawn the way ``random_probes`` drew them before stacking: one block of
-    the missing candidates at a time, each block normalized and checked alone."""
+    """Probes drawn one block of the missing candidates at a time, each block normalized
+    and checked alone."""
     matrices, svals = np.empty((0, n, n), dtype=complex), np.empty((0, n))
     while len(matrices) < count:
         block = rng.standard_normal((count - len(matrices), 2, n, n))
@@ -76,82 +86,24 @@ def block_probes(n, count, rng):
 
 
 class TestStackedProbeDraws:
-    """One probe stack over many generators equals each generator's own draws."""
+    """``random_probes`` equals block-at-a-time draws bit for bit."""
 
     @pytest.mark.parametrize("n, count, floor", [(2, 5, 1e-4), (3, 1, 1e-4), (3, 4, 0.15),
                                                  (2, 3, 0.3)])
-    def test_stack_equals_per_generator_draws(self, monkeypatch, n, count, floor):
+    def test_equals_block_draws(self, monkeypatch, n, count, floor):
         monkeypatch.setattr(probe, "PROBE_SIGMA_FLOOR", floor)  # above 1e-4: forced redraws
-        rngs = [_after_draws(t, 3) for t in range(TRIALS)]  # the probe is the last draw
-        stacked = probe.random_probe_stack(n, count, rngs)
         redrawn = 0
-        for t, rng in enumerate(rngs):
-            alone = _after_draws(t, 3)
-            reference = block_probes(n, count, alone)
-            single = probe.random_probes(n, count, _after_draws(t, 3))
-            for got, got_single, expected in zip(stacked, single, reference):
-                assert bits(got[t], expected) and bits(got_single, expected)
-            assert state_after(rng) == state_after(alone)
-            one_block = _after_draws(t, 3 + 2 * n * n * count)
-            redrawn += state_after(one_block) != state_after(alone)
+        for seed in range(TRIALS):
+            rng, alone = np.random.default_rng([8, seed]), np.random.default_rng([8, seed])
+            drawn = probe.random_probes(n, count, rng)
+            for got, expected in zip(drawn, block_probes(n, count, alone)):
+                assert bits(got, expected)
+            assert rng.bit_generator.state == alone.bit_generator.state
+            one_block = np.random.default_rng([8, seed])
+            one_block.standard_normal(2 * n * n * count)
+            redrawn += one_block.bit_generator.state != rng.bit_generator.state
+            assert not drawn[0].flags.writeable and not drawn[1].flags.writeable
         assert (redrawn > 0) == (floor > 1e-4)
-        assert not stacked[0].flags.writeable and not stacked[1].flags.writeable
-
-    def test_no_generators_and_no_probes(self):
-        matrices, inverses, conditions = probe.random_probe_stack(2, 3, [])
-        assert matrices.shape == inverses.shape == (0, 3, 2, 2) and conditions.shape == (0, 3)
-        rngs = [np.random.default_rng([1, 0])]
-        matrices, _, conditions = probe.random_probe_stack(2, 0, rngs)
-        assert matrices.shape == (1, 0, 2, 2) and conditions.shape == (1, 0)
-
-
-# the suites' trial indices: plain, probe-invariance pairs (1000 n + t) and theorem1's
-# higher-dimensional pure states (10_000 n + t)
-SUITE_TRIALS = [0, 1, 999, 2000, 2019, 3000, 3019, 30_000, 30_019, 40_000, 40_019]
-
-
-class TestBatchedGenerators:
-    @pytest.mark.parametrize("seed", [0, 1, 2**31 - 1, 2**32, 2**32 + 5, 2**64 + 3])
-    def test_streams_equal_default_rng(self, seed):
-        for trial, rng in zip(SUITE_TRIALS, _generators(seed, SUITE_TRIALS), strict=True):
-            alone = np.random.default_rng([seed, trial])
-            assert state_after(rng) == state_after(alone)
-            assert np.array_equal(rng.standard_normal(7), alone.standard_normal(7))
-            assert rng.integers(0, 2**62) == alone.integers(0, 2**62)
-            assert state_after(rng) == state_after(alone)
-
-    def test_long_seed_mixes_extra_words(self):
-        # seeds of four or more words overflow the pool of four and take the extra rounds
-        for seed in (2**96 + 11, 2**200 + 2**33 + 1):
-            rng, = _generators(seed, [7])
-            assert state_after(rng) == state_after(np.random.default_rng([seed, 7]))
-
-    def test_no_trials(self):
-        assert _generators(3, []) == []
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            np.random.default_rng([-1, 0])
-        with pytest.raises(ValueError):
-            _generators(-1, [0])
-        with pytest.raises(ValueError):
-            _generators(0, [-1])
-        with pytest.raises(ValueError):
-            _generators(0, [2**32])
-
-    def test_only_the_pcg64_seed_was_hashed(self):
-        rng, = _generators(0, [0])
-        with pytest.raises(ValueError):
-            rng.bit_generator.seed_seq.generate_state(4)
-        with pytest.raises(ValueError):
-            rng.bit_generator.seed_seq.generate_state(2, np.uint64)
-
-
-def _after_draws(trial, count):
-    """The generator of ``trial`` after ``count`` standard normals."""
-    rng = np.random.default_rng([8, trial])
-    rng.standard_normal(count)
-    return rng
 
 
 class TestStackedFamilies:
@@ -201,54 +153,145 @@ class TestSharedKrausValidation:
 
 def _shift_oracle(monkeypatch, module, name, shifts):
     """Add ``shifts[(call, index)]`` to entry ``index`` of the stacked oracle's ``call``-th
-    result (calls counted from 0)."""
+    result (calls counted from 0); returns the list of the unshifted results, one per
+    call."""
     original = getattr(module, name)
     calls = []
 
     def shifted(*args):
         values = np.array(original(*args))
+        calls.append(values.copy())
         for (call, index), shift in shifts.items():
-            if len(calls) == call:
+            if len(calls) - 1 == call:
                 values[index] += shift
-        calls.append(None)
         return values
 
     monkeypatch.setattr(module, name, shifted)
+    return calls
 
 
 def _offset_trial(monkeypatch, module, name, trial, group_of, shift=1.0):
     """Shift the stacked oracle's value of one trial by ``shift``, whatever its group; the
     suite calls the oracle once per group, in group order."""
-    _shift_oracle(monkeypatch, module, name, {group_of(trial): shift})
+    return _shift_oracle(monkeypatch, module, name, {group_of(trial): shift})
+
+
+def _record(result, seed, trials):
+    """The record of a suite with one forced failure, drawn at ``seed`` and ``trials``."""
+    assert not result.passed and result.failures == 1
+    assert (result.repro["seed"], result.repro["trials"]) == (seed, trials)
+    return result.repro
 
 
 class TestForcedFailureRepro:
+    """The inputs in a forced failure's record, evaluated alone through the scalar API,
+    give the suite's unshifted values for that trial within the suite's tolerance."""
+
     @pytest.mark.parametrize("trial", [4, 7, 9])
     def test_structural(self, monkeypatch, trial):
-        _offset_trial(monkeypatch, suites, "_minor_sum_concurrence", trial,
-                      lambda t: (t % 3, t // 3))
+        minor_sums = _offset_trial(monkeypatch, suites, "_minor_sum_concurrence", trial,
+                                   lambda t: (t % 3, t // 3))
         result, = run_suites("structural", seed=3, trials=30)
-        assert not result.passed and result.failures == 1
-        assert result.repro["trial"] == trial
-        dims = ((2, 2), (2, 3), (3, 3))[trial % 3]
-        alone = np.random.default_rng([3, trial])
-        assert result.repro["state"] == state_to_json(random_pure_state(dims, alone))
+        monkeypatch.undo()
+        record = _record(result, 3, 30)
+        assert record["trial"] == trial
+        state = state_from_json(record["state"])
+        assert state.dims == ((2, 2), (2, 3), (3, 3))[trial % 3]
+        assert abs(concurrence_pure(state) - minor_sums[trial % 3][trial // 3]) <= 1e-10
 
     @pytest.mark.parametrize("trial", [3, 4, 6, 8])  # 3 and 6: truncated channels
     def test_pt_equivalence(self, monkeypatch, trial):
-        _offset_trial(monkeypatch, suites.pr, "pt_mes_sum_stack", trial,
-                      lambda t: (t % 2, t // 2))
+        mes_sums = _offset_trial(monkeypatch, suites.pr, "pt_mes_sum_stack", trial,
+                                 lambda t: (t % 2, t // 2))
         result, = run_suites("pt-equivalence", seed=2, trials=10)
-        assert not result.passed and result.failures == 1
-        assert result.repro["trial"] == trial
-        n = 2 if trial % 2 == 0 else 3
-        rng = np.random.default_rng([2, trial])
-        rho = random_density((n, n), int(rng.integers(1, n * n + 1)), rng)
-        channel = random_tp_channel(n, int(rng.integers(2, 4)), rng)
-        if trial % 3 == 0:
-            channel = KrausChannel(n, channel.operators[:1])
-        assert result.repro["state"] == state_to_json(rho)
-        assert result.repro["channel"] == channel_to_json(channel)
+        monkeypatch.undo()
+        record = _record(result, 2, 10)
+        assert record["trial"] == trial
+        rho, channel = state_from_json(record["state"]), channel_from_json(record["channel"])
+        probe_state = probe_from_json(record["probe"])
+        n = 2 + trial % 2
+        assert rho.dims == (n, n) and probe_state.dim == n
+        assert channel.trace_preserving == (trial % 3 != 0)
+        image = apply_one_sided(channel, probe_state.density(), "first")
+        pt_mes = pt_via_mes_sum(rho, image.output, probe_state)
+        pt_red = pt_via_reduced(rho, image.output, probe_state)
+        assert abs(pt_mes - mes_sums[trial % 2][trial // 2]) <= 1e-10
+        assert abs(pt_red - pt_mes) <= 1e-10
+        direct = apply_one_sided(channel, rho, "first").probability
+        assert abs(pt_red * image.probability - direct) <= 1e-10
+
+    @pytest.mark.parametrize("trial", [2, 3, 5, 6])  # 3 and 6: random probes
+    def test_sandwich(self, monkeypatch, trial):
+        # spin-flip calls: one-sided exact values, its factors, two-sided exact values, ...
+        exact = _offset_trial(monkeypatch, suites.conc, "spin_flip_concurrence", trial,
+                              lambda t: (2 * (t % 2), t // 2))
+        result, = run_suites("sandwich", seed=3, trials=30)
+        monkeypatch.undo()
+        record = _record(result, 3, 30)
+        assert record["trial"] == trial
+        rho, channel_1 = state_from_json(record["state"]), channel_from_json(record["channel_1"])
+        probe_state = probe_from_json(record["probe"])
+        assert (probe_state.condition == pytest.approx(1.0)) == (trial % 3 != 0)
+        image_1 = apply_one_sided(channel_1, probe_state.density(), "first").output
+        if trial % 2 == 0:
+            assert "channel_2" not in record
+            evolved = apply_one_sided(channel_1, rho, "first").output
+            lower = lower_bound_one_sided(rho, image_1, probe_state, "first")
+        else:
+            channel_2 = channel_from_json(record["channel_2"])
+            evolved = apply_two_sided(channel_1, channel_2, rho).output
+            image_2 = apply_one_sided(channel_2, probe_state.density(), "second").output
+            lower = lower_bound_two_sided(rho, image_1, image_2, probe_state)
+        value = wootters_concurrence(evolved)
+        assert abs(value - exact[2 * (trial % 2)][trial // 2]) <= 1e-9
+        assert abs(lower.raw - fidelity_lower_bound(evolved).raw) <= 1e-9
+        assert lower.clamped <= value + 1e-9
+
+    @pytest.mark.parametrize("n, pair", [(2, 4), (2, 7), (3, 3), (3, 8)])  # 4, 8: truncated
+    def test_probe_invariance(self, monkeypatch, n, pair):
+        # one call of the directly evolved bounds per dimension, 20 pairs each
+        direct = _shift_oracle(monkeypatch, suites.conc, "fidelity_lower_bounds",
+                               {(n - 2, pair): 1.0})
+        result, = run_suites("probe-invariance", seed=1, trials=3)
+        monkeypatch.undo()
+        record = _record(result, 1, 3)
+        assert (record["dim"], record["pair"]) == (n, pair)
+        rho, channel = state_from_json(record["state"]), channel_from_json(record["channel"])
+        assert channel.trace_preserving == (pair % 4 != 0)
+        probes = [probe_from_json(doc) for doc in record["probes"]]
+        assert len(probes) == 3 and all(p.dim == n for p in probes)
+        if pair % 2 == 0:
+            assert "channel_2" not in record
+            evolved = apply_one_sided(channel, rho, "first").output
+        else:
+            channel_2 = channel_from_json(record["channel_2"])
+            evolved = apply_two_sided(channel, channel_2, rho).output
+        value = fidelity_lower_bound(evolved).raw
+        assert abs(value - direct[n - 2][pair]) <= 1e-8
+        for probe_state in probes:
+            image_1 = apply_one_sided(channel, probe_state.density(), "first").output
+            if pair % 2 == 0:
+                lower = lower_bound_one_sided(rho, image_1, probe_state, "first")
+            else:
+                image_2 = apply_one_sided(channel_2, probe_state.density(), "second").output
+                lower = lower_bound_two_sided(rho, image_1, image_2, probe_state)
+            assert abs(lower.raw - value) <= 1e-8
+
+    @pytest.mark.parametrize("n, trial", [(3, 0), (3, 1), (4, 1)])
+    def test_theorem1_margin(self, monkeypatch, n, trial):
+        # pure-concurrence calls: the 2x2 trials, then [MES, samples] at n = 3 and n = 4
+        values = _shift_oracle(monkeypatch, suites.conc, "pure_concurrences",
+                               {(n - 2, 1 + trial): -10.0})
+        result, = run_suites("theorem1", seed=4, trials=100)
+        monkeypatch.undo()
+        record = _record(result, 4, 100)
+        assert (record["dim"], record["trial"]) == (n, trial)
+        state = state_from_json(record["state"])
+        assert state.dims == (n, n)
+        value = concurrence_pure(state)
+        margin = value - fidelity_lower_bound(state.density()).raw
+        assert abs(value - values[n - 2][1 + trial]) <= 1e-10
+        assert abs(margin - (record["margin"] + 10.0)) <= 1e-10 and margin > 1e-10
 
 
 def _truncated_depolarizing(ps):
@@ -328,7 +371,8 @@ class TestVerdict:
         assert not result.passed and result.failures == 11 + state_fails
         assert result.worst_residual >= 1.0  # a defect of 1
         if state_fails:
-            assert list(result.repro) == ["suite", "seed", "trial", "state", "residual"]
+            assert list(result.repro) == ["suite", "seed", "trials", "trial", "state",
+                                          "residual"]
             assert result.repro["trial"] == 4
         else:
             assert result.repro == {"suite": "structural", "family": "depolarizing",
@@ -362,6 +406,31 @@ class TestTrialCounts:
         result, = run_suites(name, seed=0, trials=0)
         assert (result.passed, result.trials, result.failures) == (False, 0, 0)
 
+
+class TestDeterminism:
+    """A suite's result is a function of (suite, seed, trials)."""
+
+    @pytest.mark.parametrize("name, trials", [(name, trials) for name, _, twentieth, _
+                                              in TRIAL_COUNTS for trials in (twentieth, 1, 2)])
+    def test_two_runs_agree(self, name, trials):
+        first, second = (replace(run_suites(name, 5, trials)[0], wall_s=0.0) for _ in range(2))
+        assert first == second
+
+    def test_two_failing_runs_agree(self, monkeypatch):
+        results = []
+        for _ in range(2):
+            with monkeypatch.context() as patch:
+                _offset_trial(patch, suites.conc, "spin_flip_concurrence", 5,
+                              lambda t: (2 * (t % 2), t // 2))
+                results.append(replace(run_suites("sandwich", 3, 30)[0], wall_s=0.0))
+        assert results[0] == results[1] and results[0].repro["trial"] == 5
+
+    def test_import_leaves_numpy_random_unloaded(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        code = "import sys, entbound.cli; assert 'numpy.random' not in sys.modules"
+        subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
 
 class TestStackedCores:
