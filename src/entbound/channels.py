@@ -131,7 +131,7 @@ def apply_stacked(superoperators, mats, dims, side: str = "first"):
     images = images.reshape(mats.shape)
     p = np.trace(images, axis1=1, axis2=2).real
     k = first_false(p > PROBABILITY_FLOOR)
-    fault = None if k == len(p) else (k, ZeroProbability(f"channel image has trace {p[k]!r}"))
+    fault = None if k == len(p) else (k, ZeroProbability(f"channel image has trace {float(p[k])}"))
     return images[:k] / p[:k, None, None], p, fault
 
 

@@ -171,21 +171,9 @@ def run_sweep(config: SweepConfig, output_path) -> None:
 
 
 def _cmd_sweep(args) -> int:
-    try:
-        if args.config:
-            config = sweep_config_from_json(load_json(args.config))
-        else:
-            config = default_sweep_config()
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        print(f"error: could not build sweep config: {exc}", file=sys.stderr)
-        return 2
-    try:
-        run_sweep(config, args.output)
-    except OSError as exc:
-        return _unwritable(exc)
-    except (ArithmeticError, ValueError, np.linalg.LinAlgError) as exc:
-        print(f"error: numerical failure: {exc}", file=sys.stderr)
-        return 3
+    config = _read("could not build sweep config", lambda: sweep_config_from_json(
+        load_json(args.config)) if args.config else default_sweep_config())
+    run_sweep(config, args.output)
     return 0
 
 
@@ -218,116 +206,83 @@ def evaluate_bound(rho: DensityMatrix, channels, side: str, probe, method: str) 
 
 def _cmd_bound(args) -> int:
     if len(args.channels) > 2 or (len(args.channels) == 2 and args.side is not None):
-        print(f"error: bound takes one channel file, with an optional --side, or two without "
-              f"--side; got {len(args.channels)} and --side {args.side}", file=sys.stderr)
-        return 2
-    try:
-        state = state_from_json(load_json(args.state))
-        channels = tuple(channel_from_json(load_json(path)) for path in args.channels)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        print(f"error: could not parse inputs: {exc}", file=sys.stderr)
-        return 2
+        raise _BadInput(f"bound takes one channel file, with an optional --side, or two without "
+                        f"--side; got {len(args.channels)} and --side {args.side}")
+    state, channels = _read("could not parse inputs", lambda: (
+        state_from_json(load_json(args.state)),
+        tuple(channel_from_json(load_json(path)) for path in args.channels)))
     if isinstance(state, PureState):
         state = state.density()
-    try:
-        if args.probe_path:
-            probe = probe_from_json(load_json(args.probe_path))
-        elif state.dims[0] == state.dims[1]:
-            probe = canonical_probe(state.dims[0])
-        else:
-            probe = None  # non-square bipartition: direct method only
-    except SingularProbe as exc:
-        print(f"error: singular probe: {exc}", file=sys.stderr)
-        return 5
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        print(f"error: could not parse probe: {exc}", file=sys.stderr)
-        return 2
-    try:
-        report = evaluate_bound(state, channels, args.side or "first", probe, args.method)
-    except SingularProbe as exc:
-        print(f"error: singular probe: {exc}", file=sys.stderr)
-        return 5
-    except (DimensionMismatch, TrivialDimension) as exc:
-        print(f"error: dimension mismatch: {exc}", file=sys.stderr)
-        return 4
-    except (ArithmeticError, ValueError) as exc:
-        print(f"error: numerical failure: {exc}", file=sys.stderr)
-        return 3
+    if args.probe_path:
+        probe = _read("could not parse probe", lambda: probe_from_json(load_json(args.probe_path)),
+                      keep=SingularProbe)
+    else:  # the canonical MES; a non-square bipartition has none and takes the direct method
+        probe = canonical_probe(state.dims[0]) if state.dims[0] == state.dims[1] else None
+    report = evaluate_bound(state, channels, args.side or "first", probe, args.method)
     print(json.dumps(report.to_json(), indent=2))
     return 0
 
 
 def _cmd_check(args) -> int:
-    try:
-        results = run_suites(args.suite, seed=args.seed, trials=args.trials)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    all_passed = True
+    results = run_suites(args.suite, seed=args.seed, trials=args.trials)
     lines = []
     for res in results:
         status = "PASS" if res.passed else "FAIL"
         lines.append(f"{res.name}: {status} trials={res.trials} failures={res.failures} "
                      f"worst_residual={res.worst_residual:.3e} wall_s={res.wall_s:.3f}")
-        all_passed = all_passed and res.passed
     report_text = "\n".join(lines) + "\n"
     print(report_text, end="")
-    try:
-        if args.report:
-            with open(args.report, "w", encoding="utf-8") as fh:
-                fh.write(report_text)
-        if not all_passed:
-            first_failure = next(r for r in results if not r.passed)
-            base = args.report if args.report else f"entbound-{first_failure.name}"
-            repro_path = f"{base}.repro.json"
-            dump_json({"seed": args.seed, "trials": args.trials,
-                       "failure": first_failure.repro}, repro_path)
-            print(f"reproduction bundle written to {repro_path}", file=sys.stderr)
-            return 1
-    except OSError as exc:
-        return _unwritable(exc)
+    if args.report:
+        with open(args.report, "w", encoding="utf-8") as fh:
+            fh.write(report_text)
+    first_failure = next((r for r in results if not r.passed), None)
+    if first_failure is not None:
+        base = args.report if args.report else f"entbound-{first_failure.name}"
+        repro_path = f"{base}.repro.json"
+        dump_json({"seed": args.seed, "trials": args.trials,
+                   "failure": first_failure.repro}, repro_path)
+        print(f"reproduction bundle written to {repro_path}", file=sys.stderr)
+        return 1
     return 0
+
+
+_FAMILIES = {"amplitude-damping": (amplitude_damping, "gamma"),
+             "depolarizing": (depolarizing, "prob"),
+             "phase-damping": (phase_damping, "lam")}
 
 
 def _cmd_gen(args) -> int:
-    try:
-        if args.kind == "state":
-            dims = (args.dims[0], args.dims[1])
-            if args.rank is None:
-                doc = state_to_json(random_pure_state(dims, args.seed))
-            else:
-                doc = state_to_json(random_density(dims, args.rank, args.seed))
-        elif args.kind == "channel":
-            if args.family == "amplitude-damping":
-                channel = amplitude_damping(_require(args.gamma, "--gamma"))
-            elif args.family == "depolarizing":
-                channel = depolarizing(_require(args.prob, "--prob"))
-            elif args.family == "phase-damping":
-                channel = phase_damping(_require(args.lam, "--lam"))
-            else:
-                raise ValueError(f"unknown channel family {args.family!r}")
-            doc = channel_to_json(channel)
-        else:
-            doc = probe_to_json(random_probe(args.dim, args.seed))
-    except (ValueError, TypeError) as exc:
-        print(f"error: invalid parameters: {exc}", file=sys.stderr)
-        return 2
-    try:
-        dump_json(doc, args.output)
-    except OSError as exc:
-        return _unwritable(exc)
+    dump_json(_read("invalid parameters", lambda: _gen_doc(args)), args.output)
     return 0
 
 
-def _unwritable(exc: OSError) -> int:
-    print(f"error: could not write: {exc}", file=sys.stderr)
-    return 2
-
-
-def _require(value, flag):
+def _gen_doc(args) -> dict:
+    if args.kind == "state":
+        dims = tuple(args.dims)
+        return state_to_json(random_pure_state(dims, args.seed) if args.rank is None else
+                             random_density(dims, args.rank, args.seed))
+    if args.kind == "probe":
+        return probe_to_json(random_probe(args.dim, args.seed))
+    family, option = _FAMILIES[args.family]
+    value = getattr(args, option)
     if value is None:
-        raise ValueError(f"{flag} is required for this family")
-    return value
+        raise ValueError(f"--{option} is required for this family")
+    return channel_to_json(family(value))
+
+
+class _BadInput(Exception):
+    """An input a command cannot use; the message names the step that read it."""
+
+
+def _read(prefix: str, build, keep=()):
+    """Return ``build()``, turning a malformed-input error into a _BadInput (exit 2)
+    under ``prefix``; errors of the types in ``keep`` go to the exit-code table."""
+    try:
+        return build()
+    except keep:
+        raise
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise _BadInput(f"{prefix}: {exc}") from exc
 
 
 def _int_at_least(low):
@@ -387,15 +342,33 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--prob", type=float, default=None)
     p_gen.add_argument("--lam", type=float, default=None)
     p_gen.add_argument("--dim", type=_int_at_least(1), default=2, help="probe dimension")
-    p_gen.add_argument("--seed", type=int, default=0)
+    p_gen.add_argument("--seed", type=_int_at_least(0), default=0)
     p_gen.set_defaults(fn=_cmd_gen)
     return parser
+
+
+# The exit code and message prefix of each error a command may raise; the first
+# matching type decides.  Other exceptions are programming errors and propagate.
+_EXIT_CODES = {
+    _BadInput: (2, ""),
+    OSError: (2, "could not write: "),
+    SingularProbe: (5, "singular probe: "),
+    DimensionMismatch: (4, "dimension mismatch: "),
+    TrivialDimension: (4, "dimension mismatch: "),
+    ArithmeticError: (3, "numerical failure: "),
+    ValueError: (3, "numerical failure: "),
+}
 
 
 def main(argv=None) -> int:
     _setup_logging()
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except tuple(_EXIT_CODES) as exc:
+        code, prefix = next(v for t, v in _EXIT_CODES.items() if isinstance(exc, t))
+        print(f"error: {prefix}{exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

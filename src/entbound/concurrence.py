@@ -211,7 +211,7 @@ def upper_bound_factor(images, probe_matrices) -> np.ndarray:
     det = np.abs(np.linalg.det(p))
     k = first_false(det > _DET_FLOOR)
     if k < len(det):
-        raise SingularProbe(f"|det P| = {det[k]!r} of probe {k} is numerically singular")
+        raise SingularProbe(f"|det P| = {float(det[k])} of probe {k} is numerically singular")
     return spin_flip_concurrence(images) / (2.0 * det)
 
 

@@ -110,11 +110,11 @@ def probe_from_matrix(p) -> ProbeState:
         raise DimensionMismatch(f"probe matrix must be square, got shape {p.shape}")
     norm = np.linalg.norm(p)
     if abs(norm - 1.0) > TOL_RECONSTRUCT:
-        raise NotNormalized(f"Frobenius norm {norm!r} is not 1 within 1e-10")
+        raise NotNormalized(f"Frobenius norm {float(norm)} is not 1 within 1e-10")
     p = p / norm
     s = np.linalg.svd(p, compute_uv=False)
     if s[-1] <= _RANK_FLOOR:
-        raise SingularProbe(f"smallest singular value {s[-1]!r} <= 1e-8")
+        raise SingularProbe(f"smallest singular value {float(s[-1])} <= 1e-8")
     p.setflags(write=False)
     inv = np.linalg.inv(p)
     inv.setflags(write=False)

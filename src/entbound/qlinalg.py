@@ -179,7 +179,7 @@ def density_fault(mats):
         return None
     if not asym[k] <= TOL_STRUCTURE:
         return k, ValueError("matrix is not Hermitian within 1e-12")
-    return k, ValueError(f"trace = {trace[k]!r} is not 1 within 1e-12")
+    return k, ValueError(f"trace = {float(trace[k])} is not 1 within 1e-12")
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ import pytest
 from entbound import (DensityMatrix, KrausChannel, PureState, amplitude_damping,
                       apply_one_sided, apply_two_sided, canonical_mes, canonical_probe,
                       random_density, upper_bound_two_sided, wootters_concurrence)
+from entbound.errors import ZeroProbability
 from entbound.cli import SweepConfig, default_base_state, default_sweep_config, \
     evaluate_bound, main, run_sweep
 from entbound.serialize import channel_to_json, dump_json, probe_to_json, state_to_json
@@ -79,6 +80,12 @@ class TestGen:
         with pytest.raises(SystemExit) as exc:
             run_cli("gen", "probe", str(tmp_path / "p.json"), "--dim", "0")
         assert exc.value.code == 2
+
+    def test_negative_seed_rejected_naming_the_option(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("gen", "state", str(tmp_path / "s.json"), "--seed", "-1")
+        assert exc.value.code == 2
+        assert "argument --seed: must be at least 0, got -1" in capsys.readouterr().err
 
     def test_pure_state_when_rank_omitted(self, tmp_path):
         out = tmp_path / "pure.json"
@@ -162,6 +169,15 @@ class TestBound:
         state_path = write_state(tmp_path / "rho.json", state)
         channel = write_channel(tmp_path / "kill.json", KrausChannel(2, (np.diag([1.0, 0.0]),)))
         assert run_cli("bound", state_path, channel) == 3
+
+    def test_annihilating_channel_message_prints_a_float(self, tmp_path, capsys):
+        state = DensityMatrix((2, 2), np.diag([0.0, 0.0, 0.0, 1.0]).astype(complex))
+        state_path = write_state(tmp_path / "rho.json", state)
+        channel = write_channel(tmp_path / "kill.json", KrausChannel(2, (np.diag([1.0, 0.0]),)))
+        assert run_cli("bound", state_path, channel) == 3
+        err = capsys.readouterr().err
+        assert "error: numerical failure: channel image has trace 0.0" in err
+        assert "np.float64" not in err
 
     def test_nearly_annihilating_channel_exits_3(self, tmp_path, capsys):
         # p ~ 2.5e-7 clears the 1e-14 floor, but normalizing the image
@@ -295,6 +311,15 @@ class TestSweep:
         assert run_cli("sweep", "--config", str(cfg_path), "--output", str(out)) == 2
         err = capsys.readouterr().err
         assert "could not build sweep config" in err and "1-D" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("grid", [{"a": 1}, [{"a": 1}]])
+    def test_non_numeric_grid_exits_2(self, tmp_path, capsys, grid):
+        cfg_path = tmp_path / "cfg.json"
+        dump_json({"x_grid": grid}, cfg_path)
+        out = tmp_path / "s.csv"
+        assert run_cli("sweep", "--config", str(cfg_path), "--output", str(out)) == 2
+        assert "error: could not build sweep config" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("case", ["non_square_state", "channel_1_dim", "probe_dim"])
@@ -526,6 +551,18 @@ class TestCheck:
         assert run_cli("check", "sandwich", "--report", str(report)) == 2
         assert "error: could not write" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("error", [ValueError("bad residual"),
+                                       ZeroProbability("channel image has trace 0.0")])
+    def test_error_inside_a_suite_exits_3(self, capsys, monkeypatch, error):
+        from entbound import suites
+
+        def broken(seed=0, trials=None):
+            raise error
+
+        monkeypatch.setitem(suites._SUITES, "sandwich", broken)
+        assert run_cli("check", "sandwich") == 3
+        assert capsys.readouterr().err == f"error: numerical failure: {error}\n"
+
     def test_failure_writes_repro_bundle(self, tmp_path, capsys, monkeypatch):
         import entbound.cli
         from entbound.suites import SuiteResult
@@ -546,3 +583,65 @@ def test_log_env_var(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("ENTBOUND_LOG", "debug")
     assert run_cli("check", "mes-basis") == 0
     capsys.readouterr()
+
+
+def _nearly_annihilated_bound(tmp_path):
+    """A bound call whose normalized image fails the Hermiticity check (a ValueError)."""
+    v = np.array([1.0, 1.0 + 1e-3])
+    w = np.array([0.18651688 + 0.9500471j, -0.19597346 + 0.15561606j])
+    psi = PureState((2, 2), np.kron(v / np.linalg.norm(v), w / np.linalg.norm(w)))
+    a = 1.0 / np.sqrt(2.0)
+    kill = KrausChannel(2, (np.array([[a, -a], [0.0, 0.0]]),))
+    return ["bound", write_state(tmp_path / "psi.json", psi),
+            write_channel(tmp_path / "m.json", kill)]
+
+
+def _bound_argv(tmp_path, state, *extra):
+    return ["bound", write_state(tmp_path / "rho.json", state),
+            write_channel(tmp_path / "ad.json", amplitude_damping(0.2)), *extra]
+
+
+def _json_file(path, doc):
+    dump_json(doc, path)
+    return str(path)
+
+
+_SINGULAR_PROBE = {"dim": 2, "matrix": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]}
+_NAN_PROBE = {"dim": 2, "matrix": [[[float("nan"), 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]}
+_ELEVEN = DensityMatrix((2, 2), np.diag([0.0, 0.0, 0.0, 1.0]).astype(complex))  # |11><11|
+
+# Each row of the exit-code table and each prefix of the input-reading step:
+# (exit code, stderr prefix, the arguments of a call that reaches it).
+EXIT_ROWS = {
+    "sweep-config": (2, "could not build sweep config", lambda tmp: [
+        "sweep", "--config", _json_file(tmp / "cfg.json", {"x_grid": [0.5, 0.2]}),
+        "--output", str(tmp / "s.csv")]),
+    "bound-inputs": (2, "could not parse inputs", lambda tmp: [
+        "bound", str(tmp / "missing.json"),
+        write_channel(tmp / "ad.json", amplitude_damping(0.2))]),
+    "bound-probe": (2, "could not parse probe", lambda tmp: _bound_argv(
+        tmp, default_base_state(), "--probe-path", _json_file(tmp / "probe.json", _NAN_PROBE))),
+    "bound-arity": (2, "bound takes one channel file", lambda tmp: _bound_argv(
+        tmp, default_base_state(), str(tmp / "ad.json"), str(tmp / "ad.json"))),
+    "gen-parameters": (2, "invalid parameters", lambda tmp: [
+        "gen", "channel", str(tmp / "c.json"), "--family", "depolarizing"]),
+    "unwritable": (2, "could not write", lambda tmp: [
+        "gen", "state", str(tmp / "missing" / "s.json")]),
+    "singular-probe": (5, "singular probe", lambda tmp: _bound_argv(
+        tmp, bell_density(), "--probe-path", _json_file(tmp / "probe.json", _SINGULAR_PROBE))),
+    "dimension-mismatch": (4, "dimension mismatch", lambda tmp: _bound_argv(
+        tmp, random_density((3, 3), 2, seed=0))),
+    "trivial-dimension": (4, "dimension mismatch", lambda tmp: _bound_argv(
+        tmp, random_density((2, 1), 2, seed=1))),
+    "arithmetic-error": (3, "numerical failure", lambda tmp: [
+        "bound", write_state(tmp / "rho.json", _ELEVEN),
+        write_channel(tmp / "kill.json", KrausChannel(2, (np.diag([1.0, 0.0]),)))]),
+    "value-error": (3, "numerical failure", _nearly_annihilated_bound),
+}
+
+
+@pytest.mark.parametrize("row", EXIT_ROWS)
+def test_exit_code_table_row(tmp_path, capsys, row):
+    code, prefix, argv = EXIT_ROWS[row]
+    assert run_cli(*argv(tmp_path)) == code
+    assert capsys.readouterr().err.startswith(f"error: {prefix}")

@@ -229,7 +229,7 @@ def eigvalsh_fault(mats):
         if not np.abs(m - m.conj().T).max() <= 1e-12:
             return i, "matrix is not Hermitian within 1e-12"
         if not abs(trace - 1.0) <= 1e-12:
-            return i, f"trace = {trace!r} is not 1 within 1e-12"
+            return i, f"trace = {float(trace)} is not 1 within 1e-12"
         if not np.linalg.eigvalsh(m)[0] >= -1e-10:
             return i, "matrix has an eigenvalue below -1e-10"
     return None
