@@ -156,17 +156,16 @@ def run_sweep(config: SweepConfig, output_path) -> None:
         raise type(error)(f"sweep failed at x={grid[k]}: {error}") from error
 
     columns = [grid, np.maximum(0.0, lower), result.exact, result.upper, result.p]
-    cells = [[""] * len(grid) if c is None else [f"{v:.12g}" for v in c.tolist()]
-             for c in columns]  # a Python float formats as its np.float64 does
-    lines = ["x,lower_bound,concurrence,upper_bound,p_total"]
-    lines += [",".join(row) for row in zip(*cells)]
+    line = ",".join("" if c is None else "%.12g" for c in columns) + "\n"
+    values = np.column_stack([c for c in columns if c is not None]).ravel().tolist()
+    text = ("x,lower_bound,concurrence,upper_bound,p_total\n" + line * len(grid)) % tuple(values)
     if log.isEnabledFor(logging.DEBUG):
         blank = [None] * len(grid)
         for row in zip(*(blank if c is None else c for c in columns[:4])):
             log.debug("x=%s lower=%s exact=%s upper=%s", *row)
 
     with open(output_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(text)
     log.info("wrote %d rows to %s", len(config.x_grid), output_path)
 
 
@@ -256,14 +255,29 @@ def _cmd_gen(args) -> int:
     return 0
 
 
+# The options each kind of gen reads; a channel also reads its family's parameter.
+# An option given explicitly that the kind or family ignores is rejected.
+_GEN_OPTIONS = {"state": ("dims", "rank", "seed"), "probe": ("dim", "seed"),
+                "channel": ("family",)}
+_GEN_ALL = ("dims", "rank", "family", "gamma", "prob", "lam", "dim", "seed")
+
+
 def _gen_doc(args) -> dict:
+    command, used = f"gen {args.kind}", _GEN_OPTIONS[args.kind]
+    if args.kind == "channel":
+        name = args.family or "amplitude-damping"
+        family, option = _FAMILIES[name]
+        command, used = f"{command} --family {name}", used + (option,)
+    unused = [opt for opt in _GEN_ALL if opt not in used and getattr(args, opt) is not None]
+    if unused:
+        raise ValueError(f"{command} does not use --{unused[0]}")
+    seed = args.seed or 0
     if args.kind == "state":
-        dims = tuple(args.dims)
-        return state_to_json(random_pure_state(dims, args.seed) if args.rank is None else
-                             random_density(dims, args.rank, args.seed))
+        dims = tuple(args.dims or (2, 2))
+        return state_to_json(random_pure_state(dims, seed) if args.rank is None else
+                             random_density(dims, args.rank, seed))
     if args.kind == "probe":
-        return probe_to_json(random_probe(args.dim, args.seed))
-    family, option = _FAMILIES[args.family]
+        return probe_to_json(random_probe(args.dim or 2, seed))
     value = getattr(args, option)
     if value is None:
         raise ValueError(f"--{option} is required for this family")
@@ -333,16 +347,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen = sub.add_parser("gen", help="generate input JSON files")
     p_gen.add_argument("kind", choices=("state", "channel", "probe"))
     p_gen.add_argument("output", help="output JSON path")
-    p_gen.add_argument("--dims", type=int, nargs=2, default=(2, 2), metavar=("N1", "N2"))
-    p_gen.add_argument("--rank", type=int, default=None,
-                       help="density-matrix rank; omit for a pure state")
-    p_gen.add_argument("--family", default="amplitude-damping",
-                       choices=("amplitude-damping", "depolarizing", "phase-damping"))
-    p_gen.add_argument("--gamma", type=float, default=None)
-    p_gen.add_argument("--prob", type=float, default=None)
-    p_gen.add_argument("--lam", type=float, default=None)
-    p_gen.add_argument("--dim", type=_int_at_least(1), default=2, help="probe dimension")
-    p_gen.add_argument("--seed", type=_int_at_least(0), default=0)
+    # Every option defaults to None, so that gen can reject one its kind or family ignores.
+    p_gen.add_argument("--dims", type=int, nargs=2, metavar=("N1", "N2"),
+                       help="state dims (default: 2 2)")
+    p_gen.add_argument("--rank", type=int, help="density-matrix rank; omit for a pure state")
+    p_gen.add_argument("--family", choices=tuple(_FAMILIES),
+                       help="channel family (default: amplitude-damping)")
+    p_gen.add_argument("--gamma", type=float, help="amplitude-damping parameter")
+    p_gen.add_argument("--prob", type=float, help="depolarizing parameter")
+    p_gen.add_argument("--lam", type=float, help="phase-damping parameter")
+    p_gen.add_argument("--dim", type=_int_at_least(1), help="probe dimension (default: 2)")
+    p_gen.add_argument("--seed", type=_int_at_least(0), help="state or probe seed (default: 0)")
     p_gen.set_defaults(fn=_cmd_gen)
     return parser
 

@@ -33,6 +33,7 @@ _MAGIC_BASIS = np.array([
 ]) / np.sqrt(2.0)
 
 _DET_FLOOR = 1e-12
+_FULL_RANK = 1e-10  # spin_flip_spectrum's determinant certificate, relative to max(1, tr)^4
 
 
 @dataclass(frozen=True)
@@ -81,19 +82,41 @@ def concurrence_two_qubit_pure(psi: PureState) -> float:
 
 def spin_flip_spectrum(mats) -> np.ndarray:
     """Decreasing sqrt-eigenvalues of rho rho~, rho~ the spin-flipped state,
-    for each matrix of a (k, 4, 4) stack; returns shape (k, 4).
+    for each Hermitian matrix of a (k, 4, 4) stack; returns shape (k, 4).
 
     Computed as the singular values of A^T (sy o sy) A for a factor
     rho = A A^dagger, which avoids taking square roots of near-zero
-    eigenvalues of the non-Hermitian product rho rho~.  Eigenvalue mass
-    below 1e-14 (relative) is treated as exact rank deficiency and its
-    columns of A are zeroed: keeping them would couple null directions of
-    the Gram matrix and inject O(sqrt(eps)) noise into the two smallest
-    spectrum entries.
+    eigenvalues of the non-Hermitian product rho rho~.  Any two exact
+    factors differ by a unitary on the right, which leaves those singular
+    values unchanged, so each entry takes the cheapest factor it can:
+
+    - An entry with det rho > 1e-10 max(1, tr rho)^4 is certified full
+      rank.  If rho is positive semidefinite, no eigenvalue exceeds tr rho,
+      so the smallest is at least det rho / (tr rho)^3 > 1e-10 max(1, tr rho),
+      and its factor is the Cholesky factor of ``np.linalg.cholesky``.
+    - Every other entry takes the eigen-factor V sqrt(W) of ``eigh``, with
+      eigenvalue mass below 1e-14 (relative) treated as exact rank
+      deficiency and its columns of A zeroed: keeping them would couple
+      null directions of the Gram matrix and inject O(sqrt(eps)) noise into
+      the two smallest spectrum entries.  The certificate's floor lies far
+      above 1e-14, so this rule would have kept every eigenvalue of a
+      certified entry, and both routes agree to rounding.
+
+    If the Cholesky factorization fails on a certified entry (a Hermitian
+    input with two negative eigenvalues has a positive determinant), the
+    whole stack takes the ``eigh`` route.
     """
-    w, v = np.linalg.eigh(mats)
+    mats = np.asarray(mats)
+    trace = np.trace(mats, axis1=-2, axis2=-1).real
+    full = np.linalg.det(mats).real > _FULL_RANK * np.maximum(1.0, trace) ** 4
+    factor = np.empty(mats.shape, dtype=complex)
+    try:
+        factor[full] = np.linalg.cholesky(mats[full])
+    except np.linalg.LinAlgError:
+        full[:] = False
+    w, v = np.linalg.eigh(mats[~full])
     keep = w > 1e-14 * np.maximum(1.0, w[:, -1:])
-    factor = v * np.sqrt(np.where(keep, w, 0.0))[:, None, :]
+    factor[~full] = v * np.sqrt(np.where(keep, w, 0.0))[:, None, :]
     return np.linalg.svd(np.swapaxes(factor, 1, 2) @ _SPIN_FLIP @ factor, compute_uv=False)
 
 
@@ -198,6 +221,16 @@ def theorem1_bound(rho: DensityMatrix, samples: int = 10_000, seed: int = 0) -> 
     return BoundValue(float(fidelity_bound(fid, r)), "lower")
 
 
+def _probe_dets(probe_matrices) -> np.ndarray:
+    """|det P| of each probe matrix of a (k, 2, 2) stack; the first |det P| <= 1e-12
+    raises SingularProbe."""
+    det = np.abs(np.linalg.det(probe_matrices))
+    k = first_false(det > _DET_FLOOR)
+    if k < len(det):
+        raise SingularProbe(f"|det P| = {float(det[k])} of probe {k} is numerically singular")
+    return det
+
+
 def upper_bound_factor(images, probe_matrices) -> np.ndarray:
     """Channel-side factors C(rho_P)/(2|det P|) of the upper bounds for a (k, 4, 4)
     stack of normalized probe images and the (k, 2, 2) probe matrices (either may
@@ -208,10 +241,7 @@ def upper_bound_factor(images, probe_matrices) -> np.ndarray:
     if images.shape[-2:] != (4, 4) or p.shape[-2:] != (2, 2):
         raise DimensionMismatch(f"needs 2x2 probe matrices and 4x4 probe images, got "
                                 f"{p.shape[-2:]} and {images.shape[-2:]}")
-    det = np.abs(np.linalg.det(p))
-    k = first_false(det > _DET_FLOOR)
-    if k < len(det):
-        raise SingularProbe(f"|det P| = {float(det[k])} of probe {k} is numerically singular")
+    det = _probe_dets(p)
     return spin_flip_concurrence(images) / (2.0 * det)
 
 
@@ -267,9 +297,12 @@ def evaluate(mats, dims, stages, probe_matrices=None) -> Evaluation:
     fail, whichever check it meets.  Each stage alone takes |P><P| of
     ``probe_matrices``, one (n, n) probe or one per entry (k, n, n), through
     :func:`entbound.channels.apply_checked`, which raises a probe image's
-    fault; the traces multiply into p' and p_t = p/p'.  At 2x2 one
-    spin-flip call gives the exact values and C(rho), and one
-    :func:`upper_bound_factor` call every stage's factor of the upper bound.
+    fault; the traces multiply into p' and p_t = p/p'.  A probe whose dim
+    differs from a stage's subsystem raises DimensionMismatch.  At 2x2 one
+    :func:`spin_flip_spectrum` call takes the images, the inputs and every
+    stage's probe images as one stack: it gives the exact values, C(rho) and
+    each stage's factor C(rho_P)/(2|det P|) of the upper bound, with
+    :func:`upper_bound_factor`'s singular-probe check.
     """
     fault = density_fault(mats)
     k = len(mats) if fault is None else fault[0]
@@ -284,7 +317,12 @@ def evaluate(mats, dims, stages, probe_matrices=None) -> Evaluation:
     images = ()
     if probe_matrices is not None:
         probes = np.asarray(probe_matrices)
-        densities = pure_densities(probes.reshape(probes.shape[:-2] + (probes.shape[-1] ** 2,)))
+        n = probes.shape[-1]
+        for _, side in stages:
+            if n != dims[side == "second"]:
+                raise DimensionMismatch(f"a probe of dim {n} does not fit the {side} subsystem "
+                                        f"of a state of dims {tuple(dims)}")
+        densities = pure_densities(probes.reshape(probes.shape[:-2] + (n * n,)))
         p_prime = np.ones(len(mats))
         for superoperators, side in stages:  # a shared probe meets a per-entry channel k times
             shape = np.broadcast_shapes(superoperators.shape[:-2] + (1, 1), densities.shape)
@@ -292,15 +330,14 @@ def evaluate(mats, dims, stages, probe_matrices=None) -> Evaluation:
             images, p_prime = images + (image,), p_prime * stage_p
         p_prime = p_prime[:k]
         p_t = p / p_prime
-    if tuple(dims) == (2, 2):
-        values = spin_flip_concurrence(np.concatenate([out, mats[:k]]))
-        exact, c_in = values[:k], values[k:]
-        if images:  # one factor call for the images of every side; a shared image is one entry
-            stacks = [np.reshape(image, (-1, 4, 4))[:k] for image in images]
-            probes = np.reshape(probes, (-1, 2, 2))[:k]
-            factors = upper_bound_factor(np.concatenate(stacks), np.concatenate(
-                [np.broadcast_to(probes, (len(stack), 2, 2)) for stack in stacks]))
+    if tuple(dims) == (2, 2):  # one spin-flip call; a shared probe image is one entry
+        stacks = [out, mats[:k]] + [np.reshape(image, (-1, 4, 4))[:k] for image in images]
+        values = np.split(spin_flip_concurrence(np.concatenate(stacks)),
+                          np.cumsum([len(stack) for stack in stacks])[:-1])
+        exact, c_in = values[:2]
+        if images:
+            twice_det = 2.0 * _probe_dets(np.reshape(probes, (-1, 2, 2))[:k])
             upper = c_in
-            for factor in np.split(factors, np.cumsum([len(stack) for stack in stacks])[:-1]):
-                upper = upper * factor
+            for value in values[2:]:
+                upper = upper * (value / twice_det)
     return Evaluation(out, exact, upper, p, p_prime, p_t, images, fault)

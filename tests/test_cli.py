@@ -87,6 +87,20 @@ class TestGen:
         assert exc.value.code == 2
         assert "argument --seed: must be at least 0, got -1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, message", [
+        (("channel", "--family", "depolarizing", "--prob", "0.3", "--gamma", "7"),
+         "gen channel --family depolarizing does not use --gamma"),
+        (("state", "--lam", "3"), "gen state does not use --lam"),
+        (("channel", "--gamma", "0.2", "--seed", "1"),
+         "gen channel --family amplitude-damping does not use --seed"),
+        (("probe", "--dims", "2", "2"), "gen probe does not use --dims"),
+    ], ids=["channel-gamma", "state-lam", "channel-seed", "probe-dims"])
+    def test_option_the_kind_or_family_ignores_exits_2(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "out.json"
+        assert run_cli("gen", argv[0], str(out), *argv[1:]) == 2
+        assert capsys.readouterr().err == f"error: invalid parameters: {message}\n"
+        assert not out.exists()
+
     def test_pure_state_when_rank_omitted(self, tmp_path):
         out = tmp_path / "pure.json"
         assert run_cli("gen", "state", str(out), "--dims", "2", "3", "--seed", "3") == 0
@@ -207,6 +221,17 @@ class TestBound:
             assert run_cli("bound", state, channel, "--probe-path", str(probe_path),
                            "--method", method) == 4
             assert "error: dimension mismatch" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method", ["direct", "probe"])
+    def test_probe_of_another_dimension_names_both_dims(self, tmp_path, capsys, method):
+        state = write_state(tmp_path / "rho.json", default_base_state())
+        channel = write_channel(tmp_path / "ad.json", amplitude_damping(0.2))
+        probe_path = tmp_path / "probe.json"
+        dump_json(probe_to_json(canonical_probe(3)), probe_path)
+        assert run_cli("bound", state, channel, "--probe-path", str(probe_path),
+                       "--method", method) == 4
+        assert capsys.readouterr().err == ("error: dimension mismatch: a probe of dim 3 does not "
+                                           "fit the first subsystem of a state of dims (2, 2)\n")
 
     @pytest.mark.parametrize("side", ["first", "second"])
     def test_side_with_two_channels_exits_2(self, tmp_path, capsys, side):

@@ -27,8 +27,9 @@ from entbound import (
     wootters_concurrence,
     amplitude_damping,
 )
+from entbound import concurrence
 from entbound.concurrence import evaluate, fidelity_lower_bounds, spin_flip_concurrence, \
-    upper_bound_factor
+    spin_flip_spectrum, upper_bound_factor
 from conftest import probe_density, random_mixed, random_probe, random_tp_kraus
 
 SY = np.array([[0, -1j], [1j, 0]])
@@ -49,6 +50,27 @@ def wootters_eig_oracle(rho):
     ev = np.sort(np.linalg.eigvals(rho @ flipped).real)[::-1]
     lam = np.sqrt(np.clip(ev, 0.0, None))
     return max(0.0, lam[0] - lam[1] - lam[2] - lam[3])
+
+
+def eigh_route_spectrum(mats):
+    """spin_flip_spectrum through the eigen-factor for every entry: the reference route."""
+    w, v = np.linalg.eigh(mats)
+    keep = w > 1e-14 * np.maximum(1.0, w[:, -1:])
+    factor = v * np.sqrt(np.where(keep, w, 0.0))[:, None, :]
+    return np.linalg.svd(np.swapaxes(factor, 1, 2) @ SYY @ factor, compute_uv=False)
+
+
+@pytest.fixture
+def eigh_entries(monkeypatch):
+    """The number of entries of each np.linalg.eigh call, in call order."""
+    sizes, original = [], np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        sizes.append(len(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return sizes
 
 
 def haar_unitary(n, rng):
@@ -369,6 +391,47 @@ class TestSpinFlipStack:
             assert abs(value - concurrence_two_qubit_pure(psi)) < 1e-10
 
 
+    def test_cholesky_route_equals_eigh_route(self, rng, eigh_entries):
+        mats = np.array([random_mixed((2, 2), 4, rng).matrix for _ in range(200)])
+        lam = spin_flip_spectrum(mats)
+        assert eigh_entries == [0]  # every entry is certified full rank
+        assert np.max(np.abs(lam - eigh_route_spectrum(mats))) <= 1e-14
+
+    def test_pure_and_rank_two_entries_take_eigh(self, eigh_entries):
+        pure = [random_pure_state((2, 2), seed) for seed in range(10)]
+        mats = np.array([psi.density().matrix for psi in pure]
+                        + [random_mixed((2, 2), 2, seed).matrix for seed in range(10)])
+        lam = spin_flip_spectrum(mats)
+        assert eigh_entries == [20]
+        assert np.array_equal(lam, eigh_route_spectrum(mats))
+        assert np.all(lam[:10, 1:] == 0.0)
+        for psi, value in zip(pure, lam[:10, 0]):
+            assert abs(value - concurrence_two_qubit_pure(psi)) <= 1e-14
+
+    def test_mixed_stack_equals_each_entry_alone(self, rng):
+        u = haar_unitary(4, rng)
+        smallest = (u * np.array([0.4, 0.3, 0.3 - 1e-13, 1e-13])) @ u.conj().T
+        mats = np.array([random_mixed((2, 2), rank, rng).matrix for rank in (4, 1, 4, 2, 3, 4)]
+                        + [smallest])
+        lam = spin_flip_spectrum(mats)
+        for j, mat in enumerate(mats):
+            assert np.array_equal(lam[j], spin_flip_spectrum(mat[None])[0]), j
+        assert np.array_equal(lam[-1], eigh_route_spectrum(smallest[None])[0])
+        assert lam[-1, -1] > 0.0  # the eigenvalue 1e-13 is kept, not zeroed
+
+    def test_two_negative_eigenvalues_fall_back_to_eigh(self, rng, eigh_entries):
+        u = haar_unitary(4, rng)
+        indefinite = (u * np.array([0.7, 0.5, -0.1, -0.1])) @ u.conj().T
+        assert np.linalg.det(indefinite).real > 1e-10  # passes the full-rank certificate
+        mats = np.array([random_mixed((2, 2), 4, rng).matrix, indefinite])
+        lam = spin_flip_spectrum(mats)
+        assert eigh_entries == [2]  # the whole stack
+        assert np.array_equal(lam, eigh_route_spectrum(mats))
+
+    def test_empty_stack(self):
+        assert spin_flip_spectrum(np.empty((0, 4, 4), dtype=complex)).shape == (0, 4)
+
+
 class TestEvaluate:
     @pytest.mark.parametrize("n", [2, 3])
     def test_stack_equals_each_entry(self, rng, n):
@@ -460,6 +523,17 @@ class TestEvaluate:
         with pytest.raises(DimensionMismatch):
             evaluate(mats, (2, 2), [(amplitude_damping(0.2).superoperator, "first")],
                      canonical_probe(3).matrix)
+
+    def test_one_spin_flip_call_with_a_probe(self, rng, monkeypatch):
+        calls, original = [], concurrence.spin_flip_spectrum
+        monkeypatch.setattr(concurrence, "spin_flip_spectrum",
+                            lambda mats: calls.append(len(mats)) or original(mats))
+        mats = np.array([random_mixed((2, 2), 3, rng).matrix for _ in range(5)])
+        stages = [(random_tp_kraus(2, 2, rng).superoperator, "first"),
+                  (random_tp_kraus(2, 3, rng).superoperator, "second")]
+        result = evaluate(mats, (2, 2), stages, random_probe(2, rng).matrix)
+        assert calls == [2 * 5 + 2]  # the images, the inputs, one shared probe image per side
+        assert len(result.exact) == len(result.upper) == 5
 
     def test_empty_probe_stack(self):
         result = evaluate(np.empty((0, 4, 4), dtype=complex), (2, 2),

@@ -222,9 +222,9 @@ class TestForcedFailureRepro:
 
     @pytest.mark.parametrize("trial", [2, 3, 5, 6])  # 3 and 6: random probes
     def test_sandwich(self, monkeypatch, trial):
-        # spin-flip calls: one-sided exact values, its factors, two-sided exact values, ...
+        # spin-flip calls: one per evaluation, one-sided then two-sided; exact values lead
         exact = _offset_trial(monkeypatch, suites.conc, "spin_flip_concurrence", trial,
-                              lambda t: (2 * (t % 2), t // 2))
+                              lambda t: (t % 2, t // 2))
         result, = run_suites("sandwich", seed=3, trials=30)
         monkeypatch.undo()
         record = _record(result, 3, 30)
@@ -243,7 +243,7 @@ class TestForcedFailureRepro:
             image_2 = apply_one_sided(channel_2, probe_state.density(), "second").output
             lower = lower_bound_two_sided(rho, image_1, image_2, probe_state)
         value = wootters_concurrence(evolved)
-        assert abs(value - exact[2 * (trial % 2)][trial // 2]) <= 1e-9
+        assert abs(value - exact[trial % 2][trial // 2]) <= 1e-9
         assert abs(lower.raw - fidelity_lower_bound(evolved).raw) <= 1e-9
         assert lower.clamped <= value + 1e-9
 
@@ -342,9 +342,9 @@ class TestVerdict:
 
     @pytest.mark.parametrize("trial", [2, 5])  # pure one-sided, mixed two-sided
     def test_nan_sandwich_oracle_fails(self, monkeypatch, trial):
-        # spin-flip calls: one-sided exact values, its factors, two-sided exact values, ...
+        # spin-flip calls: one per evaluation, one-sided then two-sided; exact values lead
         _offset_trial(monkeypatch, suites.conc, "spin_flip_concurrence", trial,
-                      lambda t: (2 * (t % 2), t // 2), np.nan)
+                      lambda t: (t % 2, t // 2), np.nan)
         result, = run_suites("sandwich", seed=3, trials=30)
         assert not result.passed and result.failures == 1 and result.repro["trial"] == trial
         assert np.isnan(result.worst_residual)
@@ -421,7 +421,7 @@ class TestDeterminism:
         for _ in range(2):
             with monkeypatch.context() as patch:
                 _offset_trial(patch, suites.conc, "spin_flip_concurrence", 5,
-                              lambda t: (2 * (t % 2), t // 2))
+                              lambda t: (t % 2, t // 2))
                 results.append(replace(run_suites("sandwich", 3, 30)[0], wall_s=0.0))
         assert results[0] == results[1] and results[0].repro["trial"] == 5
 
