@@ -52,9 +52,10 @@ app = apply_one_sided(channel, probe_in, "first")
 print("\np_t via reduced state :", pt_via_reduced(rho, app.output, probe))
 print("p_t via Bell-basis sum:", pt_via_mes_sum(rho, app.output, probe))
 
-# The Bell-basis sum has one term per basis state; for qubits the four
-# transition matrices sqrt(N) C_j, C_j the basis states' coefficient
-# matrices, are the identity and the Pauli matrices.
+# The Bell-basis sum has one term per basis state; mes_basis(N) is the
+# (N^2, N, N) array of the basis states' coefficient matrices C_j.  For
+# qubits the four transition matrices sqrt(N) C_j are the identity and the
+# Pauli matrices.
 print("\ntransition matrices for N = 2:")
-for c in mes_basis(2).coefficient_matrices():
+for c in mes_basis(2):
     print(np.round(np.sqrt(2) * c, 12))

@@ -42,7 +42,6 @@ from .errors import (
     ZeroProbability,
 )
 from .probe import (
-    MesBasis,
     ProbeState,
     canonical_probe,
     lower_bound_one_sided,
@@ -73,7 +72,6 @@ __all__ = [
     "InvalidChannel",
     "InvalidRank",
     "KrausChannel",
-    "MesBasis",
     "NotNormalized",
     "OutOfRange",
     "ProbeState",

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidChannel, OutOfRange, ZeroProbability
-from .qlinalg import DensityMatrix, density_fault, first_false, raise_fault
+from .qlinalg import DensityMatrix, _check_dim, density_fault, first_false, raise_fault
 
 # Completeness defect below this is treated as exactly trace preserving.
 TP_TOLERANCE = 1e-10
@@ -49,7 +49,7 @@ class KrausChannel:
     superoperator: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        d = int(self.input_dim)
+        d = _check_dim(self.input_dim, "input_dim")
         if d < 1:
             raise DimensionMismatch(f"input_dim must be positive, got {self.input_dim}")
         if len(self.operators) == 0:
@@ -87,7 +87,7 @@ def kraus_superoperators(ops):
     ops = np.asarray(ops, dtype=complex)
     if ops.ndim != 4 or ops.shape[-1] != ops.shape[-2]:
         raise DimensionMismatch(f"need a (k, K, d, d) stack of square operators, got {ops.shape}")
-    if not np.all(np.isfinite(ops.view(float))):
+    if not np.all(np.isfinite(ops)):
         raise InvalidChannel("Kraus operator has non-finite entries")
     k, d = len(ops), ops.shape[-1]
     total = (ops.conj().swapaxes(-1, -2) @ ops).sum(axis=1)

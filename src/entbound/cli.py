@@ -28,7 +28,7 @@ from .channels import KrausChannel, amplitude_damping, apply_one_sided, depolari
 from .concurrence import evaluate, fidelity_lower_bounds
 from .errors import DimensionMismatch, SingularProbe, TrivialDimension
 from .probe import ProbeState, canonical_probe, lower_bound_one_sided, lower_bound_two_sided, \
-    probe_channels, probe_route, random_probe
+    probe_route, random_probe
 from .qlinalg import DensityMatrix, PureState, raise_fault, random_density, random_pure_state
 from .serialize import channel_from_json, channel_to_json, dump_json, load_json, \
     probe_from_json, probe_to_json, state_from_json, state_to_json
@@ -148,8 +148,8 @@ def run_sweep(config: SweepConfig, output_path) -> None:
     result = evaluate(rho, dims, ((config.channel_1.superoperator, "first"),
                                   (config.channel_2.superoperator, "second")),
                       config.probe.matrix)
-    stages = probe_channels(*result.images, config.probe.inverse, config.probe.condition)
-    lower, _, fault = probe_route(rho[:len(result.p)], dims, *stages)
+    lower, _, fault = probe_route(rho[:len(result.p)], dims, result.images, config.probe.inverse,
+                                  config.probe.condition)
     fault = fault or result.fault  # the probe route saw only the points before result.fault
     if fault is not None:
         k, error = fault

@@ -4,10 +4,11 @@ A full-rank N x N pure "probe" state |P> is sent through the channel
 instead of the state of interest.  The normalized probe image of each
 channel side fixes that channel's superoperator up to the probe's own
 probability p', and :func:`probe_channels` rebuilds S/p' from it.
-:func:`probe_route` applies the rebuilt channels to the initial state
-through :func:`entbound.channels.apply_stacked`, the path the real
-channels take, and reads the fidelity lower bound of the result; its
-trace is the renormalization factor p_t = p/p'.  A side without a channel
+:func:`probe_route` takes the probe images, rebuilds the channels and
+applies them to the initial state through
+:func:`entbound.channels.apply_stacked`, the path the real channels take,
+and reads the fidelity lower bound of the result; its trace is the
+renormalization factor p_t = p/p'.  A side without a channel
 is simply not applied.  A stack of probes gives a stack of rebuilt
 channels, and one rebuilt channel applies to a stack of states.
 
@@ -30,8 +31,8 @@ import numpy as np
 from .channels import apply_stacked
 from .concurrence import BoundValue, fidelity_lower_bounds
 from .errors import DimensionMismatch, NotNormalized, SingularProbe
-from .qlinalg import DensityMatrix, PureState, TOL_RECONSTRUCT, _frozen_complex, kron_stack, \
-    raise_fault, state_to_matrix, swap_subsystems
+from .qlinalg import DensityMatrix, TOL_RECONSTRUCT, _frozen_complex, kron_stack, raise_fault, \
+    swap_subsystems
 
 _RANK_FLOOR = 1e-8
 
@@ -44,21 +45,6 @@ PROBE_SIGMA_FLOOR = 1e-4
 # about 3e-14, 3e-12, 3e-10, 3e-8 at kappa = 1e2, 1e3, 1e4, 1e5); past
 # this condition number the result deserves a warning.
 CONDITION_WARN = 1e4
-
-
-@dataclass(frozen=True)
-class MesBasis:
-    """Orthonormal basis of N^2 maximally entangled states.
-
-    State j = N*j0 + j1 is (1/sqrt(N)) sum_k exp(2 pi i j0 k / N) |k>|k + j1 mod N>.
-    """
-
-    dim: int
-    states: tuple
-
-    def coefficient_matrices(self):
-        """Unit-Frobenius-norm coefficient matrices C_j with vec(C_j) = |Phi_j>."""
-        return [state_to_matrix(s) for s in self.states]
 
 
 @dataclass(frozen=True)
@@ -77,18 +63,21 @@ class ProbeState:
 
 
 @functools.lru_cache(maxsize=None)
-def mes_basis(n: int) -> MesBasis:
-    """Generalized Bell basis for an N x N bipartition, N >= 2, built once per N."""
+def mes_basis(n: int) -> np.ndarray:
+    """Generalized Bell basis for an N x N bipartition, N >= 2, built once per N.
+
+    A read-only (N^2, N, N) stack of unit-Frobenius-norm coefficient
+    matrices C_j with vec(C_j) = |Phi_j>: state j = N*j0 + j1 is
+    (1/sqrt(N)) sum_k exp(2 pi i j0 k / N) |k>|k + j1 mod N>.
+    """
     if n < 2:
         raise ValueError(f"need N >= 2, got {n}")
-    states = []
-    for j0 in range(n):
-        for j1 in range(n):
-            amp = np.zeros(n * n, dtype=complex)
-            for k in range(n):
-                amp[k * n + (k + j1) % n] = np.exp(2j * np.pi * j0 * k / n) / np.sqrt(n)
-            states.append(PureState((n, n), amp))
-    return MesBasis(n, tuple(states))
+    j0, j1, k = np.ogrid[:n, :n, :n]
+    basis = np.zeros((n, n, n, n), dtype=complex)
+    basis[j0, j1, k, (k + j1) % n] = np.exp(1j * (2 * np.pi * j0 * k / n)) / np.sqrt(n)
+    basis = basis.reshape(n * n, n, n)
+    basis.setflags(write=False)
+    return basis
 
 
 def probe_from_matrix(p) -> ProbeState:
@@ -159,43 +148,41 @@ def canonical_probe(n: int) -> ProbeState:
     return probe_from_matrix(np.eye(n) / np.sqrt(n))
 
 
-def _check_square(rho: DensityMatrix, n: int):
-    if rho.dims != (n, n):
-        raise DimensionMismatch(f"probe formulas need an {n} x {n} state, got dims {rho.dims}")
+def _check_square(dims, n: int):
+    if tuple(dims) != (n, n):
+        raise DimensionMismatch(f"a probe of dim {n} needs a state of dims {(n, n)}, got a "
+                                f"state of dims {tuple(dims)}")
 
 
-def _to_first_side(rho, evolved_probe, probe, side):
-    """Reduce the side="second" case to side="first" by swapping subsystems.
-
-    Swapping both states and transposing the probe matrix turns
-    (1 o $)|P><P| into ($ o 1)|P^T><P^T|; the first-side formulas apply to
-    the returned matrices, and P^T, valid whenever P is, is not revalidated.
-    """
+def _on_first_side(mats, images, inverses, side):
+    """The stacks of a p_t formula on ``side``, mirrored to side "first": swapping the
+    subsystems of both states and transposing P^-1 turns (1 o $)|P><P| into
+    ($ o 1)|P^T><P^T|."""
     if side == "first":
-        return rho.matrix, evolved_probe.matrix, probe
+        return mats, images, inverses
     if side != "second":
         raise ValueError(f"side must be 'first' or 'second', got {side!r}")
-    n = probe.dim
-    mirrored = ProbeState(n, probe.matrix.T, probe.inverse.T, probe.condition)
-    return swap_subsystems(rho.matrix, n), swap_subsystems(evolved_probe.matrix, n), mirrored
+    n = inverses.shape[-1]
+    return swap_subsystems(mats, n), swap_subsystems(images, n), inverses.swapaxes(-1, -2)
 
 
-def pt_reduced_stack(mats, images, inverses) -> np.ndarray:
-    """:func:`pt_via_reduced` on side "first" for (k, d, d) stacks of input states and
-    normalized probe images and the (k, n, n) probe inverses."""
+def pt_reduced_stack(mats, images, inverses, side) -> np.ndarray:
+    """:func:`pt_via_reduced` for (k, d, d) stacks of input states and normalized probe
+    images under a channel on ``side`` and the (k, n, n) probe inverses."""
+    mats, images, inverses = _on_first_side(mats, images, inverses, side)
     n = inverses.shape[-1]
     rho_a = np.trace(mats.reshape(-1, n, n, n, n), axis1=2, axis2=4)
     window = (inverses @ rho_a @ inverses.conj().swapaxes(1, 2)).conj()
     return np.einsum("kaxay,kyx->k", images.reshape(-1, n, n, n, n), window).real
 
 
-def pt_mes_sum_stack(mats, images, inverses) -> np.ndarray:
-    """:func:`pt_via_mes_sum` on side "first" for (k, d, d) stacks of input states and
-    normalized probe images and the (k, n, n) probe inverses."""
+def pt_mes_sum_stack(mats, images, inverses, side) -> np.ndarray:
+    """:func:`pt_via_mes_sum` for (k, d, d) stacks of input states and normalized probe
+    images under a channel on ``side`` and the (k, n, n) probe inverses."""
+    mats, images, inverses = _on_first_side(mats, images, inverses, side)
     n = inverses.shape[-1]
     srs = swap_subsystems(mats.conj(), n)[:, None]
-    cs = np.array(mes_basis(n).coefficient_matrices())  # (n^2, n, n)
-    lefts = kron_stack(cs, inverses.conj()[:, None])  # (k, m): C_m o (P^-1)^*
+    lefts = kron_stack(mes_basis(n), inverses.conj()[:, None])  # (k, m): C_m o (P^-1)^*
     terms = images[:, None] @ lefts @ srs @ lefts.conj().swapaxes(-1, -2)
     return np.trace(terms, axis1=-2, axis2=-1).real.sum(axis=1)
 
@@ -206,11 +193,12 @@ def pt_via_reduced(rho: DensityMatrix, evolved_probe: DensityMatrix, probe: Prob
 
     p_t = Tr[ rho_P' (1 o (P^-1 rho_A P^-dag)^*) ] with rho_A the reduced
     state of the input on the channel side.  The normalized probe image
-    already carries the 1/p' factor.
+    already carries the 1/p' factor.  The one-entry case of
+    :func:`pt_reduced_stack`.
     """
-    _check_square(rho, probe.dim)
-    rho, image, probe = _to_first_side(rho, evolved_probe, probe, side)
-    return float(pt_reduced_stack(rho[None], image[None], probe.inverse[None])[0])
+    _check_square(rho.dims, probe.dim)
+    return float(pt_reduced_stack(rho.matrix[None], evolved_probe.matrix[None],
+                                  probe.inverse[None], side)[0])
 
 
 def pt_via_mes_sum(rho: DensityMatrix, evolved_probe: DensityMatrix, probe: ProbeState,
@@ -219,11 +207,12 @@ def pt_via_mes_sum(rho: DensityMatrix, evolved_probe: DensityMatrix, probe: Prob
 
     p_t = sum_m Tr[ rho_P' (C_m o (P^-1)^*) S rho^* S (C_m^dag o (P^-1)^T) ],
     one term per basis state (four for a pair of qubits).  Agrees with
-    :func:`pt_via_reduced` to machine precision.
+    :func:`pt_via_reduced` to machine precision.  The one-entry case of
+    :func:`pt_mes_sum_stack`.
     """
-    _check_square(rho, probe.dim)
-    rho, image, probe = _to_first_side(rho, evolved_probe, probe, side)
-    return float(pt_mes_sum_stack(rho[None], image[None], probe.inverse[None])[0])
+    _check_square(rho.dims, probe.dim)
+    return float(pt_mes_sum_stack(rho.matrix[None], evolved_probe.matrix[None],
+                                  probe.inverse[None], side)[0])
 
 
 def probe_channels(image_1, image_2, inverse, condition):
@@ -238,7 +227,8 @@ def probe_channels(image_1, image_2, inverse, condition):
     and S2/p2' = sum_xy P^-1[i,x] rho_P2'[(x,a),(y,c)] P^-1[j,y]^*.  The
     images (..., d, d), ``inverse`` = P^-1 (..., n, n) and the probes'
     ``condition`` numbers may carry leading probe axes; each probe
-    conditioned worse than 1e4 warns.
+    conditioned worse than 1e4 warns, attributed to the caller of
+    :func:`probe_route`, which every production path goes through.
 
     Each sum is two matmuls over a reshaped image: with the image's axes
     ordered (a, c, y, x), an (n^3, n) @ P^-1 contracts x, and after
@@ -250,7 +240,7 @@ def probe_channels(image_1, image_2, inverse, condition):
     for value in condition[condition > CONDITION_WARN]:
         warnings.warn(f"probe condition number {value:.3g} exceeds {CONDITION_WARN:.0e}; "
                       "the bound may carry amplified rounding error", RuntimeWarning,
-                      stacklevel=2)
+                      stacklevel=3)
     n = inverse.shape[-1]
 
     def rebuild(image, axes, inv):
@@ -269,33 +259,31 @@ def probe_channels(image_1, image_2, inverse, condition):
             rebuild(image_2, (1, 3, 2, 0), inverse.swapaxes(-1, -2)))
 
 
-def probe_route(mats, dims, s1, s2):
-    """Probe-route lower bounds of a (k, d, d) stack of input states.
+def probe_route(mats, dims, images, inverse, condition):
+    """Probe-route lower bounds of a (k, d, d) stack of N x N input states.
 
-    Applies the rebuilt stages ``s1`` (first side) and ``s2`` (second
-    side) of :func:`probe_channels`, each (n^2, n^2) or (k, n^2, n^2) and
-    skipped when None, and returns (values, p_t, fault): the raw fidelity
-    lower bounds of the evolved states, p_t = p/(p1' p2') of the entries
-    that reached the last stage, and None or (index, ZeroProbability) for
-    the first entry whose stage trace is <= 1e-14.  A later stage sees
-    only the entries before an earlier fault, and ``values`` covers the
-    entries before the first one.
+    ``images`` holds the (first-side, second-side) normalized probe images,
+    None for a side without a channel, which is then not applied; with
+    ``inverse`` and ``condition`` they go to :func:`probe_channels`.  An
+    image (d, d) with its probe (n, n) rebuilds one channel for the whole
+    stack; images (..., d, d) with probes (..., n, n) rebuild one channel
+    per entry, the leading axes flattened in order to the stack's.  The
+    rebuilt channels are applied, first side first, and (values, p_t,
+    fault) returned: the raw fidelity lower bounds of the evolved states,
+    p_t = p/(p1' p2') of the entries that reached the last stage, and None
+    or (index, ZeroProbability) for the first entry whose stage trace is
+    <= 1e-14.  A later stage sees only the entries before an earlier fault,
+    and ``values`` covers the entries before the first one.
     """
+    _check_square(dims, inverse.shape[-1])
     p_t, fault = np.ones(len(mats)), None
-    for stage, side in ((s1, "first"), (s2, "second")):
+    for stage, side in zip(probe_channels(*images, inverse, condition), ("first", "second")):
         if stage is not None:
-            stage = stage if stage.ndim == 2 else stage[:len(mats)]
+            if stage.ndim > 2:  # one rebuilt channel per entry
+                stage = stage.reshape((-1,) + stage.shape[-2:])[:len(mats)]
             mats, p, stage_fault = apply_stacked(stage, mats, dims, side)
             p_t, fault = p_t[:len(p)] * p, stage_fault or fault
     return fidelity_lower_bounds(mats, dims), p_t, fault
-
-
-def _bound(rho: DensityMatrix, probe: ProbeState, image_1, image_2) -> BoundValue:
-    _check_square(rho, probe.dim)
-    stages = probe_channels(image_1, image_2, probe.inverse, probe.condition)
-    values, _, fault = probe_route(rho.matrix[None], rho.dims, *stages)
-    raise_fault(fault)
-    return BoundValue(float(values[0]), "lower")
 
 
 def lower_bound_one_sided(rho: DensityMatrix, evolved_probe: DensityMatrix, probe: ProbeState,
@@ -310,7 +298,10 @@ def lower_bound_one_sided(rho: DensityMatrix, evolved_probe: DensityMatrix, prob
     if side not in ("first", "second"):
         raise ValueError(f"side must be 'first' or 'second', got {side!r}")
     images = (evolved_probe.matrix, None) if side == "first" else (None, evolved_probe.matrix)
-    return _bound(rho, probe, *images)
+    values, _, fault = probe_route(rho.matrix[None], rho.dims, images, probe.inverse,
+                                   probe.condition)
+    raise_fault(fault)
+    return BoundValue(float(values[0]), "lower")
 
 
 def lower_bound_two_sided(rho: DensityMatrix, evolved_probe_1: DensityMatrix,
@@ -322,4 +313,7 @@ def lower_bound_two_sided(rho: DensityMatrix, evolved_probe_1: DensityMatrix,
     both rebuilt channels are applied to ``rho``.  Raises ZeroProbability
     if either stage's trace is <= 1e-14.
     """
-    return _bound(rho, probe, evolved_probe_1.matrix, evolved_probe_2.matrix)
+    values, _, fault = probe_route(rho.matrix[None], rho.dims, (evolved_probe_1.matrix,
+                                   evolved_probe_2.matrix), probe.inverse, probe.condition)
+    raise_fault(fault)
+    return BoundValue(float(values[0]), "lower")

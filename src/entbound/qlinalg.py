@@ -37,8 +37,17 @@ def _frozen_complex(values, shape=None) -> np.ndarray:
     return arr
 
 
+def _check_dim(n, what: str) -> int:
+    """``n`` as an int; a float, string or bool raises TypeError, never truncated."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise TypeError(f"{what} must be an integer, got {n!r}")
+    return int(n)
+
+
 def _check_dims(dims) -> tuple[int, int]:
-    n1, n2 = int(dims[0]), int(dims[1])
+    if np.ndim(dims) != 1 or len(dims) != 2:
+        raise DimensionMismatch(f"need two subsystem dimensions, got {dims!r}")
+    n1, n2 = (_check_dim(n, "a subsystem dimension") for n in dims)
     if n1 < 1 or n2 < 1:
         raise DimensionMismatch(f"subsystem dimensions must be positive, got {dims}")
     return n1, n2

@@ -13,7 +13,7 @@ import numpy as np
 
 from .channels import KrausChannel
 from .probe import ProbeState, probe_from_matrix
-from .qlinalg import DensityMatrix, PureState
+from .qlinalg import DensityMatrix, PureState, _check_dim
 
 
 def _pairs(matrix) -> list:
@@ -45,13 +45,14 @@ def state_from_json(doc: dict):
     """Decode a state document; returns PureState or DensityMatrix.
 
     Raises ValueError on malformed documents; invariant violations
-    (bad norm, non-Hermitian matrix, ...) propagate from the constructors.
+    (dims that are not two integers, bad norm, non-Hermitian matrix, ...)
+    propagate from the constructors.
     """
     try:
-        dims = (int(doc["dims"][0]), int(doc["dims"][1]))
+        dims = doc["dims"]
         kind = doc["kind"]
         data = _matrix(doc["data"], "state data")
-    except (KeyError, IndexError, TypeError) as exc:
+    except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed state document: {exc}") from exc
     if kind == "pure":
         return PureState(dims, data.reshape(-1))
@@ -67,7 +68,7 @@ def channel_to_json(channel: KrausChannel) -> dict:
 
 def channel_from_json(doc: dict) -> KrausChannel:
     try:
-        dim = int(doc["input_dim"])
+        dim = doc["input_dim"]
         kraus = [_matrix(m, "Kraus operator") for m in doc["kraus"]]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed channel document: {exc}") from exc
@@ -80,7 +81,7 @@ def probe_to_json(probe: ProbeState) -> dict:
 
 def probe_from_json(doc: dict) -> ProbeState:
     try:
-        dim = int(doc["dim"])
+        dim = _check_dim(doc["dim"], "probe dim")
         matrix = _matrix(doc["matrix"], "probe matrix")
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed probe document: {exc}") from exc

@@ -98,16 +98,6 @@ def _probe_json(matrix) -> dict:
     return probe_to_json(pr.probe_from_matrix(matrix))
 
 
-def _padded(sets, n):
-    """(k, K, n, n) stack of a sequence of k sets of n x n operators, the shorter sets
-    padded with zero operators."""
-    count = max((len(s) for s in sets), default=1)
-    padded = np.zeros((len(sets), count, n, n), dtype=complex)
-    for j, operators in enumerate(sets):
-        padded[j, :len(operators)] = operators
-    return padded
-
-
 def _minor_sum_concurrence(ms) -> np.ndarray:
     """Coefficient-form concurrence of each matrix m of a (k, N1, N2) stack: root of the
     summed squared 2x2 minors m_ip m_jq - m_iq m_jp (those with i = j or p = q vanish)."""
@@ -127,7 +117,7 @@ def two_sided_bound_mes(rho, image_1, image_2, pinv, p_t):
     of a side at once; one einsum gives the n^4 traces.
     """
     n = pinv.shape[-1]
-    cs = np.array(pr.mes_basis(n).coefficient_matrices())
+    cs = pr.mes_basis(n)
     rows = cs.reshape(n * n, n * n)  # row m holds |Phi_m>
     weights = rows.conj() @ image_2 @ rows.T  # <Phi_m| A2 |Phi_n>
     srs = ql.swap_subsystems(rho, n)[..., None, :, :]
@@ -144,10 +134,9 @@ def suite_mes_basis(seed=0, trials=None) -> SuiteResult:
     res = []
     for n in (2, 3, 4):
         basis = pr.mes_basis(n)
-        vecs = np.column_stack([s.amplitudes for s in basis.states])
+        vecs = basis.reshape(n * n, n * n).T  # column j holds |Phi_j>
         # the Schmidt coefficients of every basis state: the SVD job of schmidt_decompose
-        _, schmidt, _ = np.linalg.svd(np.array(basis.coefficient_matrices()),
-                                      full_matrices=False)
+        _, schmidt, _ = np.linalg.svd(basis, full_matrices=False)
         res.append(np.max([np.max(np.abs(vecs.conj().T @ vecs - np.eye(n * n))),
                            np.max(np.abs(vecs @ vecs.conj().T - np.eye(n * n))),
                            np.max(np.abs(schmidt - 1 / np.sqrt(n)))]))
@@ -210,10 +199,9 @@ def _probe_invariance_pairs(seed, trials, n, rng) -> tuple:
     images_2, p_2 = ch.apply_checked(superoperators_2, densities[two], "second")
     values = np.empty((n_pairs, trials))
     for sel, image_2 in ((one, None), (two, images_2)):
-        stages = pr.probe_channels(images[sel], image_2, inverses[sel], conditions[sel])
         states = np.broadcast_to(mats[sel], images[sel].shape).reshape(-1, n * n, n * n)
-        stages = (None if s is None else s.reshape(states.shape) for s in stages)  # n^2 x n^2
-        bounds, _, fault = pr.probe_route(states, (n, n), *stages)
+        bounds, _, fault = pr.probe_route(states, (n, n), (images[sel], image_2), inverses[sel],
+                                          conditions[sel])
         ql.raise_fault(fault)
         values[sel] = bounds.reshape(-1, trials)
     mes_gap = np.zeros(n_pairs)  # the paper's double sum, once per pair on its first probe
@@ -269,12 +257,12 @@ def suite_pt_equivalence(seed=0, trials=200) -> SuiteResult:
         matrices, inverses, _ = pr.random_probes(n, len(trial), rng)
         images, p_prime = ch.apply_checked(
             superoperators, ql.pure_densities(matrices.reshape(-1, n * n)), "first")
-        pt_red = pr.pt_reduced_stack(rhos, images, inverses)
+        pt_red = pr.pt_reduced_stack(rhos, images, inverses, "first")
         residual = np.abs(pt_red - 1.0)  # trace preserving: p_t = 1
         _, p_direct = ch.apply_checked(superoperators[truncated], rhos[truncated], "first")
         residual[truncated] = np.abs(pt_red[truncated] * p_prime[truncated] - p_direct)
-        res[first::2] = np.maximum(np.abs(pt_red - pr.pt_mes_sum_stack(rhos, images, inverses)),
-                                   residual)
+        pt_mes = pr.pt_mes_sum_stack(rhos, images, inverses, "first")
+        res[first::2] = np.maximum(np.abs(pt_red - pt_mes), residual)
         inputs.append((rhos, kraus, matrices))
 
     def repro(t):
@@ -352,8 +340,7 @@ def suite_structural(seed=0, trials=1000) -> SuiteResult:
     values = np.linspace(0, 1, 11)
     families = (("amplitude_damping", ch.amplitude_damping_kraus),
                 ("depolarizing", ch.depolarizing_kraus), ("phase_damping", ch.phase_damping_kraus))
-    defects, _ = ch.kraus_superoperators(_padded(
-        [kraus for _, make in families for kraus in make(values)], 2))
+    defects = np.concatenate([ch.kraus_superoperators(make(values))[0] for _, make in families])
     return _verdict("structural", [
         (res <= 1e-10, res, lambda t: {
             "suite": "structural", "seed": seed, "trials": trials, "trial": t,

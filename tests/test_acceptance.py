@@ -191,7 +191,7 @@ def test_criterion_7_pt_consistency():
 def test_criterion_8_structural_suites():
     worst_basis = 0.0
     for n in (2, 3, 4):
-        vecs = np.column_stack([s.amplitudes for s in mes_basis(n).states])
+        vecs = mes_basis(n).reshape(n * n, n * n).T  # column j holds |Phi_j>
         worst_basis = max(worst_basis,
                           np.max(np.abs(vecs.conj().T @ vecs - np.eye(n * n))),
                           np.max(np.abs(vecs @ vecs.conj().T - np.eye(n * n))))

@@ -71,6 +71,11 @@ class TestKrausChannelValidation:
         with pytest.raises(DimensionMismatch):
             KrausChannel(2, (np.eye(3),))
 
+    @pytest.mark.parametrize("dim", [2.0, 2.5, True, "2"])
+    def test_non_integer_input_dim_rejected_not_truncated(self, dim):
+        with pytest.raises(TypeError, match="input_dim must be an integer"):
+            KrausChannel(dim, (np.eye(2),))
+
     def test_parameter_ranges(self):
         for maker in (amplitude_damping, depolarizing, phase_damping):
             with pytest.raises(OutOfRange):

@@ -2,6 +2,7 @@
 
 import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +15,9 @@ from entbound.cli import SweepConfig, default_base_state, default_sweep_config, 
     evaluate_bound, main, run_sweep
 from entbound.serialize import channel_to_json, dump_json, probe_to_json, state_to_json
 from conftest import random_probe, random_tp_kraus
+
+
+GOLDEN_SWEEP = Path(__file__).parent / "data" / "default_sweep.csv"
 
 
 def run_cli(*argv):
@@ -233,6 +237,42 @@ class TestBound:
         assert capsys.readouterr().err == ("error: dimension mismatch: a probe of dim 3 does not "
                                            "fit the first subsystem of a state of dims (2, 2)\n")
 
+    def test_probe_method_on_a_non_square_state_names_both_dims(self, tmp_path, capsys):
+        state = write_state(tmp_path / "rho.json", random_density((2, 3), 3, seed=2))
+        channel = write_channel(tmp_path / "ad.json", amplitude_damping(0.2))
+        probe_path = tmp_path / "probe.json"
+        dump_json(probe_to_json(canonical_probe(2)), probe_path)
+        assert run_cli("bound", state, channel, "--probe-path", str(probe_path),
+                       "--method", "probe") == 4
+        assert capsys.readouterr().err == ("error: dimension mismatch: a probe of dim 2 needs a "
+                                           "state of dims (2, 2), got a state of dims (2, 3)\n")
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("dims", [2.9, 2, 7], "could not parse inputs: need two subsystem dimensions, "
+                              "got [2.9, 2, 7]"),
+        ("dims", [2.0, 2], "could not parse inputs: a subsystem dimension must be an integer, "
+                           "got 2.0"),
+        ("dims", [True, 4], "could not parse inputs: a subsystem dimension must be an integer, "
+                            "got True"),
+        ("dims", ["2", 2], "could not parse inputs: a subsystem dimension must be an integer, "
+                           "got '2'"),
+        ("input_dim", 2.5, "could not parse inputs: input_dim must be an integer, got 2.5"),
+        ("dim", 2.5, "could not parse probe: malformed probe document: probe dim must be an "
+                     "integer, got 2.5")])
+    def test_non_integer_dimension_in_a_file_exits_2(self, tmp_path, capsys, field, value,
+                                                     message):
+        docs = {"state": state_to_json(default_base_state()),
+                "channel": channel_to_json(amplitude_damping(0.2)),
+                "probe": probe_to_json(canonical_probe(2))}
+        owner = {"dims": "state", "input_dim": "channel", "dim": "probe"}[field]
+        docs[owner][field] = value
+        paths = {name: tmp_path / f"{name}.json" for name in docs}
+        for name, doc in docs.items():
+            dump_json(doc, paths[name])
+        assert run_cli("bound", str(paths["state"]), str(paths["channel"]), "--probe-path",
+                       str(paths["probe"])) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     @pytest.mark.parametrize("side", ["first", "second"])
     def test_side_with_two_channels_exits_2(self, tmp_path, capsys, side):
         state = write_state(tmp_path / "rho.json", default_base_state())
@@ -282,6 +322,28 @@ class TestSweep:
         # ordering along the whole grid
         assert np.all(rows[:, 1] <= rows[:, 2] + 1e-9)
         assert np.all(rows[:, 2] <= rows[:, 3] + 1e-9)
+
+    def test_default_sweep_matches_golden_csv(self, tmp_path):
+        # tests/data/default_sweep.csv is a committed default sweep; the 12th significant
+        # digit may round differently under another NumPy, so numbers agree within 1e-11
+        out = tmp_path / "sweep.csv"
+        assert run_cli("sweep", "--output", str(out)) == 0
+        got, golden = (path.read_text().splitlines() for path in (out, GOLDEN_SWEEP))
+        assert got[0] == golden[0] and len(got) == len(golden)
+        for line, golden_line in zip(got[1:], golden[1:]):
+            cells, golden_cells = line.split(","), golden_line.split(",")
+            assert [c == "" for c in cells] == [c == "" for c in golden_cells]
+            assert all(abs(float(a) - float(b)) <= 1e-11
+                       for a, b in zip(cells, golden_cells) if b)
+
+    def test_non_integer_base_state_dims_exit_2(self, tmp_path, capsys):
+        doc = state_to_json(default_base_state())
+        cfg_path = tmp_path / "cfg.json"
+        dump_json({"base_state": {**doc, "dims": [2, 2.0]}}, cfg_path)
+        assert run_cli("sweep", "--config", str(cfg_path), "--output",
+                       str(tmp_path / "s.csv")) == 2
+        assert capsys.readouterr().err == ("error: could not build sweep config: a subsystem "
+                                           "dimension must be an integer, got 2.0\n")
 
     def test_x1_concurrence_matches_standalone(self, tmp_path):
         out = tmp_path / "sweep.csv"

@@ -8,6 +8,7 @@ from entbound import (
     DimensionMismatch,
     KrausChannel,
     NotNormalized,
+    PureState,
     SingularProbe,
     ZeroProbability,
     amplitude_damping,
@@ -42,13 +43,26 @@ EXAMPLE_RAW = np.array([
 
 class TestMesBasis:
     def test_first_state_is_canonical(self):
-        basis = mes_basis(2)
-        np.testing.assert_allclose(basis.states[0].amplitudes,
+        np.testing.assert_allclose(mes_basis(2)[0].reshape(-1),
                                    canonical_mes((2, 2)).amplitudes)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_equals_per_entry_formula_bit_for_bit(self, n):
+        # C_j[k, (k + j1) mod n] = exp(2 pi i j0 k / n)/sqrt(n), j = n*j0 + j1, one
+        # entry at a time in Python scalars
+        expected = np.zeros((n * n, n, n), dtype=complex)
+        for j0 in range(n):
+            for j1 in range(n):
+                for k in range(n):
+                    expected[n * j0 + j1, k, (k + j1) % n] = \
+                        np.exp(2j * np.pi * j0 * k / n) / np.sqrt(n)
+        basis = mes_basis(n)
+        assert basis.shape == (n * n, n, n)
+        assert basis.tobytes() == expected.tobytes()
 
     def test_bell_basis_transition_matrices(self):
         # scaled coefficient matrices are the identity and the Paulis
-        mats = [np.sqrt(2) * c for c in mes_basis(2).coefficient_matrices()]
+        mats = np.sqrt(2) * mes_basis(2)
         np.testing.assert_allclose(mats[0], np.eye(2), atol=1e-15)
         np.testing.assert_allclose(mats[1], [[0, 1], [1, 0]], atol=1e-15)
         np.testing.assert_allclose(mats[2], [[1, 0], [0, -1]], atol=1e-15)
@@ -58,14 +72,15 @@ class TestMesBasis:
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_orthonormal_and_complete(self, n):
-        vecs = np.column_stack([s.amplitudes for s in mes_basis(n).states])
+        vecs = mes_basis(n).reshape(n * n, n * n).T  # column j holds |Phi_j>
         np.testing.assert_allclose(vecs.conj().T @ vecs, np.eye(n * n), atol=1e-12)
         np.testing.assert_allclose(vecs @ vecs.conj().T, np.eye(n * n), atol=1e-12)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_all_maximally_entangled(self, n):
         from entbound import schmidt_decompose
-        for state in mes_basis(n).states:
+        for c in mes_basis(n):
+            state = PureState((n, n), c.reshape(-1))  # unit norm within 1e-12
             np.testing.assert_allclose(schmidt_decompose(state).coefficients,
                                        np.full(n, 1 / np.sqrt(n)), atol=1e-12)
 
@@ -73,17 +88,16 @@ class TestMesBasis:
         # |Phi_m> = (T_m / sqrt(N) P^-1 o 1)|P> with T_m = sqrt(N) C_m the unitary
         # transition matrix
         probe = random_probe(3, rng)
-        basis = mes_basis(3)
         pvec = probe.matrix.reshape(-1)
-        for state, c in zip(basis.states, basis.coefficient_matrices()):
+        for c in mes_basis(3):
             t = np.sqrt(3) * c
             lifted = np.kron(t / np.sqrt(3) @ probe.inverse, np.eye(3))
-            np.testing.assert_allclose(lifted @ pvec, state.amplitudes, atol=1e-10)
+            np.testing.assert_allclose(lifted @ pvec, c.reshape(-1), atol=1e-10)
 
     def test_built_once_per_dimension(self):
         basis = mes_basis(3)
         assert mes_basis(3) is basis
-        assert not basis.states[0].amplitudes.flags.writeable
+        assert not basis.flags.writeable
 
 
 class _Stream(np.random.Generator):
@@ -254,7 +268,7 @@ class TestPtFactor:
             assert abs(p_t * app.probability - p_direct) < 1e-10
 
     def test_bell_basis_has_four_terms(self):
-        assert len(mes_basis(2).states) == 4
+        assert len(mes_basis(2)) == 4
 
 
 class TestLowerBoundOneSided:
@@ -408,6 +422,13 @@ def rebuilt(image_1, image_2, probe):
                           probe.condition)
 
 
+def routed(states, image_1, image_2, probe):
+    """probe_route of a (k, d, d) stack through single DensityMatrix images (None for a
+    side without a channel)."""
+    images = tuple(None if image is None else image.matrix for image in (image_1, image_2))
+    return probe_route(states, (probe.dim, probe.dim), images, probe.inverse, probe.condition)
+
+
 def einsum_rebuild(image_1, image_2, inverse):
     """Oracle of :func:`probe_channels`: each rebuilt stage as one three-operand einsum
     of the tomography sums."""
@@ -446,7 +467,7 @@ class TestTwoSidedWitness:
             np.testing.assert_allclose(s1 * a1.probability, ch1.superoperator, atol=1e-10)
             np.testing.assert_allclose(s2 * a2.probability, ch2.superoperator, atol=1e-10)
             assert max(hermiticity_gap(s1, n), hermiticity_gap(s2, n)) < 1e-10
-            values, p_t, fault = probe_route(rho.matrix[None], (n, n), s1, s2)
+            values, p_t, fault = routed(rho.matrix[None], a1.output, a2.output, probe)
             evolved = apply_two_sided(ch1, ch2, rho)
             assert fault is None
             assert abs(p_t[0] * a1.probability * a2.probability - evolved.probability) < 1e-10
@@ -458,8 +479,8 @@ class TestTwoSidedWitness:
         a1 = apply_one_sided(ch1, probe_density(probe), "first")
         a2 = apply_one_sided(ch2, probe_density(probe), "second")
         states = [random_mixed((2, 2), r, rng) for r in (1, 2, 3, 4)]
-        values, _, fault = probe_route(np.array([s.matrix for s in states]), (2, 2),
-                                       *rebuilt(a1.output, a2.output, probe))
+        values, _, fault = routed(np.array([s.matrix for s in states]), a1.output, a2.output,
+                                  probe)
         assert fault is None
         for state, value in zip(states, values):
             assert value == lower_bound_two_sided(state, a1.output, a2.output, probe).raw
@@ -470,8 +491,7 @@ class TestTwoSidedWitness:
         a1 = apply_one_sided(kill, probe_density(probe), "first")
         a2 = apply_one_sided(kill, probe_density(probe), "second")
         states = np.array([np.diag(d).astype(complex) for d in ([1.0, 0, 0, 0], [0, 0, 0, 1.0])])
-        values, _, (index, error) = probe_route(states, (2, 2), *rebuilt(a1.output, a2.output,
-                                                                         probe))
+        values, _, (index, error) = routed(states, a1.output, a2.output, probe)
         assert index == 1 and isinstance(error, ZeroProbability) and len(values) == 1
         with pytest.raises(ZeroProbability):
             lower_bound_two_sided(DensityMatrix((2, 2), states[1]), a1.output, a2.output, probe)
@@ -481,11 +501,13 @@ class TestTwoSidedWitness:
         # faults at entry 2 (first qubit |1>) and the second at entry 0, so
         # the fault is entry 0; with the order |00>, |10>, |01> the first
         # stage faults at 1 and the second never sees entry 2
-        keep = KrausChannel(2, (np.diag([1.0, 0.0]),)).superoperator
+        keep, probe = KrausChannel(2, (np.diag([1.0, 0.0]),)), canonical_probe(2)
+        images = [apply_one_sided(keep, probe_density(probe), side).output
+                  for side in ("first", "second")]
         states = np.array([np.diag(np.eye(4)[i]).astype(complex) for i in (1, 0, 2, 0, 2, 1)])
-        values, p_t, (index, _) = probe_route(states[:3], (2, 2), keep, keep)
+        values, p_t, (index, _) = routed(states[:3], *images, probe)
         assert index == 0 and len(values) == 0 and len(p_t) == 2
-        values, p_t, (index, _) = probe_route(states[3:], (2, 2), keep, keep)
+        values, p_t, (index, _) = routed(states[3:], *images, probe)
         assert index == 1 and len(values) == 1 and len(p_t) == 1
 
 
@@ -522,13 +544,12 @@ class TestWitness:
             conditions = np.array([p.condition for p in probes])
             states = np.array([rho.matrix] * 6)
             for images_1, images_2 in ((a1, a2), (a1, None), (None, a2)):
-                stack = probe_channels(
-                    None if images_1 is None else np.array([a.matrix for a in images_1]),
-                    None if images_2 is None else np.array([a.matrix for a in images_2]),
-                    inverses, conditions)
+                images = tuple(None if side is None else np.array([a.matrix for a in side])
+                               for side in (images_1, images_2))
+                stack = probe_channels(*images, inverses, conditions)
                 assert [s is None for s in stack] == [images_1 is None, images_2 is None]
                 assert all(s.shape == (6, n * n, n * n) for s in stack if s is not None)
-                values, p_t, fault = probe_route(states, (n, n), *stack)
+                values, p_t, fault = probe_route(states, (n, n), images, inverses, conditions)
                 assert fault is None and values.shape == p_t.shape == (6,)
                 for k, probe in enumerate(probes):
                     single = rebuilt(None if images_1 is None else images_1[k],
@@ -536,7 +557,9 @@ class TestWitness:
                     for s_stack, s_single in zip(stack, single):
                         if s_single is not None:
                             np.testing.assert_allclose(s_stack[k], s_single, atol=1e-12)
-                    value, pt_single, _ = probe_route(rho.matrix[None], (n, n), *single)
+                    value, pt_single, _ = routed(
+                        rho.matrix[None], None if images_1 is None else images_1[k],
+                        None if images_2 is None else images_2[k], probe)
                     assert abs(values[k] - value[0]) < 1e-12
                     assert abs(p_t[k] - pt_single[0]) < 1e-12
 
@@ -550,22 +573,52 @@ class TestWitness:
             if trial % 2 == 0:  # non-trace-preserving truncation
                 ch = KrausChannel(n, ch.operators[:1])
             app = apply_one_sided(ch, probe_density(probe), side)
-            stages = rebuilt(*((app.output, None) if side == "first" else (None, app.output)),
-                             probe)
+            images = (app.output, None) if side == "first" else (None, app.output)
+            stages = rebuilt(*images, probe)
             stage = stages[0] if side == "first" else stages[1]
             np.testing.assert_allclose(stage * app.probability, ch.superoperator, atol=1e-10)
-            values, p_t, fault = probe_route(rho.matrix[None], (n, n), *stages)
+            values, p_t, fault = routed(rho.matrix[None], *images, probe)
             evolved = apply_one_sided(ch, rho, side)
             assert fault is None
             assert abs(p_t[0] * app.probability - evolved.probability) < 1e-10
             assert abs(values[0] - fidelity_lower_bound(evolved.output).raw) < 1e-10
+
+    def test_leading_probe_axes_flatten_in_order(self, rng):
+        # images (2, 3, d, d) with probes (2, 3, n, n) act as the flattened stack of six
+        n = 2
+        probes = [random_probe(n, rng) for _ in range(6)]
+        ch1, ch2 = random_tp_kraus(n, 2, rng), random_tp_kraus(n, 3, rng)
+        images = tuple(np.array([apply_one_sided(c, probe_density(p), side).output.matrix
+                                 for p in probes]) for c, side in ((ch1, "first"),
+                                                                   (ch2, "second")))
+        inverses = np.array([p.inverse for p in probes])
+        conditions = np.array([p.condition for p in probes])
+        states = np.array([random_mixed((n, n), 1 + t % 4, rng).matrix for t in range(6)])
+        flat = probe_route(states, (n, n), images, inverses, conditions)
+        grid = probe_route(states, (n, n), tuple(i.reshape(2, 3, 4, 4) for i in images),
+                           inverses.reshape(2, 3, n, n), conditions.reshape(2, 3))
+        for a, b in zip(flat[:2], grid[:2]):
+            assert a.tobytes() == b.tobytes()
+        assert flat[2] is None and grid[2] is None
+
+    def test_state_of_other_dims_names_both(self, rng):
+        probe = random_probe(2, rng)
+        image = probe_density(probe).matrix
+        states = np.eye(6)[None] / 6
+        with pytest.raises(DimensionMismatch, match=r"probe of dim 2 .* dims \(2, 3\)"):
+            probe_route(states, (2, 3), (image, None), probe.inverse, probe.condition)
+        rho = DensityMatrix((2, 3), states[0])
+        for formula in (lower_bound_one_sided, pt_via_reduced, pt_via_mes_sum):
+            with pytest.raises(DimensionMismatch, match=r"probe of dim 2 .* dims \(2, 3\)"):
+                formula(rho, probe_density(probe), probe)
 
     def test_no_channel_side_is_exact_identity(self, rng):
         # with no channel on either side nothing is rebuilt or applied
         probe = random_probe(3, rng)
         assert probe_channels(None, None, probe.inverse, probe.condition) == (None, None)
         states = np.array([random_mixed((3, 3), r, rng).matrix for r in (1, 5, 9)])
-        values, p_t, fault = probe_route(states, (3, 3), None, None)
+        values, p_t, fault = probe_route(states, (3, 3), (None, None), probe.inverse,
+                                         probe.condition)
         assert fault is None
         np.testing.assert_array_equal(values, fidelity_lower_bounds(states, (3, 3)))
         np.testing.assert_array_equal(p_t, np.ones(3))

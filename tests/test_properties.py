@@ -76,7 +76,8 @@ def test_probability_factorizes(seed, n, count, truncate, side):
     probe = random_probe(n, rng)
     app = apply_one_sided(ch, probe_density(probe), side)
     p = apply_one_sided(ch, rho, side).probability
-    p_t = probe_route(rho.matrix[None], (n, n), *_rebuilt(app.output, probe, side))[1][0]
+    images = (app.output.matrix, None) if side == "first" else (None, app.output.matrix)
+    p_t = probe_route(rho.matrix[None], (n, n), images, probe.inverse, probe.condition)[1][0]
     for value in (p_t, pt_via_reduced(rho, app.output, probe, side=side),
                   pt_via_mes_sum(rho, app.output, probe, side=side)):
         assert abs(value * app.probability - p) < 1e-10

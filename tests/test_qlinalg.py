@@ -5,6 +5,7 @@ import pytest
 
 from entbound import (
     DensityMatrix,
+    DimensionMismatch,
     InvalidRank,
     NotNormalized,
     PureState,
@@ -195,6 +196,22 @@ class TestDensityMatrixInvariants:
         m = np.diag([0.6, 0.5, 0.0, -0.1])
         with pytest.raises(ValueError):
             DensityMatrix((2, 2), m)
+
+    @pytest.mark.parametrize("dims", [(2.0, 2), (2, 2.9), (True, 4), ("2", 2), (np.float64(2), 2)])
+    def test_non_integer_dims_rejected_not_truncated(self, dims):
+        with pytest.raises(TypeError, match="subsystem dimension must be an integer"):
+            DensityMatrix(dims, np.eye(4) / 4)
+        with pytest.raises(TypeError, match="subsystem dimension must be an integer"):
+            PureState(dims, np.eye(4)[0])
+
+    @pytest.mark.parametrize("dims", [(4,), (2, 2, 1), (2.9, 2, 7), 4, None, [[2, 2]]])
+    def test_dims_of_other_length_rejected(self, dims):
+        with pytest.raises(DimensionMismatch, match="need two subsystem dimensions"):
+            DensityMatrix(dims, np.eye(4) / 4)
+
+    def test_numpy_integer_dims_accepted(self):
+        rho = DensityMatrix((np.int64(2), np.int32(2)), np.eye(4) / 4)
+        assert rho.dims == (2, 2) and all(type(n) is int for n in rho.dims)
 
 
 class TestDensityFault:

@@ -112,12 +112,19 @@ class TestStackedFamilies:
         makers = ((ch.amplitude_damping, ch.amplitude_damping_kraus),
                   (ch.depolarizing, ch.depolarizing_kraus),
                   (ch.phase_damping, ch.phase_damping_kraus))
-        sets = [kraus for _, stacked in makers for kraus in stacked(values)]
-        defects, superoperators = kraus_superoperators(suites._padded(sets, 2))
         channels = [maker(float(value)) for maker, _ in makers for value in values]
+        defects, superoperators = (np.concatenate(parts) for parts in zip(
+            *(kraus_superoperators(stacked(values)) for _, stacked in makers)))
         assert list(defects) == [c.completeness_defect for c in channels]
         for s, c in zip(superoperators, channels):
             assert bits(s, c.superoperator)
+        # zero operators padding each family to four change no bit
+        sets = [kraus for _, stacked in makers for kraus in stacked(values)]
+        padded = np.zeros((len(sets), 4, 2, 2), dtype=complex)
+        for j, operators in enumerate(sets):
+            padded[j, :len(operators)] = operators
+        padded_defects, padded_superoperators = kraus_superoperators(padded)
+        assert bits(padded_defects, defects) and bits(padded_superoperators, superoperators)
 
 
 class TestSharedKrausValidation:
@@ -142,6 +149,18 @@ class TestSharedKrausValidation:
             kraus_superoperators(np.zeros((1, 2, 2)))
         with pytest.raises(DimensionMismatch):
             KrausChannel(2, (np.zeros((2, 3)),))
+
+    def test_any_memory_layout(self, rng):
+        # a transposed or broadcast view validates like its contiguous copy
+        ops = np.array(random_tp_channel(2, 2, rng).operators)[None]
+        transposed = np.ascontiguousarray(ops.swapaxes(-1, -2)).swapaxes(-1, -2)
+        broadcast = np.broadcast_to(np.diag([1.0, 0.0]), (3, 1, 2, 2))
+        for view in (transposed, broadcast):
+            expected = kraus_superoperators(np.ascontiguousarray(view, dtype=complex))
+            got = kraus_superoperators(view)
+            assert all(bits(np.ascontiguousarray(a), b) for a, b in zip(got, expected))
+        with pytest.raises(InvalidChannel):
+            kraus_superoperators(transposed * np.array([1.0, np.nan]))
 
     def test_zero_padding_changes_nothing(self, rng):
         channel = random_tp_channel(3, 2, rng)
@@ -450,20 +469,23 @@ class TestStackedCores:
     def test_pt_formulas(self, rng, n):
         from entbound import apply_one_sided, pt_via_mes_sum, pt_via_reduced
         from entbound.probe import pt_mes_sum_stack, pt_reduced_stack, random_probe
-        rhos, images, probes = [], [], []
+        rhos, images, probes = [], {"first": [], "second": []}, []
         for t in range(6):
             rhos.append(random_density((n, n), 1 + t % (n * n), rng))
             probes.append(random_probe(n, rng))
             channel = random_tp_channel(n, 2, rng)
             if t % 2:
                 channel = KrausChannel(n, channel.operators[:1])
-            images.append(apply_one_sided(channel, probes[-1].density()).output)
-        stacks = (np.array([r.matrix for r in rhos]), np.array([i.matrix for i in images]),
-                  np.array([p.inverse for p in probes]))
-        for stacked, single in ((pt_reduced_stack, pt_via_reduced),
-                                (pt_mes_sum_stack, pt_via_mes_sum)):
-            expected = [single(*args) for args in zip(rhos, images, probes)]
-            assert np.allclose(stacked(*stacks), expected, rtol=0, atol=1e-14)
+            for side, stack in images.items():
+                stack.append(apply_one_sided(channel, probes[-1].density(), side).output)
+        for side, side_images in images.items():
+            stacks = (np.array([r.matrix for r in rhos]),
+                      np.array([i.matrix for i in side_images]),
+                      np.array([p.inverse for p in probes]))
+            for stacked, single in ((pt_reduced_stack, pt_via_reduced),
+                                    (pt_mes_sum_stack, pt_via_mes_sum)):
+                expected = [single(*args, side=side) for args in zip(rhos, side_images, probes)]
+                assert np.allclose(stacked(*stacks, side), expected, rtol=0, atol=1e-14)
 
     def test_two_sided_oracle_stack(self, rng):
         from entbound import apply_one_sided
