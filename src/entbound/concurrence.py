@@ -9,14 +9,15 @@ evolved probe state.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channels import apply_checked, apply_stacked
 from .errors import DimensionMismatch, SingularProbe, TrivialDimension
-from .qlinalg import DensityMatrix, PureState, canonical_mes, density_fault, first_false, \
-    pure_densities, state_to_matrix
+from .qlinalg import DensityMatrix, PureState, _check_dims, canonical_mes, density_fault, \
+    first_false, pure_densities, state_to_matrix
 
 _SIGMA_Y = np.array([[0.0, -1j], [1j, 0.0]])
 _SPIN_FLIP = np.kron(_SIGMA_Y, _SIGMA_Y)
@@ -34,6 +35,12 @@ _MAGIC_BASIS = np.array([
 
 _DET_FLOOR = 1e-12
 _FULL_RANK = 1e-10  # spin_flip_spectrum's determinant certificate, relative to max(1, tr)^4
+_PPT_SHIFT = 2e-10  # spin_flip_concurrence's separability certificate, relative to max(1, tr)
+
+# rho^{T_B}[(i, j), (k, l)] = rho[(i, l), (k, j)]: the flat index into rho of each entry
+# of the lower triangle of its partial transpose, column by column.
+_PT_LOWER = np.arange(16).reshape(2, 2, 2, 2).swapaxes(1, 3).reshape(4, 4)[
+    np.triu_indices(4)[::-1]]
 
 
 @dataclass(frozen=True)
@@ -104,9 +111,10 @@ def spin_flip_spectrum(mats) -> np.ndarray:
 
     If the Cholesky factorization fails on a certified entry (a Hermitian
     input with two negative eigenvalues has a positive determinant), the
-    whole stack takes the ``eigh`` route.
+    whole stack takes the ``eigh`` route.  Anything but a (k, 4, 4) stack
+    raises DimensionMismatch.
     """
-    mats = np.asarray(mats)
+    mats = _stack_of(mats, 4)
     trace = np.trace(mats, axis1=-2, axis2=-1).real
     full = np.linalg.det(mats).real > _FULL_RANK * np.maximum(1.0, trace) ** 4
     factor = np.empty(mats.shape, dtype=complex)
@@ -120,10 +128,85 @@ def spin_flip_spectrum(mats) -> np.ndarray:
     return np.linalg.svd(np.swapaxes(factor, 1, 2) @ _SPIN_FLIP @ factor, compute_uv=False)
 
 
+def _stack_of(mats, n: int) -> np.ndarray:
+    """``mats`` as an array, which must be a (k, n, n) stack, else DimensionMismatch."""
+    mats = np.asarray(mats)
+    if mats.ndim != 3 or mats.shape[1:] != (n, n):
+        raise DimensionMismatch(f"needs a (k, {n}, {n}) stack, got shape {mats.shape}")
+    return mats
+
+
+def _abs2(z) -> np.ndarray:
+    return z.real**2 + z.imag**2
+
+
+def _ppt_certified(mats) -> np.ndarray:
+    """Whether the Cholesky factorization of rho^{T_B} - tau I, tau = 2e-10 max(1, tr rho),
+    ends with four positive pivots, for each matrix of a (k, 4, 4) stack.
+
+    The factorization L L^H is written out over the stack axis, one array per
+    entry of the lower triangle, so each entry gets its own verdict, where
+    ``np.linalg.cholesky`` raises for the whole stack.  d0..d3 are the squared
+    pivots.  A pivot that is not positive turns the later ones of its entry to
+    nan or -inf, silently inside ``np.errstate``, and every comparison with
+    those is False.
+    """
+    a00, a10, a20, a30, a11, a21, a31, a22, a32, a33 = mats.reshape(-1, 16)[:, _PT_LOWER].T
+    shift = _PPT_SHIFT * np.maximum(1.0, (a00 + a11 + a22 + a33).real)
+    with np.errstate(all="ignore"):
+        d0 = a00.real - shift
+        l10, l20, l30 = np.array([a10, a20, a30]) / np.sqrt(d0)
+        d1 = a11.real - shift - _abs2(l10)
+        l21, l31 = (np.array([a21, a31]) - np.array([l20, l30]) * l10.conj()) / np.sqrt(d1)
+        d2 = a22.real - shift - _abs2(l20) - _abs2(l21)
+        l32 = (a32 - l30 * l20.conj() - l31 * l21.conj()) / np.sqrt(d2)
+        d3 = a33.real - shift - _abs2(l30) - _abs2(l31) - _abs2(l32)
+    return (d0 > 0) & (d1 > 0) & (d2 > 0) & (d3 > 0)
+
+
 def spin_flip_concurrence(mats) -> np.ndarray:
-    """Two-qubit concurrence max(0, l1 - l2 - l3 - l4) of each matrix of a (k, 4, 4) stack."""
-    lam = spin_flip_spectrum(mats)
-    return np.maximum(0.0, lam[:, 0] - lam[:, 1] - lam[:, 2] - lam[:, 3])
+    """Two-qubit concurrence max(0, l1 - l2 - l3 - l4) of each matrix of a (k, 4, 4) stack
+    of positive semidefinite matrices (eigenvalues down to the -1e-10 density-matrix floor).
+
+    A two-qubit state whose partial transpose rho^{T_B} is positive
+    semidefinite is separable (Peres-Horodecki; Horodecki, Horodecki &
+    Horodecki, Phys. Lett. A 223, 1 (1996)), so its concurrence is 0.  An
+    entry whose Cholesky factorization of rho^{T_B} - tau I, with
+    tau = 2e-10 max(1, tr rho), ends with four positive pivots is given
+    exactly 0.0; only the other entries go through one
+    :func:`spin_flip_spectrum` call.  The shift tau makes the shortcut report
+    the value the spectrum would give.  That spectrum is the one of
+    rho' = A A^dagger for the factor A it takes:
+
+    - The ``eigh`` route zeroes up to three eigenvalues w of rho: negative
+      ones down to -1e-10 and positive ones up to 1e-14 max(1, tr rho).  The
+      partial transpose of a unit pure state has its eigenvalues in
+      [-1/2, 1] (they are s_a^2 and +-s_a s_b for its Schmidt coefficients),
+      so zeroing a negative w lowers lambda_min(rho^{T_B}) by at most |w|/2,
+      and zeroing a positive one by at most w: together at most
+      1.5e-10 + 3e-14 max(1, tr rho).  The Cholesky route's factor is exact
+      for rho up to a backward error of the same order as the next item's.
+    - If the factorization of rho^{T_B} - tau I runs with positive pivots,
+      its factor is exact for rho^{T_B} - tau I + E with
+      ||E||_2 <= 4 d(d+1) eps ||R^H R||_2, d = 4, with a factor of 4 for
+      complex arithmetic (Higham, Accuracy and Stability of Numerical
+      Algorithms, Thm 10.3); R^H R is positive semidefinite, so its 2-norm is
+      at most its trace, about tr rho: ||E||_2 < 2e-14 max(1, tr rho).
+      Hence lambda_min(rho^{T_B}) > tau - 2e-14 max(1, tr rho).
+
+    So lambda_min(rho'^{T_B}) > (2e-10 - 1.5e-10 - 5e-14) max(1, tr rho) > 0:
+    rho' is separable, its exact l1 - l2 - l3 - l4 is at most 0, and the
+    clamp max(0, .) gives 0 for it too.  (On separable draws the computed
+    value measured at most -2 lambda_min(rho^{T_B}) + 8e-16, far below the
+    rounding that could lift it above 0.)  Anything but a (k, 4, 4) stack
+    raises DimensionMismatch.
+    """
+    mats = _stack_of(mats, 4)
+    values = np.zeros(len(mats))
+    rest = ~_ppt_certified(mats)
+    lam = spin_flip_spectrum(mats[rest])
+    values[rest] = np.maximum(0.0, lam[:, 0] - lam[:, 1] - lam[:, 2] - lam[:, 3])
+    return values
 
 
 def wootters_concurrence(rho: DensityMatrix) -> float:
@@ -140,10 +223,19 @@ def fidelity_bound(fidelity, r: int):
     return _prefactor(r) * (fidelity - 1.0 / r)
 
 
+@functools.lru_cache(maxsize=None)
+def _mes_projector(dims: tuple[int, int]) -> np.ndarray:
+    """Read-only conj(mes) mes^T of the canonical MES for checked ``dims``, built once per dims."""
+    mes = canonical_mes(dims).amplitudes
+    projector = np.outer(mes.conj(), mes)
+    projector.setflags(write=False)
+    return projector
+
+
 def fidelity_lower_bounds(mats, dims) -> np.ndarray:
     """Raw :func:`fidelity_lower_bound` of each state of a (k, d, d) stack with dims ``dims``."""
-    mes = canonical_mes(dims).amplitudes
-    overlap = (mats * np.outer(mes.conj(), mes)).sum(axis=(-2, -1)).real  # same order for any k
+    dims = _check_dims(dims)  # before the cache, so (2.0, 2) raises instead of hitting (2, 2)
+    overlap = (mats * _mes_projector(dims)).sum(axis=(-2, -1)).real  # same order for any k
     return fidelity_bound(overlap, min(dims))
 
 
@@ -235,13 +327,10 @@ def upper_bound_factor(images, probe_matrices) -> np.ndarray:
     """Channel-side factors C(rho_P)/(2|det P|) of the upper bounds for a (k, 4, 4)
     stack of normalized probe images and the (k, 2, 2) probe matrices (either may
     hold one entry for all); the whole stack is checked first, and the first
-    |det P| <= 1e-12 raises SingularProbe."""
-    images = np.asarray(images)
-    p = np.asarray(probe_matrices, dtype=complex)
-    if images.shape[-2:] != (4, 4) or p.shape[-2:] != (2, 2):
-        raise DimensionMismatch(f"needs 2x2 probe matrices and 4x4 probe images, got "
-                                f"{p.shape[-2:]} and {images.shape[-2:]}")
-    det = _probe_dets(p)
+    |det P| <= 1e-12 raises SingularProbe.  Anything but such stacks raises
+    DimensionMismatch."""
+    images = _stack_of(images, 4)
+    det = _probe_dets(_stack_of(np.asarray(probe_matrices, dtype=complex), 2))
     return spin_flip_concurrence(images) / (2.0 * det)
 
 
@@ -299,7 +388,8 @@ def evaluate(mats, dims, stages, probe_matrices=None) -> Evaluation:
     :func:`entbound.channels.apply_checked`, which raises a probe image's
     fault; the traces multiply into p' and p_t = p/p'.  A probe whose dim
     differs from a stage's subsystem raises DimensionMismatch.  At 2x2 one
-    :func:`spin_flip_spectrum` call takes the images, the inputs and every
+    :func:`spin_flip_concurrence` call (so one :func:`spin_flip_spectrum` call, on
+    the entries not certified separable) takes the images, the inputs and every
     stage's probe images as one stack: it gives the exact values, C(rho) and
     each stage's factor C(rho_P)/(2|det P|) of the upper bound, with
     :func:`upper_bound_factor`'s singular-probe check.

@@ -1,7 +1,11 @@
 """Tests for concurrence values and the closed-form bounds."""
 
+import re
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from entbound import (
     DensityMatrix,
@@ -193,6 +197,23 @@ class TestFidelityLowerBound:
         with pytest.raises(TrivialDimension):
             fidelity_lower_bound(random_density((1, 3), 2, seed=0))
 
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3)])
+    def test_cached_projector_equals_the_outer_product(self, rng, dims):
+        mats = np.array([random_mixed(dims, 2, rng).matrix for _ in range(3)])
+        mes = canonical_mes(dims).amplitudes
+        overlap = (mats * np.outer(mes.conj(), mes)).sum(axis=(-2, -1)).real
+        expected = np.sqrt(2 * min(dims) / (min(dims) - 1)) * (overlap - 1 / min(dims))
+        for _ in range(2):  # built, then cached
+            assert np.array_equal(fidelity_lower_bounds(mats, dims), expected)
+        assert not concurrence._mes_projector(dims).flags.writeable
+
+    def test_cache_is_keyed_on_checked_dims(self):
+        mats = np.eye(4)[None] / 4
+        expected = fidelity_lower_bounds(mats, (2, 2))
+        with pytest.raises(TypeError, match="subsystem dimension must be an integer"):
+            fidelity_lower_bounds(mats, (2.0, 2))
+        assert np.array_equal(fidelity_lower_bounds(mats, (np.int64(2), 2)), expected)
+
 
 class TestFullyEntangledFraction:
     def test_bell(self):
@@ -344,6 +365,16 @@ class TestUpperBounds:
         for factor, image, probe in zip(factors, images, probes):
             assert abs(factor - upper_bound_one_sided(1.0, image, probe.matrix).raw) < 1e-15
 
+    @pytest.mark.parametrize("images, probes", [
+        (np.eye(4) / 4, np.eye(2) / np.sqrt(2)),
+        (np.eye(4)[None] / 4, np.eye(2) / np.sqrt(2)),
+        (np.eye(4) / 4, np.eye(2)[None] / np.sqrt(2)),
+        (np.eye(4)[None] / 4, np.eye(3)[None] / np.sqrt(3)),
+    ])
+    def test_unstacked_factor_input_raises_dimension_mismatch(self, images, probes):
+        with pytest.raises(DimensionMismatch, match="got shape"):
+            upper_bound_factor(images, probes)
+
     def test_stacked_factor_singular_entry(self):
         probes = np.array([np.eye(2) / np.sqrt(2), np.diag([1.0, 0.0]), np.eye(2) / np.sqrt(2)])
         images = np.array([BELL.density().matrix] * 3)
@@ -430,6 +461,109 @@ class TestSpinFlipStack:
 
     def test_empty_stack(self):
         assert spin_flip_spectrum(np.empty((0, 4, 4), dtype=complex)).shape == (0, 4)
+
+    @pytest.mark.parametrize("call", [spin_flip_spectrum, spin_flip_concurrence])
+    @pytest.mark.parametrize("shape", [(4, 4), (1, 2, 2), (2, 1, 4, 4), (16,)])
+    def test_not_a_two_qubit_stack_raises(self, call, shape):
+        with pytest.raises(DimensionMismatch, match=re.escape(f"got shape {shape}")):
+            call(np.zeros(shape))
+
+
+def partial_transposes(mats):
+    return mats.reshape(-1, 2, 2, 2, 2).swapaxes(2, 4).reshape(-1, 4, 4)
+
+
+def werner(bell, p):
+    """p |bell><bell| + (1 - p) I/4 for a two-qubit amplitude vector ``bell``."""
+    return p * np.outer(bell, bell.conj()) + (1 - p) * np.eye(4) / 4
+
+
+BELL_STATES = np.array([[1, 0, 0, 1], [1, 0, 0, -1], [0, 1, 1, 0], [0, 1, -1, 0]]) / np.sqrt(2)
+TAU = 2e-10  # the certificate's shift at unit trace
+
+
+def pseudo_pure(low, theta=0.3):
+    """(1 - q)|psi><psi| + q I/4, psi = cos t |00> + sin t |11>, with q chosen so that
+    lambda_min(rho^{T_B}) = q/4 - (1 - q) cos t sin t equals ``low``."""
+    cs = np.cos(theta) * np.sin(theta)
+    q = (low + cs) / (0.25 + cs)
+    return werner(np.array([np.cos(theta), 0, 0, np.sin(theta)]), 1 - q)
+
+
+class TestSeparabilityCertificate:
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), rank=st.integers(1, 4))
+    def test_certified_exactly_where_the_partial_transpose_clears_tau(self, seed, rank):
+        rng = np.random.default_rng(seed)
+        weights = rng.uniform(size=16)[:, None, None]
+        states = np.array([random_mixed((2, 2), rank, rng).matrix for _ in range(16)])
+        mats = (1 - weights) * states + weights * np.eye(4) / 4
+        certified = concurrence._ppt_certified(mats)
+        low = np.linalg.eigvalsh(partial_transposes(mats))[:, 0]
+        assert np.all(low[certified] > 0)
+        clear = np.abs(low - TAU) > 1e-13
+        assert np.array_equal(certified[clear], low[clear] > TAU)
+
+    @pytest.mark.parametrize("p", [1 / 3 + 1e-9, 0.5, 1.0])
+    def test_no_entangled_state_is_certified(self, p):
+        mats = np.array([werner(bell, p) for bell in BELL_STATES])
+        assert not np.any(concurrence._ppt_certified(mats))
+        np.testing.assert_allclose(spin_flip_concurrence(mats), (3 * p - 1) / 2, atol=1e-12)
+
+    def test_werner_states_below_one_third_are_certified(self):
+        mats = np.array([werner(bell, 1 / 3 - 1e-6) for bell in BELL_STATES])
+        assert np.all(concurrence._ppt_certified(mats))
+        assert np.array_equal(spin_flip_concurrence(mats), np.zeros(4))
+
+    @pytest.mark.parametrize("low, scale, certified", [
+        (0.5 * TAU, 1.0, False),
+        (0.9 * TAU, 1.0, False),
+        (1.1 * TAU, 1.0, True),
+        (2.0 * TAU, 1.0, True),
+        (0.5 * TAU, 3.0, False),  # tr = 3: lambda_min = 1.5 TAU, below tau = 3 TAU
+        (1.2 * TAU, 3.0, True),
+    ])
+    def test_pseudo_pure_states_either_side_of_tau(self, low, scale, certified):
+        mat = pseudo_pure(low)
+        assert abs(np.linalg.eigvalsh(partial_transposes(mat[None]))[0, 0] - low) < 1e-15
+        assert concurrence._ppt_certified(scale * mat[None])[0] == certified
+
+    def test_mixed_stack_equals_the_spectrum_bit_for_bit(self, rng):
+        product = np.kron(np.diag([1.0, 0.0]), np.diag([0.3, 0.7]))  # rank 2, separable
+        mats = np.array([
+            werner(BELL_STATES[2], 0.2),                  # certified
+            werner(BELL_STATES[0], 0.9),                  # entangled
+            BELL.density().matrix,                        # pure, entangled
+            np.diag([1.0, 0.0, 0.0, 0.0]),                # pure product: lambda_min = 0
+            product,
+            pseudo_pure(0.5 * TAU),                       # separable, inside tau
+            pseudo_pure(3.0 * TAU),                       # certified
+            2.5 * werner(BELL_STATES[1], 0.1),            # tr = 2.5, certified
+            2.5 * werner(BELL_STATES[3], 0.6),            # tr = 2.5, entangled
+        ] + [random_mixed((2, 2), rank, rng).matrix for rank in (1, 2, 3, 4, 4)])
+        certified = concurrence._ppt_certified(mats)
+        assert list(certified[:9]) == [True, False, False, False, False, False, True, True,
+                                       False]
+        lam = spin_flip_spectrum(mats)
+        expected = np.maximum(0.0, lam[:, 0] - lam[:, 1] - lam[:, 2] - lam[:, 3])
+        assert np.array_equal(spin_flip_concurrence(mats), expected)
+        assert np.all(expected[certified] == 0.0)
+
+    def test_empty_stack(self):
+        empty = np.empty((0, 4, 4), dtype=complex)
+        assert concurrence._ppt_certified(empty).shape == (0,)
+        assert spin_flip_concurrence(empty).shape == (0,)
+
+    def test_no_warning_escapes_a_zero_or_negative_pivot(self):
+        mats = np.array([
+            np.diag([TAU, 0.25, 0.25, 0.25]),  # tr < 1: the first pivot is exactly 0
+            np.diag([1.0, 0.0, 0.0, 0.0]),     # the second pivot is -tau
+            np.zeros((4, 4)),                  # every pivot fails
+        ])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not np.any(concurrence._ppt_certified(mats))
+            spin_flip_concurrence(mats)
 
 
 class TestEvaluate:
@@ -532,7 +666,13 @@ class TestEvaluate:
         stages = [(random_tp_kraus(2, 2, rng).superoperator, "first"),
                   (random_tp_kraus(2, 3, rng).superoperator, "second")]
         result = evaluate(mats, (2, 2), stages, random_probe(2, rng).matrix)
-        assert calls == [2 * 5 + 2]  # the images, the inputs, one shared probe image per side
+        # the images, the inputs and one shared probe image per side, less the certified
+        # separable entries, which skip the spectrum
+        stack = np.concatenate([result.states, mats, np.array(result.images)])
+        assert len(stack) == 2 * 5 + 2
+        uncertified = int(np.sum(~concurrence._ppt_certified(stack)))
+        assert 0 < uncertified < len(stack)
+        assert calls == [uncertified]
         assert len(result.exact) == len(result.upper) == 5
 
     def test_empty_probe_stack(self):
