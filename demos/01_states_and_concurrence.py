@@ -12,11 +12,16 @@ from entbound import (
     PureState,
     canonical_mes,
     concurrence_pure,
-    concurrence_two_qubit_pure,
     random_pure_state,
     schmidt_decompose,
     state_to_matrix,
 )
+
+
+def twice_det(psi):
+    """Two-qubit pure-state concurrence 2|det psi| of the coefficient matrix."""
+    return float(2.0 * abs(np.linalg.det(state_to_matrix(psi))))
+
 
 # The Bell state (|00> + |11>)/sqrt(2): both Schmidt coefficients 1/sqrt(2),
 # concurrence exactly 1.
@@ -24,7 +29,7 @@ bell = canonical_mes((2, 2))
 print("Bell coefficient matrix:\n", state_to_matrix(bell).real)
 print("Schmidt coefficients:", schmidt_decompose(bell).coefficients)
 print("concurrence:", concurrence_pure(bell))
-print("2|det psi|  :", concurrence_two_qubit_pure(bell))
+print("2|det psi|  :", twice_det(bell))
 
 # A product state carries no entanglement.
 product = PureState((2, 2), np.array([1, 0, 0, 0], dtype=complex))
@@ -39,7 +44,7 @@ print("\n3x3 MES concurrence:", concurrence_pure(mes3), "=", np.sqrt(4 / 3))
 print("\nseed  concurrence  2|det|")
 for seed in range(5):
     psi = random_pure_state((2, 2), seed)
-    print(f"{seed:4d}  {concurrence_pure(psi):.10f}  {concurrence_two_qubit_pure(psi):.10f}")
+    print(f"{seed:4d}  {concurrence_pure(psi):.10f}  {twice_det(psi):.10f}")
 
 # Partial entanglement: interpolate between product and Bell.
 print("\ntheta  concurrence (= sin theta)")

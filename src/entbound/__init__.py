@@ -21,7 +21,6 @@ from .channels import (
 from .concurrence import (
     BoundValue,
     concurrence_pure,
-    concurrence_two_qubit_pure,
     fef_two_qubit,
     fidelity_lower_bound,
     max_mes_fidelity,
@@ -86,7 +85,6 @@ __all__ = [
     "canonical_mes",
     "canonical_probe",
     "concurrence_pure",
-    "concurrence_two_qubit_pure",
     "depolarizing",
     "fef_two_qubit",
     "fidelity_lower_bound",

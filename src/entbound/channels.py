@@ -195,13 +195,6 @@ def tp_kraus(factors) -> np.ndarray:
     return factors @ root_inv[:, None]
 
 
-def random_tp_channel(dim: int, count: int, seed) -> KrausChannel:
-    """Trace-preserving channel G_k (sum G^dag G)^(-1/2) from ``count`` complex
-    Gaussian factors G_k; ``seed`` may also be a Generator, which is then drawn from."""
-    factors = kraus_factors(dim, count, np.random.default_rng(seed))
-    return KrausChannel(dim, tuple(tp_kraus(factors[None])[0]))
-
-
 def _unit_interval(values, name: str) -> np.ndarray:
     """``values`` as a 1-D float array; OutOfRange names the first one outside [0, 1]."""
     values = np.asarray(values, dtype=float).reshape(-1)

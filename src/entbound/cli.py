@@ -51,10 +51,6 @@ def default_base_state() -> DensityMatrix:
     return DensityMatrix((2, 2), _EXAMPLE_RAW / np.trace(_EXAMPLE_RAW))
 
 
-def default_channels() -> tuple:
-    return amplitude_damping(0.2), amplitude_damping(0.3)
-
-
 @dataclass
 class SweepConfig:
     """Inputs of the sweep experiment; defaults reproduce the bundled example."""
@@ -86,31 +82,22 @@ class SweepConfig:
 
 
 def default_sweep_config() -> SweepConfig:
-    ch1, ch2 = default_channels()
-    return SweepConfig(
-        x_grid=np.round(np.arange(0, 101) * 0.01, 10),
-        base_state=default_base_state(),
-        channel_1=ch1,
-        channel_2=ch2,
-        probe=canonical_probe(2),
-    )
+    return sweep_config_from_json({})
 
 
 def sweep_config_from_json(doc: dict) -> SweepConfig:
+    """The sweep config of a JSON object; a key it leaves out takes the bundled example's
+    value: x = 0, 0.01, ..., 1, amplitude damping 0.2 and 0.3, the canonical probe."""
     if not isinstance(doc, dict):
         raise ValueError(f"a sweep config must be a JSON object, got {type(doc).__name__}")
-    cfg = default_sweep_config()
-    base = state_from_json(doc["base_state"]) if "base_state" in doc else cfg.base_state
+    base = state_from_json(doc["base_state"]) if "base_state" in doc else default_base_state()
     if isinstance(base, PureState):
         base = base.density()
     probe = probe_from_json(doc["probe"]) if "probe" in doc else canonical_probe(base.dims[0])
-    return SweepConfig(
-        x_grid=doc.get("x_grid", cfg.x_grid),
-        base_state=base,
-        channel_1=channel_from_json(doc["channel_1"]) if "channel_1" in doc else cfg.channel_1,
-        channel_2=channel_from_json(doc["channel_2"]) if "channel_2" in doc else cfg.channel_2,
-        probe=probe,
-    )
+    channel_1, channel_2 = (channel_from_json(doc[key]) if key in doc else amplitude_damping(gamma)
+                            for key, gamma in (("channel_1", 0.2), ("channel_2", 0.3)))
+    return SweepConfig(doc.get("x_grid", np.round(np.arange(0, 101) * 0.01, 10)), base,
+                       channel_1, channel_2, probe)
 
 
 @dataclass
@@ -367,6 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
 _EXIT_CODES = {
     _BadInput: (2, ""),
     OSError: (2, "could not write: "),
+    MemoryError: (2, "request too large for memory: "),
     SingularProbe: (5, "singular probe: "),
     DimensionMismatch: (4, "dimension mismatch: "),
     TrivialDimension: (4, "dimension mismatch: "),

@@ -80,13 +80,6 @@ def concurrence_pure(psi: PureState) -> float:
     return float(pure_concurrences(state_to_matrix(psi)[None])[0])
 
 
-def concurrence_two_qubit_pure(psi: PureState) -> float:
-    """Two-qubit pure-state concurrence 2|det(psi)| of the coefficient matrix."""
-    if psi.dims != (2, 2):
-        raise DimensionMismatch(f"requires a 2x2 bipartition, got {psi.dims}")
-    return float(2.0 * abs(np.linalg.det(state_to_matrix(psi))))
-
-
 def spin_flip_spectrum(mats) -> np.ndarray:
     """Decreasing sqrt-eigenvalues of rho rho~, rho~ the spin-flipped state,
     for each Hermitian matrix of a (k, 4, 4) stack; returns shape (k, 4).
@@ -313,25 +306,16 @@ def theorem1_bound(rho: DensityMatrix, samples: int = 10_000, seed: int = 0) -> 
     return BoundValue(float(fidelity_bound(fid, r)), "lower")
 
 
-def _probe_dets(probe_matrices) -> np.ndarray:
-    """|det P| of each probe matrix of a (k, 2, 2) stack; the first |det P| <= 1e-12
-    raises SingularProbe."""
-    det = np.abs(np.linalg.det(probe_matrices))
+def upper_bound_factor(concurrences, probe_matrices) -> np.ndarray:
+    """Factors C(rho_P)/(2|det P|) of the upper bound of Konrad et al., Nature Physics 4,
+    99 (2008), from the concurrences C(rho_P) of the normalized probe images and a (k, 2, 2)
+    stack of probe matrices (one may serve all).  The first |det P| <= 1e-12 of the stack
+    raises SingularProbe; anything but such a stack raises DimensionMismatch."""
+    det = np.abs(np.linalg.det(_stack_of(np.asarray(probe_matrices, dtype=complex), 2)))
     k = first_false(det > _DET_FLOOR)
     if k < len(det):
         raise SingularProbe(f"|det P| = {float(det[k])} of probe {k} is numerically singular")
-    return det
-
-
-def upper_bound_factor(images, probe_matrices) -> np.ndarray:
-    """Channel-side factors C(rho_P)/(2|det P|) of the upper bounds for a (k, 4, 4)
-    stack of normalized probe images and the (k, 2, 2) probe matrices (either may
-    hold one entry for all); the whole stack is checked first, and the first
-    |det P| <= 1e-12 raises SingularProbe.  Anything but such stacks raises
-    DimensionMismatch."""
-    images = _stack_of(images, 4)
-    det = _probe_dets(_stack_of(np.asarray(probe_matrices, dtype=complex), 2))
-    return spin_flip_concurrence(images) / (2.0 * det)
+    return concurrences / (2.0 * det)
 
 
 def upper_bound_one_sided(c_in: float, rho_p: DensityMatrix, probe_matrix) -> BoundValue:
@@ -342,8 +326,8 @@ def upper_bound_one_sided(c_in: float, rho_p: DensityMatrix, probe_matrix) -> Bo
     For pure two-qubit inputs under trace-preserving channels the bound
     is an equality.
     """
-    return BoundValue(float(c_in * upper_bound_factor(rho_p.matrix[None], [probe_matrix])[0]),
-                      "upper")
+    factor = upper_bound_factor(spin_flip_concurrence(rho_p.matrix[None]), [probe_matrix])
+    return BoundValue(float(c_in * factor[0]), "upper")
 
 
 def upper_bound_two_sided(c_in: float, rho_p1: DensityMatrix, rho_p2: DensityMatrix,
@@ -352,8 +336,8 @@ def upper_bound_two_sided(c_in: float, rho_p1: DensityMatrix, rho_p2: DensityMat
 
     c_in * C(rho_P1)/(2|det P|) * C(rho_P2)/(2|det P|).
     """
-    factor1, factor2 = upper_bound_factor(np.array([rho_p1.matrix, rho_p2.matrix]),
-                                          [probe_matrix] * 2)
+    factor1, factor2 = upper_bound_factor(
+        spin_flip_concurrence(np.array([rho_p1.matrix, rho_p2.matrix])), [probe_matrix] * 2)
     return BoundValue(float(c_in * factor1 * factor2), "upper")
 
 
@@ -390,9 +374,8 @@ def evaluate(mats, dims, stages, probe_matrices=None) -> Evaluation:
     differs from a stage's subsystem raises DimensionMismatch.  At 2x2 one
     :func:`spin_flip_concurrence` call (so one :func:`spin_flip_spectrum` call, on
     the entries not certified separable) takes the images, the inputs and every
-    stage's probe images as one stack: it gives the exact values, C(rho) and
-    each stage's factor C(rho_P)/(2|det P|) of the upper bound, with
-    :func:`upper_bound_factor`'s singular-probe check.
+    stage's probe images as one stack: it gives the exact values, C(rho) and each
+    stage's C(rho_P); the upper bound is C(rho) times each :func:`upper_bound_factor`.
     """
     fault = density_fault(mats)
     k = len(mats) if fault is None else fault[0]
@@ -426,8 +409,7 @@ def evaluate(mats, dims, stages, probe_matrices=None) -> Evaluation:
                           np.cumsum([len(stack) for stack in stacks])[:-1])
         exact, c_in = values[:2]
         if images:
-            twice_det = 2.0 * _probe_dets(np.reshape(probes, (-1, 2, 2))[:k])
-            upper = c_in
+            probes, upper = np.reshape(probes, (-1, 2, 2))[:k], c_in
             for value in values[2:]:
-                upper = upper * (value / twice_det)
+                upper = upper * upper_bound_factor(value, probes)
     return Evaluation(out, exact, upper, p, p_prime, p_t, images, fault)

@@ -31,8 +31,8 @@ import numpy as np
 from .channels import apply_stacked
 from .concurrence import BoundValue, fidelity_lower_bounds
 from .errors import DimensionMismatch, NotNormalized, SingularProbe
-from .qlinalg import DensityMatrix, TOL_RECONSTRUCT, _frozen_complex, kron_stack, raise_fault, \
-    swap_subsystems
+from .qlinalg import DensityMatrix, TOL_RECONSTRUCT, _check_dim, _frozen_complex, kron_stack, \
+    raise_fault, swap_subsystems
 
 _RANK_FLOOR = 1e-8
 
@@ -62,16 +62,22 @@ class ProbeState:
         return DensityMatrix((self.dim, self.dim), np.outer(vec, vec.conj()))
 
 
-@functools.lru_cache(maxsize=None)
 def mes_basis(n: int) -> np.ndarray:
     """Generalized Bell basis for an N x N bipartition, N >= 2, built once per N.
 
     A read-only (N^2, N, N) stack of unit-Frobenius-norm coefficient
     matrices C_j with vec(C_j) = |Phi_j>: state j = N*j0 + j1 is
-    (1/sqrt(N)) sum_k exp(2 pi i j0 k / N) |k>|k + j1 mod N>.
+    (1/sqrt(N)) sum_k exp(2 pi i j0 k / N) |k>|k + j1 mod N>.  An N that
+    is not an integer, such as 2.0 or True, raises TypeError.
     """
+    n = _check_dim(n, "N")  # before the cache, so True raises instead of hitting N = 1
     if n < 2:
         raise ValueError(f"need N >= 2, got {n}")
+    return _mes_basis(n)
+
+
+@functools.lru_cache(maxsize=None)
+def _mes_basis(n: int) -> np.ndarray:
     j0, j1, k = np.ogrid[:n, :n, :n]
     basis = np.zeros((n, n, n, n), dtype=complex)
     basis[j0, j1, k, (k + j1) % n] = np.exp(1j * (2 * np.pi * j0 * k / n)) / np.sqrt(n)

@@ -75,14 +75,6 @@ class PureState:
         _check_unit_norms(amp[None])
         object.__setattr__(self, "amplitudes", amp)
 
-    @property
-    def n1(self) -> int:
-        return self.dims[0]
-
-    @property
-    def n2(self) -> int:
-        return self.dims[1]
-
     def density(self) -> "DensityMatrix":
         """Rank-1 density matrix |psi><psi|."""
         return DensityMatrix(self.dims, np.outer(self.amplitudes, self.amplitudes.conj()))
@@ -106,14 +98,6 @@ class DensityMatrix:
         mat = _frozen_complex(self.matrix, shape=(d, d))
         raise_fault(density_fault(mat[None]))
         object.__setattr__(self, "matrix", mat)
-
-    @property
-    def n1(self) -> int:
-        return self.dims[0]
-
-    @property
-    def n2(self) -> int:
-        return self.dims[1]
 
 
 def first_false(ok) -> int:
@@ -208,7 +192,7 @@ class SchmidtForm:
 
 def state_to_matrix(psi: PureState) -> np.ndarray:
     """Coefficient matrix of a pure state: entry (i, j) is the amplitude of |i j>."""
-    return psi.amplitudes.reshape(psi.n1, psi.n2).copy()
+    return psi.amplitudes.reshape(psi.dims).copy()
 
 
 def partial_trace(rho: DensityMatrix, keep: str = "first") -> np.ndarray:

@@ -1,15 +1,35 @@
-"""Shared input generators for the test suite: the library's own draws."""
+"""Shared input generators and reference values for the test suite."""
 
 import numpy as np
 import pytest
 
-from entbound import ProbeState, random_density
-from entbound.channels import random_tp_channel
+from entbound import KrausChannel, ProbeState, random_density, state_to_matrix
+from entbound.channels import kraus_factors, tp_kraus
 from entbound.probe import random_probe
 
-random_tp_kraus = random_tp_channel
 random_mixed = random_density
 probe_density = ProbeState.density
+
+
+def random_tp_kraus(dim: int, count: int, seed) -> KrausChannel:
+    """Trace-preserving channel G_k (sum G^dag G)^(-1/2) from ``count`` complex
+    Gaussian factors G_k; ``seed`` may also be a Generator, which is then drawn from."""
+    factors = kraus_factors(dim, count, np.random.default_rng(seed))
+    return KrausChannel(dim, tuple(tp_kraus(factors[None])[0]))
+
+
+def concurrence_two_qubit_pure(psi) -> float:
+    """Two-qubit pure-state concurrence 2|det(psi)| of the 2x2 coefficient matrix."""
+    return float(2.0 * abs(np.linalg.det(state_to_matrix(psi))))
+
+
+def haar_unitary(n, rng):
+    """Haar-random n x n unitary: QR of a complex Gaussian matrix (real parts drawn
+    first), with the phases of R's diagonal moved into Q."""
+    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r)
+    return q * (d / np.abs(d))
 
 
 @pytest.fixture

@@ -19,7 +19,7 @@ from entbound import (
     random_density,
 )
 from entbound.channels import amplitude_damping_kraus, apply_stacked, depolarizing_kraus, \
-    phase_damping_kraus, random_tp_channel
+    phase_damping_kraus
 from conftest import random_tp_kraus
 
 IDENTITY_CHANNEL = KrausChannel(2, (np.eye(2),))
@@ -292,7 +292,7 @@ class TestApplyStacked:
         # trace-preserving and truncated (non-TP) channels
         channels = []
         for j in range(6):
-            full = random_tp_channel(3, 1 + j % 3, rng)
+            full = random_tp_kraus(3, 1 + j % 3, rng)
             channels.append(KrausChannel(3, full.operators[:2]) if j % 4 == 3 else full)
         states = [random_density((3, 3), 1 + j, rng) for j in range(6)]
         outputs, p, fault = apply_stacked(np.array([c.superoperator for c in channels]),

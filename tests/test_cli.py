@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import dataclasses
 import json
 import warnings
 from pathlib import Path
@@ -9,10 +10,11 @@ import pytest
 
 from entbound import (DensityMatrix, KrausChannel, PureState, amplitude_damping,
                       apply_one_sided, apply_two_sided, canonical_mes, canonical_probe,
-                      random_density, upper_bound_two_sided, wootters_concurrence)
+                      depolarizing, phase_damping, random_density, upper_bound_two_sided,
+                      wootters_concurrence)
 from entbound.errors import ZeroProbability
 from entbound.cli import SweepConfig, default_base_state, default_sweep_config, \
-    evaluate_bound, main, run_sweep
+    evaluate_bound, main, run_sweep, sweep_config_from_json
 from entbound.serialize import channel_to_json, dump_json, probe_to_json, state_to_json
 from conftest import random_probe, random_tp_kraus
 
@@ -103,6 +105,20 @@ class TestGen:
         out = tmp_path / "out.json"
         assert run_cli("gen", argv[0], str(out), *argv[1:]) == 2
         assert capsys.readouterr().err == f"error: invalid parameters: {message}\n"
+        assert not out.exists()
+
+    def test_state_too_large_for_memory_exits_2(self, tmp_path, capsys, monkeypatch):
+        import entbound.cli
+
+        def refused(dims, rank, seed):  # what NumPy raises for the 1.15 PiB density matrix
+            raise MemoryError("Unable to allocate 1.15 PiB for an array with shape "
+                              "(1, 9000000, 9000000) and data type complex128")
+
+        monkeypatch.setattr(entbound.cli, "random_density", refused)
+        out = tmp_path / "s.json"
+        assert run_cli("gen", "state", str(out), "--dims", "3000", "3000", "--rank", "1") == 2
+        assert capsys.readouterr().err.startswith(
+            "error: request too large for memory: Unable to allocate 1.15 PiB")
         assert not out.exists()
 
     def test_pure_state_when_rank_omitted(self, tmp_path):
@@ -511,6 +527,42 @@ def _identity_3x3_config():
                        channel_2=identity3, probe=random_probe(3, np.random.default_rng(3)))
 
 
+def config_fields(config):
+    """Each field of a SweepConfig, its arrays as bytes and its dataclasses field by field."""
+    def plain(value):
+        if dataclasses.is_dataclass(value):
+            return tuple(plain(getattr(value, f.name)) for f in dataclasses.fields(value))
+        if isinstance(value, (tuple, list)):
+            return tuple(plain(v) for v in value)
+        if isinstance(value, np.ndarray):
+            return value.shape, value.dtype.str, value.tobytes()
+        return value
+    return {f.name: plain(getattr(config, f.name)) for f in dataclasses.fields(config)}
+
+
+# One non-default value for each key of a sweep config document.
+SWEEP_OVERRIDES = {
+    "x_grid": [0.0, 0.5, 1.0],
+    "base_state": state_to_json(random_density((2, 2), 2, seed=5)),
+    "channel_1": channel_to_json(depolarizing(0.1)),
+    "channel_2": channel_to_json(phase_damping(0.4)),
+    "probe": probe_to_json(random_probe(2, 5)),
+}
+
+
+class TestSweepConfigDefaults:
+    def test_default_config_is_the_empty_document(self):
+        assert config_fields(default_sweep_config()) == config_fields(sweep_config_from_json({}))
+
+    @pytest.mark.parametrize("key", SWEEP_OVERRIDES)
+    def test_one_override_keeps_every_other_default(self, key):
+        default = config_fields(default_sweep_config())
+        config = config_fields(sweep_config_from_json({key: SWEEP_OVERRIDES[key]}))
+        assert config[key] != default[key]
+        assert {k: v for k, v in config.items() if k != key} == \
+            {k: v for k, v in default.items() if k != key}
+
+
 class TestStackedSweep:
     @pytest.mark.parametrize("make_config", [default_sweep_config, _random_non_tp_config,
                                              _identity_3x3_config])
@@ -613,6 +665,21 @@ class TestCheck:
         from entbound.suites import run_suites
         result, = run_suites(suite, seed=0, trials=0)
         assert result.trials == 0 and not result.passed
+
+    def test_too_many_trials_for_memory_exits_2(self, capsys, monkeypatch):
+        # np.empty refuses what the machine could not hold, as NumPy does, without
+        # allocating; the sandwich suite's first block of 10^11 trials is 5.82 TiB
+        empty = np.empty
+
+        def refusing(shape, *args, **kwargs):
+            if np.prod(shape, dtype=float) > 2**30:
+                raise MemoryError(f"Unable to allocate an array with shape {shape}")
+            return empty(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "empty", refusing)
+        assert run_cli("check", "sandwich", "--trials", "100000000000") == 2
+        assert capsys.readouterr().err == ("error: request too large for memory: Unable to "
+                                           "allocate an array with shape (100000000000, 2, 2)\n")
 
     def test_report_file(self, tmp_path, capsys):
         report = tmp_path / "report.txt"

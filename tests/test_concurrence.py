@@ -19,7 +19,6 @@ from entbound import (
     canonical_mes,
     canonical_probe,
     concurrence_pure,
-    concurrence_two_qubit_pure,
     fef_two_qubit,
     fidelity_lower_bound,
     random_density,
@@ -34,7 +33,8 @@ from entbound import (
 from entbound import concurrence
 from entbound.concurrence import evaluate, fidelity_lower_bounds, spin_flip_concurrence, \
     spin_flip_spectrum, upper_bound_factor
-from conftest import probe_density, random_mixed, random_probe, random_tp_kraus
+from conftest import concurrence_two_qubit_pure, haar_unitary, probe_density, random_mixed, \
+    random_probe, random_tp_kraus
 
 SY = np.array([[0, -1j], [1j, 0]])
 SYY = np.kron(SY, SY)
@@ -75,13 +75,6 @@ def eigh_entries(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", counted)
     return sizes
-
-
-def haar_unitary(n, rng):
-    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
 
 
 def haar_pairs(count, rng):
@@ -126,10 +119,6 @@ class TestTwoQubitDeterminant:
         for seed in range(1000):
             psi = random_pure_state((2, 2), seed)
             assert abs(concurrence_two_qubit_pure(psi) - concurrence_pure(psi)) < 1e-12
-
-    def test_wrong_dims(self):
-        with pytest.raises(DimensionMismatch):
-            concurrence_two_qubit_pure(random_pure_state((2, 3), 0))
 
 
 class TestWootters:
@@ -360,26 +349,20 @@ class TestUpperBounds:
         probes = [random_probe(2, rng) for _ in range(8)]
         images = [apply_one_sided(c, probe_density(p), side).output
                   for c, p, side in zip(channels, probes, ["first", "second"] * 4)]
-        factors = upper_bound_factor(np.array([r.matrix for r in images]),
+        factors = upper_bound_factor(spin_flip_concurrence(np.array([r.matrix for r in images])),
                                      np.array([p.matrix for p in probes]))
         for factor, image, probe in zip(factors, images, probes):
             assert abs(factor - upper_bound_one_sided(1.0, image, probe.matrix).raw) < 1e-15
 
-    @pytest.mark.parametrize("images, probes", [
-        (np.eye(4) / 4, np.eye(2) / np.sqrt(2)),
-        (np.eye(4)[None] / 4, np.eye(2) / np.sqrt(2)),
-        (np.eye(4) / 4, np.eye(2)[None] / np.sqrt(2)),
-        (np.eye(4)[None] / 4, np.eye(3)[None] / np.sqrt(3)),
-    ])
-    def test_unstacked_factor_input_raises_dimension_mismatch(self, images, probes):
+    @pytest.mark.parametrize("probes", [np.eye(2) / np.sqrt(2), np.eye(3)[None] / np.sqrt(3)])
+    def test_unstacked_factor_input_raises_dimension_mismatch(self, probes):
         with pytest.raises(DimensionMismatch, match="got shape"):
-            upper_bound_factor(images, probes)
+            upper_bound_factor(np.ones(1), probes)
 
     def test_stacked_factor_singular_entry(self):
         probes = np.array([np.eye(2) / np.sqrt(2), np.diag([1.0, 0.0]), np.eye(2) / np.sqrt(2)])
-        images = np.array([BELL.density().matrix] * 3)
         with pytest.raises(SingularProbe, match="probe 1"):
-            upper_bound_factor(images, probes)
+            upper_bound_factor(np.ones(3), probes)
 
     def test_sandwich_holds(self, rng):
         for _ in range(100):
@@ -397,6 +380,44 @@ class TestUpperBounds:
                                           probe.matrix).raw
             assert lower <= exact + 1e-9
             assert exact <= upper + 1e-9
+
+
+class TestOneKonradFactor:
+    """evaluate's upper bound and the upper_bound_* wrappers take their factors
+    C(rho_P)/(2|det P|) from the one upper_bound_factor, so they agree bit for bit."""
+
+    @staticmethod
+    def channel(rng, count, truncate):
+        full = random_tp_kraus(2, count, rng)
+        return KrausChannel(2, full.operators[:1]) if truncate else full  # truncated: non-TP
+
+    @pytest.mark.parametrize("truncate", [False, True])
+    @pytest.mark.parametrize("random", [False, True])
+    @pytest.mark.parametrize("side", ["first", "second"])
+    def test_one_sided_wrapper_equals_evaluate(self, rng, side, random, truncate):
+        for _ in range(4):
+            rho = random_mixed((2, 2), int(rng.integers(1, 3)), rng)  # mostly entangled
+            channel = self.channel(rng, 3, truncate)
+            probe = random_probe(2, rng) if random else canonical_probe(2)
+            result = evaluate(rho.matrix[None], (2, 2), [(channel.superoperator, side)],
+                              probe.matrix)
+            image = DensityMatrix((2, 2), result.images[0])
+            bound = upper_bound_one_sided(wootters_concurrence(rho), image, probe.matrix)
+            assert result.upper[0] == bound.raw
+
+    @pytest.mark.parametrize("truncate", [False, True])
+    @pytest.mark.parametrize("random", [False, True])
+    def test_two_sided_wrapper_equals_evaluate(self, rng, random, truncate):
+        for _ in range(4):
+            rho = random_mixed((2, 2), int(rng.integers(1, 3)), rng)  # mostly entangled
+            channel_1, channel_2 = self.channel(rng, 2, truncate), self.channel(rng, 3, False)
+            probe = random_probe(2, rng) if random else canonical_probe(2)
+            result = evaluate(rho.matrix[None], (2, 2), [(channel_1.superoperator, "first"),
+                                                         (channel_2.superoperator, "second")],
+                              probe.matrix)
+            images = [DensityMatrix((2, 2), image) for image in result.images]
+            bound = upper_bound_two_sided(wootters_concurrence(rho), *images, probe.matrix)
+            assert result.upper[0] == bound.raw
 
 
 class TestBoundValue:

@@ -97,7 +97,13 @@ class TestMesBasis:
     def test_built_once_per_dimension(self):
         basis = mes_basis(3)
         assert mes_basis(3) is basis
+        assert mes_basis(np.int64(3)) is basis
         assert not basis.flags.writeable
+
+    @pytest.mark.parametrize("n", [2.0, True])
+    def test_non_integer_n_raises_before_the_cache(self, n):
+        with pytest.raises(TypeError, match=f"N must be an integer, got {n!r}"):
+            mes_basis(n)
 
 
 class _Stream(np.random.Generator):

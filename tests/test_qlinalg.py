@@ -18,6 +18,7 @@ from entbound import (
     swap_operator,
 )
 from entbound.qlinalg import density_fault, gaussian
+from conftest import haar_unitary
 
 BELL = PureState((2, 2), np.array([1, 0, 0, 1]) / np.sqrt(2))
 
@@ -250,11 +251,6 @@ def eigvalsh_fault(mats):
         if not np.linalg.eigvalsh(m)[0] >= -1e-10:
             return i, "matrix has an eigenvalue below -1e-10"
     return None
-
-
-def haar_unitary(d, rng):
-    q, r = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
-    return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
 def with_smallest_eigenvalue(d, low, rng):

@@ -17,9 +17,10 @@ from entbound import DimensionMismatch, InvalidChannel, KrausChannel, apply_one_
 from entbound import channels as ch
 from entbound import probe, suites
 from entbound import qlinalg as ql
-from entbound.channels import kraus_superoperators, random_tp_channel
+from entbound.channels import kraus_superoperators
 from entbound.serialize import channel_from_json, probe_from_json, state_from_json
 from entbound.suites import run_suites
+from conftest import random_tp_kraus
 
 TRIALS = 12
 
@@ -152,7 +153,7 @@ class TestSharedKrausValidation:
 
     def test_any_memory_layout(self, rng):
         # a transposed or broadcast view validates like its contiguous copy
-        ops = np.array(random_tp_channel(2, 2, rng).operators)[None]
+        ops = np.array(random_tp_kraus(2, 2, rng).operators)[None]
         transposed = np.ascontiguousarray(ops.swapaxes(-1, -2)).swapaxes(-1, -2)
         broadcast = np.broadcast_to(np.diag([1.0, 0.0]), (3, 1, 2, 2))
         for view in (transposed, broadcast):
@@ -163,7 +164,7 @@ class TestSharedKrausValidation:
             kraus_superoperators(transposed * np.array([1.0, np.nan]))
 
     def test_zero_padding_changes_nothing(self, rng):
-        channel = random_tp_channel(3, 2, rng)
+        channel = random_tp_kraus(3, 2, rng)
         padded = np.concatenate([channel.operators, np.zeros((1, 3, 3))])[None]
         defects, superoperators = kraus_superoperators(padded)
         assert bits(superoperators[0], channel.superoperator)
@@ -473,7 +474,7 @@ class TestStackedCores:
         for t in range(6):
             rhos.append(random_density((n, n), 1 + t % (n * n), rng))
             probes.append(random_probe(n, rng))
-            channel = random_tp_channel(n, 2, rng)
+            channel = random_tp_kraus(n, 2, rng)
             if t % 2:
                 channel = KrausChannel(n, channel.operators[:1])
             for side, stack in images.items():
@@ -494,8 +495,8 @@ class TestStackedCores:
         for _ in range(4):
             rho = random_density((3, 3), 4, rng)
             probe = random_probe(3, rng)
-            image_1 = apply_one_sided(random_tp_channel(3, 2, rng), probe.density(), "first")
-            image_2 = apply_one_sided(random_tp_channel(3, 3, rng), probe.density(), "second")
+            image_1 = apply_one_sided(random_tp_kraus(3, 2, rng), probe.density(), "first")
+            image_2 = apply_one_sided(random_tp_kraus(3, 3, rng), probe.density(), "second")
             args.append((rho.matrix, image_1.output.matrix, image_2.output.matrix,
                          probe.inverse, 0.9))
         stacked = suites.two_sided_bound_mes(*(np.array(column) for column in zip(*args)))
