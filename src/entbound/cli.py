@@ -125,8 +125,9 @@ def run_sweep(config: SweepConfig, output_path) -> None:
     applies the two channels rebuilt once from the probe images.  The exact
     (spin-flip) concurrence and the upper bound exist only for 2x2
     bipartitions; for larger states those two columns are left empty.  A
-    failed check raises its ArithmeticError or ValueError, naming the first
-    x that fails.
+    failed check of the core raises its ArithmeticError or ValueError, naming
+    the first x that fails; a rebuilt stage of the probe route raises its
+    ZeroProbability as is.
     """
     dims, grid = config.base_state.dims, config.x_grid
     d = dims[0] * dims[1]
@@ -135,12 +136,10 @@ def run_sweep(config: SweepConfig, output_path) -> None:
     result = evaluate(rho, dims, ((config.channel_1.superoperator, "first"),
                                   (config.channel_2.superoperator, "second")),
                       config.probe.matrix)
-    lower, _, fault = probe_route(rho[:len(result.p)], dims, result.images, config.probe.inverse,
-                                  config.probe.condition)
-    fault = fault or result.fault  # the probe route saw only the points before result.fault
-    if fault is not None:
-        k, error = fault
+    if result.fault is not None:
+        k, error = result.fault
         raise type(error)(f"sweep failed at x={grid[k]}: {error}") from error
+    lower = probe_route(rho, dims, result.images, config.probe.inverse, config.probe.condition)
 
     columns = [grid, np.maximum(0.0, lower), result.exact, result.upper, result.p]
     line = ",".join("" if c is None else "%.12g" for c in columns) + "\n"
@@ -286,14 +285,24 @@ def _read(prefix: str, build, keep=()):
         raise _BadInput(f"{prefix}: {exc}") from exc
 
 
-def _int_at_least(low):
-    """An argparse type: an int of at least ``low``, else exit 2 naming the option."""
+def _int_at_least(low, high=None):
+    """An argparse type: an int of at least ``low`` (and at most ``high`` if given), else
+    exit 2 naming the option."""
     def integer(text) -> int:
         value = int(text)
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be at most {high}, got {value}")
         return value
     return integer
+
+
+# No suite holds more than 1 MiB per trial in one array (probe-invariance, the largest,
+# holds about 160 KiB per trial in all its arrays together), so up to this count every
+# shape a suite asks for is one NumPy can address: a count too large for the machine
+# raises MemoryError (exit 2) rather than NumPy's "array is too big" ValueError.
+_MAX_TRIALS = np.iinfo(np.intp).max >> 20
 
 
 def _setup_logging():
@@ -327,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", help="run quantified property suites")
     p_check.add_argument("suite", choices=SUITE_NAMES + ("all",))
     p_check.add_argument("--seed", type=_int_at_least(0), default=0)
-    p_check.add_argument("--trials", type=_int_at_least(1), default=None)
+    p_check.add_argument("--trials", type=_int_at_least(1, _MAX_TRIALS), default=None)
     p_check.add_argument("--report", help="also write the report text to this path")
     p_check.set_defaults(fn=_cmd_check)
 

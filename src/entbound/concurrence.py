@@ -52,7 +52,6 @@ class BoundValue:
     """
 
     raw: float
-    kind: str  # "lower" | "upper" | "exact"
 
     @property
     def clamped(self) -> float:
@@ -243,7 +242,7 @@ def fidelity_lower_bound(rho: DensityMatrix) -> BoundValue:
     TrivialDimension
         When min(N1, N2) = 1 and the prefactor is singular.
     """
-    return BoundValue(float(fidelity_lower_bounds(rho.matrix[None], rho.dims)[0]), "lower")
+    return BoundValue(float(fidelity_lower_bounds(rho.matrix[None], rho.dims)[0]))
 
 
 def fully_entangled_fractions(mats) -> np.ndarray:
@@ -303,7 +302,7 @@ def theorem1_bound(rho: DensityMatrix, samples: int = 10_000, seed: int = 0) -> 
     if r < 2:
         raise TrivialDimension("concurrence is identically 0 when min(N1, N2) = 1")
     fid = max_mes_fidelity(rho, samples=samples, seed=seed)
-    return BoundValue(float(fidelity_bound(fid, r)), "lower")
+    return BoundValue(float(fidelity_bound(fid, r)))
 
 
 def upper_bound_factor(concurrences, probe_matrices) -> np.ndarray:
@@ -327,7 +326,7 @@ def upper_bound_one_sided(c_in: float, rho_p: DensityMatrix, probe_matrix) -> Bo
     is an equality.
     """
     factor = upper_bound_factor(spin_flip_concurrence(rho_p.matrix[None]), [probe_matrix])
-    return BoundValue(float(c_in * factor[0]), "upper")
+    return BoundValue(float(c_in * factor[0]))
 
 
 def upper_bound_two_sided(c_in: float, rho_p1: DensityMatrix, rho_p2: DensityMatrix,
@@ -338,7 +337,7 @@ def upper_bound_two_sided(c_in: float, rho_p1: DensityMatrix, rho_p2: DensityMat
     """
     factor1, factor2 = upper_bound_factor(
         spin_flip_concurrence(np.array([rho_p1.matrix, rho_p2.matrix])), [probe_matrix] * 2)
-    return BoundValue(float(c_in * factor1 * factor2), "upper")
+    return BoundValue(float(c_in * factor1 * factor2))
 
 
 @dataclass(frozen=True)

@@ -7,10 +7,10 @@ probability p', and :func:`probe_channels` rebuilds S/p' from it.
 :func:`probe_route` takes the probe images, rebuilds the channels and
 applies them to the initial state through
 :func:`entbound.channels.apply_stacked`, the path the real channels take,
-and reads the fidelity lower bound of the result; its trace is the
-renormalization factor p_t = p/p'.  A side without a channel
-is simply not applied.  A stack of probes gives a stack of rebuilt
-channels, and one rebuilt channel applies to a stack of states.
+and reads the fidelity lower bound of the result; a rebuilt stage whose
+trace is at the probability floor raises, as a real channel does.  A side
+without a channel is simply not applied.  A stack of probes gives a stack
+of rebuilt channels, and one rebuilt channel applies to a stack of states.
 
 The paper's p_t formulas, through the reduced input state and through a
 sum over the generalized Bell basis, are kept as independent oracles.
@@ -274,22 +274,18 @@ def probe_route(mats, dims, images, inverse, condition):
     image (d, d) with its probe (n, n) rebuilds one channel for the whole
     stack; images (..., d, d) with probes (..., n, n) rebuild one channel
     per entry, the leading axes flattened in order to the stack's.  The
-    rebuilt channels are applied, first side first, and (values, p_t,
-    fault) returned: the raw fidelity lower bounds of the evolved states,
-    p_t = p/(p1' p2') of the entries that reached the last stage, and None
-    or (index, ZeroProbability) for the first entry whose stage trace is
-    <= 1e-14.  A later stage sees only the entries before an earlier fault,
-    and ``values`` covers the entries before the first one.
+    rebuilt channels are applied, first side first, and the raw
+    fidelity lower bounds of the evolved states returned.  The first entry
+    whose stage trace is <= 1e-14 raises its ZeroProbability.
     """
     _check_square(dims, inverse.shape[-1])
-    p_t, fault = np.ones(len(mats)), None
     for stage, side in zip(probe_channels(*images, inverse, condition), ("first", "second")):
         if stage is not None:
             if stage.ndim > 2:  # one rebuilt channel per entry
-                stage = stage.reshape((-1,) + stage.shape[-2:])[:len(mats)]
-            mats, p, stage_fault = apply_stacked(stage, mats, dims, side)
-            p_t, fault = p_t[:len(p)] * p, stage_fault or fault
-    return fidelity_lower_bounds(mats, dims), p_t, fault
+                stage = stage.reshape((-1,) + stage.shape[-2:])
+            mats, _, fault = apply_stacked(stage, mats, dims, side)
+            raise_fault(fault)
+    return fidelity_lower_bounds(mats, dims)
 
 
 def lower_bound_one_sided(rho: DensityMatrix, evolved_probe: DensityMatrix, probe: ProbeState,
@@ -304,10 +300,8 @@ def lower_bound_one_sided(rho: DensityMatrix, evolved_probe: DensityMatrix, prob
     if side not in ("first", "second"):
         raise ValueError(f"side must be 'first' or 'second', got {side!r}")
     images = (evolved_probe.matrix, None) if side == "first" else (None, evolved_probe.matrix)
-    values, _, fault = probe_route(rho.matrix[None], rho.dims, images, probe.inverse,
-                                   probe.condition)
-    raise_fault(fault)
-    return BoundValue(float(values[0]), "lower")
+    values = probe_route(rho.matrix[None], rho.dims, images, probe.inverse, probe.condition)
+    return BoundValue(float(values[0]))
 
 
 def lower_bound_two_sided(rho: DensityMatrix, evolved_probe_1: DensityMatrix,
@@ -319,7 +313,6 @@ def lower_bound_two_sided(rho: DensityMatrix, evolved_probe_1: DensityMatrix,
     both rebuilt channels are applied to ``rho``.  Raises ZeroProbability
     if either stage's trace is <= 1e-14.
     """
-    values, _, fault = probe_route(rho.matrix[None], rho.dims, (evolved_probe_1.matrix,
-                                   evolved_probe_2.matrix), probe.inverse, probe.condition)
-    raise_fault(fault)
-    return BoundValue(float(values[0]), "lower")
+    values = probe_route(rho.matrix[None], rho.dims, (evolved_probe_1.matrix,
+                         evolved_probe_2.matrix), probe.inverse, probe.condition)
+    return BoundValue(float(values[0]))

@@ -141,7 +141,7 @@ def suite_mes_basis(seed=0, trials=None) -> SuiteResult:
                            np.max(np.abs(vecs @ vecs.conj().T - np.eye(n * n))),
                            np.max(np.abs(schmidt - 1 / np.sqrt(n)))]))
     res = np.array(res)
-    return _verdict("mes-basis", [(res < 1e-12, res, lambda i: {
+    return _verdict("mes-basis", [(res < ql.TOL_STRUCTURE, res, lambda i: {
         "suite": "mes-basis", "n": i + 2, "residual": float(res[i])})])
 
 
@@ -153,8 +153,8 @@ def _mes_saturation(seed, trials, n, amps) -> list:
     values = conc.pure_concurrences(amps.reshape(-1, n, n))
     res = abs(bounds[0] - values[0])
     margins = values[1:] - bounds[1:]  # bound must be strictly below away from MES
-    return [(res <= 1e-12, res, lambda _: {"suite": "theorem1", "mes_dim": n,
-                                           "residual": float(res)}),
+    return [(res <= ql.TOL_STRUCTURE, res, lambda _: {"suite": "theorem1", "mes_dim": n,
+                                                      "residual": float(res)}),
             (margins > 1e-10, (), lambda t: {
                 "suite": "theorem1", "seed": seed, "trials": trials, "dim": n, "trial": t,
                 "state": state_to_json(ql.PureState((n, n), amps[1 + t])),
@@ -200,10 +200,8 @@ def _probe_invariance_pairs(seed, trials, n, rng) -> tuple:
     values = np.empty((n_pairs, trials))
     for sel, image_2 in ((one, None), (two, images_2)):
         states = np.broadcast_to(mats[sel], images[sel].shape).reshape(-1, n * n, n * n)
-        bounds, _, fault = pr.probe_route(states, (n, n), (images[sel], image_2), inverses[sel],
-                                          conditions[sel])
-        ql.raise_fault(fault)
-        values[sel] = bounds.reshape(-1, trials)
+        values[sel] = pr.probe_route(states, (n, n), (images[sel], image_2), inverses[sel],
+                                     conditions[sel]).reshape(-1, trials)
     mes_gap = np.zeros(n_pairs)  # the paper's double sum, once per pair on its first probe
     p_t = p[two, 0] / (p_1[two, 0] * p_2[:, 0])
     mes_gap[two] = np.abs(two_sided_bound_mes(mats[two, 0], images[two, 0], images_2[:, 0],
@@ -222,7 +220,7 @@ def _probe_invariance_pairs(seed, trials, n, rng) -> tuple:
         record["probes"] = [_probe_json(m) for m in matrices[t]]
         return record
 
-    return res <= 1e-8, res, repro
+    return res <= ql.TOL_BOUND, res, repro
 
 
 def suite_probe_invariance(seed=0, trials=100) -> SuiteResult:
@@ -273,7 +271,7 @@ def suite_pt_equivalence(seed=0, trials=200) -> SuiteResult:
                 "state": state_to_json(ql.DensityMatrix((n, n), rhos[t // 2])),
                 "channel": _channel_json(n, kraus[t // 2]), "probe": _probe_json(matrices[t // 2])}
 
-    return _verdict("pt-equivalence", [(res <= 1e-10, res, repro)])
+    return _verdict("pt-equivalence", [(res <= ql.TOL_RECONSTRUCT, res, repro)])
 
 
 def suite_sandwich(seed=0, trials=500) -> SuiteResult:
@@ -342,11 +340,11 @@ def suite_structural(seed=0, trials=1000) -> SuiteResult:
                 ("depolarizing", ch.depolarizing_kraus), ("phase_damping", ch.phase_damping_kraus))
     defects = np.concatenate([ch.kraus_superoperators(make(values))[0] for _, make in families])
     return _verdict("structural", [
-        (res <= 1e-10, res, lambda t: {
+        (res <= ql.TOL_RECONSTRUCT, res, lambda t: {
             "suite": "structural", "seed": seed, "trials": trials, "trial": t,
             "state": state_to_json(ql.PureState(shapes[t % 3], amps[t % 3][t // 3])),
             "residual": float(res[t])}),
-        (defects <= 1e-12, defects, lambda i: {
+        (defects <= ql.TOL_STRUCTURE, defects, lambda i: {
             "suite": "structural", "family": families[i // len(values)][0],
             "parameter": float(values[i % len(values)]), "defect": float(defects[i])})])
 

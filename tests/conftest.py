@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from entbound import KrausChannel, ProbeState, random_density, state_to_matrix
-from entbound.channels import kraus_factors, tp_kraus
+from entbound.channels import apply_stacked, kraus_factors, tp_kraus
 from entbound.probe import random_probe
 
 random_mixed = random_density
@@ -21,6 +21,19 @@ def random_tp_kraus(dim: int, count: int, seed) -> KrausChannel:
 def concurrence_two_qubit_pure(psi) -> float:
     """Two-qubit pure-state concurrence 2|det(psi)| of the 2x2 coefficient matrix."""
     return float(2.0 * abs(np.linalg.det(state_to_matrix(psi))))
+
+
+def rebuilt_traces(states, stages, dims):
+    """The product of the traces of the rebuilt ``stages`` of :func:`probe_channels`
+    (None for a side without a channel), applied first side first to a (k, d, d) stack
+    through apply_stacked as the probe route applies them: p/p' of each entry."""
+    p = np.ones(len(states))
+    for stage, side in zip(stages, ("first", "second")):
+        if stage is not None:
+            states, stage_p, fault = apply_stacked(stage, states, dims, side)
+            assert fault is None
+            p = p * stage_p
+    return p
 
 
 def haar_unitary(n, rng):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -12,6 +13,7 @@ from entbound import (DensityMatrix, KrausChannel, PureState, amplitude_damping,
                       apply_one_sided, apply_two_sided, canonical_mes, canonical_probe,
                       depolarizing, phase_damping, random_density, upper_bound_two_sided,
                       wootters_concurrence)
+from entbound import cli
 from entbound.errors import ZeroProbability
 from entbound.cli import SweepConfig, default_base_state, default_sweep_config, \
     evaluate_bound, main, run_sweep, sweep_config_from_json
@@ -680,6 +682,31 @@ class TestCheck:
         assert run_cli("check", "sandwich", "--trials", "100000000000") == 2
         assert capsys.readouterr().err == ("error: request too large for memory: Unable to "
                                            "allocate an array with shape (100000000000, 2, 2)\n")
+
+    @pytest.mark.parametrize("suite, trials", [("sandwich", "1000000000000000000"),
+                                               ("all", "100000000000000000000")])
+    def test_trials_past_addressable_shapes_rejected(self, capsys, suite, trials):
+        # rejected while parsing, so nothing is allocated
+        with pytest.raises(SystemExit) as exc:
+            run_cli("check", suite, "--trials", trials)
+        assert exc.value.code == 2
+        assert f"argument --trials: must be at most {cli._MAX_TRIALS}, got {trials}" in \
+            capsys.readouterr().err
+
+    def test_trial_cap_covers_every_suite(self):
+        # the cap's premise: no suite's memory grows by 1 MiB per trial, so at most
+        # _MAX_TRIALS trials no array is larger than NumPy can address
+        from entbound.suites import _SUITES
+        assert cli._MAX_TRIALS * 2**20 <= np.iinfo(np.intp).max
+        for suite in _SUITES.values():
+            peaks = []
+            suite(seed=0, trials=10)  # fills the caches first
+            for trials in (10, 40):
+                tracemalloc.start()
+                suite(seed=0, trials=trials)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+                tracemalloc.stop()
+            assert peaks[1] - peaks[0] < 30 * 2**20
 
     def test_report_file(self, tmp_path, capsys):
         report = tmp_path / "report.txt"

@@ -425,7 +425,6 @@ class TestBoundValue:
         bound = fidelity_lower_bound(DensityMatrix((2, 2), np.eye(4) / 4))
         assert bound.raw < 0.0
         assert bound.clamped == 0.0
-        assert bound.kind == "lower"
 
 
 class TestSpinFlipStack:

@@ -31,7 +31,7 @@ from entbound.cli import evaluate_bound
 from entbound.concurrence import fidelity_lower_bounds
 from entbound.probe import probe_channels, probe_route, random_probes
 from entbound.suites import two_sided_bound_mes
-from conftest import probe_density, random_mixed, random_probe, random_tp_kraus
+from conftest import probe_density, random_mixed, random_probe, random_tp_kraus, rebuilt_traces
 
 EXAMPLE_RAW = np.array([
     [0.4322, 0.2113, 0.1073, 0.3369],
@@ -473,9 +473,9 @@ class TestTwoSidedWitness:
             np.testing.assert_allclose(s1 * a1.probability, ch1.superoperator, atol=1e-10)
             np.testing.assert_allclose(s2 * a2.probability, ch2.superoperator, atol=1e-10)
             assert max(hermiticity_gap(s1, n), hermiticity_gap(s2, n)) < 1e-10
-            values, p_t, fault = routed(rho.matrix[None], a1.output, a2.output, probe)
+            values = routed(rho.matrix[None], a1.output, a2.output, probe)
             evolved = apply_two_sided(ch1, ch2, rho)
-            assert fault is None
+            p_t = rebuilt_traces(rho.matrix[None], (s1, s2), (n, n))
             assert abs(p_t[0] * a1.probability * a2.probability - evolved.probability) < 1e-10
             assert abs(values[0] - fidelity_lower_bound(evolved.output).raw) < 1e-10
 
@@ -485,9 +485,7 @@ class TestTwoSidedWitness:
         a1 = apply_one_sided(ch1, probe_density(probe), "first")
         a2 = apply_one_sided(ch2, probe_density(probe), "second")
         states = [random_mixed((2, 2), r, rng) for r in (1, 2, 3, 4)]
-        values, _, fault = routed(np.array([s.matrix for s in states]), a1.output, a2.output,
-                                  probe)
-        assert fault is None
+        values = routed(np.array([s.matrix for s in states]), a1.output, a2.output, probe)
         for state, value in zip(states, values):
             assert value == lower_bound_two_sided(state, a1.output, a2.output, probe).raw
 
@@ -497,24 +495,11 @@ class TestTwoSidedWitness:
         a1 = apply_one_sided(kill, probe_density(probe), "first")
         a2 = apply_one_sided(kill, probe_density(probe), "second")
         states = np.array([np.diag(d).astype(complex) for d in ([1.0, 0, 0, 0], [0, 0, 0, 1.0])])
-        values, _, (index, error) = routed(states, a1.output, a2.output, probe)
-        assert index == 1 and isinstance(error, ZeroProbability) and len(values) == 1
+        assert routed(states[:1], a1.output, a2.output, probe).shape == (1,)
+        with pytest.raises(ZeroProbability, match="trace 0.0"):
+            routed(states, a1.output, a2.output, probe)
         with pytest.raises(ZeroProbability):
             lower_bound_two_sided(DensityMatrix((2, 2), states[1]), a1.output, a2.output, probe)
-
-    def test_later_stage_sees_entries_before_earlier_fault(self):
-        # |01>, |00>, |10> under keep-ground on both sides: the first stage
-        # faults at entry 2 (first qubit |1>) and the second at entry 0, so
-        # the fault is entry 0; with the order |00>, |10>, |01> the first
-        # stage faults at 1 and the second never sees entry 2
-        keep, probe = KrausChannel(2, (np.diag([1.0, 0.0]),)), canonical_probe(2)
-        images = [apply_one_sided(keep, probe_density(probe), side).output
-                  for side in ("first", "second")]
-        states = np.array([np.diag(np.eye(4)[i]).astype(complex) for i in (1, 0, 2, 0, 2, 1)])
-        values, p_t, (index, _) = routed(states[:3], *images, probe)
-        assert index == 0 and len(values) == 0 and len(p_t) == 2
-        values, p_t, (index, _) = routed(states[3:], *images, probe)
-        assert index == 1 and len(values) == 1 and len(p_t) == 1
 
 
 class TestSecondSideOracles:
@@ -555,19 +540,17 @@ class TestWitness:
                 stack = probe_channels(*images, inverses, conditions)
                 assert [s is None for s in stack] == [images_1 is None, images_2 is None]
                 assert all(s.shape == (6, n * n, n * n) for s in stack if s is not None)
-                values, p_t, fault = probe_route(states, (n, n), images, inverses, conditions)
-                assert fault is None and values.shape == p_t.shape == (6,)
+                values = probe_route(states, (n, n), images, inverses, conditions)
+                assert values.shape == (6,)
                 for k, probe in enumerate(probes):
                     single = rebuilt(None if images_1 is None else images_1[k],
                                      None if images_2 is None else images_2[k], probe)
                     for s_stack, s_single in zip(stack, single):
                         if s_single is not None:
                             np.testing.assert_allclose(s_stack[k], s_single, atol=1e-12)
-                    value, pt_single, _ = routed(
-                        rho.matrix[None], None if images_1 is None else images_1[k],
-                        None if images_2 is None else images_2[k], probe)
+                    value = routed(rho.matrix[None], None if images_1 is None else images_1[k],
+                                   None if images_2 is None else images_2[k], probe)
                     assert abs(values[k] - value[0]) < 1e-12
-                    assert abs(p_t[k] - pt_single[0]) < 1e-12
 
     @pytest.mark.parametrize("side", ["first", "second"])
     def test_one_sided_functionals_match_direct_evolution(self, rng, side):
@@ -583,9 +566,9 @@ class TestWitness:
             stages = rebuilt(*images, probe)
             stage = stages[0] if side == "first" else stages[1]
             np.testing.assert_allclose(stage * app.probability, ch.superoperator, atol=1e-10)
-            values, p_t, fault = routed(rho.matrix[None], *images, probe)
+            values = routed(rho.matrix[None], *images, probe)
             evolved = apply_one_sided(ch, rho, side)
-            assert fault is None
+            p_t = rebuilt_traces(rho.matrix[None], stages, (n, n))
             assert abs(p_t[0] * app.probability - evolved.probability) < 1e-10
             assert abs(values[0] - fidelity_lower_bound(evolved.output).raw) < 1e-10
 
@@ -603,9 +586,35 @@ class TestWitness:
         flat = probe_route(states, (n, n), images, inverses, conditions)
         grid = probe_route(states, (n, n), tuple(i.reshape(2, 3, 4, 4) for i in images),
                            inverses.reshape(2, 3, n, n), conditions.reshape(2, 3))
-        for a, b in zip(flat[:2], grid[:2]):
-            assert a.tobytes() == b.tobytes()
-        assert flat[2] is None and grid[2] is None
+        assert flat.shape == (6,) and flat.tobytes() == grid.tobytes()
+
+    @pytest.mark.parametrize("sides", [("first",), ("second",), ("first", "second")])
+    @pytest.mark.parametrize("per_entry", [False, True])
+    def test_rebuilt_stage_at_the_floor_raises(self, rng, sides, per_entry):
+        # keep-ground on each channel side, with one probe or one probe per entry: |00>
+        # passes every stage, and |01>, |10>, |11> fail the first stage that meets a |1>
+        # (two-sided, |01> passes the first stage and fails the second)
+        keep = KrausChannel(2, (np.diag([1.0, 0.0]),))
+        probes = [random_probe(2, rng) for _ in range(3)]
+        images = tuple(np.array([apply_one_sided(keep, probe_density(p), side).output.matrix
+                                 for p in probes]) if side in sides else None
+                       for side in ("first", "second"))
+        inverses = np.array([p.inverse for p in probes])
+        conditions = np.array([p.condition for p in probes])
+        if not per_entry:
+            images = tuple(None if image is None else image[0] for image in images)
+            inverses, conditions = inverses[0], conditions[0]
+        basis = np.eye(4)[:, :, None] * np.eye(4)[:, None, :]  # |00>, |01>, |10>, |11>
+        for i in range(4):
+            states = np.array([basis[0], basis[0], basis[i]])
+            # bit 2 of i is the first qubit, bit 1 the second
+            if any(i & {"first": 2, "second": 1}[side] for side in sides):
+                with pytest.raises(ZeroProbability, match="channel image has trace"):
+                    probe_route(states, (2, 2), images, inverses, conditions)
+            else:  # kept as it is
+                values = probe_route(states, (2, 2), images, inverses, conditions)
+                np.testing.assert_allclose(values, fidelity_lower_bounds(states, (2, 2)),
+                                           rtol=0, atol=1e-12)
 
     def test_state_of_other_dims_names_both(self, rng):
         probe = random_probe(2, rng)
@@ -623,11 +632,8 @@ class TestWitness:
         probe = random_probe(3, rng)
         assert probe_channels(None, None, probe.inverse, probe.condition) == (None, None)
         states = np.array([random_mixed((3, 3), r, rng).matrix for r in (1, 5, 9)])
-        values, p_t, fault = probe_route(states, (3, 3), (None, None), probe.inverse,
-                                         probe.condition)
-        assert fault is None
+        values = probe_route(states, (3, 3), (None, None), probe.inverse, probe.condition)
         np.testing.assert_array_equal(values, fidelity_lower_bounds(states, (3, 3)))
-        np.testing.assert_array_equal(p_t, np.ones(3))
 
     def test_unknown_side(self, rng):
         probe = random_probe(2, rng)

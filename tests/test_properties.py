@@ -23,8 +23,8 @@ from entbound import (
     upper_bound_two_sided,
     wootters_concurrence,
 )
-from entbound.probe import probe_channels, probe_route
-from conftest import probe_density, random_mixed, random_probe, random_tp_kraus
+from entbound.probe import probe_channels
+from conftest import probe_density, random_mixed, random_probe, random_tp_kraus, rebuilt_traces
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 SEEDS = st.integers(0, 2**32 - 1)
@@ -69,15 +69,15 @@ def test_probe_route_is_probe_invariant_and_matches_direct(seed, n, count, trunc
 @given(seed=SEEDS, n=st.sampled_from([2, 3, 4]), count=st.integers(1, 3),
        truncate=st.booleans(), side=st.sampled_from(["first", "second"]))
 def test_probability_factorizes(seed, n, count, truncate, side):
-    # p = p_t * p' for the probe route's p_t and for both of the paper's formulas
+    # p = p_t * p' for the trace of the rebuilt channel applied to rho, the stage the
+    # probe route applies, and for both of the paper's formulas
     rng = np.random.default_rng(seed)
     rho = random_mixed((n, n), int(rng.integers(1, n * n + 1)), rng)
     ch = _channel(n, count, truncate, rng)
     probe = random_probe(n, rng)
     app = apply_one_sided(ch, probe_density(probe), side)
     p = apply_one_sided(ch, rho, side).probability
-    images = (app.output.matrix, None) if side == "first" else (None, app.output.matrix)
-    p_t = probe_route(rho.matrix[None], (n, n), images, probe.inverse, probe.condition)[1][0]
+    p_t = rebuilt_traces(rho.matrix[None], _rebuilt(app.output, probe, side), (n, n))[0]
     for value in (p_t, pt_via_reduced(rho, app.output, probe, side=side),
                   pt_via_mes_sum(rho, app.output, probe, side=side)):
         assert abs(value * app.probability - p) < 1e-10
