@@ -139,7 +139,7 @@ def run_sweep(config: SweepConfig, output_path) -> None:
     if result.fault is not None:
         k, error = result.fault
         raise type(error)(f"sweep failed at x={grid[k]}: {error}") from error
-    lower = probe_route(rho, dims, result.images, config.probe.inverse, config.probe.condition)
+    lower = probe_route(rho, dims, result.images, config.probe.matrix)
 
     columns = [grid, np.maximum(0.0, lower), result.exact, result.upper, result.p]
     line = ",".join("" if c is None else "%.12g" for c in columns) + "\n"
@@ -168,9 +168,12 @@ def evaluate_bound(rho: DensityMatrix, channels, side: str, probe, method: str) 
     The state goes through :func:`entbound.concurrence.evaluate` as a stack
     of one; ``method="probe"`` takes the lower bound from the probe images
     instead.  ``probe`` may be None with the direct method; probe-derived
-    report fields are then left out.  A failed check of the evolved state
-    raises its ArithmeticError or ValueError.
+    report fields are then left out.  A ``method`` other than "direct" and
+    "probe" raises ValueError.  A failed check of the evolved state raises
+    its ArithmeticError or ValueError.
     """
+    if method not in ("direct", "probe"):
+        raise ValueError(f"method must be 'direct' or 'probe', got {method!r}")
     if probe is None and method == "probe":
         raise DimensionMismatch("the probe method needs a square bipartition or a probe file")
     sides = (side,) if len(channels) == 1 else ("first", "second")

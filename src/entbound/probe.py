@@ -49,17 +49,10 @@ CONDITION_WARN = 1e4
 
 @dataclass(frozen=True)
 class ProbeState:
-    """Validated full-rank probe with cached inverse and conditioning data."""
+    """Validated full-rank probe: its dim N and read-only N x N coefficient matrix P."""
 
     dim: int
     matrix: np.ndarray
-    inverse: np.ndarray
-    condition: float
-
-    def density(self) -> DensityMatrix:
-        """The probe as a density matrix |P><P|."""
-        vec = self.matrix.reshape(-1)
-        return DensityMatrix((self.dim, self.dim), np.outer(vec, vec.conj()))
 
 
 def mes_basis(n: int) -> np.ndarray:
@@ -111,42 +104,34 @@ def probe_from_matrix(p) -> ProbeState:
     if s[-1] <= _RANK_FLOOR:
         raise SingularProbe(f"smallest singular value {float(s[-1])} <= 1e-8")
     p.setflags(write=False)
-    inv = np.linalg.inv(p)
-    inv.setflags(write=False)
-    return ProbeState(p.shape[0], p, inv, float(s[0] / s[-1]))
+    return ProbeState(p.shape[0], p)
 
 
-def random_probes(dim: int, count: int, seed):
-    """``count`` probes from standard complex Gaussians as stacks (matrices,
-    inverses, condition numbers); ``seed`` may also be a Generator, which is
-    then drawn from.
+def random_probes(dim: int, count: int, seed) -> np.ndarray:
+    """A read-only (count, N, N) stack of probe matrices from standard complex
+    Gaussians; ``seed`` may also be a Generator, which is then drawn from.
 
     The candidates are drawn as one (count, 2, N, N) block (real parts before
     imaginary parts, one candidate after another) and normalized, and one SVD
     covers the block.  A candidate is kept if its smallest singular value
-    exceeds 1e-4 (the SVD also gives the condition number); the missing ones
-    are drawn again as one block until there are ``count``.
+    exceeds 1e-4; the missing ones are drawn again as one block until there
+    are ``count``.
     """
     rng = np.random.default_rng(seed)
-    matrices, svals = np.empty((0, dim, dim), dtype=complex), np.empty((0, dim))
+    matrices = np.empty((0, dim, dim), dtype=complex)
     while len(matrices) < count:
         block = rng.standard_normal((count - len(matrices), 2, dim, dim))
         candidates = block[:, 0] + 1j * block[:, 1]
         candidates = candidates / np.linalg.norm(candidates, axis=(1, 2))[:, None, None]
         s = np.linalg.svd(candidates, compute_uv=False)
-        keep = s[:, -1] > PROBE_SIGMA_FLOOR
-        matrices = np.concatenate([matrices, candidates[keep]])
-        svals = np.concatenate([svals, s[keep]])
-    inverses = np.linalg.inv(matrices)
+        matrices = np.concatenate([matrices, candidates[s[:, -1] > PROBE_SIGMA_FLOOR]])
     matrices.setflags(write=False)
-    inverses.setflags(write=False)
-    return matrices, inverses, svals[:, 0] / svals[:, -1]
+    return matrices
 
 
 def random_probe(dim: int, seed) -> ProbeState:
     """One probe of :func:`random_probes`."""
-    matrices, inverses, conditions = random_probes(dim, 1, seed)
-    return ProbeState(dim, matrices[0], inverses[0], float(conditions[0]))
+    return ProbeState(dim, random_probes(dim, 1, seed)[0])
 
 
 def canonical_probe(n: int) -> ProbeState:
@@ -160,10 +145,11 @@ def _check_square(dims, n: int):
                                 f"state of dims {tuple(dims)}")
 
 
-def _on_first_side(mats, images, inverses, side):
-    """The stacks of a p_t formula on ``side``, mirrored to side "first": swapping the
-    subsystems of both states and transposing P^-1 turns (1 o $)|P><P| into
-    ($ o 1)|P^T><P^T|."""
+def _on_first_side(mats, images, probes, side):
+    """The stacks of a p_t formula on ``side`` with the probes inverted, mirrored to side
+    "first": swapping the subsystems of both states and transposing P^-1 turns
+    (1 o $)|P><P| into ($ o 1)|P^T><P^T|."""
+    inverses = np.linalg.inv(probes)
     if side == "first":
         return mats, images, inverses
     if side != "second":
@@ -172,20 +158,20 @@ def _on_first_side(mats, images, inverses, side):
     return swap_subsystems(mats, n), swap_subsystems(images, n), inverses.swapaxes(-1, -2)
 
 
-def pt_reduced_stack(mats, images, inverses, side) -> np.ndarray:
+def pt_reduced_stack(mats, images, probes, side) -> np.ndarray:
     """:func:`pt_via_reduced` for (k, d, d) stacks of input states and normalized probe
-    images under a channel on ``side`` and the (k, n, n) probe inverses."""
-    mats, images, inverses = _on_first_side(mats, images, inverses, side)
+    images under a channel on ``side`` and the (k, n, n) probe matrices."""
+    mats, images, inverses = _on_first_side(mats, images, probes, side)
     n = inverses.shape[-1]
     rho_a = np.trace(mats.reshape(-1, n, n, n, n), axis1=2, axis2=4)
     window = (inverses @ rho_a @ inverses.conj().swapaxes(1, 2)).conj()
     return np.einsum("kaxay,kyx->k", images.reshape(-1, n, n, n, n), window).real
 
 
-def pt_mes_sum_stack(mats, images, inverses, side) -> np.ndarray:
+def pt_mes_sum_stack(mats, images, probes, side) -> np.ndarray:
     """:func:`pt_via_mes_sum` for (k, d, d) stacks of input states and normalized probe
-    images under a channel on ``side`` and the (k, n, n) probe inverses."""
-    mats, images, inverses = _on_first_side(mats, images, inverses, side)
+    images under a channel on ``side`` and the (k, n, n) probe matrices."""
+    mats, images, inverses = _on_first_side(mats, images, probes, side)
     n = inverses.shape[-1]
     srs = swap_subsystems(mats.conj(), n)[:, None]
     lefts = kron_stack(mes_basis(n), inverses.conj()[:, None])  # (k, m): C_m o (P^-1)^*
@@ -204,7 +190,7 @@ def pt_via_reduced(rho: DensityMatrix, evolved_probe: DensityMatrix, probe: Prob
     """
     _check_square(rho.dims, probe.dim)
     return float(pt_reduced_stack(rho.matrix[None], evolved_probe.matrix[None],
-                                  probe.inverse[None], side)[0])
+                                  probe.matrix[None], side)[0])
 
 
 def pt_via_mes_sum(rho: DensityMatrix, evolved_probe: DensityMatrix, probe: ProbeState,
@@ -218,10 +204,10 @@ def pt_via_mes_sum(rho: DensityMatrix, evolved_probe: DensityMatrix, probe: Prob
     """
     _check_square(rho.dims, probe.dim)
     return float(pt_mes_sum_stack(rho.matrix[None], evolved_probe.matrix[None],
-                                  probe.inverse[None], side)[0])
+                                  probe.matrix[None], side)[0])
 
 
-def probe_channels(image_1, image_2, inverse, condition):
+def probe_channels(image_1, image_2, probes):
     """Superoperators S1/p1' and S2/p2' rebuilt from the normalized probe images.
 
     ``image_1`` (``image_2``) is the image of |P><P| under the first-side
@@ -231,10 +217,13 @@ def probe_channels(image_1, image_2, inverse, condition):
     (ancilla-assisted process tomography, D'Ariano & Lo Presti, PRL 86,
     4195 (2001)): S1/p1' = sum_xy P^-1[x,i] rho_P1'[(a,x),(c,y)] P^-1[y,j]^*
     and S2/p2' = sum_xy P^-1[i,x] rho_P2'[(x,a),(y,c)] P^-1[j,y]^*.  The
-    images (..., d, d), ``inverse`` = P^-1 (..., n, n) and the probes'
-    ``condition`` numbers may carry leading probe axes; each probe
-    conditioned worse than 1e4 warns, attributed to the caller of
-    :func:`probe_route`, which every production path goes through.
+    images (..., d, d) and the probe matrices ``probes`` P (..., n, n) may
+    carry leading probe axes.  P^-1 is ``np.linalg.inv`` of P, and the
+    condition number s[0]/s[-1] comes from one SVD of the stack; each probe
+    conditioned worse than 1e4 warns, in probe order.  The warning names the
+    line that called :func:`probe_route`: the caller's own for a direct
+    call, a line of this module for :func:`lower_bound_one_sided` and
+    :func:`lower_bound_two_sided`.
 
     Each sum is two matmuls over a reshaped image: with the image's axes
     ordered (a, c, y, x), an (n^3, n) @ P^-1 contracts x, and after
@@ -242,12 +231,14 @@ def probe_channels(image_1, image_2, inverse, condition):
     second side is the first with its image's subsystems swapped and P^-1
     transposed.
     """
-    condition = np.asarray(condition)
+    n = probes.shape[-1]
+    s = np.linalg.svd(probes.reshape(-1, n, n), compute_uv=False)
+    condition = s[:, 0] / s[:, -1]
     for value in condition[condition > CONDITION_WARN]:
         warnings.warn(f"probe condition number {value:.3g} exceeds {CONDITION_WARN:.0e}; "
                       "the bound may carry amplified rounding error", RuntimeWarning,
                       stacklevel=3)
-    n = inverse.shape[-1]
+    inverse = np.linalg.inv(probes)
 
     def rebuild(image, axes, inv):
         if image is None:
@@ -265,21 +256,21 @@ def probe_channels(image_1, image_2, inverse, condition):
             rebuild(image_2, (1, 3, 2, 0), inverse.swapaxes(-1, -2)))
 
 
-def probe_route(mats, dims, images, inverse, condition):
+def probe_route(mats, dims, images, probes):
     """Probe-route lower bounds of a (k, d, d) stack of N x N input states.
 
     ``images`` holds the (first-side, second-side) normalized probe images,
-    None for a side without a channel, which is then not applied; with
-    ``inverse`` and ``condition`` they go to :func:`probe_channels`.  An
-    image (d, d) with its probe (n, n) rebuilds one channel for the whole
-    stack; images (..., d, d) with probes (..., n, n) rebuild one channel
-    per entry, the leading axes flattened in order to the stack's.  The
-    rebuilt channels are applied, first side first, and the raw
-    fidelity lower bounds of the evolved states returned.  The first entry
-    whose stage trace is <= 1e-14 raises its ZeroProbability.
+    None for a side without a channel, which is then not applied; with the
+    probe matrices ``probes`` they go to :func:`probe_channels`.  An image
+    (d, d) with its probe (n, n) rebuilds one channel for the whole stack;
+    images (..., d, d) with probes (..., n, n) rebuild one channel per
+    entry, the leading axes flattened in order to the stack's.  The rebuilt
+    channels are applied, first side first, and the raw fidelity lower
+    bounds of the evolved states returned.  The first entry whose stage
+    trace is <= 1e-14 raises its ZeroProbability.
     """
-    _check_square(dims, inverse.shape[-1])
-    for stage, side in zip(probe_channels(*images, inverse, condition), ("first", "second")):
+    _check_square(dims, probes.shape[-1])
+    for stage, side in zip(probe_channels(*images, probes), ("first", "second")):
         if stage is not None:
             if stage.ndim > 2:  # one rebuilt channel per entry
                 stage = stage.reshape((-1,) + stage.shape[-2:])
@@ -300,7 +291,7 @@ def lower_bound_one_sided(rho: DensityMatrix, evolved_probe: DensityMatrix, prob
     if side not in ("first", "second"):
         raise ValueError(f"side must be 'first' or 'second', got {side!r}")
     images = (evolved_probe.matrix, None) if side == "first" else (None, evolved_probe.matrix)
-    values = probe_route(rho.matrix[None], rho.dims, images, probe.inverse, probe.condition)
+    values = probe_route(rho.matrix[None], rho.dims, images, probe.matrix)
     return BoundValue(float(values[0]))
 
 
@@ -314,5 +305,5 @@ def lower_bound_two_sided(rho: DensityMatrix, evolved_probe_1: DensityMatrix,
     if either stage's trace is <= 1e-14.
     """
     values = probe_route(rho.matrix[None], rho.dims, (evolved_probe_1.matrix,
-                         evolved_probe_2.matrix), probe.inverse, probe.condition)
+                         evolved_probe_2.matrix), probe.matrix)
     return BoundValue(float(values[0]))

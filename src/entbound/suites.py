@@ -105,17 +105,18 @@ def _minor_sum_concurrence(ms) -> np.ndarray:
     return np.sqrt(np.sum(np.abs(minors) ** 2, axis=(1, 2, 3, 4)))
 
 
-def two_sided_bound_mes(rho, image_1, image_2, pinv, p_t):
+def two_sided_bound_mes(rho, image_1, image_2, probes, p_t):
     """The paper's two-sided probe bound, an oracle independent of the probe route.
 
     Tr[|mes><mes| ($1 o $2) rho] / (p1' p2') comes from the double
     Bell-basis sum over the normalized probe images ``image_1``, ``image_2``
-    and the probe inverse ``pinv`` (plain matrices, or stacks of them with
-    one leading axis), with no decomposition of rho; p_t = p / (p1' p2') is
-    supplied by the caller.  One Kronecker product of the (n^2, n, n) stack
-    of basis matrices with an n x n matrix gives all n^2 Kronecker factors
-    of a side at once; one einsum gives the n^4 traces.
+    and the inverse of the probe matrix ``probes`` (plain matrices, or
+    stacks of them with one leading axis), with no decomposition of rho;
+    p_t = p / (p1' p2') is supplied by the caller.  One Kronecker product of
+    the (n^2, n, n) stack of basis matrices with an n x n matrix gives all
+    n^2 Kronecker factors of a side at once; one einsum gives the n^4 traces.
     """
+    pinv = np.linalg.inv(probes)
     n = pinv.shape[-1]
     cs = pr.mes_basis(n)
     rows = cs.reshape(n * n, n * n)  # row m holds |Phi_m>
@@ -188,8 +189,7 @@ def _probe_invariance_pairs(seed, trials, n, rng) -> tuple:
     # every fourth pair's channel is a non-trace-preserving truncation
     superoperators, kraus = _random_channels(n, n_pairs, rng, slice(0, None, 4))
     superoperators_2, kraus_2 = _random_channels(n, n_pairs // 2, rng)
-    matrices, inverses, conditions = (a.reshape((n_pairs, trials) + a.shape[1:])
-                                      for a in pr.random_probes(n, n_pairs * trials, rng))
+    matrices = pr.random_probes(n, n_pairs * trials, rng).reshape(n_pairs, trials, n, n)
     evolved, p = ch.apply_checked(superoperators, mats, "first")
     evolved[two], p_2 = ch.apply_checked(superoperators_2, evolved[two], "second")
     p[two] *= p_2
@@ -200,12 +200,12 @@ def _probe_invariance_pairs(seed, trials, n, rng) -> tuple:
     values = np.empty((n_pairs, trials))
     for sel, image_2 in ((one, None), (two, images_2)):
         states = np.broadcast_to(mats[sel], images[sel].shape).reshape(-1, n * n, n * n)
-        values[sel] = pr.probe_route(states, (n, n), (images[sel], image_2), inverses[sel],
-                                     conditions[sel]).reshape(-1, trials)
+        values[sel] = pr.probe_route(states, (n, n), (images[sel], image_2),
+                                     matrices[sel]).reshape(-1, trials)
     mes_gap = np.zeros(n_pairs)  # the paper's double sum, once per pair on its first probe
     p_t = p[two, 0] / (p_1[two, 0] * p_2[:, 0])
     mes_gap[two] = np.abs(two_sided_bound_mes(mats[two, 0], images[two, 0], images_2[:, 0],
-                                              inverses[two, 0], p_t) - values[two, 0])
+                                              matrices[two, 0], p_t) - values[two, 0])
     spread, oracle_gap = np.ptp(values, axis=1), np.abs(values - direct[:, None]).max(axis=1)
     res = np.maximum(np.maximum(spread, oracle_gap), mes_gap)
 
@@ -252,14 +252,14 @@ def suite_pt_equivalence(seed=0, trials=200) -> SuiteResult:
         truncated = trial % 3 == 0
         rhos = _random_densities(n, len(trial), rng)
         superoperators, kraus = _random_channels(n, len(trial), rng, truncated)
-        matrices, inverses, _ = pr.random_probes(n, len(trial), rng)
+        matrices = pr.random_probes(n, len(trial), rng)
         images, p_prime = ch.apply_checked(
             superoperators, ql.pure_densities(matrices.reshape(-1, n * n)), "first")
-        pt_red = pr.pt_reduced_stack(rhos, images, inverses, "first")
+        pt_red = pr.pt_reduced_stack(rhos, images, matrices, "first")
         residual = np.abs(pt_red - 1.0)  # trace preserving: p_t = 1
         _, p_direct = ch.apply_checked(superoperators[truncated], rhos[truncated], "first")
         residual[truncated] = np.abs(pt_red[truncated] * p_prime[truncated] - p_direct)
-        pt_mes = pr.pt_mes_sum_stack(rhos, images, inverses, "first")
+        pt_mes = pr.pt_mes_sum_stack(rhos, images, matrices, "first")
         res[first::2] = np.maximum(np.abs(pt_red - pt_mes), residual)
         inputs.append((rhos, kraus, matrices))
 
@@ -290,7 +290,7 @@ def suite_sandwich(seed=0, trials=500) -> SuiteResult:
     n_pure, n_mixed = (trials + 1) // 2, trials // 2
     probes = np.empty((trials, 2, 2), dtype=complex)
     probes[:] = pr.canonical_probe(2).matrix
-    probes[::3] = pr.random_probes(2, len(probes[::3]), rng)[0]
+    probes[::3] = pr.random_probes(2, len(probes[::3]), rng)
     superoperators, kraus = _random_channels(2, trials, rng)
     superoperators_2, kraus_2 = _random_channels(2, n_mixed, rng)
     mats = np.empty((trials, 4, 4), dtype=complex)

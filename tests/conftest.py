@@ -3,12 +3,17 @@
 import numpy as np
 import pytest
 
-from entbound import KrausChannel, ProbeState, random_density, state_to_matrix
+from entbound import DensityMatrix, KrausChannel, random_density, state_to_matrix
 from entbound.channels import apply_stacked, kraus_factors, tp_kraus
 from entbound.probe import random_probe
 
 random_mixed = random_density
-probe_density = ProbeState.density
+
+
+def probe_density(probe) -> DensityMatrix:
+    """A ProbeState as the density matrix |P><P|."""
+    vec = probe.matrix.reshape(-1)
+    return DensityMatrix((probe.dim, probe.dim), np.outer(vec, vec.conj()))
 
 
 def random_tp_kraus(dim: int, count: int, seed) -> KrausChannel:

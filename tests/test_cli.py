@@ -234,6 +234,12 @@ class TestBound:
         assert report.exact == wootters_concurrence(apply_one_sided(channel, rho).output)
         assert report.upper is None and report.p_prime is None and report.p_t is None
 
+    @pytest.mark.parametrize("probe", [canonical_probe(2), None])
+    def test_evaluate_bound_rejects_an_unknown_method(self, probe):
+        rho, channel = default_base_state(), amplitude_damping(0.2)
+        with pytest.raises(ValueError, match="method must be 'direct' or 'probe', got 'probez'"):
+            evaluate_bound(rho, (channel,), "first", probe, "probez")
+
     def test_probe_of_another_dimension_exits_4(self, tmp_path, capsys):
         state = write_state(tmp_path / "rho.json", default_base_state())
         channel = write_channel(tmp_path / "ad.json", amplitude_damping(0.2))

@@ -1,13 +1,18 @@
 """Tests for MES bases, probe states and probe-based lower bounds."""
 
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 
+import entbound.probe
 from entbound import (
     DensityMatrix,
     DimensionMismatch,
     KrausChannel,
     NotNormalized,
+    ProbeState,
     PureState,
     SingularProbe,
     ZeroProbability,
@@ -91,7 +96,7 @@ class TestMesBasis:
         pvec = probe.matrix.reshape(-1)
         for c in mes_basis(3):
             t = np.sqrt(3) * c
-            lifted = np.kron(t / np.sqrt(3) @ probe.inverse, np.eye(3))
+            lifted = np.kron(t / np.sqrt(3) @ np.linalg.inv(probe.matrix), np.eye(3))
             np.testing.assert_allclose(lifted @ pvec, c.reshape(-1), atol=1e-10)
 
     def test_built_once_per_dimension(self):
@@ -138,21 +143,20 @@ class TestRandomProbes:
     def test_stack_equals_sequential_draws(self, n):
         for seed in range(5):
             stacked_rng, sequential_rng = (np.random.default_rng([seed, n]) for _ in range(2))
-            matrices, inverses, conditions = random_probes(n, 7, stacked_rng)
+            matrices = random_probes(n, 7, stacked_rng)
             probes, _ = sequential_probes(n, 7, sequential_rng)
-            for probe, m, inv, cond in zip(probes, matrices, inverses, conditions):
+            assert matrices.shape == (7, n, n)
+            for probe, m in zip(probes, matrices):
                 np.testing.assert_allclose(m, probe.matrix, rtol=0, atol=1e-15)
-                np.testing.assert_allclose(inv, probe.inverse, rtol=0, atol=1e-12 * cond)
-                assert abs(cond - probe.condition) < 1e-12 * cond
             assert stacked_rng.bit_generator.state == sequential_rng.bit_generator.state
-            assert not matrices.flags.writeable and not inverses.flags.writeable
+            assert not matrices.flags.writeable
 
     def test_rejected_candidate_is_redrawn(self):
         # the second of four candidates has rank 1 and must be replaced by the fifth
         values = np.random.default_rng(5).standard_normal(5 * 2 * 4)
         values[8:16] = [1.0, 2.0, 2.0, 4.0, 0.0, 0.0, 0.0, 0.0]
         stream = _Stream(values)
-        matrices, _, _ = random_probes(2, 4, stream)
+        matrices = random_probes(2, 4, stream)
         probes, rejected = sequential_probes(2, 4, _Stream(values))
         assert rejected == 1 and stream.used == len(values)
         for probe, m in zip(probes, matrices):
@@ -161,19 +165,20 @@ class TestRandomProbes:
         np.testing.assert_allclose(matrices[1], (z / np.linalg.norm(z)).reshape(2, 2), atol=1e-15)
 
     def test_no_probes(self):
-        matrices, inverses, conditions = random_probes(3, 0, 1)
-        assert matrices.shape == inverses.shape == (0, 3, 3) and conditions.shape == (0,)
+        assert random_probes(3, 0, 1).shape == (0, 3, 3)
 
 
 class TestProbeState:
     def test_canonical(self):
         probe = canonical_probe(2)
-        np.testing.assert_allclose(probe.inverse, np.sqrt(2) * np.eye(2), atol=1e-14)
-        assert probe.condition == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_allclose(probe.matrix, np.eye(2) / np.sqrt(2), atol=1e-15)
+        assert probe.dim == 2
 
     def test_non_maximally_entangled_probe(self):
         probe = probe_from_matrix(np.diag([np.sqrt(0.9), np.sqrt(0.1)]))
-        assert probe.condition == pytest.approx(3.0, abs=1e-12)
+        np.testing.assert_allclose(probe.matrix, np.diag([np.sqrt(0.9), np.sqrt(0.1)]),
+                                   atol=1e-15)
+        assert condition_messages([probe]) == []  # condition number 3
 
     def test_rank_deficient_rejected(self):
         with pytest.raises(SingularProbe):
@@ -194,11 +199,11 @@ class TestProbeState:
         with pytest.raises(ValueError, match="entries must be finite"):  # no RuntimeWarning
             probe_from_matrix(p)
 
-    def test_inverse_cached(self, rng):
-        for _ in range(20):
-            probe = random_probe(3, rng)
-            np.testing.assert_allclose(probe.matrix @ probe.inverse, np.eye(3),
-                                       atol=1e-10 * probe.condition)
+    def test_holds_only_dim_and_read_only_matrix(self, rng):
+        assert [f.name for f in dataclasses.fields(ProbeState)] == ["dim", "matrix"]
+        for probe in (random_probe(3, rng), canonical_probe(3),
+                      probe_from_matrix(np.eye(3) / np.sqrt(3))):
+            assert probe.dim == 3 and not probe.matrix.flags.writeable
 
 
 class TestDecomposeViaProbe:
@@ -208,11 +213,12 @@ class TestDecomposeViaProbe:
         probe = random_probe(2, rng)
         psi = random_pure_state((2, 2), 0)
         psi = type(psi)((2, 2), probe.matrix.reshape(-1))  # |P> as a PureState
-        np.testing.assert_allclose(state_to_matrix(psi) @ probe.inverse, np.eye(2), atol=1e-12)
+        np.testing.assert_allclose(state_to_matrix(psi) @ np.linalg.inv(probe.matrix), np.eye(2),
+                                   atol=1e-12)
 
     def test_mes_probe_scales_coefficients(self):
         psi = random_pure_state((3, 3), 5)
-        left = state_to_matrix(psi) @ canonical_probe(3).inverse
+        left = state_to_matrix(psi) @ np.linalg.inv(canonical_probe(3).matrix)
         np.testing.assert_allclose(left, np.sqrt(3) * state_to_matrix(psi), atol=1e-12)
 
     def test_reconstruction(self, rng):
@@ -220,12 +226,13 @@ class TestDecomposeViaProbe:
             n = int(rng.integers(2, 5))
             psi = random_pure_state((n, n), int(rng.integers(1e6)))
             probe = random_probe(n, rng)
-            left = state_to_matrix(psi) @ probe.inverse
+            inverse = np.linalg.inv(probe.matrix)
+            left = state_to_matrix(psi) @ inverse
             rebuilt = np.kron(left, np.eye(n)) @ probe.matrix.reshape(-1)
             np.testing.assert_allclose(rebuilt, psi.amplitudes, atol=1e-10)
             # mirrored second-sided form
             psi_m = state_to_matrix(psi)
-            mirrored = np.kron(np.eye(n), psi_m.T @ probe.inverse.T) @ probe.matrix.reshape(-1)
+            mirrored = np.kron(np.eye(n), psi_m.T @ inverse.T) @ probe.matrix.reshape(-1)
             np.testing.assert_allclose(mirrored, psi.amplitudes, atol=1e-10)
 
 
@@ -404,7 +411,7 @@ class TestLowerBoundTwoSided:
             a2 = apply_one_sided(ch2, probe_density(probe), "second")
             p_t = apply_two_sided(ch1, ch2, rho).probability / (a1.probability * a2.probability)
             mes_val = two_sided_bound_mes(rho.matrix, a1.output.matrix, a2.output.matrix,
-                                          probe.inverse, p_t)
+                                          probe.matrix, p_t)
             witness_val = lower_bound_two_sided(rho, a1.output, a2.output, probe).raw
             assert abs(mes_val - witness_val) < 1e-8
 
@@ -424,20 +431,39 @@ class TestLowerBoundTwoSided:
 def rebuilt(image_1, image_2, probe):
     """probe_channels of single DensityMatrix images (None for a side without a channel)."""
     return probe_channels(None if image_1 is None else image_1.matrix,
-                          None if image_2 is None else image_2.matrix, probe.inverse,
-                          probe.condition)
+                          None if image_2 is None else image_2.matrix, probe.matrix)
 
 
 def routed(states, image_1, image_2, probe):
     """probe_route of a (k, d, d) stack through single DensityMatrix images (None for a
     side without a channel)."""
     images = tuple(None if image is None else image.matrix for image in (image_1, image_2))
-    return probe_route(states, (probe.dim, probe.dim), images, probe.inverse, probe.condition)
+    return probe_route(states, (probe.dim, probe.dim), images, probe.matrix)
 
 
-def einsum_rebuild(image_1, image_2, inverse):
+def condition_messages(probes):
+    """The condition warnings of ``probes``, in order, from each probe's own SVD."""
+    messages = []
+    for probe in probes:
+        s = np.linalg.svd(probe.matrix, compute_uv=False)
+        if s[0] / s[-1] > 1e4:
+            messages.append(f"probe condition number {s[0] / s[-1]:.3g} exceeds 1e+04; the "
+                            "bound may carry amplified rounding error")
+    return messages
+
+
+def caught_messages(call):
+    """``call()`` and the texts of the condition warnings it gave, in order."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = call()
+    return result, [str(w.message) for w in caught if "condition" in str(w.message)]
+
+
+def einsum_rebuild(image_1, image_2, probes):
     """Oracle of :func:`probe_channels`: each rebuilt stage as one three-operand einsum
     of the tomography sums."""
+    inverse = np.linalg.inv(probes)
     n = inverse.shape[-1]
 
     def rebuild(image, spec):
@@ -531,16 +557,15 @@ class TestWitness:
             probes = [random_probe(n, rng) for _ in range(6)]
             a1 = [apply_one_sided(ch1, probe_density(p), "first").output for p in probes]
             a2 = [apply_one_sided(ch2, probe_density(p), "second").output for p in probes]
-            inverses = np.array([p.inverse for p in probes])
-            conditions = np.array([p.condition for p in probes])
+            matrices = np.array([p.matrix for p in probes])
             states = np.array([rho.matrix] * 6)
             for images_1, images_2 in ((a1, a2), (a1, None), (None, a2)):
                 images = tuple(None if side is None else np.array([a.matrix for a in side])
                                for side in (images_1, images_2))
-                stack = probe_channels(*images, inverses, conditions)
+                stack = probe_channels(*images, matrices)
                 assert [s is None for s in stack] == [images_1 is None, images_2 is None]
                 assert all(s.shape == (6, n * n, n * n) for s in stack if s is not None)
-                values = probe_route(states, (n, n), images, inverses, conditions)
+                values = probe_route(states, (n, n), images, matrices)
                 assert values.shape == (6,)
                 for k, probe in enumerate(probes):
                     single = rebuilt(None if images_1 is None else images_1[k],
@@ -580,12 +605,11 @@ class TestWitness:
         images = tuple(np.array([apply_one_sided(c, probe_density(p), side).output.matrix
                                  for p in probes]) for c, side in ((ch1, "first"),
                                                                    (ch2, "second")))
-        inverses = np.array([p.inverse for p in probes])
-        conditions = np.array([p.condition for p in probes])
+        matrices = np.array([p.matrix for p in probes])
         states = np.array([random_mixed((n, n), 1 + t % 4, rng).matrix for t in range(6)])
-        flat = probe_route(states, (n, n), images, inverses, conditions)
+        flat = probe_route(states, (n, n), images, matrices)
         grid = probe_route(states, (n, n), tuple(i.reshape(2, 3, 4, 4) for i in images),
-                           inverses.reshape(2, 3, n, n), conditions.reshape(2, 3))
+                           matrices.reshape(2, 3, n, n))
         assert flat.shape == (6,) and flat.tobytes() == grid.tobytes()
 
     @pytest.mark.parametrize("sides", [("first",), ("second",), ("first", "second")])
@@ -599,20 +623,19 @@ class TestWitness:
         images = tuple(np.array([apply_one_sided(keep, probe_density(p), side).output.matrix
                                  for p in probes]) if side in sides else None
                        for side in ("first", "second"))
-        inverses = np.array([p.inverse for p in probes])
-        conditions = np.array([p.condition for p in probes])
+        matrices = np.array([p.matrix for p in probes])
         if not per_entry:
             images = tuple(None if image is None else image[0] for image in images)
-            inverses, conditions = inverses[0], conditions[0]
+            matrices = matrices[0]
         basis = np.eye(4)[:, :, None] * np.eye(4)[:, None, :]  # |00>, |01>, |10>, |11>
         for i in range(4):
             states = np.array([basis[0], basis[0], basis[i]])
             # bit 2 of i is the first qubit, bit 1 the second
             if any(i & {"first": 2, "second": 1}[side] for side in sides):
                 with pytest.raises(ZeroProbability, match="channel image has trace"):
-                    probe_route(states, (2, 2), images, inverses, conditions)
+                    probe_route(states, (2, 2), images, matrices)
             else:  # kept as it is
-                values = probe_route(states, (2, 2), images, inverses, conditions)
+                values = probe_route(states, (2, 2), images, matrices)
                 np.testing.assert_allclose(values, fidelity_lower_bounds(states, (2, 2)),
                                            rtol=0, atol=1e-12)
 
@@ -621,7 +644,7 @@ class TestWitness:
         image = probe_density(probe).matrix
         states = np.eye(6)[None] / 6
         with pytest.raises(DimensionMismatch, match=r"probe of dim 2 .* dims \(2, 3\)"):
-            probe_route(states, (2, 3), (image, None), probe.inverse, probe.condition)
+            probe_route(states, (2, 3), (image, None), probe.matrix)
         rho = DensityMatrix((2, 3), states[0])
         for formula in (lower_bound_one_sided, pt_via_reduced, pt_via_mes_sum):
             with pytest.raises(DimensionMismatch, match=r"probe of dim 2 .* dims \(2, 3\)"):
@@ -630,9 +653,9 @@ class TestWitness:
     def test_no_channel_side_is_exact_identity(self, rng):
         # with no channel on either side nothing is rebuilt or applied
         probe = random_probe(3, rng)
-        assert probe_channels(None, None, probe.inverse, probe.condition) == (None, None)
+        assert probe_channels(None, None, probe.matrix) == (None, None)
         states = np.array([random_mixed((3, 3), r, rng).matrix for r in (1, 5, 9)])
-        values = probe_route(states, (3, 3), (None, None), probe.inverse, probe.condition)
+        values = probe_route(states, (3, 3), (None, None), probe.matrix)
         np.testing.assert_array_equal(values, fidelity_lower_bounds(states, (3, 3)))
 
     def test_unknown_side(self, rng):
@@ -641,19 +664,31 @@ class TestWitness:
         with pytest.raises(ValueError):
             lower_bound_one_sided(rho, probe_density(probe), probe, side="both")
 
+    def test_direct_route_warning_names_the_calling_file(self):
+        skewed = np.diag([1.0, 2e-5])
+        probe = probe_from_matrix(skewed / np.linalg.norm(skewed))
+        image = probe_density(probe)
+        with pytest.warns(RuntimeWarning, match="condition") as caught:
+            probe_route(image.matrix[None], (2, 2), (image.matrix, None), probe.matrix)
+        assert [w.filename for w in caught] == [__file__]
+        # the one-sided wrapper is the route's caller, so its warning names the probe module
+        with pytest.warns(RuntimeWarning, match="condition") as caught:
+            lower_bound_one_sided(image, image, probe)
+        assert [w.filename for w in caught] == [entbound.probe.__file__]
+
     def test_stacked_probes_warn_once_each(self):
         bad, worse = (probe_from_matrix(np.diag([1.0, s]) / np.hypot(1.0, s))
                       for s in (2e-5, 1e-6))
         good = canonical_probe(2)
         stack = (worse, good, bad, good, bad)
         images = np.array([probe_density(p).matrix for p in stack])
-        with pytest.warns(RuntimeWarning, match="condition") as caught:
-            probe_channels(images, None, np.array([p.inverse for p in stack]),
-                           np.array([p.condition for p in stack]))
-        # one warning per ill-conditioned probe, in probe order
-        messages = [str(w.message) for w in caught if "condition" in str(w.message)]
-        assert messages == [f"probe condition number {p.condition:.3g} exceeds 1e+04; the bound "
-                            "may carry amplified rounding error" for p in (worse, bad, bad)]
+        _, messages = caught_messages(
+            lambda: probe_channels(images, None, np.array([p.matrix for p in stack])))
+        # one warning per ill-conditioned probe, in probe order, naming its own SVD's value
+        assert len(messages) == 3
+        assert messages == condition_messages(stack) == [
+            f"probe condition number {kappa:.3g} exceeds 1e+04; the bound may carry amplified "
+            "rounding error" for kappa in (1e6, 5e4, 5e4)]
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     @pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
@@ -664,12 +699,15 @@ class TestWitness:
         images = [np.array([apply_one_sided(c, probe_density(p), side).output.matrix
                             for p in probes]).reshape(lead + (n * n, n * n))
                   for c, side in zip(channels, ("first", "second"))]
-        inverse = np.array([p.inverse for p in probes]).reshape(lead + (n, n))
-        stages = probe_channels(*images, inverse, np.ones(lead))
-        for stage, expected in zip(stages, einsum_rebuild(*images, inverse)):
+        matrices = np.array([p.matrix for p in probes]).reshape(lead + (n, n))
+        stages, messages = caught_messages(lambda: probe_channels(*images, matrices))
+        assert messages == condition_messages(probes)
+        for stage, expected in zip(stages, einsum_rebuild(*images, matrices)):
             assert stage.shape == lead + (n * n, n * n)
             np.testing.assert_allclose(stage, expected, rtol=0, atol=1e-12)
-        one, none = probe_channels(images[0], None, inverse, np.ones(lead))
+        (one, none), messages = caught_messages(lambda: probe_channels(images[0], None,
+                                                                        matrices))
+        assert messages == condition_messages(probes)
         assert none is None and np.array_equal(one, stages[0])
 
     def test_two_dimensional_probe_stack(self, rng):
@@ -682,14 +720,15 @@ class TestWitness:
         ch = random_tp_kraus(2, 2, rng)
         images = np.array([[apply_one_sided(ch, probe_density(p), "first").output.matrix
                             for p in row] for row in probes])
-        with pytest.warns(RuntimeWarning, match="condition") as caught:
-            s1, s2 = probe_channels(images, None,
-                                    np.array([[p.inverse for p in row] for row in probes]),
-                                    np.array([[p.condition for p in row] for row in probes]))
-        assert len([w for w in caught if "condition" in str(w.message)]) == 3
+        matrices = np.array([[p.matrix for p in row] for row in probes])
+        (s1, s2), messages = caught_messages(lambda: probe_channels(images, None, matrices))
+        assert len(messages) == 3
+        assert messages == condition_messages(probes[0] + probes[1])  # row-major probe order
         assert s1.shape == (2, 3, 4, 4) and s2 is None
         for i, j in np.ndindex(2, 3):
-            single, _ = probe_channels(images[i, j], None, probes[i][j].inverse, 1.0)
+            (single, _), messages = caught_messages(
+                lambda: probe_channels(images[i, j], None, probes[i][j].matrix))
+            assert messages == condition_messages([probes[i][j]])
             np.testing.assert_allclose(s1[i, j], single, atol=1e-10)
 
     @pytest.mark.parametrize("side", ["first", "second"])

@@ -38,7 +38,7 @@ def _channel(n, count, truncate, rng):
 def _rebuilt(image, probe, side):
     """probe_channels with ``image`` on ``side`` and no channel on the other."""
     images = (image.matrix, None) if side == "first" else (None, image.matrix)
-    return probe_channels(*images, probe.inverse, probe.condition)
+    return probe_channels(*images, probe.matrix)
 
 
 @PROPERTY
