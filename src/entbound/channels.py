@@ -107,6 +107,12 @@ class ChannelApplication:
     probability: float
 
 
+def check_side(side) -> None:
+    """Raise ValueError unless ``side`` names a subsystem, "first" or "second"."""
+    if side not in ("first", "second"):
+        raise ValueError(f"side must be 'first' or 'second', got {side!r}")
+
+
 def apply_stacked(superoperators, mats, dims, side: str = "first"):
     """:func:`apply_one_sided` for every matrix of a (k, d, d) stack.
 
@@ -117,8 +123,7 @@ def apply_stacked(superoperators, mats, dims, side: str = "first"):
     p <= 1e-14.  ``outputs`` holds the normalized images of the entries
     before that index, not yet validated as density matrices.
     """
-    if side not in ("first", "second"):
-        raise ValueError(f"side must be 'first' or 'second', got {side!r}")
+    check_side(side)
     n1, n2 = dims
     n, m = (n1, n2) if side == "first" else (n2, n1)
     if superoperators.shape[-2:] != (n * n, n * n):

@@ -30,8 +30,8 @@ from .errors import DimensionMismatch, SingularProbe, TrivialDimension
 from .probe import ProbeState, canonical_probe, lower_bound_one_sided, lower_bound_two_sided, \
     probe_route, random_probe
 from .qlinalg import DensityMatrix, PureState, raise_fault, random_density, random_pure_state
-from .serialize import channel_from_json, channel_to_json, dump_json, load_json, \
-    probe_from_json, probe_to_json, state_from_json, state_to_json
+from .serialize import channel_from_json, channel_to_json, dump_json, json_numbers, \
+    load_json, probe_from_json, probe_to_json, state_from_json, state_to_json
 from .suites import SUITE_NAMES, run_suites
 
 log = logging.getLogger("entbound")
@@ -96,8 +96,8 @@ def sweep_config_from_json(doc: dict) -> SweepConfig:
     probe = probe_from_json(doc["probe"]) if "probe" in doc else canonical_probe(base.dims[0])
     channel_1, channel_2 = (channel_from_json(doc[key]) if key in doc else amplitude_damping(gamma)
                             for key, gamma in (("channel_1", 0.2), ("channel_2", 0.3)))
-    return SweepConfig(doc.get("x_grid", np.round(np.arange(0, 101) * 0.01, 10)), base,
-                       channel_1, channel_2, probe)
+    grid = json_numbers(doc.get("x_grid", np.round(np.arange(0, 101) * 0.01, 10)), "x_grid")
+    return SweepConfig(grid, base, channel_1, channel_2, probe)
 
 
 @dataclass
@@ -181,7 +181,7 @@ def evaluate_bound(rho: DensityMatrix, channels, side: str, probe, method: str) 
     result = evaluate(rho.matrix[None], rho.dims, stages, None if probe is None else probe.matrix)
     raise_fault(result.fault)
     if method == "probe":
-        images = [DensityMatrix((probe.dim,) * 2, image) for image in result.images]
+        images = [DensityMatrix((probe.dim,) * 2, image) for image, _ in result.images]
         lower = (lower_bound_one_sided(rho, images[0], probe, side) if len(channels) == 1 else
                  lower_bound_two_sided(rho, *images, probe)).raw
     else:
@@ -284,7 +284,7 @@ def _read(prefix: str, build, keep=()):
         return build()
     except keep:
         raise
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, OverflowError) as exc:
         raise _BadInput(f"{prefix}: {exc}") from exc
 
 

@@ -17,7 +17,7 @@ import numpy as np
 from .channels import apply_checked, apply_stacked
 from .errors import DimensionMismatch, SingularProbe, TrivialDimension
 from .qlinalg import DensityMatrix, PureState, _check_dims, canonical_mes, density_fault, \
-    first_false, pure_densities, state_to_matrix
+    first_false, gaussian, pure_densities, state_to_matrix
 
 _SIGMA_Y = np.array([[0.0, -1j], [1j, 0.0]])
 _SPIN_FLIP = np.kron(_SIGMA_Y, _SIGMA_Y)
@@ -263,8 +263,7 @@ def fef_two_qubit(rho: DensityMatrix) -> float:
 
 
 def _haar_unitary(n: int, rng) -> np.ndarray:
-    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    q, r = np.linalg.qr(z)
+    q, r = np.linalg.qr(gaussian(rng, (n, n)))
     d = np.diagonal(r)
     return q * (d / np.abs(d))
 
@@ -345,8 +344,9 @@ class Evaluation:
     """Per-entry arrays of :func:`evaluate` for the entries before ``fault``, which is
     None or (index, error) of the first entry to fail a check.  ``states`` is the
     evolved stack; ``exact``, ``upper``, ``p_prime`` and ``p_t`` are None where
-    undefined.  ``images`` holds each stage's normalized probe image, (d, d) where
-    probe and channel are shared, else one for each of the k input entries."""
+    undefined.  ``images`` holds an (image, side) pair per stage, in stage order, the
+    stages :func:`entbound.probe.probe_route` takes: the stage's normalized probe
+    image, (d, d) where probe and channel are shared, else one for each entry."""
 
     states: np.ndarray
     exact: np.ndarray
@@ -399,11 +399,11 @@ def evaluate(mats, dims, stages, probe_matrices=None) -> Evaluation:
         for superoperators, side in stages:  # a shared probe meets a per-entry channel k times
             shape = np.broadcast_shapes(superoperators.shape[:-2] + (1, 1), densities.shape)
             image, stage_p = apply_checked(superoperators, np.broadcast_to(densities, shape), side)
-            images, p_prime = images + (image,), p_prime * stage_p
+            images, p_prime = images + ((image, side),), p_prime * stage_p
         p_prime = p_prime[:k]
         p_t = p / p_prime
     if tuple(dims) == (2, 2):  # one spin-flip call; a shared probe image is one entry
-        stacks = [out, mats[:k]] + [np.reshape(image, (-1, 4, 4))[:k] for image in images]
+        stacks = [out, mats[:k]] + [np.reshape(image, (-1, 4, 4))[:k] for image, _ in images]
         values = np.split(spin_flip_concurrence(np.concatenate(stacks)),
                           np.cumsum([len(stack) for stack in stacks])[:-1])
         exact, c_in = values[:2]

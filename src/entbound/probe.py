@@ -2,15 +2,13 @@
 
 A full-rank N x N pure "probe" state |P> is sent through the channel
 instead of the state of interest.  The normalized probe image of each
-channel side fixes that channel's superoperator up to the probe's own
+channel stage fixes that channel's superoperator up to the probe's own
 probability p', and :func:`probe_channels` rebuilds S/p' from it.
-:func:`probe_route` takes the probe images, rebuilds the channels and
-applies them to the initial state through
-:func:`entbound.channels.apply_stacked`, the path the real channels take,
-and reads the fidelity lower bound of the result; a rebuilt stage whose
-trace is at the probability floor raises, as a real channel does.  A side
-without a channel is simply not applied.  A stack of probes gives a stack
-of rebuilt channels, and one rebuilt channel applies to a stack of states.
+:func:`probe_route` takes the (image, side) stages the evaluation core
+returns, rebuilds their channels and applies them in stage order to the
+initial state through :func:`entbound.channels.apply_stacked`, the path
+the real channels take, faults included, and reads the fidelity lower
+bound of the result.  A stack of probes gives a stack of rebuilt channels.
 
 The paper's p_t formulas, through the reduced input state and through a
 sum over the generalized Bell basis, are kept as independent oracles.
@@ -28,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import apply_stacked
+from .channels import apply_stacked, check_side, kraus_factors
 from .concurrence import BoundValue, fidelity_lower_bounds
 from .errors import DimensionMismatch, NotNormalized, SingularProbe
 from .qlinalg import DensityMatrix, TOL_RECONSTRUCT, _check_dim, _frozen_complex, kron_stack, \
@@ -111,17 +109,15 @@ def random_probes(dim: int, count: int, seed) -> np.ndarray:
     """A read-only (count, N, N) stack of probe matrices from standard complex
     Gaussians; ``seed`` may also be a Generator, which is then drawn from.
 
-    The candidates are drawn as one (count, 2, N, N) block (real parts before
-    imaginary parts, one candidate after another) and normalized, and one SVD
-    covers the block.  A candidate is kept if its smallest singular value
-    exceeds 1e-4; the missing ones are drawn again as one block until there
-    are ``count``.
+    The candidates are drawn as one :func:`entbound.channels.kraus_factors`
+    block and normalized, and one SVD covers the block.  A candidate is kept if
+    its smallest singular value exceeds 1e-4; the missing ones are drawn again
+    as one block until there are ``count``.
     """
     rng = np.random.default_rng(seed)
     matrices = np.empty((0, dim, dim), dtype=complex)
     while len(matrices) < count:
-        block = rng.standard_normal((count - len(matrices), 2, dim, dim))
-        candidates = block[:, 0] + 1j * block[:, 1]
+        candidates = kraus_factors(dim, count - len(matrices), rng)
         candidates = candidates / np.linalg.norm(candidates, axis=(1, 2))[:, None, None]
         s = np.linalg.svd(candidates, compute_uv=False)
         matrices = np.concatenate([matrices, candidates[s[:, -1] > PROBE_SIGMA_FLOOR]])
@@ -149,11 +145,10 @@ def _on_first_side(mats, images, probes, side):
     """The stacks of a p_t formula on ``side`` with the probes inverted, mirrored to side
     "first": swapping the subsystems of both states and transposing P^-1 turns
     (1 o $)|P><P| into ($ o 1)|P^T><P^T|."""
+    check_side(side)
     inverses = np.linalg.inv(probes)
     if side == "first":
         return mats, images, inverses
-    if side != "second":
-        raise ValueError(f"side must be 'first' or 'second', got {side!r}")
     n = inverses.shape[-1]
     return swap_subsystems(mats, n), swap_subsystems(images, n), inverses.swapaxes(-1, -2)
 
@@ -207,30 +202,29 @@ def pt_via_mes_sum(rho: DensityMatrix, evolved_probe: DensityMatrix, probe: Prob
                                   probe.matrix[None], side)[0])
 
 
-def probe_channels(image_1, image_2, probes):
-    """Superoperators S1/p1' and S2/p2' rebuilt from the normalized probe images.
+def probe_channels(stages, probes) -> list:
+    """(S/p', side) rebuilt from each (normalized probe image, side) stage, in order.
 
-    ``image_1`` (``image_2``) is the image of |P><P| under the first-side
-    (second-side) channel divided by its trace p1' (p2'), or None for a
-    side without a channel, which stays None.  With
-    S[(a,c),(i,j)] = <a|$(|i><j|)|c>, the image fixes the channel
-    (ancilla-assisted process tomography, D'Ariano & Lo Presti, PRL 86,
-    4195 (2001)): S1/p1' = sum_xy P^-1[x,i] rho_P1'[(a,x),(c,y)] P^-1[y,j]^*
-    and S2/p2' = sum_xy P^-1[i,x] rho_P2'[(x,a),(y,c)] P^-1[j,y]^*.  The
-    images (..., d, d) and the probe matrices ``probes`` P (..., n, n) may
-    carry leading probe axes.  P^-1 is ``np.linalg.inv`` of P, and the
-    condition number s[0]/s[-1] comes from one SVD of the stack; each probe
-    conditioned worse than 1e4 warns, in probe order.  The warning names the
-    line that called :func:`probe_route`: the caller's own for a direct
-    call, a line of this module for :func:`lower_bound_one_sided` and
-    :func:`lower_bound_two_sided`.
+    With S[(a,c),(i,j)] = <a|$(|i><j|)|c>, the image of |P><P| under a channel,
+    divided by its trace p', fixes the channel (ancilla-assisted process
+    tomography, D'Ariano & Lo Presti, PRL 86, 4195 (2001)):
+    S/p' = sum_xy P^-1[x,i] rho_P'[(a,x),(c,y)] P^-1[y,j]^* on the first side
+    and sum_xy P^-1[i,x] rho_P'[(x,a),(y,c)] P^-1[j,y]^* on the second.  A side
+    other than "first" and "second" raises ValueError before anything is
+    rebuilt.  The images (..., d, d) and the probe matrices ``probes`` P
+    (..., n, n) may carry leading probe axes.  P^-1 is ``np.linalg.inv`` of P,
+    and the condition number s[0]/s[-1] comes from one SVD of the stack; each
+    probe conditioned worse than 1e4 warns, in probe order, naming the line
+    that called :func:`probe_route` (a line of this module under
+    :func:`lower_bound_one_sided` and :func:`lower_bound_two_sided`).
 
-    Each sum is two matmuls over a reshaped image: with the image's axes
-    ordered (a, c, y, x), an (n^3, n) @ P^-1 contracts x, and after
-    swapping the last two axes an (n^3, n) @ P^-1* contracts y.  The
-    second side is the first with its image's subsystems swapped and P^-1
-    transposed.
+    Each sum is two matmuls over a reshaped image: with its axes ordered
+    (a, c, y, x), an (n^3, n) @ P^-1 contracts x, and after swapping the last
+    two axes an (n^3, n) @ P^-1* contracts y.  The second side is the first
+    with the image's subsystems swapped and P^-1 transposed.
     """
+    for _, side in stages:
+        check_side(side)
     n = probes.shape[-1]
     s = np.linalg.svd(probes.reshape(-1, n, n), compute_uv=False)
     condition = s[:, 0] / s[:, -1]
@@ -239,10 +233,11 @@ def probe_channels(image_1, image_2, probes):
                       "the bound may carry amplified rounding error", RuntimeWarning,
                       stacklevel=3)
     inverse = np.linalg.inv(probes)
+    # image axes (a, x, c, y) on the first side and (x, a, y, c) on the second
+    mirrors = {"first": ((0, 2, 3, 1), inverse),
+               "second": ((1, 3, 2, 0), inverse.swapaxes(-1, -2))}
 
     def rebuild(image, axes, inv):
-        if image is None:
-            return None
         lead = image.shape[:-2]
         k = len(lead)
         image = image.reshape(lead + (n,) * 4).transpose(*range(k), *(k + a for a in axes))
@@ -251,31 +246,27 @@ def probe_channels(image_1, image_2, probes):
         stage = half.reshape(half.shape[:-4] + (n ** 3, n)) @ inv.conj()  # (..., a, c, i, j)
         return stage.reshape(stage.shape[:-2] + (n * n, n * n))
 
-    # image axes (a, x, c, y) on the first side and (x, a, y, c) on the second
-    return (rebuild(image_1, (0, 2, 3, 1), inverse),
-            rebuild(image_2, (1, 3, 2, 0), inverse.swapaxes(-1, -2)))
+    return [(rebuild(image, *mirrors[side]), side) for image, side in stages]
 
 
-def probe_route(mats, dims, images, probes):
+def probe_route(mats, dims, stages, probes):
     """Probe-route lower bounds of a (k, d, d) stack of N x N input states.
 
-    ``images`` holds the (first-side, second-side) normalized probe images,
-    None for a side without a channel, which is then not applied; with the
-    probe matrices ``probes`` they go to :func:`probe_channels`.  An image
-    (d, d) with its probe (n, n) rebuilds one channel for the whole stack;
-    images (..., d, d) with probes (..., n, n) rebuild one channel per
-    entry, the leading axes flattened in order to the stack's.  The rebuilt
-    channels are applied, first side first, and the raw fidelity lower
-    bounds of the evolved states returned.  The first entry whose stage
-    trace is <= 1e-14 raises its ZeroProbability.
+    ``stages`` lists (normalized probe image, side) pairs, such as
+    ``Evaluation.images``; :func:`probe_channels` rebuilds their channels with
+    the probe matrices ``probes``, and they are applied in stage order.  An
+    image (d, d) with its probe (n, n) rebuilds one channel for the whole
+    stack, images (..., d, d) with probes (..., n, n) one per entry, the
+    leading axes flattened in order to the stack's.  Returns the raw fidelity
+    lower bounds of the evolved states; the first entry whose stage trace is
+    <= 1e-14 raises its ZeroProbability.
     """
     _check_square(dims, probes.shape[-1])
-    for stage, side in zip(probe_channels(*images, probes), ("first", "second")):
-        if stage is not None:
-            if stage.ndim > 2:  # one rebuilt channel per entry
-                stage = stage.reshape((-1,) + stage.shape[-2:])
-            mats, _, fault = apply_stacked(stage, mats, dims, side)
-            raise_fault(fault)
+    for stage, side in probe_channels(stages, probes):
+        if stage.ndim > 2:  # one rebuilt channel per entry
+            stage = stage.reshape((-1,) + stage.shape[-2:])
+        mats, _, fault = apply_stacked(stage, mats, dims, side)
+        raise_fault(fault)
     return fidelity_lower_bounds(mats, dims)
 
 
@@ -283,15 +274,12 @@ def lower_bound_one_sided(rho: DensityMatrix, evolved_probe: DensityMatrix, prob
                           side: str = "first") -> BoundValue:
     """Concurrence lower bound of the one-sided channel image, probe data only.
 
-    ``rho`` is the *initial* state and ``evolved_probe`` the normalized
-    probe image under the channel on ``side``; the channel rebuilt from
-    it is applied to ``rho``.  Equals the fidelity lower bound of the
-    directly evolved state.  Raises ZeroProbability if p/p' <= 1e-14.
+    The one-stage :func:`probe_route` of the *initial* state ``rho`` with the
+    normalized probe image ``evolved_probe`` under the channel on ``side``;
+    equals the fidelity lower bound of the directly evolved state.
     """
-    if side not in ("first", "second"):
-        raise ValueError(f"side must be 'first' or 'second', got {side!r}")
-    images = (evolved_probe.matrix, None) if side == "first" else (None, evolved_probe.matrix)
-    values = probe_route(rho.matrix[None], rho.dims, images, probe.matrix)
+    values = probe_route(rho.matrix[None], rho.dims, [(evolved_probe.matrix, side)],
+                         probe.matrix)
     return BoundValue(float(values[0]))
 
 
@@ -299,11 +287,10 @@ def lower_bound_two_sided(rho: DensityMatrix, evolved_probe_1: DensityMatrix,
                           evolved_probe_2: DensityMatrix, probe: ProbeState) -> BoundValue:
     """Concurrence lower bound of the two-sided channel image, probe data only.
 
-    ``evolved_probe_1`` is the normalized image of the probe under the
-    first-side channel, ``evolved_probe_2`` under the second-side one;
-    both rebuilt channels are applied to ``rho``.  Raises ZeroProbability
-    if either stage's trace is <= 1e-14.
+    The :func:`probe_route` of ``rho`` through the normalized probe images
+    ``evolved_probe_1`` under the first-side channel and ``evolved_probe_2``
+    under the second-side one, in that order.
     """
-    values = probe_route(rho.matrix[None], rho.dims, (evolved_probe_1.matrix,
-                         evolved_probe_2.matrix), probe.matrix)
+    values = probe_route(rho.matrix[None], rho.dims, [(evolved_probe_1.matrix, "first"),
+                         (evolved_probe_2.matrix, "second")], probe.matrix)
     return BoundValue(float(values[0]))

@@ -20,11 +20,18 @@ def _pairs(matrix) -> list:
     return [[[float(z.real), float(z.imag)] for z in row] for row in np.atleast_2d(matrix)]
 
 
+def json_numbers(value, what: str) -> np.ndarray:
+    """Nested lists of numbers as a float array; any other entry (a string, a boolean, also
+    in a list like [true, 0.5], null, or the row of a ragged list) raises ValueError."""
+    entries = np.asarray(value, dtype=object)
+    for entry in entries.ravel():
+        if isinstance(entry, bool) or not isinstance(entry, (int, float)):
+            raise ValueError(f"{what}: entries must be numbers, got {entry!r}")
+    return entries.astype(float)
+
+
 def _matrix(rows, what: str) -> np.ndarray:
-    try:
-        arr = np.asarray(rows, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{what}: entries must be nested [re, im] pairs") from exc
+    arr = json_numbers(rows, what)
     if arr.ndim != 3 or arr.shape[-1] != 2:
         raise ValueError(f"{what}: expected rows of [re, im] pairs, got shape {arr.shape}")
     return arr[..., 0] + 1j * arr[..., 1]

@@ -198,9 +198,9 @@ def _probe_invariance_pairs(seed, trials, n, rng) -> tuple:
     images, p_1 = ch.apply_checked(superoperators, densities, "first")
     images_2, p_2 = ch.apply_checked(superoperators_2, densities[two], "second")
     values = np.empty((n_pairs, trials))
-    for sel, image_2 in ((one, None), (two, images_2)):
+    for sel, second in ((one, []), (two, [(images_2, "second")])):
         states = np.broadcast_to(mats[sel], images[sel].shape).reshape(-1, n * n, n * n)
-        values[sel] = pr.probe_route(states, (n, n), (images[sel], image_2),
+        values[sel] = pr.probe_route(states, (n, n), [(images[sel], "first")] + second,
                                      matrices[sel]).reshape(-1, trials)
     mes_gap = np.zeros(n_pairs)  # the paper's double sum, once per pair on its first probe
     p_t = p[two, 0] / (p_1[two, 0] * p_2[:, 0])

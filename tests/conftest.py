@@ -29,15 +29,14 @@ def concurrence_two_qubit_pure(psi) -> float:
 
 
 def rebuilt_traces(states, stages, dims):
-    """The product of the traces of the rebuilt ``stages`` of :func:`probe_channels`
-    (None for a side without a channel), applied first side first to a (k, d, d) stack
-    through apply_stacked as the probe route applies them: p/p' of each entry."""
+    """The product of the traces of the rebuilt (superoperator, side) ``stages`` of
+    :func:`probe_channels`, applied in order to a (k, d, d) stack through apply_stacked
+    as the probe route applies them: p/p' of each entry."""
     p = np.ones(len(states))
-    for stage, side in zip(stages, ("first", "second")):
-        if stage is not None:
-            states, stage_p, fault = apply_stacked(stage, states, dims, side)
-            assert fault is None
-            p = p * stage_p
+    for stage, side in stages:
+        states, stage_p, fault = apply_stacked(stage, states, dims, side)
+        assert fault is None
+        p = p * stage_p
     return p
 
 

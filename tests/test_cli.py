@@ -297,6 +297,38 @@ class TestBound:
                        str(paths["probe"])) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("owner, entry, message", [
+        ("state", "0", "could not parse inputs: state data: entries must be numbers, got '0'"),
+        ("channel", False, "could not parse inputs: Kraus operator: entries must be numbers, "
+                           "got False"),
+        ("probe", "0.0", "could not parse probe: probe matrix: entries must be numbers, "
+                         "got '0.0'")])
+    def test_non_number_matrix_entry_in_a_file_exits_2(self, tmp_path, capsys, owner, entry,
+                                                       message):
+        # the replaced imaginary part is 0, so converting the entry would change nothing
+        docs = {"state": state_to_json(bell_density()),
+                "channel": channel_to_json(amplitude_damping(0.2)),
+                "probe": probe_to_json(canonical_probe(2))}
+        rows = {"state": docs["state"]["data"], "channel": docs["channel"]["kraus"][0],
+                "probe": docs["probe"]["matrix"]}[owner]
+        rows[0][0][1] = entry
+        paths = {name: tmp_path / f"{name}.json" for name in docs}
+        for name, doc in docs.items():
+            dump_json(doc, paths[name])
+        assert run_cli("bound", str(paths["state"]), str(paths["channel"]), "--probe-path",
+                       str(paths["probe"])) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_integer_beyond_float_range_in_a_file_exits_2(self, tmp_path, capsys):
+        # JSON integers have no size limit; one that no float can hold is malformed input
+        state = tmp_path / "rho.json"
+        state.write_text('{"dims": [1, 2], "kind": "pure", "data": [[[1, 0], [1%s, 0]]]}'
+                         % ("0" * 400))
+        channel = write_channel(tmp_path / "ad.json", amplitude_damping(0.2))
+        assert run_cli("bound", str(state), channel) == 2
+        assert capsys.readouterr().err == ("error: could not parse inputs: int too large to "
+                                           "convert to float\n")
+
     @pytest.mark.parametrize("side", ["first", "second"])
     def test_side_with_two_channels_exits_2(self, tmp_path, capsys, side):
         state = write_state(tmp_path / "rho.json", default_base_state())
@@ -431,6 +463,18 @@ class TestSweep:
         out = tmp_path / "s.csv"
         assert run_cli("sweep", "--config", str(cfg_path), "--output", str(out)) == 2
         assert "error: could not build sweep config" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("grid", [[False, True], [True, 0.5], [0.0, "0.5", 1.0],
+                                      [0.0, None, 1.0]])
+    def test_non_number_grid_entry_exits_2(self, tmp_path, capsys, grid):
+        # a boolean, a numeric string or null is no number, also among numbers
+        cfg_path = tmp_path / "cfg.json"
+        dump_json({"x_grid": grid}, cfg_path)
+        out = tmp_path / "s.csv"
+        assert run_cli("sweep", "--config", str(cfg_path), "--output", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "could not build sweep config: x_grid: entries must be numbers" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("case", ["non_square_state", "channel_1_dim", "probe_dim"])

@@ -401,7 +401,9 @@ class TestOneKonradFactor:
             probe = random_probe(2, rng) if random else canonical_probe(2)
             result = evaluate(rho.matrix[None], (2, 2), [(channel.superoperator, side)],
                               probe.matrix)
-            image = DensityMatrix((2, 2), result.images[0])
+            ((image, image_side),) = result.images
+            assert image_side == side
+            image = DensityMatrix((2, 2), image)
             bound = upper_bound_one_sided(wootters_concurrence(rho), image, probe.matrix)
             assert result.upper[0] == bound.raw
 
@@ -415,7 +417,8 @@ class TestOneKonradFactor:
             result = evaluate(rho.matrix[None], (2, 2), [(channel_1.superoperator, "first"),
                                                          (channel_2.superoperator, "second")],
                               probe.matrix)
-            images = [DensityMatrix((2, 2), image) for image in result.images]
+            assert [side for _, side in result.images] == ["first", "second"]
+            images = [DensityMatrix((2, 2), image) for image, _ in result.images]
             bound = upper_bound_two_sided(wootters_concurrence(rho), *images, probe.matrix)
             assert result.upper[0] == bound.raw
 
@@ -653,13 +656,13 @@ class TestEvaluate:
         result = evaluate(mats, (n, n), stages[:len(sides)],
                           np.array([p.matrix for p in probes]) if per_entry_probes
                           else probes[0].matrix)
-        assert len(result.images) == len(sides)
-        assert result.images[0].ndim == (3 if per_entry_channels or per_entry_probes else 2)
+        assert [side for _, side in result.images] == list(sides)
+        assert result.images[0][0].ndim == (3 if per_entry_channels or per_entry_probes else 2)
         for j in range(k):
             probe = probe_density(probes[j] if per_entry_probes else probes[0])
             apps = [apply_one_sided(channels[j], probe, side)
                     for channels, side in zip(stage_channels, sides)]
-            for image, app in zip(result.images, apps):
+            for (image, _), app in zip(result.images, apps):
                 assert np.array_equal(image if image.ndim == 2 else image[j], app.output.matrix)
             assert result.p_prime[j] == float(np.prod([app.probability for app in apps]))
             assert result.p_t[j] == result.p[j] / result.p_prime[j]
@@ -688,7 +691,8 @@ class TestEvaluate:
         result = evaluate(mats, (2, 2), stages, random_probe(2, rng).matrix)
         # the images, the inputs and one shared probe image per side, less the certified
         # separable entries, which skip the spectrum
-        stack = np.concatenate([result.states, mats, np.array(result.images)])
+        images = [image for image, _ in result.images]
+        stack = np.concatenate([result.states, mats, np.array(images)])
         assert len(stack) == 2 * 5 + 2
         uncertified = int(np.sum(~concurrence._ppt_certified(stack)))
         assert 0 < uncertified < len(stack)

@@ -33,7 +33,7 @@ from entbound import (
     state_to_matrix,
 )
 from entbound.cli import evaluate_bound
-from entbound.concurrence import fidelity_lower_bounds
+from entbound.concurrence import evaluate, fidelity_lower_bounds
 from entbound.probe import probe_channels, probe_route, random_probes
 from entbound.suites import two_sided_bound_mes
 from conftest import probe_density, random_mixed, random_probe, random_tp_kraus, rebuilt_traces
@@ -428,17 +428,19 @@ class TestLowerBoundTwoSided:
         assert max(values) - min(values) < 1e-8
 
 
-def rebuilt(image_1, image_2, probe):
-    """probe_channels of single DensityMatrix images (None for a side without a channel)."""
-    return probe_channels(None if image_1 is None else image_1.matrix,
-                          None if image_2 is None else image_2.matrix, probe.matrix)
+def matrices_of(stages):
+    """(image, side) stages of DensityMatrix images as stages of their matrices."""
+    return [(image.matrix, side) for image, side in stages]
 
 
-def routed(states, image_1, image_2, probe):
-    """probe_route of a (k, d, d) stack through single DensityMatrix images (None for a
-    side without a channel)."""
-    images = tuple(None if image is None else image.matrix for image in (image_1, image_2))
-    return probe_route(states, (probe.dim, probe.dim), images, probe.matrix)
+def rebuilt(stages, probe):
+    """probe_channels of (DensityMatrix image, side) stages."""
+    return probe_channels(matrices_of(stages), probe.matrix)
+
+
+def routed(states, stages, probe):
+    """probe_route of a (k, d, d) stack through (DensityMatrix image, side) stages."""
+    return probe_route(states, (probe.dim, probe.dim), matrices_of(stages), probe.matrix)
 
 
 def condition_messages(probes):
@@ -460,21 +462,19 @@ def caught_messages(call):
     return result, [str(w.message) for w in caught if "condition" in str(w.message)]
 
 
-def einsum_rebuild(image_1, image_2, probes):
+def einsum_rebuild(stages, probes):
     """Oracle of :func:`probe_channels`: each rebuilt stage as one three-operand einsum
     of the tomography sums."""
     inverse = np.linalg.inv(probes)
     n = inverse.shape[-1]
+    specs = {"first": "...xi,...axcy,...yj->...acij", "second": "...ix,...xayc,...jy->...acij"}
 
-    def rebuild(image, spec):
-        if image is None:
-            return None
-        stage = np.einsum(spec, inverse, image.reshape(image.shape[:-2] + (n,) * 4),
+    def rebuild(image, side):
+        stage = np.einsum(specs[side], inverse, image.reshape(image.shape[:-2] + (n,) * 4),
                           inverse.conj())
         return stage.reshape(stage.shape[:-4] + (n * n, n * n))
 
-    return (rebuild(image_1, "...xi,...axcy,...yj->...acij"),
-            rebuild(image_2, "...ix,...xayc,...jy->...acij"))
+    return [(rebuild(image, side), side) for image, side in stages]
 
 
 def hermiticity_gap(s, n):
@@ -495,13 +495,16 @@ class TestTwoSidedWitness:
             ch2 = random_tp_kraus(n, 3, rng)
             a1 = apply_one_sided(ch1, probe_density(probe), "first")
             a2 = apply_one_sided(ch2, probe_density(probe), "second")
-            s1, s2 = rebuilt(a1.output, a2.output, probe)
+            stages = [(a1.output, "first"), (a2.output, "second")]
+            channels = rebuilt(stages, probe)
+            (s1, side_1), (s2, side_2) = channels
+            assert (side_1, side_2) == ("first", "second")
             np.testing.assert_allclose(s1 * a1.probability, ch1.superoperator, atol=1e-10)
             np.testing.assert_allclose(s2 * a2.probability, ch2.superoperator, atol=1e-10)
             assert max(hermiticity_gap(s1, n), hermiticity_gap(s2, n)) < 1e-10
-            values = routed(rho.matrix[None], a1.output, a2.output, probe)
+            values = routed(rho.matrix[None], stages, probe)
             evolved = apply_two_sided(ch1, ch2, rho)
-            p_t = rebuilt_traces(rho.matrix[None], (s1, s2), (n, n))
+            p_t = rebuilt_traces(rho.matrix[None], channels, (n, n))
             assert abs(p_t[0] * a1.probability * a2.probability - evolved.probability) < 1e-10
             assert abs(values[0] - fidelity_lower_bound(evolved.output).raw) < 1e-10
 
@@ -511,7 +514,8 @@ class TestTwoSidedWitness:
         a1 = apply_one_sided(ch1, probe_density(probe), "first")
         a2 = apply_one_sided(ch2, probe_density(probe), "second")
         states = [random_mixed((2, 2), r, rng) for r in (1, 2, 3, 4)]
-        values = routed(np.array([s.matrix for s in states]), a1.output, a2.output, probe)
+        values = routed(np.array([s.matrix for s in states]),
+                        [(a1.output, "first"), (a2.output, "second")], probe)
         for state, value in zip(states, values):
             assert value == lower_bound_two_sided(state, a1.output, a2.output, probe).raw
 
@@ -520,12 +524,36 @@ class TestTwoSidedWitness:
         probe = canonical_probe(2)
         a1 = apply_one_sided(kill, probe_density(probe), "first")
         a2 = apply_one_sided(kill, probe_density(probe), "second")
+        stages = [(a1.output, "first"), (a2.output, "second")]
         states = np.array([np.diag(d).astype(complex) for d in ([1.0, 0, 0, 0], [0, 0, 0, 1.0])])
-        assert routed(states[:1], a1.output, a2.output, probe).shape == (1,)
+        assert routed(states[:1], stages, probe).shape == (1,)
         with pytest.raises(ZeroProbability, match="trace 0.0"):
-            routed(states, a1.output, a2.output, probe)
+            routed(states, stages, probe)
         with pytest.raises(ZeroProbability):
             lower_bound_two_sided(DensityMatrix((2, 2), states[1]), a1.output, a2.output, probe)
+
+
+class TestRouteOnCoreImages:
+    """The probe route on the images of the evaluation core rebuilds exactly the stages
+    the core applied, in the core's order, for every stage list the core accepts."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("sides", [("first", "second"), ("second", "first"), ("second",),
+                                       ("first", "first")])
+    @pytest.mark.parametrize("per_entry_probes", [False, True])
+    def test_route_equals_direct_bound_of_core_states(self, rng, n, sides, per_entry_probes):
+        mats = np.array([random_mixed((n, n), r, rng).matrix for r in (1, n, n * n)])
+        channels = [random_tp_kraus(n, 2 + j, rng) for j in range(len(sides))]
+        channels[0] = KrausChannel(n, channels[0].operators[:1])  # not trace preserving
+        probes = (np.array([random_probe(n, rng).matrix for _ in mats]) if per_entry_probes
+                  else random_probe(n, rng).matrix)
+        result = evaluate(mats, (n, n), [(c.superoperator, side)
+                                         for c, side in zip(channels, sides)], probes)
+        assert result.fault is None
+        np.testing.assert_allclose(probe_route(mats, (n, n), result.images, probes),
+                                   fidelity_lower_bounds(result.states, (n, n)),
+                                   rtol=0, atol=1e-8)
+        assert [side for _, side in result.images] == list(sides)
 
 
 class TestSecondSideOracles:
@@ -550,32 +578,29 @@ class TestSecondSideOracles:
 
 
 class TestWitness:
-    def test_probe_stack_matches_single_builds(self, rng):
+    @pytest.mark.parametrize("sides", [("first", "second"), ("second", "first"), ("first",),
+                                       ("second",), ("first", "first")])
+    def test_probe_stack_matches_single_builds(self, rng, sides):
         for n in (2, 3):
             rho = random_mixed((n, n), n, rng)
-            ch1, ch2 = random_tp_kraus(n, 2, rng), random_tp_kraus(n, 3, rng)
+            channels = [random_tp_kraus(n, 2 + j, rng) for j in range(len(sides))]
             probes = [random_probe(n, rng) for _ in range(6)]
-            a1 = [apply_one_sided(ch1, probe_density(p), "first").output for p in probes]
-            a2 = [apply_one_sided(ch2, probe_density(p), "second").output for p in probes]
             matrices = np.array([p.matrix for p in probes])
+            stages = [(np.array([apply_one_sided(c, probe_density(p), side).output.matrix
+                                 for p in probes]), side) for c, side in zip(channels, sides)]
             states = np.array([rho.matrix] * 6)
-            for images_1, images_2 in ((a1, a2), (a1, None), (None, a2)):
-                images = tuple(None if side is None else np.array([a.matrix for a in side])
-                               for side in (images_1, images_2))
-                stack = probe_channels(*images, matrices)
-                assert [s is None for s in stack] == [images_1 is None, images_2 is None]
-                assert all(s.shape == (6, n * n, n * n) for s in stack if s is not None)
-                values = probe_route(states, (n, n), images, matrices)
-                assert values.shape == (6,)
-                for k, probe in enumerate(probes):
-                    single = rebuilt(None if images_1 is None else images_1[k],
-                                     None if images_2 is None else images_2[k], probe)
-                    for s_stack, s_single in zip(stack, single):
-                        if s_single is not None:
-                            np.testing.assert_allclose(s_stack[k], s_single, atol=1e-12)
-                    value = routed(rho.matrix[None], None if images_1 is None else images_1[k],
-                                   None if images_2 is None else images_2[k], probe)
-                    assert abs(values[k] - value[0]) < 1e-12
+            stack = probe_channels(stages, matrices)
+            assert [side for _, side in stack] == list(sides)
+            assert all(s.shape == (6, n * n, n * n) for s, _ in stack)
+            values = probe_route(states, (n, n), stages, matrices)
+            assert values.shape == (6,)
+            for k, probe in enumerate(probes):
+                entry = [(image[k], side) for image, side in stages]
+                for (s_stack, _), (s_single, _) in zip(stack, probe_channels(entry,
+                                                                             probe.matrix)):
+                    np.testing.assert_allclose(s_stack[k], s_single, atol=1e-12)
+                value = probe_route(rho.matrix[None], (n, n), entry, probe.matrix)
+                assert abs(values[k] - value[0]) < 1e-12
 
     @pytest.mark.parametrize("side", ["first", "second"])
     def test_one_sided_functionals_match_direct_evolution(self, rng, side):
@@ -587,13 +612,13 @@ class TestWitness:
             if trial % 2 == 0:  # non-trace-preserving truncation
                 ch = KrausChannel(n, ch.operators[:1])
             app = apply_one_sided(ch, probe_density(probe), side)
-            images = (app.output, None) if side == "first" else (None, app.output)
-            stages = rebuilt(*images, probe)
-            stage = stages[0] if side == "first" else stages[1]
+            channels = rebuilt([(app.output, side)], probe)
+            ((stage, stage_side),) = channels
+            assert stage_side == side
             np.testing.assert_allclose(stage * app.probability, ch.superoperator, atol=1e-10)
-            values = routed(rho.matrix[None], *images, probe)
+            values = routed(rho.matrix[None], [(app.output, side)], probe)
             evolved = apply_one_sided(ch, rho, side)
-            p_t = rebuilt_traces(rho.matrix[None], stages, (n, n))
+            p_t = rebuilt_traces(rho.matrix[None], channels, (n, n))
             assert abs(p_t[0] * app.probability - evolved.probability) < 1e-10
             assert abs(values[0] - fidelity_lower_bound(evolved.output).raw) < 1e-10
 
@@ -602,13 +627,13 @@ class TestWitness:
         n = 2
         probes = [random_probe(n, rng) for _ in range(6)]
         ch1, ch2 = random_tp_kraus(n, 2, rng), random_tp_kraus(n, 3, rng)
-        images = tuple(np.array([apply_one_sided(c, probe_density(p), side).output.matrix
-                                 for p in probes]) for c, side in ((ch1, "first"),
-                                                                   (ch2, "second")))
+        stages = [(np.array([apply_one_sided(c, probe_density(p), side).output.matrix
+                             for p in probes]), side) for c, side in ((ch1, "first"),
+                                                                      (ch2, "second"))]
         matrices = np.array([p.matrix for p in probes])
         states = np.array([random_mixed((n, n), 1 + t % 4, rng).matrix for t in range(6)])
-        flat = probe_route(states, (n, n), images, matrices)
-        grid = probe_route(states, (n, n), tuple(i.reshape(2, 3, 4, 4) for i in images),
+        flat = probe_route(states, (n, n), stages, matrices)
+        grid = probe_route(states, (n, n), [(i.reshape(2, 3, 4, 4), side) for i, side in stages],
                            matrices.reshape(2, 3, n, n))
         assert flat.shape == (6,) and flat.tobytes() == grid.tobytes()
 
@@ -620,12 +645,11 @@ class TestWitness:
         # (two-sided, |01> passes the first stage and fails the second)
         keep = KrausChannel(2, (np.diag([1.0, 0.0]),))
         probes = [random_probe(2, rng) for _ in range(3)]
-        images = tuple(np.array([apply_one_sided(keep, probe_density(p), side).output.matrix
-                                 for p in probes]) if side in sides else None
-                       for side in ("first", "second"))
+        stages = [(np.array([apply_one_sided(keep, probe_density(p), side).output.matrix
+                             for p in probes]), side) for side in sides]
         matrices = np.array([p.matrix for p in probes])
         if not per_entry:
-            images = tuple(None if image is None else image[0] for image in images)
+            stages = [(image[0], side) for image, side in stages]
             matrices = matrices[0]
         basis = np.eye(4)[:, :, None] * np.eye(4)[:, None, :]  # |00>, |01>, |10>, |11>
         for i in range(4):
@@ -633,9 +657,9 @@ class TestWitness:
             # bit 2 of i is the first qubit, bit 1 the second
             if any(i & {"first": 2, "second": 1}[side] for side in sides):
                 with pytest.raises(ZeroProbability, match="channel image has trace"):
-                    probe_route(states, (2, 2), images, matrices)
+                    probe_route(states, (2, 2), stages, matrices)
             else:  # kept as it is
-                values = probe_route(states, (2, 2), images, matrices)
+                values = probe_route(states, (2, 2), stages, matrices)
                 np.testing.assert_allclose(values, fidelity_lower_bounds(states, (2, 2)),
                                            rtol=0, atol=1e-12)
 
@@ -644,18 +668,18 @@ class TestWitness:
         image = probe_density(probe).matrix
         states = np.eye(6)[None] / 6
         with pytest.raises(DimensionMismatch, match=r"probe of dim 2 .* dims \(2, 3\)"):
-            probe_route(states, (2, 3), (image, None), probe.matrix)
+            probe_route(states, (2, 3), [(image, "first")], probe.matrix)
         rho = DensityMatrix((2, 3), states[0])
         for formula in (lower_bound_one_sided, pt_via_reduced, pt_via_mes_sum):
             with pytest.raises(DimensionMismatch, match=r"probe of dim 2 .* dims \(2, 3\)"):
                 formula(rho, probe_density(probe), probe)
 
     def test_no_channel_side_is_exact_identity(self, rng):
-        # with no channel on either side nothing is rebuilt or applied
+        # with no stage on either side nothing is rebuilt or applied
         probe = random_probe(3, rng)
-        assert probe_channels(None, None, probe.matrix) == (None, None)
+        assert probe_channels([], probe.matrix) == []
         states = np.array([random_mixed((3, 3), r, rng).matrix for r in (1, 5, 9)])
-        values = probe_route(states, (3, 3), (None, None), probe.matrix)
+        values = probe_route(states, (3, 3), [], probe.matrix)
         np.testing.assert_array_equal(values, fidelity_lower_bounds(states, (3, 3)))
 
     def test_unknown_side(self, rng):
@@ -664,12 +688,26 @@ class TestWitness:
         with pytest.raises(ValueError):
             lower_bound_one_sided(rho, probe_density(probe), probe, side="both")
 
+    def test_unknown_side_raises_before_any_rebuild(self):
+        # an ill-conditioned probe would warn once anything were rebuilt
+        skewed = np.diag([1.0, 2e-5])
+        probe = probe_from_matrix(skewed / np.linalg.norm(skewed))
+        image = probe_density(probe).matrix
+        stages = [(image, "first"), (image, "both")]
+        for call in (lambda: probe_channels(stages, probe.matrix),
+                     lambda: probe_route(image[None], (2, 2), stages, probe.matrix)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="side must be 'first' or 'second', "
+                                                     "got 'both'"):
+                    call()
+
     def test_direct_route_warning_names_the_calling_file(self):
         skewed = np.diag([1.0, 2e-5])
         probe = probe_from_matrix(skewed / np.linalg.norm(skewed))
         image = probe_density(probe)
         with pytest.warns(RuntimeWarning, match="condition") as caught:
-            probe_route(image.matrix[None], (2, 2), (image.matrix, None), probe.matrix)
+            probe_route(image.matrix[None], (2, 2), [(image.matrix, "first")], probe.matrix)
         assert [w.filename for w in caught] == [__file__]
         # the one-sided wrapper is the route's caller, so its warning names the probe module
         with pytest.warns(RuntimeWarning, match="condition") as caught:
@@ -683,7 +721,7 @@ class TestWitness:
         stack = (worse, good, bad, good, bad)
         images = np.array([probe_density(p).matrix for p in stack])
         _, messages = caught_messages(
-            lambda: probe_channels(images, None, np.array([p.matrix for p in stack])))
+            lambda: probe_channels([(images, "first")], np.array([p.matrix for p in stack])))
         # one warning per ill-conditioned probe, in probe order, naming its own SVD's value
         assert len(messages) == 3
         assert messages == condition_messages(stack) == [
@@ -692,23 +730,24 @@ class TestWitness:
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     @pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
-    def test_matmul_rebuild_matches_einsum_oracle(self, rng, n, lead):
+    @pytest.mark.parametrize("sides", [("first", "second"), ("second", "first")])
+    def test_matmul_rebuild_matches_einsum_oracle(self, rng, n, lead, sides):
         count = int(np.prod(lead))
         probes = [random_probe(n, rng) for _ in range(count)]
         channels = [random_tp_kraus(n, 2, rng) for _ in range(2)]
-        images = [np.array([apply_one_sided(c, probe_density(p), side).output.matrix
-                            for p in probes]).reshape(lead + (n * n, n * n))
-                  for c, side in zip(channels, ("first", "second"))]
+        images = [(np.array([apply_one_sided(c, probe_density(p), side).output.matrix
+                             for p in probes]).reshape(lead + (n * n, n * n)), side)
+                  for c, side in zip(channels, sides)]
         matrices = np.array([p.matrix for p in probes]).reshape(lead + (n, n))
-        stages, messages = caught_messages(lambda: probe_channels(*images, matrices))
+        stages, messages = caught_messages(lambda: probe_channels(images, matrices))
         assert messages == condition_messages(probes)
-        for stage, expected in zip(stages, einsum_rebuild(*images, matrices)):
-            assert stage.shape == lead + (n * n, n * n)
+        for (stage, side), (expected, expected_side) in zip(stages,
+                                                            einsum_rebuild(images, matrices)):
+            assert stage.shape == lead + (n * n, n * n) and side == expected_side
             np.testing.assert_allclose(stage, expected, rtol=0, atol=1e-12)
-        (one, none), messages = caught_messages(lambda: probe_channels(images[0], None,
-                                                                        matrices))
+        (one,), messages = caught_messages(lambda: probe_channels(images[:1], matrices))
         assert messages == condition_messages(probes)
-        assert none is None and np.array_equal(one, stages[0])
+        assert one[1] == sides[0] and np.array_equal(one[0], stages[0][0])
 
     def test_two_dimensional_probe_stack(self, rng):
         # a (2, 3) probe axis builds, warns once per ill-conditioned probe, and
@@ -721,13 +760,14 @@ class TestWitness:
         images = np.array([[apply_one_sided(ch, probe_density(p), "first").output.matrix
                             for p in row] for row in probes])
         matrices = np.array([[p.matrix for p in row] for row in probes])
-        (s1, s2), messages = caught_messages(lambda: probe_channels(images, None, matrices))
+        ((s1, side),), messages = caught_messages(
+            lambda: probe_channels([(images, "first")], matrices))
         assert len(messages) == 3
         assert messages == condition_messages(probes[0] + probes[1])  # row-major probe order
-        assert s1.shape == (2, 3, 4, 4) and s2 is None
+        assert s1.shape == (2, 3, 4, 4) and side == "first"
         for i, j in np.ndindex(2, 3):
-            (single, _), messages = caught_messages(
-                lambda: probe_channels(images[i, j], None, probes[i][j].matrix))
+            ((single, _),), messages = caught_messages(
+                lambda: probe_channels([(images[i, j], "first")], probes[i][j].matrix))
             assert messages == condition_messages([probes[i][j]])
             np.testing.assert_allclose(s1[i, j], single, atol=1e-10)
 

@@ -36,9 +36,8 @@ def _channel(n, count, truncate, rng):
 
 
 def _rebuilt(image, probe, side):
-    """probe_channels with ``image`` on ``side`` and no channel on the other."""
-    images = (image.matrix, None) if side == "first" else (None, image.matrix)
-    return probe_channels(*images, probe.matrix)
+    """probe_channels of the one stage ``image`` on ``side``."""
+    return probe_channels([(image.matrix, side)], probe.matrix)
 
 
 @PROPERTY
@@ -92,8 +91,8 @@ def test_rebuilt_channel_is_the_superoperator(seed, n, count, truncate, side):
     ch = _channel(n, count, truncate, rng)
     probe = random_probe(n, rng)
     app = apply_one_sided(ch, probe_density(probe), side)
-    stages = _rebuilt(app.output, probe, side)
-    stage = stages[0] if side == "first" else stages[1]
+    ((stage, stage_side),) = _rebuilt(app.output, probe, side)
+    assert stage_side == side
     assert np.abs(stage * app.probability - ch.superoperator).max() < 1e-10
 
 

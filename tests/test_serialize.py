@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from entbound import DensityMatrix, PureState, amplitude_damping, random_density, \
-    random_pure_state
+from entbound import DensityMatrix, PureState, amplitude_damping, canonical_probe, \
+    random_density, random_pure_state
 from entbound.serialize import (
     channel_from_json,
     channel_to_json,
@@ -64,6 +64,33 @@ def test_malformed_documents_rejected():
         channel_from_json({"input_dim": 2})
     with pytest.raises(ValueError):
         probe_from_json({"dim": 2, "matrix": [[[1, 0]]]})
+
+
+def test_numeric_strings_and_booleans_are_not_numbers():
+    with pytest.raises(ValueError, match="state data: entries must be numbers, got '1'"):
+        state_from_json({"dims": [1, 2], "kind": "pure", "data": [[["1", 0], [False, 0]]]})
+
+
+@pytest.mark.parametrize("entry", ["0", "0.0", False, True, None])
+@pytest.mark.parametrize("kind", ["state", "channel", "probe"])
+def test_complex_entries_must_be_numbers(kind, entry):
+    # one part of the first entry replaced, so the list holds it next to a number
+    doc, read, what = {
+        "state": (state_to_json(DensityMatrix((2, 2), np.eye(4) / 4)), state_from_json,
+                  "state data"),
+        "channel": (channel_to_json(amplitude_damping(0.2)), channel_from_json,
+                    "Kraus operator"),
+        "probe": (probe_to_json(canonical_probe(2)), probe_from_json, "probe matrix")}[kind]
+    key = {"state": "data", "channel": "kraus", "probe": "matrix"}[kind]
+    rows = doc[key][0] if kind == "channel" else doc[key]
+    rows[0][0][1] = entry
+    with pytest.raises(ValueError, match=f"{what}: entries must be numbers, got {entry!r}"):
+        read(doc)
+
+
+def test_ragged_rows_are_rejected():
+    with pytest.raises(ValueError, match=r"state data: entries must be numbers, got \[1, 0\]"):
+        state_from_json({"dims": [1, 2], "kind": "pure", "data": [[[1, 0], [0]]]})
 
 
 def test_dump_is_deterministic(tmp_path):
