@@ -9,18 +9,17 @@ evolved probe state.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channels import apply_checked, apply_stacked
 from .errors import DimensionMismatch, SingularProbe, TrivialDimension
-from .qlinalg import DensityMatrix, PureState, _check_dims, canonical_mes, density_fault, \
+from .qlinalg import DensityMatrix, PureState, _check_dim, _check_dims, density_fault, \
     first_false, gaussian, pure_densities, state_to_matrix
 
-_SIGMA_Y = np.array([[0.0, -1j], [1j, 0.0]])
-_SPIN_FLIP = np.kron(_SIGMA_Y, _SIGMA_Y)
+_SPIN_FLIP = np.array([[0, 0, 0, -1], [0, 0, 1, 0], [0, 1, 0, 0], [-1, 0, 0, 0]],
+                      dtype=complex)  # sigma_y o sigma_y
 
 # Columns are the magic basis: (|00>+|11>)/sqrt2, i(|00>-|11>)/sqrt2,
 # i(|01>+|10>)/sqrt2, (|01>-|10>)/sqrt2.  Maximally entangled two-qubit
@@ -56,10 +55,6 @@ class BoundValue:
     @property
     def clamped(self) -> float:
         return max(0.0, self.raw)
-
-
-def _prefactor(r: int) -> float:
-    return np.sqrt(2.0 * r / (r - 1.0))
 
 
 def pure_concurrences(coefficients) -> np.ndarray:
@@ -212,23 +207,23 @@ def fidelity_bound(fidelity, r: int):
     """The bound sqrt(2R/(R-1)) (F - 1/R) from an MES fidelity F, elementwise."""
     if r < 2:
         raise TrivialDimension("concurrence is identically 0 when min(N1, N2) = 1")
-    return _prefactor(r) * (fidelity - 1.0 / r)
+    return np.sqrt(2.0 * r / (r - 1.0)) * (fidelity - 1.0 / r)
 
 
-@functools.lru_cache(maxsize=None)
-def _mes_projector(dims: tuple[int, int]) -> np.ndarray:
-    """Read-only conj(mes) mes^T of the canonical MES for checked ``dims``, built once per dims."""
-    mes = canonical_mes(dims).amplitudes
-    projector = np.outer(mes.conj(), mes)
-    projector.setflags(write=False)
-    return projector
+def _mes_overlaps(mats, dims) -> np.ndarray:
+    """<mes|rho|mes> of each state of a (k, d, d) stack with dims ``dims``, for the
+    canonical MES (1/sqrt(R)) sum_i |ii>: (1/R) sum_{i,j<R} rho[(i,i),(j,j)], read
+    from the view of rows and columns 0, N2+1, ..., (R-1)(N2+1) of the stack.  A stack
+    of another shape than (k, N1 N2, N1 N2) raises DimensionMismatch."""
+    n1, n2 = _check_dims(dims)
+    r, step = min(n1, n2), n2 + 1
+    return _stack_of(mats, n1 * n2)[:, :r * step:step, :r * step:step].real.sum(axis=(-2, -1)) / r
 
 
 def fidelity_lower_bounds(mats, dims) -> np.ndarray:
-    """Raw :func:`fidelity_lower_bound` of each state of a (k, d, d) stack with dims ``dims``."""
-    dims = _check_dims(dims)  # before the cache, so (2.0, 2) raises instead of hitting (2, 2)
-    overlap = (mats * _mes_projector(dims)).sum(axis=(-2, -1)).real  # same order for any k
-    return fidelity_bound(overlap, min(dims))
+    """Raw :func:`fidelity_lower_bound` of each state of a (k, d, d) stack with dims
+    ``dims``: :func:`fidelity_bound` of the canonical-MES overlaps."""
+    return fidelity_bound(_mes_overlaps(mats, dims), min(dims))
 
 
 def fidelity_lower_bound(rho: DensityMatrix) -> BoundValue:
@@ -262,46 +257,42 @@ def fef_two_qubit(rho: DensityMatrix) -> float:
     return float(fully_entangled_fractions(rho.matrix[None])[0])
 
 
-def _haar_unitary(n: int, rng) -> np.ndarray:
-    q, r = np.linalg.qr(gaussian(rng, (n, n)))
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
-
-
 def max_mes_fidelity(rho: DensityMatrix, samples: int = 10_000, seed: int = 0) -> float:
-    """Best overlap with a maximally entangled state.
+    """Best overlap with a maximally entangled state (MES), the fully entangled fraction.
 
-    Exact (magic-basis eigenvalue) for 2x2; otherwise the maximum over
-    ``samples`` seeded random local-unitary rotations of the canonical
-    MES, always including the unrotated MES itself.  The sampled value
-    never exceeds the true maximum, so bounds built from it stay valid.
+    Exact at 2x2 (:func:`fef_two_qubit`).  Otherwise the largest overlap of the
+    canonical MES and of ``samples`` Haar-random MES vec(W)/sqrt(R) drawn from
+    ``seed``, W an N1 x N2 partial isometry of rank R = min(N1, N2): one QR of a
+    (samples, max(N1, N2), R) Gaussian stack, R's diagonal phases moved into Q
+    (Mezzadri, Notices AMS 54, 592 (2007)), transposed when N1 < N2.  The value is
+    never below the canonical overlap nor above the true maximum.  A ``samples``
+    that is not an integer raises TypeError, a negative one ValueError.
     """
+    samples = _check_dim(samples, "samples")
+    if samples < 0:
+        raise ValueError(f"samples must be at least 0, got {samples}")
+    fixed = float(_mes_overlaps(rho.matrix[None], rho.dims)[0])
     if rho.dims == (2, 2):
-        return fef_two_qubit(rho)
+        return max(fixed, fef_two_qubit(rho))
     n1, n2 = rho.dims
-    rng = np.random.default_rng(seed)
-    mes = canonical_mes(rho.dims).amplitudes
-    best = np.real(np.vdot(mes, rho.matrix @ mes))
-    for _ in range(samples):
-        u1 = _haar_unitary(n1, rng)
-        u2 = _haar_unitary(n2, rng)
-        phi = np.kron(u1, u2) @ mes
-        best = max(best, np.real(np.vdot(phi, rho.matrix @ phi)))
-    return float(best)
+    r = min(n1, n2)
+    q, upper = np.linalg.qr(gaussian(np.random.default_rng(seed), (samples, max(n1, n2), r)))
+    d = np.diagonal(upper, axis1=-2, axis2=-1)
+    w = q * (d / np.abs(d))[:, None, :]
+    mes = (w if n1 >= n2 else w.swapaxes(1, 2)).reshape(samples, n1 * n2) / np.sqrt(r)
+    sampled = np.einsum("sa,sa->s", mes.conj() @ rho.matrix, mes).real
+    return float(sampled.max(initial=fixed))
 
 
 def theorem1_bound(rho: DensityMatrix, samples: int = 10_000, seed: int = 0) -> BoundValue:
     """Lower bound sqrt(2R/(R-1)) (max-MES-fidelity - 1/R) on the concurrence.
 
-    Saturates for every two-qubit pure state (the analytic path) and for
-    maximally entangled states in higher dimension; dominates
-    :func:`fidelity_lower_bound` since the maximum beats any fixed MES.
+    :func:`fidelity_bound` of :func:`max_mes_fidelity`.  Saturates for every
+    two-qubit pure state and for maximally entangled states in higher
+    dimension; never below :func:`fidelity_lower_bound`, with no tolerance.
     """
-    r = min(rho.dims)
-    if r < 2:
-        raise TrivialDimension("concurrence is identically 0 when min(N1, N2) = 1")
-    fid = max_mes_fidelity(rho, samples=samples, seed=seed)
-    return BoundValue(float(fidelity_bound(fid, r)))
+    fidelity = max_mes_fidelity(rho, samples=samples, seed=seed)
+    return BoundValue(float(fidelity_bound(fidelity, min(rho.dims))))
 
 
 def upper_bound_factor(concurrences, probe_matrices) -> np.ndarray:

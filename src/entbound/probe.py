@@ -216,7 +216,8 @@ def probe_channels(stages, probes) -> list:
     and the condition number s[0]/s[-1] comes from one SVD of the stack; each
     probe conditioned worse than 1e4 warns, in probe order, naming the line
     that called :func:`probe_route` (a line of this module under
-    :func:`lower_bound_one_sided` and :func:`lower_bound_two_sided`).
+    :func:`lower_bound_one_sided` and :func:`lower_bound_two_sided`).  With no
+    stage nothing is rebuilt, so the probes are neither factored nor checked.
 
     Each sum is two matmuls over a reshaped image: with its axes ordered
     (a, c, y, x), an (n^3, n) @ P^-1 contracts x, and after swapping the last
@@ -225,6 +226,8 @@ def probe_channels(stages, probes) -> list:
     """
     for _, side in stages:
         check_side(side)
+    if not stages:
+        return []
     n = probes.shape[-1]
     s = np.linalg.svd(probes.reshape(-1, n, n), compute_uv=False)
     condition = s[:, 0] / s[:, -1]

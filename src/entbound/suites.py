@@ -127,7 +127,7 @@ def two_sided_bound_mes(rho, image_1, image_2, probes, p_t):
              @ ql.kron_stack(cs.swapaxes(1, 2) @ pinv.swapaxes(-1, -2), pinv) @ srs)
     rights = ql.kron_stack(pinv.conj() @ cs.conj(), pinv.conj().swapaxes(-1, -2))
     total = np.sum(weights * np.einsum("...mxy,...kyx->...mk", lefts, rights), axis=(-2, -1))
-    return conc._prefactor(n) * (np.real(total) / n / p_t - 1.0 / n)
+    return conc.fidelity_bound(np.real(total) / n / p_t, n)
 
 
 def suite_mes_basis(seed=0, trials=None) -> SuiteResult:

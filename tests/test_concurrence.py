@@ -21,6 +21,7 @@ from entbound import (
     concurrence_pure,
     fef_two_qubit,
     fidelity_lower_bound,
+    max_mes_fidelity,
     random_density,
     random_pure_state,
     schmidt_decompose,
@@ -186,17 +187,21 @@ class TestFidelityLowerBound:
         with pytest.raises(TrivialDimension):
             fidelity_lower_bound(random_density((1, 3), 2, seed=0))
 
-    @pytest.mark.parametrize("dims", [(2, 2), (2, 3)])
-    def test_cached_projector_equals_the_outer_product(self, rng, dims):
-        mats = np.array([random_mixed(dims, 2, rng).matrix for _ in range(3)])
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 3), (2, 4), (4, 3), (1, 3)])
+    def test_closed_form_equals_the_outer_product(self, rng, dims):
+        mats = np.array([random_mixed(dims, int(rng.integers(1, np.prod(dims) + 1)), rng).matrix
+                         for _ in range(50)])
         mes = canonical_mes(dims).amplitudes
         overlap = (mats * np.outer(mes.conj(), mes)).sum(axis=(-2, -1)).real
-        expected = np.sqrt(2 * min(dims) / (min(dims) - 1)) * (overlap - 1 / min(dims))
-        for _ in range(2):  # built, then cached
-            assert np.array_equal(fidelity_lower_bounds(mats, dims), expected)
-        assert not concurrence._mes_projector(dims).flags.writeable
+        np.testing.assert_allclose(concurrence._mes_overlaps(mats, dims), overlap,
+                                   rtol=0, atol=1e-15)
 
-    def test_cache_is_keyed_on_checked_dims(self):
+    def test_stack_of_other_dims_raises(self):
+        for mats in (np.eye(9)[None] / 9, np.eye(4) / 4):
+            with pytest.raises(DimensionMismatch, match=r"needs a \(k, 4, 4\) stack"):
+                fidelity_lower_bounds(mats, (2, 2))
+
+    def test_dims_are_checked_as_integers(self):
         mats = np.eye(4)[None] / 4
         expected = fidelity_lower_bounds(mats, (2, 2))
         with pytest.raises(TypeError, match="subsystem dimension must be an integer"):
@@ -261,14 +266,52 @@ class TestTheorem1Bound:
         assert bound.raw == pytest.approx(2.0 / np.sqrt(3.0), abs=1e-12)
 
     def test_dominates_fidelity_bound(self, rng):
+        # exactly: both read the same canonical-MES overlap, and the maximum starts there
         for _ in range(50):
             rho = random_mixed((2, 2), int(rng.integers(1, 5)), rng)
-            assert theorem1_bound(rho).raw >= fidelity_lower_bound(rho).raw - 1e-12
+            assert theorem1_bound(rho).raw >= fidelity_lower_bound(rho).raw
         for seed in range(10):
             rho = random_pure_state((3, 3), seed).density()
             bound = theorem1_bound(rho, samples=200, seed=seed)
-            assert bound.raw >= fidelity_lower_bound(rho).raw - 1e-12
+            assert bound.raw >= fidelity_lower_bound(rho).raw
             assert bound.raw <= concurrence_pure(random_pure_state((3, 3), seed)) + 1e-9
+        for dims in ((2, 3), (3, 3), (4, 3)):
+            rho = random_mixed(dims, int(rng.integers(1, 7)), rng)
+            assert theorem1_bound(rho, samples=50).raw >= fidelity_lower_bound(rho).raw
+
+    @pytest.mark.parametrize("dims", [(2, 3), (3, 2), (3, 4), (4, 3)])
+    def test_rectangular_pure_states_stay_below_the_schmidt_value(self, dims):
+        # every MES overlap of a pure state is at most (sum s)^2 / R over its Schmidt
+        # coefficients s; a sampled isometry of the wrong shape breaks this
+        r = min(dims)
+        for seed in range(6):
+            psi = random_pure_state(dims, seed)
+            rho = psi.density()
+            fixed = float(concurrence._mes_overlaps(rho.matrix[None], dims)[0])
+            value = max_mes_fidelity(rho, samples=500, seed=seed)
+            assert fixed <= value <= np.sum(schmidt_decompose(psi).coefficients) ** 2 / r + 1e-12
+
+    @pytest.mark.parametrize("dims", [(2, 2), (3, 3), (2, 3), (4, 3)])
+    def test_no_samples_gives_the_canonical_overlap(self, rng, dims):
+        rho = random_mixed(dims, 3, rng)
+        fixed = float(concurrence._mes_overlaps(rho.matrix[None], dims)[0])
+        value = max_mes_fidelity(rho, samples=0)
+        assert value == (max(fixed, fef_two_qubit(rho)) if dims == (2, 2) else fixed)
+
+    def test_same_seed_same_value(self, rng):
+        rho = random_mixed((3, 4), 5, rng)
+        for call in (max_mes_fidelity, theorem1_bound):
+            assert call(rho, samples=300, seed=4) == call(rho, samples=300, seed=4)
+
+    @pytest.mark.parametrize("dims", [(2, 2), (3, 3), (2, 3)])
+    def test_bad_sample_counts_raise(self, rng, dims):
+        rho = random_mixed(dims, 2, rng)
+        for call in (max_mes_fidelity, theorem1_bound):
+            with pytest.raises(ValueError, match="samples must be at least 0, got -3"):
+                call(rho, samples=-3)
+            for samples in (True, 2.0, "5"):
+                with pytest.raises(TypeError, match="samples must be an integer"):
+                    call(rho, samples=samples)
 
     def test_inequality_chain(self):
         # each link: <mes|rho|mes> <= (sum s)^2 / R <= (1 + sqrt(R(R-1)/2) C)/R

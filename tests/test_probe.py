@@ -682,6 +682,19 @@ class TestWitness:
         values = probe_route(states, (3, 3), [], probe.matrix)
         np.testing.assert_array_equal(values, fidelity_lower_bounds(states, (3, 3)))
 
+    def test_no_stage_neither_factors_nor_warns(self, rng):
+        # an ill-conditioned probe warns only once a channel is rebuilt from it
+        skewed = np.diag([1.0, 2e-5])
+        probe = probe_from_matrix(skewed / np.linalg.norm(skewed))
+        states = np.array([random_mixed((2, 2), r, rng).matrix for r in (1, 2, 4)])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            values = probe_route(states, (2, 2), [], probe.matrix)
+        assert caught == []
+        np.testing.assert_array_equal(values, fidelity_lower_bounds(states, (2, 2)))
+        with pytest.raises(DimensionMismatch, match=r"probe of dim 2 .* dims \(3, 3\)"):
+            probe_route(np.eye(9)[None] / 9, (3, 3), [], probe.matrix)
+
     def test_unknown_side(self, rng):
         probe = random_probe(2, rng)
         rho = random_mixed((2, 2), 2, rng)
