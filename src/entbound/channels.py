@@ -117,11 +117,15 @@ def apply_stacked(superoperators, mats, dims, side: str = "first"):
     """:func:`apply_one_sided` for every matrix of a (k, d, d) stack.
 
     ``superoperators`` is one channel's (n^2, n^2) superoperator for the
-    whole stack or a (k, n^2, n^2) stack of them, one per entry.  Returns
+    whole stack or a (k, n^2, n^2) stack of them, one per entry, which a
+    stack of one state meets k times.  Returns
     (outputs, p, fault): ``p`` holds the traces of the raw images and
     ``fault`` is None or (index, ZeroProbability) for the first entry with
     p <= 1e-14.  ``outputs`` holds the normalized images of the entries
-    before that index, not yet validated as density matrices.
+    before that index, not yet validated as density matrices.  Each entry is
+    laid out as m^2 rows of length n^2 times S^T, one GEMM over all k m^2 rows
+    for a shared S: an output row is one dot product with a row of S, so an
+    entry gets the same bits alone, in any stack and under a stack repeating S.
     """
     check_side(side)
     n1, n2 = dims
@@ -129,11 +133,12 @@ def apply_stacked(superoperators, mats, dims, side: str = "first"):
     if superoperators.shape[-2:] != (n * n, n * n):
         raise DimensionMismatch(f"superoperator of shape {superoperators.shape[-2:]} does not "
                                 f"act on a subsystem of dim {n}")
-    # (k, i, j, x, y): the channel side's row and column indices first
-    axes = (0, 1, 3, 2, 4) if side == "first" else (0, 2, 4, 1, 3)
-    blocks = mats.reshape(-1, n1, n2, n1, n2).transpose(axes).reshape(-1, n * n, m * m)
-    images = (superoperators @ blocks).reshape(-1, n, n, m, m).transpose(np.argsort(axes))
-    images = images.reshape(mats.shape)
+    # (k, x, y, i, j): the channel side's row and column indices last
+    axes = (0, 2, 4, 1, 3) if side == "first" else (0, 1, 3, 2, 4)
+    rows = mats.reshape(-1, n1, n2, n1, n2).transpose(axes).reshape(-1, m * m, n * n)
+    rows = rows if superoperators.ndim == 3 else rows.reshape(-1, n * n)
+    images = (rows @ superoperators.swapaxes(-1, -2)).reshape(-1, m, m, n, n)
+    images = images.transpose(np.argsort(axes)).reshape((-1,) + mats.shape[1:])
     p = np.trace(images, axis1=1, axis2=2).real
     k = first_false(p > PROBABILITY_FLOOR)
     fault = None if k == len(p) else (k, ZeroProbability(f"channel image has trace {float(p[k])}"))

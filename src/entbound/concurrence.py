@@ -13,10 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import apply_checked, apply_stacked
+from .channels import apply_stacked
 from .errors import DimensionMismatch, SingularProbe, TrivialDimension
 from .qlinalg import DensityMatrix, PureState, _check_dim, _check_dims, density_fault, \
-    first_false, gaussian, pure_densities, state_to_matrix
+    first_false, raise_fault, state_to_matrix
 
 _SPIN_FLIP = np.array([[0, 0, 0, -1], [0, 0, 1, 0], [0, 1, 0, 0], [-1, 0, 0, 0]],
                       dtype=complex)  # sigma_y o sigma_y
@@ -35,6 +35,7 @@ _MAGIC_BASIS = np.array([
 _DET_FLOOR = 1e-12
 _FULL_RANK = 1e-10  # spin_flip_spectrum's determinant certificate, relative to max(1, tr)^4
 _PPT_SHIFT = 2e-10  # spin_flip_concurrence's separability certificate, relative to max(1, tr)
+_MES_BLOCK = 4096  # samples per block of max_mes_fidelity
 
 # rho^{T_B}[(i, j), (k, l)] = rho[(i, l), (k, j)]: the flat index into rho of each entry
 # of the lower triangle of its partial transpose, column by column.
@@ -262,26 +263,29 @@ def max_mes_fidelity(rho: DensityMatrix, samples: int = 10_000, seed: int = 0) -
 
     Exact at 2x2 (:func:`fef_two_qubit`).  Otherwise the largest overlap of the
     canonical MES and of ``samples`` Haar-random MES vec(W)/sqrt(R) drawn from
-    ``seed``, W an N1 x N2 partial isometry of rank R = min(N1, N2): one QR of a
+    ``seed``, W an N1 x N2 partial isometry of rank R = min(N1, N2): the QR of a
     (samples, max(N1, N2), R) Gaussian stack, R's diagonal phases moved into Q
-    (Mezzadri, Notices AMS 54, 592 (2007)), transposed when N1 < N2.  The value is
+    (Mezzadri, Notices AMS 54, 592 (2007)), transposed when N1 < N2.  The stack is
+    drawn at once and factored and overlapped in blocks of 4,096 samples.  The value is
     never below the canonical overlap nor above the true maximum.  A ``samples``
     that is not an integer raises TypeError, a negative one ValueError.
     """
     samples = _check_dim(samples, "samples")
     if samples < 0:
         raise ValueError(f"samples must be at least 0, got {samples}")
-    fixed = float(_mes_overlaps(rho.matrix[None], rho.dims)[0])
+    best = float(_mes_overlaps(rho.matrix[None], rho.dims)[0])
     if rho.dims == (2, 2):
-        return max(fixed, fef_two_qubit(rho))
+        return max(best, fef_two_qubit(rho))
     n1, n2 = rho.dims
     r = min(n1, n2)
-    q, upper = np.linalg.qr(gaussian(np.random.default_rng(seed), (samples, max(n1, n2), r)))
-    d = np.diagonal(upper, axis1=-2, axis2=-1)
-    w = q * (d / np.abs(d))[:, None, :]
-    mes = (w if n1 >= n2 else w.swapaxes(1, 2)).reshape(samples, n1 * n2) / np.sqrt(r)
-    sampled = np.einsum("sa,sa->s", mes.conj() @ rho.matrix, mes).real
-    return float(sampled.max(initial=fixed))
+    draw = np.random.default_rng(seed).standard_normal((2, samples, max(n1, n2), r))
+    for z in np.split(draw, range(_MES_BLOCK, samples, _MES_BLOCK), axis=1):
+        q, upper = np.linalg.qr(z[0] + 1j * z[1])
+        d = np.diagonal(upper, axis1=-2, axis2=-1)
+        w = q * (d / np.abs(d))[:, None, :]
+        mes = (w if n1 >= n2 else w.swapaxes(1, 2)).reshape(len(w), n1 * n2) / np.sqrt(r)
+        best = np.einsum("sa,sa->s", mes.conj() @ rho.matrix, mes).real.max(initial=best)
+    return float(best)
 
 
 def theorem1_bound(rho: DensityMatrix, samples: int = 10_000, seed: int = 0) -> BoundValue:
@@ -353,29 +357,33 @@ def evaluate(mats, dims, stages, probe_matrices=None) -> Evaluation:
     """Evolve a (k, d, d) stack of states; at 2x2 also bound its images' concurrence.
 
     ``stages`` lists (superoperators, side) pairs for
-    :func:`entbound.channels.apply_stacked`, each (n^2, n^2) or (k, n^2, n^2).
-    The inputs and each stage's images pass :func:`density_fault` and each
-    stage's traces the probability floor, every check only before the
-    earliest fault so far, so the fault returned is the first entry to
-    fail, whichever check it meets.  Each stage alone takes |P><P| of
-    ``probe_matrices``, one (n, n) probe or one per entry (k, n, n), through
-    :func:`entbound.channels.apply_checked`, which raises a probe image's
-    fault; the traces multiply into p' and p_t = p/p'.  A probe whose dim
-    differs from a stage's subsystem raises DimensionMismatch.  At 2x2 one
-    :func:`spin_flip_concurrence` call (so one :func:`spin_flip_spectrum` call, on
-    the entries not certified separable) takes the images, the inputs and every
-    stage's probe images as one stack: it gives the exact values, C(rho) and each
-    stage's C(rho_P); the upper bound is C(rho) times each :func:`upper_bound_factor`.
+    :func:`entbound.channels.apply_stacked`, each (n^2, n^2) or (k, n^2, n^2), applied
+    in order, each stopping at its first trace <= 1e-14.  One :func:`density_fault` call
+    checks the inputs and all stage images laid out entry by entry, an annihilated
+    entry's earlier checks last, so the fault returned is the first entry to fail and,
+    there, its first failing check in the order input, stage-1 trace, stage-1 image,
+    stage-2 trace, ...  Each stage alone takes |P><P| of ``probe_matrices``, one (n, n)
+    probe or one per entry (k, n, n); one more call checks |P><P| and its images, and
+    the first fault raises in the order density, stage-1 trace, stage-1 image, ...  The
+    traces multiply into p' and p_t = p/p'.  A probe whose dim differs from a stage's
+    subsystem raises DimensionMismatch.  At 2x2 one :func:`spin_flip_concurrence` call
+    (so one :func:`spin_flip_spectrum` call, on the entries not certified separable)
+    takes the images, the inputs and every stage's probe images as one stack: it gives
+    the exact values, C(rho) and each stage's C(rho_P); the upper bound is C(rho) times
+    one :func:`upper_bound_factor` call's factors, in order.
     """
-    fault = density_fault(mats)
-    k = len(mats) if fault is None else fault[0]
-    out, p = mats[:k], np.ones(k)
+    outs, p, fault = [mats], np.ones(len(mats)), None
     for superoperators, side in stages:
+        k = len(outs[-1])
         superoperators = superoperators if superoperators.ndim == 2 else superoperators[:k]
-        out, stage_p, stage_fault = apply_stacked(superoperators, out, dims, side)
-        fault = density_fault(out) or stage_fault or fault
-        k = len(out) if fault is None else fault[0]
-        out, p = out[:k], p[:k] * stage_p[:k]
+        out, stage_p, stage_fault = apply_stacked(superoperators, outs[-1], dims, side)
+        outs, p, fault = outs + [out], p[:len(out)] * stage_p[:len(out)], stage_fault or fault
+    k = len(outs[-1])  # entry-major, then the annihilated entry's checks before its stage
+    layout = np.stack([out[:k] for out in outs], axis=1).reshape((-1,) + mats.shape[1:])
+    found = density_fault(np.concatenate([layout] + [out[k:k + 1] for out in outs]))
+    fault = fault if found is None else (found[0] // len(outs), found[1])
+    k = len(mats) if fault is None else fault[0]
+    out, p = outs[-1][:k], p[:k]
     exact = upper = p_prime = p_t = None
     images = ()
     if probe_matrices is not None:
@@ -385,12 +393,18 @@ def evaluate(mats, dims, stages, probe_matrices=None) -> Evaluation:
             if n != dims[side == "second"]:
                 raise DimensionMismatch(f"a probe of dim {n} does not fit the {side} subsystem "
                                         f"of a state of dims {tuple(dims)}")
-        densities = pure_densities(probes.reshape(probes.shape[:-2] + (n * n,)))
-        p_prime = np.ones(len(mats))
+        vecs = probes.reshape(-1, n * n)
+        densities = vecs[:, :, None] * vecs[:, None, :].conj()
+        checked, faults, p_prime = [densities], [None], np.ones(len(mats))
         for superoperators, side in stages:  # a shared probe meets a per-entry channel k times
-            shape = np.broadcast_shapes(superoperators.shape[:-2] + (1, 1), densities.shape)
-            image, stage_p = apply_checked(superoperators, np.broadcast_to(densities, shape), side)
-            images, p_prime = images + ((image, side),), p_prime * stage_p
+            image, stage_p, stage_fault = apply_stacked(superoperators, densities, (n, n), side)
+            checked, faults, p_prime = checked + [image], faults + [stage_fault], p_prime * stage_p
+        found = density_fault(np.concatenate(checked))
+        for stage_fault, end in zip(faults, np.cumsum([len(c) for c in checked])):
+            raise_fault(stage_fault)
+            raise_fault(found if found is not None and found[0] < end else None)
+        images = tuple((image[0] if superoperators.ndim == probes.ndim == 2 else image, side)
+                       for image, (superoperators, side) in zip(checked[1:], stages))
         p_prime = p_prime[:k]
         p_t = p / p_prime
     if tuple(dims) == (2, 2):  # one spin-flip call; a shared probe image is one entry
@@ -400,6 +414,6 @@ def evaluate(mats, dims, stages, probe_matrices=None) -> Evaluation:
         exact, c_in = values[:2]
         if images:
             probes, upper = np.reshape(probes, (-1, 2, 2))[:k], c_in
-            for value in values[2:]:
-                upper = upper * upper_bound_factor(value, probes)
+            for factor in upper_bound_factor(np.array(np.broadcast_arrays(*values[2:])), probes):
+                upper = upper * factor
     return Evaluation(out, exact, upper, p, p_prime, p_t, images, fault)

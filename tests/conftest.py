@@ -3,9 +3,13 @@
 import numpy as np
 import pytest
 
-from entbound import DensityMatrix, KrausChannel, random_density, state_to_matrix
-from entbound.channels import apply_stacked, kraus_factors, tp_kraus
+from entbound import DensityMatrix, KrausChannel, channels, concurrence, qlinalg, random_density, \
+    state_to_matrix
+from entbound.channels import apply_checked, apply_stacked, kraus_factors, tp_kraus
+from entbound.concurrence import Evaluation, spin_flip_concurrence, upper_bound_factor
+from entbound.errors import DimensionMismatch
 from entbound.probe import random_probe
+from entbound.qlinalg import density_fault, pure_densities
 
 random_mixed = random_density
 
@@ -40,6 +44,49 @@ def rebuilt_traces(states, stages, dims):
     return p
 
 
+def reference_evaluate(mats, dims, stages, probe_matrices=None) -> Evaluation:
+    """:func:`entbound.concurrence.evaluate` as one density check per stage: the inputs,
+    then each stage's images, every check only before the earliest fault so far, so the
+    fault is the first entry to fail, whichever check it meets; the probe's density and
+    then each stage's probe image through apply_checked, whose first fault raises."""
+    fault = density_fault(mats)
+    k = len(mats) if fault is None else fault[0]
+    out, p = mats[:k], np.ones(k)
+    for superoperators, side in stages:
+        superoperators = superoperators if superoperators.ndim == 2 else superoperators[:k]
+        out, stage_p, stage_fault = apply_stacked(superoperators, out, dims, side)
+        fault = density_fault(out) or stage_fault or fault
+        k = len(out) if fault is None else fault[0]
+        out, p = out[:k], p[:k] * stage_p[:k]
+    exact = upper = p_prime = p_t = None
+    images = ()
+    if probe_matrices is not None:
+        probes = np.asarray(probe_matrices)
+        n = probes.shape[-1]
+        for _, side in stages:
+            if n != dims[side == "second"]:
+                raise DimensionMismatch(f"a probe of dim {n} does not fit the {side} subsystem "
+                                        f"of a state of dims {tuple(dims)}")
+        densities = pure_densities(probes.reshape(probes.shape[:-2] + (n * n,)))
+        p_prime = np.ones(len(mats))
+        for superoperators, side in stages:
+            shape = np.broadcast_shapes(superoperators.shape[:-2] + (1, 1), densities.shape)
+            image, stage_p = apply_checked(superoperators, np.broadcast_to(densities, shape), side)
+            images, p_prime = images + ((image, side),), p_prime * stage_p
+        p_prime = p_prime[:k]
+        p_t = p / p_prime
+    if tuple(dims) == (2, 2):
+        stacks = [out, mats[:k]] + [np.reshape(image, (-1, 4, 4))[:k] for image, _ in images]
+        values = np.split(spin_flip_concurrence(np.concatenate(stacks)),
+                          np.cumsum([len(stack) for stack in stacks])[:-1])
+        exact, c_in = values[:2]
+        if images:
+            probes, upper = np.reshape(probes, (-1, 2, 2))[:k], c_in
+            for value in values[2:]:
+                upper = upper * upper_bound_factor(value, probes)
+    return Evaluation(out, exact, upper, p, p_prime, p_t, images, fault)
+
+
 def haar_unitary(n, rng):
     """Haar-random n x n unitary: QR of a complex Gaussian matrix (real parts drawn
     first), with the phases of R's diagonal moved into Q."""
@@ -52,3 +99,17 @@ def haar_unitary(n, rng):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def density_checks(monkeypatch):
+    """The stack length of each qlinalg.density_fault call, in call order."""
+    calls, original = [], qlinalg.density_fault
+
+    def counted(mats):
+        calls.append(len(mats))
+        return original(mats)
+
+    for module in (qlinalg, channels, concurrence):
+        monkeypatch.setattr(module, "density_fault", counted)
+    return calls

@@ -278,6 +278,28 @@ class TestApplyStacked:
             assert abs(prob - np.trace(raw).real) < 1e-12
             np.testing.assert_allclose(out * prob, raw, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("side", ["first", "second"])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_shared_channel_is_stack_invariant(self, rng, n, side):
+        # one GEMM over the whole stack gives each entry the bits it gets alone and
+        # under a per-entry stack that repeats the superoperator
+        channel = random_tp_kraus(n, 3, rng)
+        for k in (1, 2, 7, 101):
+            factors = rng.standard_normal((k, n * n, 2)) + 1j * rng.standard_normal((k, n * n, 2))
+            states = factors @ factors.conj().swapaxes(1, 2)
+            states /= np.trace(states, axis1=1, axis2=2)[:, None, None]
+            outputs, p, fault = apply_stacked(channel.superoperator, states, (n, n), side)
+            repeated = apply_stacked(np.repeat(channel.superoperator[None], k, axis=0), states,
+                                     (n, n), side)
+            assert fault is None and repeated[2] is None
+            assert np.array_equal(repeated[0], outputs) and np.array_equal(repeated[1], p)
+            for j in range(k):
+                alone, p_alone, _ = apply_stacked(channel.superoperator, states[j:j + 1], (n, n),
+                                                  side)
+                assert np.array_equal(alone[0], outputs[j]) and p_alone[0] == p[j]
+                raw = kron_oracle(channel, states[j], (n, n), side)
+                np.testing.assert_allclose(outputs[j] * p[j], raw, rtol=0, atol=1e-14)
+
     def test_first_annihilated_entry(self):
         keep_ground = KrausChannel(2, (np.diag([1.0, 0.0]),))
         stack = np.array([basis_density(i, (2, 2)).matrix for i in (0, 3, 2, 1)])

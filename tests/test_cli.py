@@ -673,6 +673,28 @@ class TestStackedSweep:
         assert exc.value.code == 2
 
 
+class TestDensityChecks:
+    """One density_fault call for the states and their stage images and one for the probe
+    and its stage images; the probe method adds one DensityMatrix per probe image."""
+
+    def test_sweep(self, tmp_path, density_checks):
+        config = default_sweep_config()
+        density_checks.clear()
+        run_sweep(config, tmp_path / "sweep.csv")
+        # the inputs and two stages' images of 101 points, then |P><P| and its two images
+        assert density_checks == [3 * 101, 3]
+
+    @pytest.mark.parametrize("count, method, calls", [(2, "probe", 4), (1, "probe", 3),
+                                                      (2, "direct", 2), (1, "direct", 2)])
+    def test_bound(self, rng, density_checks, count, method, calls):
+        rho = random_density((2, 2), 3, rng)
+        probe = random_probe(2, rng)
+        channels = tuple(random_tp_kraus(2, 2, rng) for _ in range(count))
+        density_checks.clear()
+        evaluate_bound(rho, channels, "second", probe, method)
+        assert len(density_checks) == calls
+
+
 class TestCheck:
     def test_mes_basis_suite_passes(self, capsys):
         assert run_cli("check", "mes-basis") == 0

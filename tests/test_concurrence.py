@@ -35,7 +35,7 @@ from entbound import concurrence
 from entbound.concurrence import evaluate, fidelity_lower_bounds, spin_flip_concurrence, \
     spin_flip_spectrum, upper_bound_factor
 from conftest import concurrence_two_qubit_pure, haar_unitary, probe_density, random_mixed, \
-    random_probe, random_tp_kraus
+    random_probe, random_tp_kraus, reference_evaluate
 
 SY = np.array([[0, -1j], [1j, 0]])
 SYY = np.kron(SY, SY)
@@ -302,6 +302,25 @@ class TestTheorem1Bound:
         rho = random_mixed((3, 4), 5, rng)
         for call in (max_mes_fidelity, theorem1_bound):
             assert call(rho, samples=300, seed=4) == call(rho, samples=300, seed=4)
+
+    @pytest.mark.parametrize("dims", [(3, 3), (2, 3), (4, 3)])
+    def test_blocks_equal_one_block(self, rng, dims):
+        # the one-block formula: one QR and one contraction of the whole draw
+        rho = random_mixed(dims, 2, rng)
+        n1, n2 = dims
+        r, block = min(dims), concurrence._MES_BLOCK
+        fixed = float(concurrence._mes_overlaps(rho.matrix[None], dims)[0])
+        best_at = []
+        for seed, samples in enumerate((block - 1, block, block + 1, 2 * block + 3) * 2):
+            z = np.random.default_rng(seed).standard_normal((2, samples, max(dims), r))
+            q, upper = np.linalg.qr(z[0] + 1j * z[1])
+            d = np.diagonal(upper, axis1=-2, axis2=-1)
+            w = q * (d / np.abs(d))[:, None, :]
+            mes = (w if n1 >= n2 else w.swapaxes(1, 2)).reshape(samples, n1 * n2) / np.sqrt(r)
+            sampled = np.einsum("sa,sa->s", mes.conj() @ rho.matrix, mes).real
+            assert max_mes_fidelity(rho, samples=samples, seed=seed) == sampled.max(initial=fixed)
+            best_at.append(int(sampled.argmax()))
+        assert max(best_at) >= block  # a later block holds a maximum
 
     @pytest.mark.parametrize("dims", [(2, 2), (3, 3), (2, 3)])
     def test_bad_sample_counts_raise(self, rng, dims):
@@ -742,9 +761,160 @@ class TestEvaluate:
         assert calls == [uncertified]
         assert len(result.exact) == len(result.upper) == 5
 
+    def test_one_density_check_per_stack_family(self, rng, density_checks):
+        mats = np.array([random_mixed((2, 2), 3, rng).matrix for _ in range(5)])
+        stages = [(random_tp_kraus(2, 2, rng).superoperator, "first"),
+                  (np.array([random_tp_kraus(2, 3, rng).superoperator] * 5), "second")]
+        probe = random_probe(2, rng).matrix
+        density_checks.clear()
+        evaluate(mats, (2, 2), stages)
+        assert density_checks == [3 * 5]
+        density_checks.clear()
+        evaluate(mats, (2, 2), stages, probe)
+        # |P><P|, its shared first-stage image and its five second-stage images
+        assert density_checks == [3 * 5, 1 + 1 + 5]
+
     def test_empty_probe_stack(self):
         result = evaluate(np.empty((0, 4, 4), dtype=complex), (2, 2),
                           [(np.empty((0, 4, 4)), "first"), (np.eye(4), "second")],
                           np.empty((0, 2, 2)))
         assert result.fault is None
         assert all(len(v) == 0 for v in (result.upper, result.p_prime, result.p_t))
+
+
+# Maps injected at chosen entries: one that annihilates every state, and the transpose
+# S[(a,c),(i,j)] = delta(a,j) delta(c,i), whose image of an entangled state has a negative
+# eigenvalue (-1/2 for a Bell state); both keep the image Hermitian.
+ZERO_MAP = np.zeros((4, 4))
+TRANSPOSE_MAP = np.einsum("aj,ci->acij", np.eye(2), np.eye(2)).reshape(4, 4)
+
+
+def faulty_inputs(injections, per_entry_probes=True, k=6, seed=0):
+    """(mats, stages, probes) of k separable full-rank two-qubit states through amplitude
+    damping on the first side, then on the second, with each (kind, entry) injection:
+    a non-Hermitian or negative input, a probe of trace 1.21, or the zero map or the
+    transpose at one entry of stage 1 or 2 (entry None: the whole stage, one shared map).
+    The transpose's entry gets a Bell state, or its probe image, if any, fails."""
+    rng = np.random.default_rng(seed)
+    mats = np.array([0.8 * np.eye(4) / 4 + 0.2 * random_mixed((2, 2), 4, rng).matrix
+                     for _ in range(k)])
+    stages = [np.array([amplitude_damping(0.2).superoperator] * k),
+              amplitude_damping(0.3).superoperator]
+    probes = (np.array([random_probe(2, rng).matrix for _ in range(k)]) if per_entry_probes
+              else random_probe(2, rng).matrix.copy())
+    for kind, j in injections:
+        if kind == "input_not_hermitian":
+            mats[j, 0, 1] += 1e-3
+        elif kind == "input_negative":
+            mats[j] = np.diag([0.5, 0.5, 0.5, -0.5])
+        elif kind == "probe_trace":
+            probes[j if per_entry_probes else ...] *= 1.1
+        else:
+            fail, stage = kind.split("_")
+            operator = ZERO_MAP if fail == "zero" else TRANSPOSE_MAP
+            s = int(stage) - 1
+            if j is None:
+                stages[s] = operator
+                continue
+            if stages[s].ndim == 2:
+                stages[s] = np.array([stages[s]] * k)
+            stages[s][j] = operator
+            if fail == "negative":
+                mats[j] = BELL.density().matrix
+    return mats, [(stages[0], "first"), (stages[1], "second")], probes
+
+
+def fault_summary(fault):
+    return None if fault is None else (fault[0], type(fault[1]), str(fault[1]))
+
+
+class TestFaultOrder:
+    """evaluate's one density check per stack family against the check-per-stage loop of
+    conftest.reference_evaluate: the same fault, arrays and raised probe fault."""
+
+    # injections, then the expected fault's entry and type
+    CASES = {
+        "none": ([], None),
+        "input_not_hermitian": ([("input_not_hermitian", 3)], (3, ValueError)),
+        "stage_1_zero": ([("zero_1", 2)], (2, ZeroProbability)),
+        "stage_2_zero": ([("zero_2", 4)], (4, ZeroProbability)),
+        "stage_1_negative": ([("negative_1", 1)], (1, ValueError)),
+        "stage_2_negative": ([("negative_2", 5)], (5, ValueError)),
+        # ties: an entry's earlier check wins over a later stage's zero probability
+        "tie_input_before_stage_1_zero": ([("zero_1", 2), ("input_not_hermitian", 2)],
+                                          (2, ValueError)),
+        "tie_negative_input_before_stage_1_zero": ([("zero_1", 1), ("input_negative", 1)],
+                                                   (1, ValueError)),
+        "tie_input_before_stage_2_zero": ([("zero_2", 2), ("input_not_hermitian", 2)],
+                                          (2, ValueError)),
+        "tie_stage_1_image_before_stage_2_zero": ([("negative_1", 3), ("zero_2", 3)],
+                                                  (3, ValueError)),
+        # a later stack failing at an earlier entry
+        "stage_2_zero_before_input": ([("zero_2", 1), ("input_not_hermitian", 4)],
+                                      (1, ZeroProbability)),
+        "stage_2_image_before_stage_1_zero": ([("negative_2", 0), ("zero_1", 3)],
+                                              (0, ValueError)),
+        "stage_2_zero_before_stage_1_zero": ([("zero_1", 4), ("zero_2", 2)],
+                                             (2, ZeroProbability)),
+    }
+
+    @staticmethod
+    def assert_same(result, expected):
+        assert fault_summary(result.fault) == fault_summary(expected.fault)
+        for field in ("states", "exact", "upper", "p", "p_prime", "p_t"):
+            value, reference = getattr(result, field), getattr(expected, field)
+            assert (value is None) == (reference is None), field
+            assert value is None or np.array_equal(value, reference), field
+        assert len(result.images) == len(expected.images)
+        for (image, side), (reference, reference_side) in zip(result.images, expected.images):
+            assert side == reference_side and np.array_equal(image, reference)
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_fault_equals_reference(self, case):
+        injections, expected = self.CASES[case]
+        mats, stages, _ = faulty_inputs(injections)
+        result = evaluate(mats, (2, 2), stages)
+        self.assert_same(result, reference_evaluate(mats, (2, 2), stages))
+        if expected is None:
+            assert result.fault is None and len(result.states) == len(mats)
+        else:
+            assert result.fault[0] == expected[0] and type(result.fault[1]) is expected[1]
+            assert len(result.states) == len(result.p) == expected[0]
+
+    @pytest.mark.parametrize("per_entry_probes", [False, True])
+    @pytest.mark.parametrize("case", ["none", "input_not_hermitian"])
+    def test_input_fault_with_a_probe_equals_reference(self, case, per_entry_probes):
+        mats, stages, probes = faulty_inputs(self.CASES[case][0], per_entry_probes)
+        self.assert_same(evaluate(mats, (2, 2), stages, probes),
+                         reference_evaluate(mats, (2, 2), stages, probes))
+
+    # injections, per-entry probes, then the raised type and a part of its message; a probe
+    # fault raises in the order density, stage-1 trace, stage-1 image, stage-2 trace, ...
+    PROBE_CASES = {
+        "density_before_stage_1_zero": ([("probe_trace", 3), ("zero_1", 0)], True,
+                                        ValueError, "trace = "),
+        "stage_1_zero_before_stage_1_image": ([("zero_1", 4), ("negative_1", 1)], True,
+                                              ZeroProbability, "trace"),
+        "stage_1_image_before_stage_2_zero": ([("negative_1", 4), ("zero_2", 0)], True,
+                                              ValueError, "eigenvalue"),
+        "stage_2_zero_before_stage_2_image": ([("zero_2", 2), ("negative_2", 0)], True,
+                                              ZeroProbability, "trace"),
+        "stage_2_image": ([("negative_2", 1)], True, ValueError, "eigenvalue"),
+        "shared_probe_stage_1_image_before_stage_2_zero": (
+            [("negative_1", 2), ("zero_2", 1)], False, ValueError, "eigenvalue"),
+        "shared_probe_density_before_stage_1_zero": ([("probe_trace", None), ("zero_1", 0)],
+                                                     False, ValueError, "trace = "),
+        "shared_probe_and_channels": ([("negative_1", None), ("zero_2", None)], False,
+                                      ValueError, "eigenvalue"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(PROBE_CASES))
+    def test_probe_fault_raises_as_reference(self, case):
+        injections, per_entry_probes, kind, message = self.PROBE_CASES[case]
+        mats, stages, probes = faulty_inputs(injections, per_entry_probes)
+        with pytest.raises(kind, match=message) as expected:
+            reference_evaluate(mats, (2, 2), stages, probes)
+        with pytest.raises(kind) as raised:
+            evaluate(mats, (2, 2), stages, probes)
+        assert type(raised.value) is type(expected.value)
+        assert str(raised.value) == str(expected.value)
