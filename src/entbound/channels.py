@@ -145,19 +145,45 @@ def apply_stacked(superoperators, mats, dims, side: str = "first"):
     return images[:k] / p[:k, None, None], p, fault
 
 
-def apply_checked(superoperators, mats, side: str = "first"):
-    """:func:`apply_stacked` on a (k, ..., d, d) stack of N x N states, returning the images
-    and traces shaped like the stack; the first trace <= 1e-14 or image that is not a
-    density matrix raises.  ``superoperators`` is one (n^2, n^2) channel for every state,
-    or a (k, n^2, n^2) stack whose entry j acts on every state of ``mats[j]``."""
-    d = mats.shape[-1]
-    n = round(d ** 0.5)
-    if superoperators.ndim == 3:
-        superoperators = np.repeat(superoperators, int(np.prod(mats.shape[1:-2])), axis=0)
-    outputs, p, fault = apply_stacked(superoperators, mats.reshape(-1, d, d), (n, n), side)
-    raise_fault(fault)
-    raise_fault(density_fault(outputs))
-    return outputs.reshape(mats.shape), p.reshape(mats.shape[:-2])
+def evolve(mats, dims, stages):
+    """(states, p, fault) of a (k, d, d) stack through ``stages``, (superoperators, side) pairs
+    of :func:`apply_stacked`, (n^2, n^2) or (k, n^2, n^2), in order, for the entries before
+    fault: None or (index, error) of the first entry to fail, at its first check in the order
+    input, stage-1 trace <= 1e-14, stage-1 image, ..., all in one :func:`density_fault` call."""
+    outs, p, fault = [mats], np.ones(len(mats)), None
+    for superoperators, side in stages:
+        k = len(outs[-1])
+        superoperators = superoperators if superoperators.ndim == 2 else superoperators[:k]
+        out, stage_p, stage_fault = apply_stacked(superoperators, outs[-1], dims, side)
+        outs, p, fault = outs + [out], p[:len(out)] * stage_p[:len(out)], stage_fault or fault
+    k = len(outs[-1])  # entry-major, then the annihilated entry's checks before its stage
+    layout = np.stack([out[:k] for out in outs], axis=1).reshape((-1,) + mats.shape[1:])
+    found = density_fault(np.concatenate([layout] + [out[k:k + 1] for out in outs]))
+    fault = fault if found is None else (found[0] // len(outs), found[1])
+    k = len(mats) if fault is None else fault[0]
+    return outs[-1][:k], p[:k], fault
+
+
+def probe_images(stages, probes):
+    """|P><P| of ``probes``, one (n, n) matrix or a (k, n, n) stack, through each of ``stages``
+    alone: (images, p'), an (image, side) pair per stage, (d, d) where probe and channel are
+    shared, else one per entry, and the products of the stage traces.  One
+    :func:`density_fault` call checks |P><P| and its images; the first fault raises in the
+    order density, stage-1 trace, stage-1 image, stage-2 trace, ..."""
+    n = probes.shape[-1]
+    vecs = probes.reshape(-1, n * n)
+    densities = vecs[:, :, None] * vecs[:, None, :].conj()
+    checked, faults, p_prime = [densities], [None], np.ones(len(densities))
+    for superoperators, side in stages:  # a shared probe meets a per-entry channel k times
+        image, stage_p, stage_fault = apply_stacked(superoperators, densities, (n, n), side)
+        checked, faults, p_prime = checked + [image], faults + [stage_fault], p_prime * stage_p
+    found = density_fault(np.concatenate(checked))
+    for stage_fault, end in zip(faults, np.cumsum([len(c) for c in checked])):
+        raise_fault(stage_fault)
+        raise_fault(found if found is not None and found[0] < end else None)
+    images = tuple((image[0] if superoperators.ndim == probes.ndim == 2 else image, side)
+                   for image, (superoperators, side) in zip(checked[1:], stages))
+    return images, p_prime
 
 
 def apply_one_sided(channel: KrausChannel, rho: DensityMatrix, side: str = "first") -> ChannelApplication:

@@ -13,10 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import apply_stacked
+from .channels import evolve, probe_images
 from .errors import DimensionMismatch, SingularProbe, TrivialDimension
-from .qlinalg import DensityMatrix, PureState, _check_dim, _check_dims, density_fault, \
-    first_false, raise_fault, state_to_matrix
+from .qlinalg import DensityMatrix, PureState, _check_dim, _check_dims, first_false, \
+    state_to_matrix
 
 _SPIN_FLIP = np.array([[0, 0, 0, -1], [0, 0, 1, 0], [0, 1, 0, 0], [-1, 0, 0, 0]],
                       dtype=complex)  # sigma_y o sigma_y
@@ -339,9 +339,8 @@ class Evaluation:
     """Per-entry arrays of :func:`evaluate` for the entries before ``fault``, which is
     None or (index, error) of the first entry to fail a check.  ``states`` is the
     evolved stack; ``exact``, ``upper``, ``p_prime`` and ``p_t`` are None where
-    undefined.  ``images`` holds an (image, side) pair per stage, in stage order, the
-    stages :func:`entbound.probe.probe_route` takes: the stage's normalized probe
-    image, (d, d) where probe and channel are shared, else one for each entry."""
+    undefined.  ``images`` are the (image, side) pairs of :func:`entbound.channels.probe_images`,
+    one per stage, the stages :func:`entbound.probe.probe_route` takes."""
 
     states: np.ndarray
     exact: np.ndarray
@@ -356,34 +355,18 @@ class Evaluation:
 def evaluate(mats, dims, stages, probe_matrices=None) -> Evaluation:
     """Evolve a (k, d, d) stack of states; at 2x2 also bound its images' concurrence.
 
-    ``stages`` lists (superoperators, side) pairs for
-    :func:`entbound.channels.apply_stacked`, each (n^2, n^2) or (k, n^2, n^2), applied
-    in order, each stopping at its first trace <= 1e-14.  One :func:`density_fault` call
-    checks the inputs and all stage images laid out entry by entry, an annihilated
-    entry's earlier checks last, so the fault returned is the first entry to fail and,
-    there, its first failing check in the order input, stage-1 trace, stage-1 image,
-    stage-2 trace, ...  Each stage alone takes |P><P| of ``probe_matrices``, one (n, n)
-    probe or one per entry (k, n, n); one more call checks |P><P| and its images, and
-    the first fault raises in the order density, stage-1 trace, stage-1 image, ...  The
-    traces multiply into p' and p_t = p/p'.  A probe whose dim differs from a stage's
-    subsystem raises DimensionMismatch.  At 2x2 one :func:`spin_flip_concurrence` call
-    (so one :func:`spin_flip_spectrum` call, on the entries not certified separable)
-    takes the images, the inputs and every stage's probe images as one stack: it gives
-    the exact values, C(rho) and each stage's C(rho_P); the upper bound is C(rho) times
-    one :func:`upper_bound_factor` call's factors, in order.
+    :func:`entbound.channels.evolve` takes the states through ``stages``; with
+    ``probe_matrices``, one (n, n) probe or one per entry (k, n, n),
+    :func:`entbound.channels.probe_images` takes |P><P| through each stage alone, and
+    p_t = p/p'.  A probe whose dim differs from a stage's subsystem raises
+    DimensionMismatch.  At 2x2 one :func:`spin_flip_concurrence` call (so one
+    :func:`spin_flip_spectrum` call, on the entries not certified separable) takes the
+    images, the inputs and every stage's probe images as one stack: it gives the exact
+    values, C(rho) and each stage's C(rho_P); the upper bound is C(rho) times one
+    :func:`upper_bound_factor` call's factors, in order.
     """
-    outs, p, fault = [mats], np.ones(len(mats)), None
-    for superoperators, side in stages:
-        k = len(outs[-1])
-        superoperators = superoperators if superoperators.ndim == 2 else superoperators[:k]
-        out, stage_p, stage_fault = apply_stacked(superoperators, outs[-1], dims, side)
-        outs, p, fault = outs + [out], p[:len(out)] * stage_p[:len(out)], stage_fault or fault
-    k = len(outs[-1])  # entry-major, then the annihilated entry's checks before its stage
-    layout = np.stack([out[:k] for out in outs], axis=1).reshape((-1,) + mats.shape[1:])
-    found = density_fault(np.concatenate([layout] + [out[k:k + 1] for out in outs]))
-    fault = fault if found is None else (found[0] // len(outs), found[1])
-    k = len(mats) if fault is None else fault[0]
-    out, p = outs[-1][:k], p[:k]
+    out, p, fault = evolve(mats, dims, stages)
+    k = len(out)
     exact = upper = p_prime = p_t = None
     images = ()
     if probe_matrices is not None:
@@ -393,19 +376,9 @@ def evaluate(mats, dims, stages, probe_matrices=None) -> Evaluation:
             if n != dims[side == "second"]:
                 raise DimensionMismatch(f"a probe of dim {n} does not fit the {side} subsystem "
                                         f"of a state of dims {tuple(dims)}")
-        vecs = probes.reshape(-1, n * n)
-        densities = vecs[:, :, None] * vecs[:, None, :].conj()
-        checked, faults, p_prime = [densities], [None], np.ones(len(mats))
-        for superoperators, side in stages:  # a shared probe meets a per-entry channel k times
-            image, stage_p, stage_fault = apply_stacked(superoperators, densities, (n, n), side)
-            checked, faults, p_prime = checked + [image], faults + [stage_fault], p_prime * stage_p
-        found = density_fault(np.concatenate(checked))
-        for stage_fault, end in zip(faults, np.cumsum([len(c) for c in checked])):
-            raise_fault(stage_fault)
-            raise_fault(found if found is not None and found[0] < end else None)
-        images = tuple((image[0] if superoperators.ndim == probes.ndim == 2 else image, side)
-                       for image, (superoperators, side) in zip(checked[1:], stages))
-        p_prime = p_prime[:k]
+        images, p_prime = probe_images(stages, probes)
+        images = tuple((image if image.ndim == 2 else image[:k], side) for image, side in images)
+        p_prime = (np.ones(len(mats)) * p_prime)[:k]  # one shared p' serves every entry
         p_t = p / p_prime
     if tuple(dims) == (2, 2):  # one spin-flip call; a shared probe image is one entry
         stacks = [out, mats[:k]] + [np.reshape(image, (-1, 4, 4))[:k] for image, _ in images]

@@ -180,31 +180,41 @@ def suite_theorem1(seed=0, trials=1000) -> SuiteResult:
         + _mes_saturation(seed, trials, 3, amps_3) + _mes_saturation(seed, trials, 4, amps_4))
 
 
+def _pair_images(superoperators, matrices, side) -> tuple:
+    """(images, p') of :func:`entbound.channels.probe_images` for a (pairs, trials, n, n)
+    block of probes, pair j's channel acting on each of its probes, shaped like the block."""
+    pairs, trials, n, _ = matrices.shape
+    ((images, _),), p_prime = ch.probe_images(
+        [(np.repeat(superoperators, trials, axis=0), side)], matrices.reshape(-1, n, n))
+    return images.reshape(pairs, trials, n * n, n * n), p_prime.reshape(pairs, trials)
+
+
 def _probe_invariance_pairs(seed, trials, n, rng) -> tuple:
     """The (ok, residuals, repro) check of :func:`suite_probe_invariance` on 20 (state,
     channel) pairs of dimension n drawn from ``rng``, ``trials`` probes per pair."""
     n_pairs = 20
     one, two = slice(0, None, 2), slice(1, None, 2)  # odd pairs are two-sided
-    mats = _random_densities(n, n_pairs, rng)[:, None]  # (pairs, 1, d, d)
-    # every fourth pair's channel is a non-trace-preserving truncation
+    mats = _random_densities(n, n_pairs, rng)
+    # non-trace-preserving truncations: every fourth first and every other second channel
     superoperators, kraus = _random_channels(n, n_pairs, rng, slice(0, None, 4))
-    superoperators_2, kraus_2 = _random_channels(n, n_pairs // 2, rng)
+    superoperators_2, kraus_2 = _random_channels(n, n_pairs // 2, rng, slice(1, None, 2))
     matrices = pr.random_probes(n, n_pairs * trials, rng).reshape(n_pairs, trials, n, n)
-    evolved, p = ch.apply_checked(superoperators, mats, "first")
-    evolved[two], p_2 = ch.apply_checked(superoperators_2, evolved[two], "second")
-    p[two] *= p_2
-    direct = conc.fidelity_lower_bounds(evolved[:, 0], (n, n))
-    densities = ql.pure_densities(matrices.reshape(n_pairs, trials, n * n))
-    images, p_1 = ch.apply_checked(superoperators, densities, "first")
-    images_2, p_2 = ch.apply_checked(superoperators_2, densities[two], "second")
+    evolved, p, fault = ch.evolve(mats, (n, n), [(superoperators, "first")])
+    ql.raise_fault(fault)
+    two_sided, p_2, fault = ch.evolve(evolved[two], (n, n), [(superoperators_2, "second")])
+    ql.raise_fault(fault)
+    evolved[two], p[two] = two_sided, p[two] * p_2
+    direct = conc.fidelity_lower_bounds(evolved, (n, n))
+    images, p_1 = _pair_images(superoperators, matrices, "first")
+    images_2, p_2 = _pair_images(superoperators_2, matrices[two], "second")
     values = np.empty((n_pairs, trials))
     for sel, second in ((one, []), (two, [(images_2, "second")])):
-        states = np.broadcast_to(mats[sel], images[sel].shape).reshape(-1, n * n, n * n)
+        states = np.broadcast_to(mats[sel, None], images[sel].shape).reshape(-1, n * n, n * n)
         values[sel] = pr.probe_route(states, (n, n), [(images[sel], "first")] + second,
                                      matrices[sel]).reshape(-1, trials)
     mes_gap = np.zeros(n_pairs)  # the paper's double sum, once per pair on its first probe
-    p_t = p[two, 0] / (p_1[two, 0] * p_2[:, 0])
-    mes_gap[two] = np.abs(two_sided_bound_mes(mats[two, 0], images[two, 0], images_2[:, 0],
+    p_t = p[two] / (p_1[two, 0] * p_2[:, 0])
+    mes_gap[two] = np.abs(two_sided_bound_mes(mats[two], images[two, 0], images_2[:, 0],
                                               matrices[two, 0], p_t) - values[two, 0])
     spread, oracle_gap = np.ptp(values, axis=1), np.abs(values - direct[:, None]).max(axis=1)
     res = np.maximum(np.maximum(spread, oracle_gap), mes_gap)
@@ -213,7 +223,7 @@ def _probe_invariance_pairs(seed, trials, n, rng) -> tuple:
         record = {"suite": "probe-invariance", "seed": seed, "trials": trials, "dim": n,
                   "pair": t, "spread": float(spread[t]), "oracle_gap": float(oracle_gap[t]),
                   "mes_gap": float(mes_gap[t]),
-                  "state": state_to_json(ql.DensityMatrix((n, n), mats[t, 0])),
+                  "state": state_to_json(ql.DensityMatrix((n, n), mats[t])),
                   "channel": _channel_json(n, kraus[t])}
         if t % 2:
             record["channel_2"] = _channel_json(n, kraus_2[t // 2])
@@ -253,11 +263,12 @@ def suite_pt_equivalence(seed=0, trials=200) -> SuiteResult:
         rhos = _random_densities(n, len(trial), rng)
         superoperators, kraus = _random_channels(n, len(trial), rng, truncated)
         matrices = pr.random_probes(n, len(trial), rng)
-        images, p_prime = ch.apply_checked(
-            superoperators, ql.pure_densities(matrices.reshape(-1, n * n)), "first")
+        ((images, _),), p_prime = ch.probe_images([(superoperators, "first")], matrices)
         pt_red = pr.pt_reduced_stack(rhos, images, matrices, "first")
         residual = np.abs(pt_red - 1.0)  # trace preserving: p_t = 1
-        _, p_direct = ch.apply_checked(superoperators[truncated], rhos[truncated], "first")
+        _, p_direct, fault = ch.evolve(rhos[truncated], (n, n),
+                                       [(superoperators[truncated], "first")])
+        ql.raise_fault(fault)
         residual[truncated] = np.abs(pt_red[truncated] * p_prime[truncated] - p_direct)
         pt_mes = pr.pt_mes_sum_stack(rhos, images, matrices, "first")
         res[first::2] = np.maximum(np.abs(pt_red - pt_mes), residual)

@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
-from entbound import DensityMatrix, KrausChannel, channels, concurrence, qlinalg, random_density, \
+from entbound import DensityMatrix, KrausChannel, channels, qlinalg, random_density, \
     state_to_matrix
-from entbound.channels import apply_checked, apply_stacked, kraus_factors, tp_kraus
+from entbound.channels import apply_stacked, kraus_factors, tp_kraus
 from entbound.concurrence import Evaluation, spin_flip_concurrence, upper_bound_factor
 from entbound.errors import DimensionMismatch
 from entbound.probe import random_probe
-from entbound.qlinalg import density_fault, pure_densities
+from entbound.qlinalg import density_fault, pure_densities, raise_fault
 
 random_mixed = random_density
 
@@ -48,7 +48,8 @@ def reference_evaluate(mats, dims, stages, probe_matrices=None) -> Evaluation:
     """:func:`entbound.concurrence.evaluate` as one density check per stage: the inputs,
     then each stage's images, every check only before the earliest fault so far, so the
     fault is the first entry to fail, whichever check it meets; the probe's density and
-    then each stage's probe image through apply_checked, whose first fault raises."""
+    then each stage's probe image, trace check before density check, whose first fault
+    raises; per-entry probe images are kept for the entries before the fault."""
     fault = density_fault(mats)
     k = len(mats) if fault is None else fault[0]
     out, p = mats[:k], np.ones(k)
@@ -71,8 +72,12 @@ def reference_evaluate(mats, dims, stages, probe_matrices=None) -> Evaluation:
         p_prime = np.ones(len(mats))
         for superoperators, side in stages:
             shape = np.broadcast_shapes(superoperators.shape[:-2] + (1, 1), densities.shape)
-            image, stage_p = apply_checked(superoperators, np.broadcast_to(densities, shape), side)
-            images, p_prime = images + ((image, side),), p_prime * stage_p
+            stack = np.broadcast_to(densities, shape).reshape(-1, n * n, n * n)
+            image, stage_p, stage_fault = apply_stacked(superoperators, stack, (n, n), side)
+            raise_fault(stage_fault)
+            raise_fault(density_fault(image))
+            images, p_prime = images + ((image.reshape(shape), side),), p_prime * stage_p
+        images = tuple((image if image.ndim == 2 else image[:k], side) for image, side in images)
         p_prime = p_prime[:k]
         p_t = p / p_prime
     if tuple(dims) == (2, 2):
@@ -110,6 +115,6 @@ def density_checks(monkeypatch):
         calls.append(len(mats))
         return original(mats)
 
-    for module in (qlinalg, channels, concurrence):
+    for module in (qlinalg, channels):  # the modules that call it
         monkeypatch.setattr(module, "density_fault", counted)
     return calls

@@ -32,6 +32,7 @@ from entbound import (
     amplitude_damping,
 )
 from entbound import concurrence
+from entbound.probe import probe_route, random_probes
 from entbound.concurrence import evaluate, fidelity_lower_bounds, spin_flip_concurrence, \
     spin_flip_spectrum, upper_bound_factor
 from conftest import concurrence_two_qubit_pure, haar_unitary, probe_density, random_mixed, \
@@ -692,6 +693,21 @@ class TestEvaluate:
         assert k == min(annihilated, invalid) and type(error) is expected
         assert len(result.states) == len(result.exact) == len(result.p) == k
         assert result.upper is None and result.p_t is None
+
+    def test_fault_cuts_per_entry_probe_images(self):
+        rng = np.random.default_rng(0)
+        mats = np.array([random_mixed((2, 2), 3, rng).matrix for _ in range(5)])
+        probes = random_probes(2, 5, rng)
+        mats[2] = np.diag([0.0, 0.0, 1.0, 0.0])  # |10><10|
+        stage = np.array([np.eye(4, dtype=complex)] * 5)
+        stage[2] = KrausChannel(2, (np.diag([1.0, 0.0]),)).superoperator  # annihilates it
+        result = evaluate(mats, (2, 2), [(stage, "first")], probes)
+        assert result.fault[0] == 2 and type(result.fault[1]) is ZeroProbability
+        (image, side), = result.images
+        assert side == "first" and image.shape == (2, 4, 4)
+        route = probe_route(mats[:2], (2, 2), result.images, probes[:2])
+        np.testing.assert_allclose(route, fidelity_lower_bounds(result.states, (2, 2)),
+                                   rtol=0, atol=1e-10)
 
     # (first stage per entry, sides, probe per entry); a second stage is one channel
     PROBE_CASES = {

@@ -237,6 +237,24 @@ class TestForcedFailureRepro:
         direct = apply_one_sided(channel, rho, "first").probability
         assert abs(pt_red * image.probability - direct) <= 1e-10
 
+    @pytest.mark.parametrize("family", ["evolve", "probe_images"])
+    def test_pt_equivalence_runs_the_core_families(self, monkeypatch, family):
+        # square p of channels.evolve or p' of channels.probe_images, as suites calls them:
+        # only a truncated channel's traces move, so only its trials fail
+        original = getattr(suites.ch, family)
+
+        def squared(*args):
+            out = original(*args)
+            return out[:1] + (out[1] ** 2,) + out[2:]
+
+        monkeypatch.setattr(suites.ch, family, squared)
+        result, = run_suites("pt-equivalence", seed=2, trials=10)
+        monkeypatch.undo()
+        assert not result.passed and result.failures > 0
+        record = result.repro
+        assert (record["seed"], record["trials"]) == (2, 10) and record["trial"] % 3 == 0
+        assert not channel_from_json(record["channel"]).trace_preserving
+
     @pytest.mark.parametrize("trial", [2, 3, 5, 6])  # 3 and 6: random probes
     def test_sandwich(self, monkeypatch, trial):
         # spin-flip calls: one per evaluation, one-sided then two-sided; exact values lead
@@ -264,7 +282,8 @@ class TestForcedFailureRepro:
         assert abs(lower.raw - fidelity_lower_bound(evolved).raw) <= 1e-9
         assert lower.clamped <= value + 1e-9
 
-    @pytest.mark.parametrize("n, pair", [(2, 4), (2, 7), (3, 3), (3, 8)])  # 4, 8: truncated
+    # 4, 8: truncated first channels; 3, 7: truncated second channels
+    @pytest.mark.parametrize("n, pair", [(2, 4), (2, 7), (3, 3), (3, 8)])
     def test_probe_invariance(self, monkeypatch, n, pair):
         # one call of the directly evolved bounds per dimension, 20 pairs each
         direct = _shift_oracle(monkeypatch, suites.conc, "fidelity_lower_bounds",
@@ -282,6 +301,7 @@ class TestForcedFailureRepro:
             evolved = apply_one_sided(channel, rho, "first").output
         else:
             channel_2 = channel_from_json(record["channel_2"])
+            assert channel_2.trace_preserving == (pair % 4 == 1)
             evolved = apply_two_sided(channel, channel_2, rho).output
         value = fidelity_lower_bound(evolved).raw
         assert abs(value - direct[n - 2][pair]) <= 1e-8
