@@ -114,19 +114,15 @@ def check_side(side) -> None:
 
 
 def apply_stacked(superoperators, mats, dims, side: str = "first"):
-    """:func:`apply_one_sided` for every matrix of a (k, d, d) stack.
-
-    ``superoperators`` is one channel's (n^2, n^2) superoperator for the
-    whole stack or a (k, n^2, n^2) stack of them, one per entry, which a
-    stack of one state meets k times.  Returns
-    (outputs, p, fault): ``p`` holds the traces of the raw images and
-    ``fault`` is None or (index, ZeroProbability) for the first entry with
-    p <= 1e-14.  ``outputs`` holds the normalized images of the entries
-    before that index, not yet validated as density matrices.  Each entry is
-    laid out as m^2 rows of length n^2 times S^T, one GEMM over all k m^2 rows
-    for a shared S: an output row is one dot product with a row of S, so an
-    entry gets the same bits alone, in any stack and under a stack repeating S.
-    """
+    """:func:`apply_one_sided` for every matrix of a (k, d, d) stack, through one channel's
+    (n^2, n^2) superoperator or a (g, n^2, n^2) stack of them that pairs with the states when
+    one length divides the other: each entry of the shorter stack serves a run of consecutive
+    entries of the longer one (other lengths raise DimensionMismatch; an empty stack gives no
+    image).  Returns (outputs, p, fault) over the max(g, k) pairs: the traces p of the raw
+    images, None or (index, ZeroProbability) of the first pair with p <= 1e-14, and the
+    normalized, not yet validated images before it.  Each entry is m^2 rows of length n^2
+    times S^T, one GEMM over all k m^2 rows for a shared S: an output row is one dot product
+    with a row of S, so an entry gets the same bits alone, in any stack and any grouping."""
     check_side(side)
     n1, n2 = dims
     n, m = (n1, n2) if side == "first" else (n2, n1)
@@ -136,7 +132,16 @@ def apply_stacked(superoperators, mats, dims, side: str = "first"):
     # (k, x, y, i, j): the channel side's row and column indices last
     axes = (0, 2, 4, 1, 3) if side == "first" else (0, 1, 3, 2, 4)
     rows = mats.reshape(-1, n1, n2, n1, n2).transpose(axes).reshape(-1, m * m, n * n)
-    rows = rows if superoperators.ndim == 3 else rows.reshape(-1, n * n)
+    if superoperators.ndim == 2:  # one GEMM over all k m^2 rows
+        rows = rows.reshape(-1, n * n)
+    else:
+        g, k = len(superoperators), len(rows)
+        c = min(g, k)
+        if c and max(g, k) % c:
+            raise DimensionMismatch(f"{g} superoperators do not pair with {k} states")
+        runs = (k // c, g // c) if c else (0, 0)  # an empty stack pairs with nothing
+        rows = rows[:c * runs[0]].reshape(c, runs[0], m * m, n * n)
+        superoperators = superoperators[:c * runs[1]].reshape(c, runs[1], n * n, n * n)
     images = (rows @ superoperators.swapaxes(-1, -2)).reshape(-1, m, m, n, n)
     images = images.transpose(np.argsort(axes)).reshape((-1,) + mats.shape[1:])
     p = np.trace(images, axis1=1, axis2=2).real
@@ -147,12 +152,14 @@ def apply_stacked(superoperators, mats, dims, side: str = "first"):
 
 def evolve(mats, dims, stages):
     """(states, p, fault) of a (k, d, d) stack through ``stages``, (superoperators, side) pairs
-    of :func:`apply_stacked`, (n^2, n^2) or (k, n^2, n^2), in order, for the entries before
-    fault: None or (index, error) of the first entry to fail, at its first check in the order
-    input, stage-1 trace <= 1e-14, stage-1 image, ..., all in one :func:`density_fault` call."""
+    of :func:`apply_stacked`, (n^2, n^2) or (k, n^2, n^2) (else DimensionMismatch), in order, for
+    the entries before fault: None or (index, error) of the first entry to fail, at its first
+    check in the order input, stage-1 trace <= 1e-14, stage-1 image, ..., in one density_fault."""
     outs, p, fault = [mats], np.ones(len(mats)), None
     for superoperators, side in stages:
-        k = len(outs[-1])
+        if superoperators.ndim == 3 and len(superoperators) != len(mats):
+            raise DimensionMismatch(f"{len(superoperators)} superoperators for {len(mats)} states")
+        k = len(outs[-1])  # a fault cut the stack to the entries before it
         superoperators = superoperators if superoperators.ndim == 2 else superoperators[:k]
         out, stage_p, stage_fault = apply_stacked(superoperators, outs[-1], dims, side)
         outs, p, fault = outs + [out], p[:len(out)] * stage_p[:len(out)], stage_fault or fault
@@ -166,16 +173,19 @@ def evolve(mats, dims, stages):
 
 def probe_images(stages, probes):
     """|P><P| of ``probes``, one (n, n) matrix or a (k, n, n) stack, through each of ``stages``
-    alone: (images, p'), an (image, side) pair per stage, (d, d) where probe and channel are
-    shared, else one per entry, and the products of the stage traces.  One
-    :func:`density_fault` call checks |P><P| and its images; the first fault raises in the
-    order density, stage-1 trace, stage-1 image, stage-2 trace, ..."""
+    alone: (images, p'), an (image, side) pair per stage, and the products of the stage traces.
+    The probes meet each stage by :func:`apply_stacked`'s rule, (d, d) where probe and channel
+    are shared; each stage gives one image per probe, or per channel where one probe serves
+    them, and the stages agree (else DimensionMismatch).  One :func:`density_fault` call checks
+    |P><P| and its images; the first fault raises in the order density, stage-1 trace, ..."""
     n = probes.shape[-1]
     vecs = probes.reshape(-1, n * n)
     densities = vecs[:, :, None] * vecs[:, None, :].conj()
     checked, faults, p_prime = [densities], [None], np.ones(len(densities))
-    for superoperators, side in stages:  # a shared probe meets a per-entry channel k times
+    for superoperators, side in stages:
         image, stage_p, stage_fault = apply_stacked(superoperators, densities, (n, n), side)
+        if len(stage_p) != len(p_prime) and 1 not in (len(stage_p), len(p_prime)):
+            raise DimensionMismatch(f"{len(stage_p)} probe images do not pair with {len(p_prime)}")
         checked, faults, p_prime = checked + [image], faults + [stage_fault], p_prime * stage_p
     found = density_fault(np.concatenate(checked))
     for stage_fault, end in zip(faults, np.cumsum([len(c) for c in checked])):

@@ -212,20 +212,23 @@ def probe_channels(stages, probes) -> list:
     and sum_xy P^-1[i,x] rho_P'[(x,a),(y,c)] P^-1[j,y]^* on the second.  A side
     other than "first" and "second" raises ValueError before anything is
     rebuilt.  The images (..., d, d) and the probe matrices ``probes`` P
-    (..., n, n) may carry leading probe axes.  P^-1 is ``np.linalg.inv`` of P,
-    and the condition number s[0]/s[-1] comes from one SVD of the stack; each
-    probe conditioned worse than 1e4 warns, in probe order, naming the line
-    that called :func:`probe_route` (a line of this module under
-    :func:`lower_bound_one_sided` and :func:`lower_bound_two_sided`).  With no
-    stage nothing is rebuilt, so the probes are neither factored nor checked.
+    (..., n, n) may carry leading probe axes, the same ones where both do (else
+    DimensionMismatch).  P^-1 is ``np.linalg.inv`` of P, and the condition
+    number s[0]/s[-1] comes from one SVD of the stack; each probe conditioned
+    worse than 1e4 warns, in probe order, naming the line that called
+    :func:`probe_route` (a line of this module under :func:`lower_bound_one_sided`
+    and :func:`lower_bound_two_sided`).  With no stage nothing is rebuilt, so
+    the probes are neither factored nor checked.
 
     Each sum is two matmuls over a reshaped image: with its axes ordered
     (a, c, y, x), an (n^3, n) @ P^-1 contracts x, and after swapping the last
     two axes an (n^3, n) @ P^-1* contracts y.  The second side is the first
     with the image's subsystems swapped and P^-1 transposed.
     """
-    for _, side in stages:
+    for image, side in stages:
         check_side(side)
+        if image.ndim > 2 and probes.ndim > 2 and image.shape[:-2] != probes.shape[:-2]:
+            raise DimensionMismatch(f"images {image.shape[:-2]} for probes {probes.shape[:-2]}")
     if not stages:
         return []
     n = probes.shape[-1]
@@ -255,18 +258,18 @@ def probe_channels(stages, probes) -> list:
 def probe_route(mats, dims, stages, probes):
     """Probe-route lower bounds of a (k, d, d) stack of N x N input states.
 
-    ``stages`` lists (normalized probe image, side) pairs, such as
-    ``Evaluation.images``; :func:`probe_channels` rebuilds their channels with
-    the probe matrices ``probes``, and they are applied in stage order.  An
-    image (d, d) with its probe (n, n) rebuilds one channel for the whole
-    stack, images (..., d, d) with probes (..., n, n) one per entry, the
-    leading axes flattened in order to the stack's.  Returns the raw fidelity
-    lower bounds of the evolved states; the first entry whose stage trace is
+    ``stages`` lists (normalized probe image, side) pairs, such as ``Evaluation.images``;
+    :func:`probe_channels` rebuilds their channels with the probe matrices ``probes``, and
+    they are applied in stage order.  An image (d, d) with its probe (n, n) rebuilds one
+    channel for the whole stack, images (g, d, d) with probes (g, n, n) one per probe, which
+    meet the states by the pairing rule of :func:`entbound.channels.apply_stacked` (g = k:
+    one per state; else runs of g/k probes per state, or of k/g states per probe).  Returns
+    the raw fidelity lower bounds of the evolved pairs; the first whose stage trace is
     <= 1e-14 raises its ZeroProbability.
     """
     _check_square(dims, probes.shape[-1])
     for stage, side in probe_channels(stages, probes):
-        if stage.ndim > 2:  # one rebuilt channel per entry
+        if stage.ndim > 2:  # one rebuilt channel per probe
             stage = stage.reshape((-1,) + stage.shape[-2:])
         mats, _, fault = apply_stacked(stage, mats, dims, side)
         raise_fault(fault)

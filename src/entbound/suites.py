@@ -14,9 +14,9 @@ and probes through one :func:`entbound.probe.random_probes` call.  A trial
 cannot be redrawn alone, so the reproduction record of a failing check
 carries every input the check used, with the seed and trial count that
 drew them.  The draws are built, validated and evaluated as one stack per
-suite and dimension.  Every suite ends in one :func:`_verdict`, the one
-pass rule: a check fails unless it is within its tolerance, so a NaN
-fails, and a suite with no checks fails.
+suite and dimension, in probe-invariance per pair kind.  Every suite ends
+in one :func:`_verdict`, the one pass rule: a check fails unless it is
+within its tolerance, so a NaN fails, and a suite with no checks fails.
 """
 
 from __future__ import annotations
@@ -180,15 +180,6 @@ def suite_theorem1(seed=0, trials=1000) -> SuiteResult:
         + _mes_saturation(seed, trials, 3, amps_3) + _mes_saturation(seed, trials, 4, amps_4))
 
 
-def _pair_images(superoperators, matrices, side) -> tuple:
-    """(images, p') of :func:`entbound.channels.probe_images` for a (pairs, trials, n, n)
-    block of probes, pair j's channel acting on each of its probes, shaped like the block."""
-    pairs, trials, n, _ = matrices.shape
-    ((images, _),), p_prime = ch.probe_images(
-        [(np.repeat(superoperators, trials, axis=0), side)], matrices.reshape(-1, n, n))
-    return images.reshape(pairs, trials, n * n, n * n), p_prime.reshape(pairs, trials)
-
-
 def _probe_invariance_pairs(seed, trials, n, rng) -> tuple:
     """The (ok, residuals, repro) check of :func:`suite_probe_invariance` on 20 (state,
     channel) pairs of dimension n drawn from ``rng``, ``trials`` probes per pair."""
@@ -199,23 +190,18 @@ def _probe_invariance_pairs(seed, trials, n, rng) -> tuple:
     superoperators, kraus = _random_channels(n, n_pairs, rng, slice(0, None, 4))
     superoperators_2, kraus_2 = _random_channels(n, n_pairs // 2, rng, slice(1, None, 2))
     matrices = pr.random_probes(n, n_pairs * trials, rng).reshape(n_pairs, trials, n, n)
-    evolved, p, fault = ch.evolve(mats, (n, n), [(superoperators, "first")])
-    ql.raise_fault(fault)
-    two_sided, p_2, fault = ch.evolve(evolved[two], (n, n), [(superoperators_2, "second")])
-    ql.raise_fault(fault)
-    evolved[two], p[two] = two_sided, p[two] * p_2
-    direct = conc.fidelity_lower_bounds(evolved, (n, n))
-    images, p_1 = _pair_images(superoperators, matrices, "first")
-    images_2, p_2 = _pair_images(superoperators_2, matrices[two], "second")
-    values = np.empty((n_pairs, trials))
-    for sel, second in ((one, []), (two, [(images_2, "second")])):
-        states = np.broadcast_to(mats[sel, None], images[sel].shape).reshape(-1, n * n, n * n)
-        values[sel] = pr.probe_route(states, (n, n), [(images[sel], "first")] + second,
-                                     matrices[sel]).reshape(-1, trials)
-    mes_gap = np.zeros(n_pairs)  # the paper's double sum, once per pair on its first probe
-    p_t = p[two] / (p_1[two, 0] * p_2[:, 0])
-    mes_gap[two] = np.abs(two_sided_bound_mes(mats[two], images[two, 0], images_2[:, 0],
-                                              matrices[two, 0], p_t) - values[two, 0])
+    values, direct, mes_gap = np.empty((n_pairs, trials)), np.empty(n_pairs), np.zeros(n_pairs)
+    for sel, stages in ((one, [(superoperators[one], "first")]),
+                        (two, [(superoperators[two], "first"), (superoperators_2, "second")])):
+        evolved, p, fault = ch.evolve(mats[sel], (n, n), stages)
+        ql.raise_fault(fault)
+        direct[sel] = conc.fidelity_lower_bounds(evolved, (n, n))
+        probes = matrices[sel].reshape(-1, n, n)  # each pair's channels serve its probes
+        images, p_prime = ch.probe_images(stages, probes)
+        values[sel] = pr.probe_route(mats[sel], (n, n), images, probes).reshape(-1, trials)
+    # the paper's double sum on the two-sided family (the loop's last), on each pair's first probe
+    firsts = [image[::trials] for image, _ in images] + [matrices[two, 0], p / p_prime[::trials]]
+    mes_gap[two] = np.abs(two_sided_bound_mes(mats[two], *firsts) - values[two, 0])
     spread, oracle_gap = np.ptp(values, axis=1), np.abs(values - direct[:, None]).max(axis=1)
     res = np.maximum(np.maximum(spread, oracle_gap), mes_gap)
 
@@ -237,8 +223,8 @@ def suite_probe_invariance(seed=0, trials=100) -> SuiteResult:
     """Probe independence of the lower bound, and its agreement with the
     directly evolved state (one- and two-sided, non-TP truncations included).
 
-    Every (state, channel) pair of one dimension is drawn first; both
-    routes then run as stacks over all pairs, ``trials`` probes per pair.
+    Every (state, channel) pair of one dimension is drawn first; both routes
+    then run as one stack per pair kind, ``trials`` probes per pair.
     """
     if trials < 1:  # no probe, so no evaluated pair
         return _verdict("probe-invariance", [])

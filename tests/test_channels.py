@@ -19,7 +19,7 @@ from entbound import (
     random_density,
 )
 from entbound.channels import amplitude_damping_kraus, apply_stacked, depolarizing_kraus, \
-    phase_damping_kraus
+    evolve, kraus_superoperators, phase_damping_kraus, probe_images
 from conftest import random_tp_kraus
 
 IDENTITY_CHANNEL = KrausChannel(2, (np.eye(2),))
@@ -92,6 +92,30 @@ class TestCompletenessDefect:
             channel = KrausChannel(3, ops)
             assert abs(channel.completeness_defect - np.linalg.norm(gap, 2)) < 1e-15
             assert channel.trace_preserving == (count == 3)
+
+
+class TestCompletenessTolerance:
+    """sum M^dag M = (1 + delta) I at either side of the documented 1e-10 tolerance."""
+
+    @staticmethod
+    def kraus(delta, d=2):
+        return np.sqrt(1.0 + delta) * np.eye(d)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_channel(self, d):
+        for delta, tp in ((0.9e-10, True), (-0.9e-10, True), (-1.1e-10, False)):
+            channel = KrausChannel(d, (self.kraus(delta, d),))
+            assert channel.trace_preserving == tp
+        with pytest.raises(InvalidChannel):
+            KrausChannel(d, (self.kraus(1.1e-10, d),))
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_stack(self, d):
+        deltas = (0.9e-10, -0.9e-10, -1.1e-10, 0.0)
+        defects, _ = kraus_superoperators(np.array([[self.kraus(x, d)] for x in deltas]))
+        assert list(defects <= 1e-10) == [True, True, False, True]
+        with pytest.raises(InvalidChannel):
+            kraus_superoperators(np.array([[self.kraus(x, d)] for x in deltas[:3] + (1.1e-10,)]))
 
 
 class TestApplyOneSided:
@@ -340,3 +364,75 @@ class TestApplyStacked:
         with pytest.raises(DimensionMismatch):
             apply_stacked(np.array([amplitude_damping(0.1).superoperator]), stack, (2, 3),
                           "second")
+
+
+def _stack(rng, k, n):
+    """(k, n^2, n^2) stack of random full-rank density matrices of n x n states."""
+    states = [random_density((n, n), n * n, rng).matrix for _ in range(k)]
+    return np.array(states).reshape(k, n * n, n * n)
+
+
+class TestPairingRule:
+    """A stack of g superoperators meets a stack of k states when one length divides the
+    other, each entry of the shorter stack serving a run of consecutive entries of the
+    longer one, bit for bit as the per-entry stacks repeated to the longer length."""
+
+    @pytest.mark.parametrize("side", ["first", "second"])
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("g", [1, 2, 5])
+    def test_runs_equal_repeated_per_entry(self, rng, n, side, g):
+        k = 10
+        superoperators = np.array([random_tp_kraus(n, 2, rng).superoperator for _ in range(k)])
+        superoperators[1::4] = KrausChannel(n, random_tp_kraus(n, 2, rng).operators[:1]) \
+            .superoperator  # some not trace preserving
+        states = _stack(rng, k, n)
+        # g superoperators, each serving a run of k/g states
+        runs = apply_stacked(superoperators[:g], states, (n, n), side)
+        repeated = apply_stacked(np.repeat(superoperators[:g], k // g, axis=0), states, (n, n),
+                                 side)
+        # g states, each meeting a run of k/g superoperators
+        runs_2 = apply_stacked(superoperators, states[:g], (n, n), side)
+        repeated_2 = apply_stacked(superoperators, np.repeat(states[:g], k // g, axis=0),
+                                   (n, n), side)
+        for got, expected in ((runs, repeated), (runs_2, repeated_2)):
+            assert got[2] is None and expected[2] is None
+            assert got[0].shape == (k, n * n, n * n)
+            assert np.array_equal(got[0], expected[0]) and np.array_equal(got[1], expected[1])
+
+    @pytest.mark.parametrize("g, k", [(3, 5), (5, 3), (2, 3), (4, 6)])
+    def test_lengths_that_do_not_pair(self, rng, g, k):
+        superoperators = np.repeat(amplitude_damping(0.3).superoperator[None], g, axis=0)
+        with pytest.raises(DimensionMismatch, match=f"{g} superoperators .* {k} states"):
+            apply_stacked(superoperators, _stack(rng, k, 2), (2, 2), "first")
+
+    @pytest.mark.parametrize("g, k", [(0, 0), (0, 1), (1, 0), (0, 5), (5, 0)])
+    def test_empty_stacks(self, rng, g, k):
+        superoperators = np.repeat(amplitude_damping(0.3).superoperator[None], g, axis=0)
+        outputs, p, fault = apply_stacked(superoperators, _stack(rng, k, 2), (2, 2), "second")
+        assert outputs.shape == (0, 4, 4) and p.shape == (0,) and fault is None
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_evolve_keeps_one_stage_entry_per_state(self, rng, k):
+        # a stage stack of another length than the states is an error, also where
+        # apply_stacked alone would pair it (one state, five channels)
+        superoperators = kraus_superoperators(amplitude_damping_kraus(np.linspace(0, 1, 5)))[1]
+        for stages in ([(superoperators, "first")],
+                       [(amplitude_damping(0.2).superoperator, "first"),
+                        (superoperators, "second")]):
+            with pytest.raises(DimensionMismatch, match=f"5 superoperators for {k} states"):
+                evolve(_stack(rng, k, 2), (2, 2), stages)
+
+    def test_probe_images_pairing(self, rng):
+        probes = np.array([np.eye(2) / np.sqrt(2)] * 5)
+        superoperators = kraus_superoperators(amplitude_damping_kraus(np.linspace(0, 1, 3)))[1]
+        with pytest.raises(DimensionMismatch):  # 3 channels for 5 probes
+            probe_images([(superoperators, "first")], probes)
+        # one probe serves three channels, but not a stage of another length
+        (image, _), = probe_images([(superoperators, "first")], probes[0])[0]
+        assert image.shape == (3, 4, 4)
+        with pytest.raises(DimensionMismatch):
+            probe_images([(superoperators, "first"), (superoperators[:2], "second")], probes[0])
+        # six images of two probes would not each have their own probe
+        with pytest.raises(DimensionMismatch):
+            probe_images([(np.concatenate([superoperators] * 2), "first")], probes[:2])
+

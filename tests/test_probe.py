@@ -32,6 +32,7 @@ from entbound import (
     random_pure_state,
     state_to_matrix,
 )
+from entbound import channels
 from entbound.cli import evaluate_bound
 from entbound.concurrence import evaluate, fidelity_lower_bounds
 from entbound.probe import probe_channels, probe_route, random_probes
@@ -554,6 +555,33 @@ class TestRouteOnCoreImages:
                                    fidelity_lower_bounds(result.states, (n, n)),
                                    rtol=0, atol=1e-8)
         assert [side for _, side in result.images] == list(sides)
+
+
+class TestRoutePairing:
+    """The probe route pairs states with rebuilt channels by apply_stacked's rule: a pair's
+    state serves its run of probes, bit for bit as the states repeated per probe."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_state_per_run_of_probes(self, rng, n):
+        pairs, trials = 4, 3
+        mats = np.array([random_mixed((n, n), 1 + j, rng).matrix for j in range(pairs)])
+        stages = [(np.array([random_tp_kraus(n, 2, rng).superoperator for _ in mats]), "first"),
+                  (np.array([random_tp_kraus(n, 3, rng).superoperator for _ in mats]), "second")]
+        probes = random_probes(n, pairs * trials, rng)
+        images, _ = channels.probe_images(stages, probes)
+        values = probe_route(mats, (n, n), images, probes)
+        repeated = probe_route(np.repeat(mats, trials, axis=0), (n, n), images, probes)
+        assert values.shape == (pairs * trials,) and np.array_equal(values, repeated)
+
+    def test_lengths_that_do_not_pair(self, rng):
+        probes = random_probes(2, 5, rng)
+        images, _ = channels.probe_images([(amplitude_damping(0.3).superoperator, "first")],
+                                          probes)
+        mats = np.array([random_mixed((2, 2), 2, rng).matrix for _ in range(3)])
+        with pytest.raises(DimensionMismatch):  # 3 states, 5 rebuilt channels
+            probe_route(mats, (2, 2), images, probes)
+        with pytest.raises(DimensionMismatch):  # 5 images, 3 probes
+            probe_route(mats, (2, 2), images, probes[:3])
 
 
 class TestSecondSideOracles:

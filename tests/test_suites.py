@@ -125,6 +125,15 @@ class TestStackedFamilies:
         assert bits(padded_defects, defects) and bits(padded_superoperators, superoperators)
 
 
+class TestProbeInvarianceFamilies:
+    def test_each_matrix_checked_once_per_family(self, density_checks):
+        # per dimension: the 20 drawn states, then the one-sided pairs' states and images,
+        # their 50 probes and images, the two-sided pairs' states and both images, and
+        # their 50 probes and images on both sides
+        run_suites("probe-invariance", 0, 5)
+        assert density_checks == [20, 20, 100, 30, 150] * 2 and sum(density_checks) == 640
+
+
 class TestSharedKrausValidation:
     def test_exceeding_identity(self):
         ops = np.array([[np.eye(2)], [1.1 * np.eye(2)]])
@@ -285,9 +294,11 @@ class TestForcedFailureRepro:
     # 4, 8: truncated first channels; 3, 7: truncated second channels
     @pytest.mark.parametrize("n, pair", [(2, 4), (2, 7), (3, 3), (3, 8)])
     def test_probe_invariance(self, monkeypatch, n, pair):
-        # one call of the directly evolved bounds per dimension, 20 pairs each
+        # one call of the directly evolved bounds per dimension and pair kind, one-sided
+        # (even pairs) before two-sided (odd pairs), 10 pairs each
+        call = 2 * (n - 2) + pair % 2
         direct = _shift_oracle(monkeypatch, suites.conc, "fidelity_lower_bounds",
-                               {(n - 2, pair): 1.0})
+                               {(call, pair // 2): 1.0})
         result, = run_suites("probe-invariance", seed=1, trials=3)
         monkeypatch.undo()
         record = _record(result, 1, 3)
@@ -304,7 +315,7 @@ class TestForcedFailureRepro:
             assert channel_2.trace_preserving == (pair % 4 == 1)
             evolved = apply_two_sided(channel, channel_2, rho).output
         value = fidelity_lower_bound(evolved).raw
-        assert abs(value - direct[n - 2][pair]) <= 1e-8
+        assert abs(value - direct[call][pair // 2]) <= 1e-8
         for probe_state in probes:
             image_1 = apply_one_sided(channel, probe_density(probe_state), "first").output
             if pair % 2 == 0:
