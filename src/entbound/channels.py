@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidChannel, OutOfRange, ZeroProbability
-from .qlinalg import DensityMatrix, _check_dim, density_fault, first_false, raise_fault
+from .qlinalg import DensityMatrix, _check_dim, density_fault, first_false, raise_fault, \
+    stack_of
 
 # Completeness defect below this is treated as exactly trace preserving.
 TP_TOLERANCE = 1e-10
@@ -114,34 +115,30 @@ def check_side(side) -> None:
 
 
 def apply_stacked(superoperators, mats, dims, side: str = "first"):
-    """:func:`apply_one_sided` for every matrix of a (k, d, d) stack, through one channel's
-    (n^2, n^2) superoperator or a (g, n^2, n^2) stack of them that pairs with the states when
-    one length divides the other: each entry of the shorter stack serves a run of consecutive
-    entries of the longer one (other lengths raise DimensionMismatch; an empty stack gives no
-    image).  Returns (outputs, p, fault) over the max(g, k) pairs: the traces p of the raw
-    images, None or (index, ZeroProbability) of the first pair with p <= 1e-14, and the
-    normalized, not yet validated images before it.  Each entry is m^2 rows of length n^2
-    times S^T, one GEMM over all k m^2 rows for a shared S: an output row is one dot product
-    with a row of S, so an entry gets the same bits alone, in any stack and any grouping."""
+    """:func:`apply_one_sided` for every matrix of a (k, d, d) stack, through a (g, n^2, n^2)
+    stack of superoperators (g = 1: one for all; a lone matrix is that stack of one) that pairs
+    with the states when one length divides the other: each entry of the shorter stack serves
+    a run of consecutive entries of the longer one (other lengths raise DimensionMismatch; an
+    empty stack gives no image).  Returns (outputs, p, fault) over the max(g, k) pairs: the
+    traces p of the raw images, None or (index, ZeroProbability) of the first pair with
+    p <= 1e-14, and the normalized, not yet validated images before it.  Each entry is m^2
+    rows of length n^2 times S^T, one GEMM per superoperator over its run of states.  An
+    output row is one dot product with a row of S, so an entry gets the same bits alone, in
+    any stack and any grouping, except at m = 1: a lone row is a matrix-vector product, which
+    can differ in the last bit from the same row inside a GEMM over several states."""
     check_side(side)
     n1, n2 = dims
     n, m = (n1, n2) if side == "first" else (n2, n1)
-    if superoperators.shape[-2:] != (n * n, n * n):
-        raise DimensionMismatch(f"superoperator of shape {superoperators.shape[-2:]} does not "
-                                f"act on a subsystem of dim {n}")
+    superoperators = stack_of(superoperators, n * n, shared=True)
     # (k, x, y, i, j): the channel side's row and column indices last
     axes = (0, 2, 4, 1, 3) if side == "first" else (0, 1, 3, 2, 4)
     rows = mats.reshape(-1, n1, n2, n1, n2).transpose(axes).reshape(-1, m * m, n * n)
-    if superoperators.ndim == 2:  # one GEMM over all k m^2 rows
-        rows = rows.reshape(-1, n * n)
-    else:
-        g, k = len(superoperators), len(rows)
-        c = min(g, k)
-        if c and max(g, k) % c:
-            raise DimensionMismatch(f"{g} superoperators do not pair with {k} states")
-        runs = (k // c, g // c) if c else (0, 0)  # an empty stack pairs with nothing
-        rows = rows[:c * runs[0]].reshape(c, runs[0], m * m, n * n)
-        superoperators = superoperators[:c * runs[1]].reshape(c, runs[1], n * n, n * n)
+    g, k = len(superoperators), len(rows)
+    c = max(min(g, k), 1)  # an empty stack pairs with nothing
+    if max(g, k) % c:
+        raise DimensionMismatch(f"{g} superoperators do not pair with {k} states")
+    rows = rows.reshape(c, 1, k // c * m * m, n * n)
+    superoperators = superoperators.reshape(c, g // c, n * n, n * n)
     images = (rows @ superoperators.swapaxes(-1, -2)).reshape(-1, m, m, n, n)
     images = images.transpose(np.argsort(axes)).reshape((-1,) + mats.shape[1:])
     p = np.trace(images, axis1=1, axis2=2).real
@@ -152,16 +149,17 @@ def apply_stacked(superoperators, mats, dims, side: str = "first"):
 
 def evolve(mats, dims, stages):
     """(states, p, fault) of a (k, d, d) stack through ``stages``, (superoperators, side) pairs
-    of :func:`apply_stacked`, (n^2, n^2) or (k, n^2, n^2) (else DimensionMismatch), in order, for
-    the entries before fault: None or (index, error) of the first entry to fail, at its first
-    check in the order input, stage-1 trace <= 1e-14, stage-1 image, ..., in one density_fault."""
+    of :func:`apply_stacked` with a stack of one or of k superoperators (else
+    DimensionMismatch), in order, for the entries before fault: None or (index, error) of the
+    first entry to fail, at its first check in the order input, stage-1 trace <= 1e-14,
+    stage-1 image, ..., in one density_fault."""
     outs, p, fault = [mats], np.ones(len(mats)), None
     for superoperators, side in stages:
-        if superoperators.ndim == 3 and len(superoperators) != len(mats):
+        superoperators = stack_of(superoperators, np.shape(superoperators)[-1], shared=True)
+        if len(superoperators) not in (1, len(mats)):
             raise DimensionMismatch(f"{len(superoperators)} superoperators for {len(mats)} states")
         k = len(outs[-1])  # a fault cut the stack to the entries before it
-        superoperators = superoperators if superoperators.ndim == 2 else superoperators[:k]
-        out, stage_p, stage_fault = apply_stacked(superoperators, outs[-1], dims, side)
+        out, stage_p, stage_fault = apply_stacked(superoperators[:k], outs[-1], dims, side)
         outs, p, fault = outs + [out], p[:len(out)] * stage_p[:len(out)], stage_fault or fault
     k = len(outs[-1])  # entry-major, then the annihilated entry's checks before its stage
     layout = np.stack([out[:k] for out in outs], axis=1).reshape((-1,) + mats.shape[1:])
@@ -172,14 +170,15 @@ def evolve(mats, dims, stages):
 
 
 def probe_images(stages, probes):
-    """|P><P| of ``probes``, one (n, n) matrix or a (k, n, n) stack, through each of ``stages``
-    alone: (images, p'), an (image, side) pair per stage, and the products of the stage traces.
-    The probes meet each stage by :func:`apply_stacked`'s rule, (d, d) where probe and channel
-    are shared; each stage gives one image per probe, or per channel where one probe serves
-    them, and the stages agree (else DimensionMismatch).  One :func:`density_fault` call checks
-    |P><P| and its images; the first fault raises in the order density, stage-1 trace, ..."""
-    n = probes.shape[-1]
-    vecs = probes.reshape(-1, n * n)
+    """|P><P| of a (g, n, n) stack of ``probes`` (a lone matrix is a stack of one) through each
+    of ``stages`` alone: (images, p'), an (image stack, side) pair per stage, and the products
+    of the stage traces.  The probes
+    meet each stage by :func:`apply_stacked`'s rule; each stage gives one image per probe, or
+    per channel where one probe serves them, and the stages agree (else DimensionMismatch).
+    One :func:`density_fault` call checks |P><P| and its images; the first fault raises in the
+    order density, stage-1 trace, ..."""
+    n = np.shape(probes)[-1]
+    vecs = stack_of(probes, n, shared=True).reshape(-1, n * n)
     densities = vecs[:, :, None] * vecs[:, None, :].conj()
     checked, faults, p_prime = [densities], [None], np.ones(len(densities))
     for superoperators, side in stages:
@@ -191,9 +190,7 @@ def probe_images(stages, probes):
     for stage_fault, end in zip(faults, np.cumsum([len(c) for c in checked])):
         raise_fault(stage_fault)
         raise_fault(found if found is not None and found[0] < end else None)
-    images = tuple((image[0] if superoperators.ndim == probes.ndim == 2 else image, side)
-                   for image, (superoperators, side) in zip(checked[1:], stages))
-    return images, p_prime
+    return tuple((image, side) for image, (_, side) in zip(checked[1:], stages)), p_prime
 
 
 def apply_one_sided(channel: KrausChannel, rho: DensityMatrix, side: str = "first") -> ChannelApplication:

@@ -181,7 +181,7 @@ def evaluate_bound(rho: DensityMatrix, channels, side: str, probe, method: str) 
     result = evaluate(rho.matrix[None], rho.dims, stages, None if probe is None else probe.matrix)
     raise_fault(result.fault)
     if method == "probe":
-        images = [DensityMatrix((probe.dim,) * 2, image) for image, _ in result.images]
+        images = [DensityMatrix((probe.dim,) * 2, image[0]) for image, _ in result.images]
         lower = (lower_bound_one_sided(rho, images[0], probe, side) if len(channels) == 1 else
                  lower_bound_two_sided(rho, *images, probe)).raw
     else:

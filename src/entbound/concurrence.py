@@ -16,7 +16,7 @@ import numpy as np
 from .channels import evolve, probe_images
 from .errors import DimensionMismatch, SingularProbe, TrivialDimension
 from .qlinalg import DensityMatrix, PureState, _check_dim, _check_dims, first_false, \
-    state_to_matrix
+    stack_of, state_to_matrix
 
 _SPIN_FLIP = np.array([[0, 0, 0, -1], [0, 0, 1, 0], [0, 1, 0, 0], [-1, 0, 0, 0]],
                       dtype=complex)  # sigma_y o sigma_y
@@ -98,30 +98,26 @@ def spin_flip_spectrum(mats) -> np.ndarray:
       certified entry, and both routes agree to rounding.
 
     If the Cholesky factorization fails on a certified entry (a Hermitian
-    input with two negative eigenvalues has a positive determinant), the
-    whole stack takes the ``eigh`` route.  Anything but a (k, 4, 4) stack
-    raises DimensionMismatch.
+    input with two negative eigenvalues has a positive determinant), only
+    the entries whose own factorization fails take the ``eigh`` route.
+    Anything but a (k, 4, 4) stack raises DimensionMismatch.
     """
-    mats = _stack_of(mats, 4)
+    mats = stack_of(mats, 4)
     trace = np.trace(mats, axis1=-2, axis2=-1).real
     full = np.linalg.det(mats).real > _FULL_RANK * np.maximum(1.0, trace) ** 4
     factor = np.empty(mats.shape, dtype=complex)
     try:
         factor[full] = np.linalg.cholesky(mats[full])
     except np.linalg.LinAlgError:
-        full[:] = False
+        for j in np.flatnonzero(full):
+            try:
+                factor[j] = np.linalg.cholesky(mats[j])
+            except np.linalg.LinAlgError:
+                full[j] = False
     w, v = np.linalg.eigh(mats[~full])
     keep = w > 1e-14 * np.maximum(1.0, w[:, -1:])
     factor[~full] = v * np.sqrt(np.where(keep, w, 0.0))[:, None, :]
     return np.linalg.svd(np.swapaxes(factor, 1, 2) @ _SPIN_FLIP @ factor, compute_uv=False)
-
-
-def _stack_of(mats, n: int) -> np.ndarray:
-    """``mats`` as an array, which must be a (k, n, n) stack, else DimensionMismatch."""
-    mats = np.asarray(mats)
-    if mats.ndim != 3 or mats.shape[1:] != (n, n):
-        raise DimensionMismatch(f"needs a (k, {n}, {n}) stack, got shape {mats.shape}")
-    return mats
 
 
 def _abs2(z) -> np.ndarray:
@@ -189,7 +185,7 @@ def spin_flip_concurrence(mats) -> np.ndarray:
     rounding that could lift it above 0.)  Anything but a (k, 4, 4) stack
     raises DimensionMismatch.
     """
-    mats = _stack_of(mats, 4)
+    mats = stack_of(mats, 4)
     values = np.zeros(len(mats))
     rest = ~_ppt_certified(mats)
     lam = spin_flip_spectrum(mats[rest])
@@ -218,7 +214,7 @@ def _mes_overlaps(mats, dims) -> np.ndarray:
     of another shape than (k, N1 N2, N1 N2) raises DimensionMismatch."""
     n1, n2 = _check_dims(dims)
     r, step = min(n1, n2), n2 + 1
-    return _stack_of(mats, n1 * n2)[:, :r * step:step, :r * step:step].real.sum(axis=(-2, -1)) / r
+    return stack_of(mats, n1 * n2)[:, :r * step:step, :r * step:step].real.sum(axis=(-2, -1)) / r
 
 
 def fidelity_lower_bounds(mats, dims) -> np.ndarray:
@@ -304,7 +300,7 @@ def upper_bound_factor(concurrences, probe_matrices) -> np.ndarray:
     99 (2008), from the concurrences C(rho_P) of the normalized probe images and a (k, 2, 2)
     stack of probe matrices (one may serve all).  The first |det P| <= 1e-12 of the stack
     raises SingularProbe; anything but such a stack raises DimensionMismatch."""
-    det = np.abs(np.linalg.det(_stack_of(np.asarray(probe_matrices, dtype=complex), 2)))
+    det = np.abs(np.linalg.det(stack_of(np.asarray(probe_matrices, dtype=complex), 2)))
     k = first_false(det > _DET_FLOOR)
     if k < len(det):
         raise SingularProbe(f"|det P| = {float(det[k])} of probe {k} is numerically singular")
@@ -339,8 +335,9 @@ class Evaluation:
     """Per-entry arrays of :func:`evaluate` for the entries before ``fault``, which is
     None or (index, error) of the first entry to fail a check.  ``states`` is the
     evolved stack; ``exact``, ``upper``, ``p_prime`` and ``p_t`` are None where
-    undefined.  ``images`` are the (image, side) pairs of :func:`entbound.channels.probe_images`,
-    one per stage, the stages :func:`entbound.probe.probe_route` takes."""
+    undefined.  ``images`` are the (image stack, side) pairs of
+    :func:`entbound.channels.probe_images`, one per stage, the stages
+    :func:`entbound.probe.probe_route` takes."""
 
     states: np.ndarray
     exact: np.ndarray
@@ -356,7 +353,7 @@ def evaluate(mats, dims, stages, probe_matrices=None) -> Evaluation:
     """Evolve a (k, d, d) stack of states; at 2x2 also bound its images' concurrence.
 
     :func:`entbound.channels.evolve` takes the states through ``stages``; with
-    ``probe_matrices``, one (n, n) probe or one per entry (k, n, n),
+    ``probe_matrices``, a stack of one (n, n) probe or of one per entry,
     :func:`entbound.channels.probe_images` takes |P><P| through each stage alone, and
     p_t = p/p'.  A probe whose dim differs from a stage's subsystem raises
     DimensionMismatch.  At 2x2 one :func:`spin_flip_concurrence` call (so one
@@ -370,23 +367,23 @@ def evaluate(mats, dims, stages, probe_matrices=None) -> Evaluation:
     exact = upper = p_prime = p_t = None
     images = ()
     if probe_matrices is not None:
-        probes = np.asarray(probe_matrices)
-        n = probes.shape[-1]
+        n = np.shape(probe_matrices)[-1]
+        probes = stack_of(probe_matrices, n, shared=True)
         for _, side in stages:
             if n != dims[side == "second"]:
                 raise DimensionMismatch(f"a probe of dim {n} does not fit the {side} subsystem "
                                         f"of a state of dims {tuple(dims)}")
         images, p_prime = probe_images(stages, probes)
-        images = tuple((image if image.ndim == 2 else image[:k], side) for image, side in images)
+        images = tuple((image[:k], side) for image, side in images)
         p_prime = (np.ones(len(mats)) * p_prime)[:k]  # one shared p' serves every entry
         p_t = p / p_prime
     if tuple(dims) == (2, 2):  # one spin-flip call; a shared probe image is one entry
-        stacks = [out, mats[:k]] + [np.reshape(image, (-1, 4, 4))[:k] for image, _ in images]
+        stacks = [out, mats[:k]] + [image for image, _ in images]
         values = np.split(spin_flip_concurrence(np.concatenate(stacks)),
                           np.cumsum([len(stack) for stack in stacks])[:-1])
         exact, c_in = values[:2]
         if images:
-            probes, upper = np.reshape(probes, (-1, 2, 2))[:k], c_in
+            probes, upper = probes[:k], c_in
             for factor in upper_bound_factor(np.array(np.broadcast_arrays(*values[2:])), probes):
                 upper = upper * factor
     return Evaluation(out, exact, upper, p, p_prime, p_t, images, fault)

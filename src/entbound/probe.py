@@ -30,7 +30,7 @@ from .channels import apply_stacked, check_side, kraus_factors
 from .concurrence import BoundValue, fidelity_lower_bounds
 from .errors import DimensionMismatch, NotNormalized, SingularProbe
 from .qlinalg import DensityMatrix, TOL_RECONSTRUCT, _check_dim, _frozen_complex, kron_stack, \
-    raise_fault, swap_subsystems
+    raise_fault, stack_of, swap_subsystems
 
 _RANK_FLOOR = 1e-8
 
@@ -211,48 +211,47 @@ def probe_channels(stages, probes) -> list:
     S/p' = sum_xy P^-1[x,i] rho_P'[(a,x),(c,y)] P^-1[y,j]^* on the first side
     and sum_xy P^-1[i,x] rho_P'[(x,a),(y,c)] P^-1[j,y]^* on the second.  A side
     other than "first" and "second" raises ValueError before anything is
-    rebuilt.  The images (..., d, d) and the probe matrices ``probes`` P
-    (..., n, n) may carry leading probe axes, the same ones where both do (else
-    DimensionMismatch).  P^-1 is ``np.linalg.inv`` of P, and the condition
-    number s[0]/s[-1] comes from one SVD of the stack; each probe conditioned
+    rebuilt.  The images, a (g, n^2, n^2) stack per stage, and the (g', n, n) stack of
+    probe matrices ``probes`` P pair where g = g' or one is 1 (else DimensionMismatch), and
+    each stage is a (max(g, g'), n^2, n^2) stack.  P^-1 is ``np.linalg.inv`` of P, and the
+    condition number s[0]/s[-1] comes from one SVD of the stack; each probe conditioned
     worse than 1e4 warns, in probe order, naming the line that called
     :func:`probe_route` (a line of this module under :func:`lower_bound_one_sided`
     and :func:`lower_bound_two_sided`).  With no stage nothing is rebuilt, so
     the probes are neither factored nor checked.
 
     Each sum is two matmuls over a reshaped image: with its axes ordered
-    (a, c, y, x), an (n^3, n) @ P^-1 contracts x, and after swapping the last
-    two axes an (n^3, n) @ P^-1* contracts y.  The second side is the first
+    (a, c, y, x), a (g, n^3, n) @ P^-1 contracts x, and after swapping the last
+    two axes a (g, n^3, n) @ P^-1* contracts y.  The second side is the first
     with the image's subsystems swapped and P^-1 transposed.
     """
-    for image, side in stages:
+    for _, side in stages:
         check_side(side)
-        if image.ndim > 2 and probes.ndim > 2 and image.shape[:-2] != probes.shape[:-2]:
-            raise DimensionMismatch(f"images {image.shape[:-2]} for probes {probes.shape[:-2]}")
     if not stages:
         return []
-    n = probes.shape[-1]
-    s = np.linalg.svd(probes.reshape(-1, n, n), compute_uv=False)
+    n = np.shape(probes)[-1]
+    probes = stack_of(probes, n, shared=True)
+    images = [stack_of(image, n * n, shared=True) for image, _ in stages]
+    for image in images:
+        if len(image) != len(probes) and 1 not in (len(image), len(probes)):
+            raise DimensionMismatch(f"{len(image)} probe images for {len(probes)} probes")
+    s = np.linalg.svd(probes, compute_uv=False)
     condition = s[:, 0] / s[:, -1]
     for value in condition[condition > CONDITION_WARN]:
         warnings.warn(f"probe condition number {value:.3g} exceeds {CONDITION_WARN:.0e}; "
                       "the bound may carry amplified rounding error", RuntimeWarning,
                       stacklevel=3)
     inverse = np.linalg.inv(probes)
-    # image axes (a, x, c, y) on the first side and (x, a, y, c) on the second
-    mirrors = {"first": ((0, 2, 3, 1), inverse),
-               "second": ((1, 3, 2, 0), inverse.swapaxes(-1, -2))}
+    # image axes (g, a, x, c, y) on the first side and (g, x, a, y, c) on the second
+    mirrors = {"first": ((0, 1, 3, 4, 2), inverse),
+               "second": ((0, 2, 4, 3, 1), inverse.swapaxes(-1, -2))}
 
     def rebuild(image, axes, inv):
-        lead = image.shape[:-2]
-        k = len(lead)
-        image = image.reshape(lead + (n,) * 4).transpose(*range(k), *(k + a for a in axes))
-        half = image.reshape(lead + (n ** 3, n)) @ inv  # (..., a, c, y, i)
-        half = half.reshape(half.shape[:-2] + (n,) * 4).swapaxes(-1, -2)
-        stage = half.reshape(half.shape[:-4] + (n ** 3, n)) @ inv.conj()  # (..., a, c, i, j)
-        return stage.reshape(stage.shape[:-2] + (n * n, n * n))
+        half = image.reshape(-1, n, n, n, n).transpose(axes).reshape(-1, n ** 3, n) @ inv
+        half = half.reshape(-1, n, n, n, n).swapaxes(-1, -2)  # (g, a, c, i, y)
+        return (half.reshape(-1, n ** 3, n) @ inv.conj()).reshape(-1, n * n, n * n)
 
-    return [(rebuild(image, *mirrors[side]), side) for image, side in stages]
+    return [(rebuild(image, *mirrors[side]), side) for image, (_, side) in zip(images, stages)]
 
 
 def probe_route(mats, dims, stages, probes):
@@ -260,17 +259,13 @@ def probe_route(mats, dims, stages, probes):
 
     ``stages`` lists (normalized probe image, side) pairs, such as ``Evaluation.images``;
     :func:`probe_channels` rebuilds their channels with the probe matrices ``probes``, and
-    they are applied in stage order.  An image (d, d) with its probe (n, n) rebuilds one
-    channel for the whole stack, images (g, d, d) with probes (g, n, n) one per probe, which
-    meet the states by the pairing rule of :func:`entbound.channels.apply_stacked` (g = k:
-    one per state; else runs of g/k probes per state, or of k/g states per probe).  Returns
-    the raw fidelity lower bounds of the evolved pairs; the first whose stage trace is
-    <= 1e-14 raises its ZeroProbability.
+    they are applied in stage order: a stack of g rebuilt channels meets the states by the
+    pairing rule of :func:`entbound.channels.apply_stacked` (g = 1: one channel for every
+    state; g = k: one per state; else runs).  Returns the raw fidelity lower bounds of the
+    evolved pairs; the first whose stage trace is <= 1e-14 raises its ZeroProbability.
     """
-    _check_square(dims, probes.shape[-1])
+    _check_square(dims, np.shape(probes)[-1])
     for stage, side in probe_channels(stages, probes):
-        if stage.ndim > 2:  # one rebuilt channel per probe
-            stage = stage.reshape((-1,) + stage.shape[-2:])
         mats, _, fault = apply_stacked(stage, mats, dims, side)
         raise_fault(fault)
     return fidelity_lower_bounds(mats, dims)

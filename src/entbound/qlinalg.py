@@ -121,6 +121,15 @@ def _check_unit_norms(vecs):
         raise NotNormalized(f"|norm - 1| = {off[k]:.3e} exceeds {TOL_STRUCTURE}")
 
 
+def stack_of(mats, n: int, shared: bool = False) -> np.ndarray:
+    """``mats`` as a (k, n, n) stack, else DimensionMismatch.  With ``shared``, a lone (n, n)
+    matrix, an operand that every entry shares, is a stack of one."""
+    mats = np.asarray(mats)
+    if mats.shape[-2:] != (n, n) or mats.ndim not in ((2, 3) if shared else (3,)):
+        raise DimensionMismatch(f"needs a (k, {n}, {n}) stack, got shape {mats.shape}")
+    return mats.reshape(-1, n, n)
+
+
 def raise_fault(fault):
     """Raise the error of a (index, error) fault; None passes."""
     if fault is not None:

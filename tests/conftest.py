@@ -49,46 +49,46 @@ def reference_evaluate(mats, dims, stages, probe_matrices=None) -> Evaluation:
     then each stage's images, every check only before the earliest fault so far, so the
     fault is the first entry to fail, whichever check it meets; the probe's density and
     then each stage's probe image, trace check before density check, whose first fault
-    raises; per-entry probe images are kept for the entries before the fault."""
+    raises; the probe image stacks are kept for the entries before the fault."""
     fault = density_fault(mats)
     k = len(mats) if fault is None else fault[0]
     out, p = mats[:k], np.ones(k)
     for superoperators, side in stages:
-        superoperators = superoperators if superoperators.ndim == 2 else superoperators[:k]
-        out, stage_p, stage_fault = apply_stacked(superoperators, out, dims, side)
+        superoperators = np.reshape(superoperators, (-1,) + np.shape(superoperators)[-2:])
+        out, stage_p, stage_fault = apply_stacked(superoperators[:k], out, dims, side)
         fault = density_fault(out) or stage_fault or fault
         k = len(out) if fault is None else fault[0]
         out, p = out[:k], p[:k] * stage_p[:k]
     exact = upper = p_prime = p_t = None
     images = ()
     if probe_matrices is not None:
-        probes = np.asarray(probe_matrices)
-        n = probes.shape[-1]
+        n = np.shape(probe_matrices)[-1]
+        probes = np.reshape(probe_matrices, (-1, n, n))
         for _, side in stages:
             if n != dims[side == "second"]:
                 raise DimensionMismatch(f"a probe of dim {n} does not fit the {side} subsystem "
                                         f"of a state of dims {tuple(dims)}")
-        densities = pure_densities(probes.reshape(probes.shape[:-2] + (n * n,)))
+        densities = pure_densities(probes.reshape(-1, n * n))
         p_prime = np.ones(len(mats))
         for superoperators, side in stages:
-            shape = np.broadcast_shapes(superoperators.shape[:-2] + (1, 1), densities.shape)
-            stack = np.broadcast_to(densities, shape).reshape(-1, n * n, n * n)
+            superoperators = np.reshape(superoperators, (-1, n * n, n * n))
+            count = max(len(superoperators), len(densities))
+            stack = np.broadcast_to(densities, (count, n * n, n * n))
             image, stage_p, stage_fault = apply_stacked(superoperators, stack, (n, n), side)
             raise_fault(stage_fault)
             raise_fault(density_fault(image))
-            images, p_prime = images + ((image.reshape(shape), side),), p_prime * stage_p
-        images = tuple((image if image.ndim == 2 else image[:k], side) for image, side in images)
+            images, p_prime = images + ((image[:k], side),), p_prime * stage_p
         p_prime = p_prime[:k]
         p_t = p / p_prime
     if tuple(dims) == (2, 2):
-        stacks = [out, mats[:k]] + [np.reshape(image, (-1, 4, 4))[:k] for image, _ in images]
+        stacks = [out, mats[:k]] + [image for image, _ in images]
         values = np.split(spin_flip_concurrence(np.concatenate(stacks)),
                           np.cumsum([len(stack) for stack in stacks])[:-1])
         exact, c_in = values[:2]
         if images:
-            probes, upper = np.reshape(probes, (-1, 2, 2))[:k], c_in
+            upper = c_in
             for value in values[2:]:
-                upper = upper * upper_bound_factor(value, probes)
+                upper = upper * upper_bound_factor(value, probes[:k])
     return Evaluation(out, exact, upper, p, p_prime, p_t, images, fault)
 
 

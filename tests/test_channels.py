@@ -20,6 +20,7 @@ from entbound import (
 )
 from entbound.channels import amplitude_damping_kraus, apply_stacked, depolarizing_kraus, \
     evolve, kraus_superoperators, phase_damping_kraus, probe_images
+from entbound.concurrence import evaluate
 from conftest import random_tp_kraus
 
 IDENTITY_CHANNEL = KrausChannel(2, (np.eye(2),))
@@ -324,6 +325,25 @@ class TestApplyStacked:
                 raw = kron_oracle(channel, states[j], (n, n), side)
                 np.testing.assert_allclose(outputs[j] * p[j], raw, rtol=0, atol=1e-14)
 
+    @pytest.mark.parametrize("dims, side", [((2, 1), "first"), ((3, 1), "first"),
+                                            ((1, 3), "second")])
+    def test_one_row_entries_agree_to_rounding(self, rng, dims, side):
+        # where the other subsystem has dim 1 an entry is one row: alone, a matrix-vector
+        # product; inside a run of several states that share a superoperator, a row of one
+        # GEMM, which may differ in the last bit.  An entry whose superoperator serves it
+        # alone is a matrix-vector product in the stack too, bit for bit.
+        n = max(dims)
+        channel = random_tp_kraus(n, 3, rng)
+        states = np.array([random_density(dims, 1 + j % n, rng).matrix for j in range(101)])
+        shared, p, _ = apply_stacked(channel.superoperator, states, dims, side)
+        per_entry = np.repeat(channel.superoperator[None], len(states), axis=0)
+        own, p_own, _ = apply_stacked(per_entry, states, dims, side)
+        for j in range(len(states)):
+            alone, p_alone, _ = apply_stacked(channel.superoperator, states[j:j + 1], dims, side)
+            assert np.array_equal(own[j], alone[0]) and p_own[j] == p_alone[0]
+            np.testing.assert_allclose(shared[j], alone[0], rtol=0, atol=1e-15)
+            assert abs(p[j] - p_alone[0]) <= 1e-15
+
     def test_first_annihilated_entry(self):
         keep_ground = KrausChannel(2, (np.diag([1.0, 0.0]),))
         stack = np.array([basis_density(i, (2, 2)).matrix for i in (0, 3, 2, 1)])
@@ -421,6 +441,23 @@ class TestPairingRule:
                         (superoperators, "second")]):
             with pytest.raises(DimensionMismatch, match=f"5 superoperators for {k} states"):
                 evolve(_stack(rng, k, 2), (2, 2), stages)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_evolve_and_evaluate_take_a_stage_stack_of_one(self, rng, k):
+        # a (1, n^2, n^2) stage is the shared channel, as apply_stacked pairs it
+        shared = amplitude_damping(0.2).superoperator
+        states = _stack(rng, k, 2)
+        stages = [(shared[None], "first"), (np.array([shared] * k), "second")]
+        lone = [(shared, "first"), (np.array([shared] * k), "second")]
+        out, p, fault = evolve(states, (2, 2), stages)
+        expected = evolve(states, (2, 2), lone)
+        assert fault is None and expected[2] is None
+        assert np.array_equal(out, expected[0]) and np.array_equal(p, expected[1])
+        probe = np.eye(2)[None] / np.sqrt(2)
+        result, reference = (evaluate(states, (2, 2), s, probe) for s in (stages, lone))
+        for field in ("states", "exact", "upper", "p", "p_prime", "p_t"):
+            assert np.array_equal(getattr(result, field), getattr(reference, field)), field
+        assert [image.shape for image, _ in result.images] == [(1, 4, 4), (k, 4, 4)]
 
     def test_probe_images_pairing(self, rng):
         probes = np.array([np.eye(2) / np.sqrt(2)] * 5)

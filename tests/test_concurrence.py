@@ -465,8 +465,8 @@ class TestOneKonradFactor:
             result = evaluate(rho.matrix[None], (2, 2), [(channel.superoperator, side)],
                               probe.matrix)
             ((image, image_side),) = result.images
-            assert image_side == side
-            image = DensityMatrix((2, 2), image)
+            assert image_side == side and image.shape == (1, 4, 4)  # a stack of one
+            image = DensityMatrix((2, 2), image[0])
             bound = upper_bound_one_sided(wootters_concurrence(rho), image, probe.matrix)
             assert result.upper[0] == bound.raw
 
@@ -481,7 +481,7 @@ class TestOneKonradFactor:
                                                          (channel_2.superoperator, "second")],
                               probe.matrix)
             assert [side for _, side in result.images] == ["first", "second"]
-            images = [DensityMatrix((2, 2), image) for image, _ in result.images]
+            images = [DensityMatrix((2, 2), image[0]) for image, _ in result.images]
             bound = upper_bound_two_sided(wootters_concurrence(rho), *images, probe.matrix)
             assert result.upper[0] == bound.raw
 
@@ -542,8 +542,9 @@ class TestSpinFlipStack:
         assert np.linalg.det(indefinite).real > 1e-10  # passes the full-rank certificate
         mats = np.array([random_mixed((2, 2), 4, rng).matrix, indefinite])
         lam = spin_flip_spectrum(mats)
-        assert eigh_entries == [2]  # the whole stack
-        assert np.array_equal(lam, eigh_route_spectrum(mats))
+        assert eigh_entries == [1]  # only the entry whose own factorization fails
+        assert np.array_equal(lam[1], eigh_route_spectrum(mats[1:])[0])
+        assert np.array_equal(lam[0], spin_flip_spectrum(mats[:1])[0])  # its Cholesky route
 
     def test_empty_stack(self):
         assert spin_flip_spectrum(np.empty((0, 4, 4), dtype=complex)).shape == (0, 4)
@@ -735,13 +736,14 @@ class TestEvaluate:
                           np.array([p.matrix for p in probes]) if per_entry_probes
                           else probes[0].matrix)
         assert [side for _, side in result.images] == list(sides)
-        assert result.images[0][0].ndim == (3 if per_entry_channels or per_entry_probes else 2)
+        shared = not (per_entry_channels or per_entry_probes)
+        assert len(result.images[0][0]) == (1 if shared else k)  # a stack of one where shared
         for j in range(k):
             probe = probe_density(probes[j] if per_entry_probes else probes[0])
             apps = [apply_one_sided(channels[j], probe, side)
                     for channels, side in zip(stage_channels, sides)]
             for (image, _), app in zip(result.images, apps):
-                assert np.array_equal(image if image.ndim == 2 else image[j], app.output.matrix)
+                assert np.array_equal(image[j % len(image)], app.output.matrix)
             assert result.p_prime[j] == float(np.prod([app.probability for app in apps]))
             assert result.p_t[j] == result.p[j] / result.p_prime[j]
 
@@ -770,7 +772,7 @@ class TestEvaluate:
         # the images, the inputs and one shared probe image per side, less the certified
         # separable entries, which skip the spectrum
         images = [image for image, _ in result.images]
-        stack = np.concatenate([result.states, mats, np.array(images)])
+        stack = np.concatenate([result.states, mats] + images)
         assert len(stack) == 2 * 5 + 2
         uncertified = int(np.sum(~concurrence._ppt_certified(stack)))
         assert 0 < uncertified < len(stack)

@@ -498,7 +498,7 @@ class TestTwoSidedWitness:
             a2 = apply_one_sided(ch2, probe_density(probe), "second")
             stages = [(a1.output, "first"), (a2.output, "second")]
             channels = rebuilt(stages, probe)
-            (s1, side_1), (s2, side_2) = channels
+            ((s1,), side_1), ((s2,), side_2) = channels  # stacks of one
             assert (side_1, side_2) == ("first", "second")
             np.testing.assert_allclose(s1 * a1.probability, ch1.superoperator, atol=1e-10)
             np.testing.assert_allclose(s2 * a2.probability, ch2.superoperator, atol=1e-10)
@@ -624,8 +624,8 @@ class TestWitness:
             assert values.shape == (6,)
             for k, probe in enumerate(probes):
                 entry = [(image[k], side) for image, side in stages]
-                for (s_stack, _), (s_single, _) in zip(stack, probe_channels(entry,
-                                                                             probe.matrix)):
+                for (s_stack, _), ((s_single,), _) in zip(stack, probe_channels(entry,
+                                                                                probe.matrix)):
                     np.testing.assert_allclose(s_stack[k], s_single, atol=1e-12)
                 value = probe_route(rho.matrix[None], (n, n), entry, probe.matrix)
                 assert abs(values[k] - value[0]) < 1e-12
@@ -641,7 +641,7 @@ class TestWitness:
                 ch = KrausChannel(n, ch.operators[:1])
             app = apply_one_sided(ch, probe_density(probe), side)
             channels = rebuilt([(app.output, side)], probe)
-            ((stage, stage_side),) = channels
+            (((stage,), stage_side),) = channels  # a stack of one
             assert stage_side == side
             np.testing.assert_allclose(stage * app.probability, ch.superoperator, atol=1e-10)
             values = routed(rho.matrix[None], [(app.output, side)], probe)
@@ -650,8 +650,9 @@ class TestWitness:
             assert abs(p_t[0] * app.probability - evolved.probability) < 1e-10
             assert abs(values[0] - fidelity_lower_bound(evolved.output).raw) < 1e-10
 
-    def test_leading_probe_axes_flatten_in_order(self, rng):
-        # images (2, 3, d, d) with probes (2, 3, n, n) act as the flattened stack of six
+    def test_one_leading_probe_axis(self, rng):
+        # a flat stack of six images and probes gives each entry its own route, bit for
+        # bit; a (2, 3) grid of either is not a stack and raises
         n = 2
         probes = [random_probe(n, rng) for _ in range(6)]
         ch1, ch2 = random_tp_kraus(n, 2, rng), random_tp_kraus(n, 3, rng)
@@ -661,9 +662,15 @@ class TestWitness:
         matrices = np.array([p.matrix for p in probes])
         states = np.array([random_mixed((n, n), 1 + t % 4, rng).matrix for t in range(6)])
         flat = probe_route(states, (n, n), stages, matrices)
-        grid = probe_route(states, (n, n), [(i.reshape(2, 3, 4, 4), side) for i, side in stages],
-                           matrices.reshape(2, 3, n, n))
-        assert flat.shape == (6,) and flat.tobytes() == grid.tobytes()
+        assert flat.shape == (6,)
+        for t in range(6):
+            alone = probe_route(states[t:t + 1], (n, n), [(i[t], side) for i, side in stages],
+                                matrices[t])
+            assert alone.tobytes() == flat[t:t + 1].tobytes()
+        grid = [(i.reshape(2, 3, 4, 4), side) for i, side in stages]
+        for images, probe_grid in ((grid, matrices), (stages, matrices.reshape(2, 3, n, n))):
+            with pytest.raises(DimensionMismatch, match="needs a"):
+                probe_route(states, (n, n), images, probe_grid)
 
     @pytest.mark.parametrize("sides", [("first",), ("second",), ("first", "second")])
     @pytest.mark.parametrize("per_entry", [False, True])
@@ -770,7 +777,7 @@ class TestWitness:
             "rounding error" for kappa in (1e6, 5e4, 5e4)]
 
     @pytest.mark.parametrize("n", [2, 3, 4])
-    @pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
+    @pytest.mark.parametrize("lead", [(), (3,), (6,)])
     @pytest.mark.parametrize("sides", [("first", "second"), ("second", "first")])
     def test_matmul_rebuild_matches_einsum_oracle(self, rng, n, lead, sides):
         count = int(np.prod(lead))
@@ -784,33 +791,33 @@ class TestWitness:
         assert messages == condition_messages(probes)
         for (stage, side), (expected, expected_side) in zip(stages,
                                                             einsum_rebuild(images, matrices)):
-            assert stage.shape == lead + (n * n, n * n) and side == expected_side
-            np.testing.assert_allclose(stage, expected, rtol=0, atol=1e-12)
+            # a lone image and probe rebuild a stack of one
+            assert stage.shape == (count, n * n, n * n) and side == expected_side
+            np.testing.assert_allclose(stage, expected.reshape(stage.shape), rtol=0, atol=1e-12)
         (one,), messages = caught_messages(lambda: probe_channels(images[:1], matrices))
         assert messages == condition_messages(probes)
         assert one[1] == sides[0] and np.array_equal(one[0], stages[0][0])
 
-    def test_two_dimensional_probe_stack(self, rng):
-        # a (2, 3) probe axis builds, warns once per ill-conditioned probe, and
-        # gives each probe's own rebuilt channel
+    def test_six_probe_stack(self, rng):
+        # a stack of six probes, once a (2, 3) grid, builds, warns once per
+        # ill-conditioned probe in stack order, and gives each probe's own rebuilt channel
         skewed = np.diag([1.0, 2e-5])
         bad = probe_from_matrix(skewed / np.linalg.norm(skewed))
-        probes = [[bad, random_probe(2, rng), canonical_probe(2)],
-                  [random_probe(2, rng), bad, bad]]
+        probes = [bad, random_probe(2, rng), canonical_probe(2), random_probe(2, rng), bad, bad]
         ch = random_tp_kraus(2, 2, rng)
-        images = np.array([[apply_one_sided(ch, probe_density(p), "first").output.matrix
-                            for p in row] for row in probes])
-        matrices = np.array([[p.matrix for p in row] for row in probes])
+        images = np.array([apply_one_sided(ch, probe_density(p), "first").output.matrix
+                           for p in probes])
+        matrices = np.array([p.matrix for p in probes])
         ((s1, side),), messages = caught_messages(
             lambda: probe_channels([(images, "first")], matrices))
         assert len(messages) == 3
-        assert messages == condition_messages(probes[0] + probes[1])  # row-major probe order
-        assert s1.shape == (2, 3, 4, 4) and side == "first"
-        for i, j in np.ndindex(2, 3):
-            ((single, _),), messages = caught_messages(
-                lambda: probe_channels([(images[i, j], "first")], probes[i][j].matrix))
-            assert messages == condition_messages([probes[i][j]])
-            np.testing.assert_allclose(s1[i, j], single, atol=1e-10)
+        assert messages == condition_messages(probes)
+        assert s1.shape == (6, 4, 4) and side == "first"
+        for j, probe in enumerate(probes):
+            (((single,), _),), messages = caught_messages(
+                lambda: probe_channels([(images[j], "first")], probe.matrix))
+            assert messages == condition_messages([probe])
+            np.testing.assert_allclose(s1[j], single, atol=1e-10)
 
     @pytest.mark.parametrize("side", ["first", "second"])
     def test_evaluate_bound_reports_pt_from_witness(self, rng, side):
