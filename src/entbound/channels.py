@@ -122,10 +122,11 @@ def apply_stacked(superoperators, mats, dims, side: str = "first"):
     empty stack gives no image).  Returns (outputs, p, fault) over the max(g, k) pairs: the
     traces p of the raw images, None or (index, ZeroProbability) of the first pair with
     p <= 1e-14, and the normalized, not yet validated images before it.  Each entry is m^2
-    rows of length n^2 times S^T, one GEMM per superoperator over its run of states.  An
-    output row is one dot product with a row of S, so an entry gets the same bits alone, in
-    any stack and any grouping, except at m = 1: a lone row is a matrix-vector product, which
-    can differ in the last bit from the same row inside a GEMM over several states."""
+    rows of length n^2 times S^T, one GEMM per superoperator over its run of states; a run
+    of one row (m = 1) is padded to two, since a lone row would be a matrix-vector product,
+    which can differ in the last bit from the same row inside a GEMM.  An output row is one
+    dot product with a row of S, so an entry gets the same bits alone, in any stack and any
+    grouping."""
     check_side(side)
     n1, n2 = dims
     n, m = (n1, n2) if side == "first" else (n2, n1)
@@ -137,9 +138,12 @@ def apply_stacked(superoperators, mats, dims, side: str = "first"):
     c = max(min(g, k), 1)  # an empty stack pairs with nothing
     if max(g, k) % c:
         raise DimensionMismatch(f"{g} superoperators do not pair with {k} states")
-    rows = rows.reshape(c, 1, k // c * m * m, n * n)
+    run = k // c * m * m
+    rows = rows.reshape(c, 1, run, n * n)
+    if run == 1:  # a lone row would be a matrix-vector product: pad it to two rows
+        rows = rows.repeat(2, axis=2)
     superoperators = superoperators.reshape(c, g // c, n * n, n * n)
-    images = (rows @ superoperators.swapaxes(-1, -2)).reshape(-1, m, m, n, n)
+    images = (rows @ superoperators.swapaxes(-1, -2))[:, :, :run].reshape(-1, m, m, n, n)
     images = images.transpose(np.argsort(axes)).reshape((-1,) + mats.shape[1:])
     p = np.trace(images, axis1=1, axis2=2).real
     k = first_false(p > PROBABILITY_FLOOR)

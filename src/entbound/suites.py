@@ -13,8 +13,9 @@ states as d x d factors with the columns past their random rank zeroed,
 and probes through one :func:`entbound.probe.random_probes` call.  A trial
 cannot be redrawn alone, so the reproduction record of a failing check
 carries every input the check used, with the seed and trial count that
-drew them.  The draws are built, validated and evaluated as one stack per
-suite and dimension, in probe-invariance per pair kind.  Every suite ends
+drew them.  The draws are built and evaluated as one stack per suite and
+dimension, in probe-invariance per pair kind; a drawn mixed state is validated
+once, by the evaluation core that uses it.  Every suite ends
 in one :func:`_verdict`, the one pass rule: a check fails unless it is
 within its tolerance, so a NaN fails, and a suite with no checks fails.
 """
@@ -30,6 +31,7 @@ from . import channels as ch
 from . import concurrence as conc
 from . import probe as pr
 from . import qlinalg as ql
+from .errors import InvalidChannel
 from .serialize import channel_to_json, probe_to_json, state_to_json
 
 
@@ -234,37 +236,35 @@ def suite_probe_invariance(seed=0, trials=100) -> SuiteResult:
 
 
 def suite_pt_equivalence(seed=0, trials=200) -> SuiteResult:
-    """Agreement of the two p_t formulas, and p = p_t * p' against direct evolution.
+    """Agreement of the two p_t formulas with the p_t = p/p' of the evaluation core.
 
-    Even trials are 2x2, odd trials 3x3, and every third trial's channel is a
-    non-trace-preserving truncation; each dimension is one stack.
+    Even trials are 2x2 with the channel on the first subsystem, odd trials 3x3
+    with it on the second, and every third trial's channel is a
+    non-trace-preserving truncation; each dimension is one
+    :func:`entbound.concurrence.evaluate` call.
     """
     rng = np.random.default_rng([seed, 3])
     res, inputs = np.empty(trials), []
-    for n, first in ((2, 0), (3, 1)):
+    for n, first, side in ((2, 0, "first"), (3, 1, "second")):
         trial = np.arange(first, trials, 2)
         if not len(trial):
             continue
-        truncated = trial % 3 == 0
         rhos = _random_densities(n, len(trial), rng)
-        superoperators, kraus = _random_channels(n, len(trial), rng, truncated)
+        superoperators, kraus = _random_channels(n, len(trial), rng, trial % 3 == 0)
         matrices = pr.random_probes(n, len(trial), rng)
-        ((images, _),), p_prime = ch.probe_images([(superoperators, "first")], matrices)
-        pt_red = pr.pt_reduced_stack(rhos, images, matrices, "first")
-        residual = np.abs(pt_red - 1.0)  # trace preserving: p_t = 1
-        _, p_direct, fault = ch.evolve(rhos[truncated], (n, n),
-                                       [(superoperators[truncated], "first")])
-        ql.raise_fault(fault)
-        residual[truncated] = np.abs(pt_red[truncated] * p_prime[truncated] - p_direct)
-        pt_mes = pr.pt_mes_sum_stack(rhos, images, matrices, "first")
-        res[first::2] = np.maximum(np.abs(pt_red - pt_mes), residual)
-        inputs.append((rhos, kraus, matrices))
+        result = conc.evaluate(rhos, (n, n), [(superoperators, side)], matrices)
+        ql.raise_fault(result.fault)
+        (images, _), = result.images
+        pt_red = pr.pt_reduced_stack(rhos, images, matrices, side)
+        pt_mes = pr.pt_mes_sum_stack(rhos, images, matrices, side)
+        res[first::2] = np.maximum(np.abs(pt_red - pt_mes), np.abs(pt_red - result.p_t))
+        inputs.append((side, rhos, kraus, matrices))
 
     def repro(t):
         n = 2 + t % 2
-        rhos, kraus, matrices = inputs[t % 2]
+        side, rhos, kraus, matrices = inputs[t % 2]
         return {"suite": "pt-equivalence", "seed": seed, "trials": trials, "trial": t,
-                "residual": float(res[t]),
+                "side": side, "residual": float(res[t]),
                 "state": state_to_json(ql.DensityMatrix((n, n), rhos[t // 2])),
                 "channel": _channel_json(n, kraus[t // 2]), "probe": _probe_json(matrices[t // 2])}
 
@@ -318,8 +318,33 @@ def suite_sandwich(seed=0, trials=500) -> SuiteResult:
     return _verdict("sandwich", [(res <= 1e-9, res, repro)])
 
 
+def _completeness_outcome(delta) -> str:
+    """What building the qubit channel sqrt(1 + delta) I gives."""
+    try:
+        channel = ch.KrausChannel(2, (np.sqrt(1.0 + delta) * np.eye(2),))
+    except InvalidChannel:
+        return "InvalidChannel"
+    return "trace preserving" if channel.trace_preserving else "not trace preserving"
+
+
+def _completeness_rule() -> tuple:
+    """The (ok, residuals, repro) check of the 1e-10 completeness rule on the qubit
+    channels sqrt(1 + delta) I, delta = +-0.9e-10 and +-1.1e-10: the one whose sum M^dag M
+    exceeds the identity by more than 1e-10 raises InvalidChannel, and each other one is
+    trace preserving exactly when |delta| <= 1e-10."""
+    deltas = np.array([-1.1, -0.9, 0.9, 1.1]) * 1e-10
+    outcomes = [_completeness_outcome(delta) for delta in deltas]
+    expected = ["InvalidChannel" if delta > ql.TOL_RECONSTRUCT
+                else "trace preserving" if abs(delta) <= ql.TOL_RECONSTRUCT
+                else "not trace preserving" for delta in deltas]
+    ok = np.array(outcomes) == np.array(expected)
+    return ok, (), lambda i: {"suite": "structural", "delta": float(deltas[i]),
+                              "outcome": outcomes[i], "expected": expected[i]}
+
+
 def suite_structural(seed=0, trials=1000) -> SuiteResult:
-    """Dual concurrence formulas on random states; built-in channels trace preserving.
+    """Dual concurrence formulas on random states; built-in channels trace preserving;
+    the completeness rule on both sides of 1e-10.
 
     Trial t draws a pure state of dims (2, 2), (2, 3), (3, 3) by t mod 3;
     each of the three is one stack."""
@@ -343,7 +368,8 @@ def suite_structural(seed=0, trials=1000) -> SuiteResult:
             "residual": float(res[t])}),
         (defects <= ql.TOL_STRUCTURE, defects, lambda i: {
             "suite": "structural", "family": families[i // len(values)][0],
-            "parameter": float(values[i % len(values)]), "defect": float(defects[i])})])
+            "parameter": float(values[i % len(values)]), "defect": float(defects[i])}),
+        _completeness_rule()])
 
 
 _SUITES = {

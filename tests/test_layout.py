@@ -115,3 +115,21 @@ def test_shared_operand_is_a_stack_of_one_and_entries_are_stack_invariant(rng, c
     result = stacked()
     for j in range(K):
         assert_same(parts(result, core, j), parts(alone(j), core))
+
+
+@pytest.mark.parametrize("dims, side", [((2, 1), "first"), ((3, 1), "first"),
+                                        ((1, 3), "second")])
+def test_one_row_entries_are_stack_invariant(rng, dims, side):
+    # where the other subsystem has dim 1 an entry is one row of length n^2: alone, under
+    # its own superoperator and in a run that shares one, it gets the same bits
+    n = max(dims)
+    mats = np.array([random_density(dims, 1 + j % n, rng).matrix for j in range(K)])
+    per_entry = np.array([random_tp_kraus(n, 2 + j % 2, rng).superoperator for j in range(K)])
+    shared = random_tp_kraus(n, 3, rng).superoperator
+    cores = {"apply_stacked": lambda stage, states: apply_stacked(stage, states, dims, side),
+             "evolve": lambda stage, states: evolve(states, dims, [(stage, side)])}
+    for core, run in cores.items():
+        for stage, own in ((shared, lambda j: shared), (per_entry, lambda j: per_entry[j])):
+            result = run(stage, mats)
+            for j in range(K):
+                assert_same(parts(result, core, j), parts(run(own(j), mats[j:j + 1]), core))

@@ -127,11 +127,11 @@ class TestStackedFamilies:
 
 class TestProbeInvarianceFamilies:
     def test_each_matrix_checked_once_per_family(self, density_checks):
-        # per dimension: the 20 drawn states, then the one-sided pairs' states and images,
-        # their 50 probes and images, the two-sided pairs' states and both images, and
-        # their 50 probes and images on both sides
+        # per dimension: the one-sided pairs' states and images, their 50 probes and
+        # images, the two-sided pairs' states and both images, and their 50 probes and
+        # images on both sides; a drawn state is checked only there
         run_suites("probe-invariance", 0, 5)
-        assert density_checks == [20, 20, 100, 30, 150] * 2 and sum(density_checks) == 640
+        assert density_checks == [20, 100, 30, 150] * 2 and sum(density_checks) == 600
 
 
 class TestSharedKrausValidation:
@@ -234,29 +234,31 @@ class TestForcedFailureRepro:
         record = _record(result, 2, 10)
         assert record["trial"] == trial
         rho, channel = state_from_json(record["state"]), channel_from_json(record["channel"])
-        probe_state = probe_from_json(record["probe"])
+        probe_state, side = probe_from_json(record["probe"]), record["side"]
         n = 2 + trial % 2
         assert rho.dims == (n, n) and probe_state.dim == n
+        assert side == ("first", "second")[trial % 2]
         assert channel.trace_preserving == (trial % 3 != 0)
-        image = apply_one_sided(channel, probe_density(probe_state), "first")
-        pt_mes = pt_via_mes_sum(rho, image.output, probe_state)
-        pt_red = pt_via_reduced(rho, image.output, probe_state)
+        image = apply_one_sided(channel, probe_density(probe_state), side)
+        pt_mes = pt_via_mes_sum(rho, image.output, probe_state, side)
+        pt_red = pt_via_reduced(rho, image.output, probe_state, side)
         assert abs(pt_mes - mes_sums[trial % 2][trial // 2]) <= 1e-10
         assert abs(pt_red - pt_mes) <= 1e-10
-        direct = apply_one_sided(channel, rho, "first").probability
+        direct = apply_one_sided(channel, rho, side).probability
         assert abs(pt_red * image.probability - direct) <= 1e-10
 
     @pytest.mark.parametrize("family", ["evolve", "probe_images"])
     def test_pt_equivalence_runs_the_core_families(self, monkeypatch, family):
-        # square p of channels.evolve or p' of channels.probe_images, as suites calls them:
-        # only a truncated channel's traces move, so only its trials fail
-        original = getattr(suites.ch, family)
+        # square p of channels.evolve or p' of channels.probe_images inside the evaluation
+        # core, which gives the suite its p_t: only a truncated channel's traces move, so
+        # only its trials fail
+        original = getattr(suites.conc, family)
 
         def squared(*args):
             out = original(*args)
             return out[:1] + (out[1] ** 2,) + out[2:]
 
-        monkeypatch.setattr(suites.ch, family, squared)
+        monkeypatch.setattr(suites.conc, family, squared)
         result, = run_suites("pt-equivalence", seed=2, trials=10)
         monkeypatch.undo()
         assert not result.passed and result.failures > 0
@@ -435,7 +437,7 @@ class TestVerdict:
 # trial count (None: mes-basis has none), trials reported at it)
 TRIAL_COUNTS = [("theorem1", 1042, 50, 54), ("probe-invariance", 40, 5, 40),
                 ("pt-equivalence", 200, 10, 10), ("sandwich", 500, 25, 25),
-                ("mes-basis", 3, None, 3), ("structural", 1033, 50, 83)]
+                ("mes-basis", 3, None, 3), ("structural", 1037, 50, 87)]
 
 
 class TestTrialCounts:
@@ -450,9 +452,54 @@ class TestTrialCounts:
 
     @pytest.mark.parametrize("name", [n for n, _, trials, _ in TRIAL_COUNTS if trials])
     def test_zero_trials_fail(self, name):
-        # fixed checks (theorem1's MES, structural's channel families) are no drawn trial
+        # fixed checks (theorem1's MES, structural's channel families and completeness
+        # rule) are no drawn trial
         result, = run_suites(name, seed=0, trials=0)
         assert (result.passed, result.trials, result.failures) == (False, 0, 0)
+
+
+def _pt_product(monkeypatch):
+    """p_t = p * p' in place of p / p' in the evaluation core."""
+    evaluate = suites.conc.evaluate
+
+    def mutant(*args):
+        result = evaluate(*args)
+        return replace(result, p_t=result.p * result.p_prime)
+
+    monkeypatch.setattr(suites.conc, "evaluate", mutant)
+
+
+def _konrad_factor(scale):
+    """The Konrad factor C(rho_P)/(2|det P|) times ``scale(|det P|)``."""
+    def patch(monkeypatch):
+        factor = suites.conc.upper_bound_factor
+
+        def mutant(concurrences, probes):
+            det = np.abs(np.linalg.det(ql.stack_of(np.asarray(probes, dtype=complex), 2)))
+            return factor(concurrences, probes) * scale(det)
+
+        monkeypatch.setattr(suites.conc, "upper_bound_factor", mutant)
+    return patch
+
+
+# library mutants that are a constant or a wrapper, each as a monkeypatch; check must
+# catch every one
+MUTANTS = {
+    "p_t-product": _pt_product,
+    "tp-tolerance-1e-3": lambda monkeypatch: monkeypatch.setattr(ch, "TP_TOLERANCE", 1e-3),
+    "factor-over-2-det-squared": _konrad_factor(lambda det: 1.0 / det),
+    "factor-over-det": _konrad_factor(lambda det: 2.0),
+}
+
+
+class TestMutants:
+    """``check all`` at seed 0 fails under each mutant and names the inputs of a failure."""
+
+    @pytest.mark.parametrize("mutant", MUTANTS)
+    def test_check_all_fails(self, monkeypatch, mutant):
+        MUTANTS[mutant](monkeypatch)
+        failing = [r for r in run_suites("all", seed=0) if not r.passed]
+        assert failing and all(r.failures > 0 and r.repro for r in failing)
 
 
 class TestDeterminism:
