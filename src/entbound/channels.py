@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidChannel, OutOfRange, ZeroProbability
-from .qlinalg import DensityMatrix, _check_dim, density_fault, first_false, raise_fault, \
-    stack_of
+from .qlinalg import DensityMatrix, _check_dim, density_fault, first_false, pure_densities, \
+    raise_fault, stack_of
 
 # Completeness defect below this is treated as exactly trace preserving.
 TP_TOLERANCE = 1e-10
@@ -182,8 +182,7 @@ def probe_images(stages, probes):
     One :func:`density_fault` call checks |P><P| and its images; the first fault raises in the
     order density, stage-1 trace, ..."""
     n = np.shape(probes)[-1]
-    vecs = stack_of(probes, n, shared=True).reshape(-1, n * n)
-    densities = vecs[:, :, None] * vecs[:, None, :].conj()
+    densities = pure_densities(stack_of(probes, n, shared=True).reshape(-1, n * n))
     checked, faults, p_prime = [densities], [None], np.ones(len(densities))
     for superoperators, side in stages:
         image, stage_p, stage_fault = apply_stacked(superoperators, densities, (n, n), side)

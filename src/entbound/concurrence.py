@@ -355,12 +355,12 @@ def evaluate(mats, dims, stages, probe_matrices=None) -> Evaluation:
     :func:`entbound.channels.evolve` takes the states through ``stages``; with
     ``probe_matrices``, a stack of one (n, n) probe or of one per entry,
     :func:`entbound.channels.probe_images` takes |P><P| through each stage alone, and
-    p_t = p/p'.  A probe whose dim differs from a stage's subsystem raises
-    DimensionMismatch.  At 2x2 one :func:`spin_flip_concurrence` call (so one
-    :func:`spin_flip_spectrum` call, on the entries not certified separable) takes the
-    images, the inputs and every stage's probe images as one stack: it gives the exact
-    values, C(rho) and each stage's C(rho_P); the upper bound is C(rho) times one
-    :func:`upper_bound_factor` call's factors, in order.
+    p_t = p/p'.  A probe stack of another length, or a probe whose dim differs from a
+    stage's subsystem, raises DimensionMismatch before any probe image is built.  At 2x2
+    one :func:`spin_flip_concurrence` call (so one :func:`spin_flip_spectrum` call, on the
+    entries not certified separable) takes the images, the inputs and every stage's probe
+    images as one stack: it gives the exact values, C(rho) and each stage's C(rho_P); the
+    upper bound is C(rho) times one :func:`upper_bound_factor` call's factors, in order.
     """
     out, p, fault = evolve(mats, dims, stages)
     k = len(out)
@@ -369,6 +369,8 @@ def evaluate(mats, dims, stages, probe_matrices=None) -> Evaluation:
     if probe_matrices is not None:
         n = np.shape(probe_matrices)[-1]
         probes = stack_of(probe_matrices, n, shared=True)
+        if len(probes) not in (1, len(mats)):
+            raise DimensionMismatch(f"{len(probes)} probes for {len(mats)} states")
         for _, side in stages:
             if n != dims[side == "second"]:
                 raise DimensionMismatch(f"a probe of dim {n} does not fit the {side} subsystem "

@@ -141,22 +141,21 @@ def _check_square(dims, n: int):
                                 f"state of dims {tuple(dims)}")
 
 
-def _on_first_side(mats, images, probes, side):
-    """The stacks of a p_t formula on ``side`` with the probes inverted, mirrored to side
-    "first": swapping the subsystems of both states and transposing P^-1 turns
-    (1 o $)|P><P| into ($ o 1)|P^T><P^T|."""
+def _on_first_side(side, inverses, *stacks):
+    """P^-1 ``inverses`` and the (k, n^2, n^2) ``stacks`` of a formula for a channel on
+    ``side``, mirrored to side "first": swapping the subsystems of every stack and
+    transposing P^-1 turns (1 o $)|P><P| into ($ o 1)|P^T><P^T|."""
     check_side(side)
-    inverses = np.linalg.inv(probes)
     if side == "first":
-        return mats, images, inverses
+        return (inverses,) + stacks
     n = inverses.shape[-1]
-    return swap_subsystems(mats, n), swap_subsystems(images, n), inverses.swapaxes(-1, -2)
+    return (inverses.swapaxes(-1, -2),) + tuple(swap_subsystems(s, n) for s in stacks)
 
 
 def pt_reduced_stack(mats, images, probes, side) -> np.ndarray:
     """:func:`pt_via_reduced` for (k, d, d) stacks of input states and normalized probe
     images under a channel on ``side`` and the (k, n, n) probe matrices."""
-    mats, images, inverses = _on_first_side(mats, images, probes, side)
+    inverses, mats, images = _on_first_side(side, np.linalg.inv(probes), mats, images)
     n = inverses.shape[-1]
     rho_a = np.trace(mats.reshape(-1, n, n, n, n), axis1=2, axis2=4)
     window = (inverses @ rho_a @ inverses.conj().swapaxes(1, 2)).conj()
@@ -166,7 +165,7 @@ def pt_reduced_stack(mats, images, probes, side) -> np.ndarray:
 def pt_mes_sum_stack(mats, images, probes, side) -> np.ndarray:
     """:func:`pt_via_mes_sum` for (k, d, d) stacks of input states and normalized probe
     images under a channel on ``side`` and the (k, n, n) probe matrices."""
-    mats, images, inverses = _on_first_side(mats, images, probes, side)
+    inverses, mats, images = _on_first_side(side, np.linalg.inv(probes), mats, images)
     n = inverses.shape[-1]
     srs = swap_subsystems(mats.conj(), n)[:, None]
     lefts = kron_stack(mes_basis(n), inverses.conj()[:, None])  # (k, m): C_m o (P^-1)^*
@@ -222,8 +221,8 @@ def probe_channels(stages, probes) -> list:
 
     Each sum is two matmuls over a reshaped image: with its axes ordered
     (a, c, y, x), a (g, n^3, n) @ P^-1 contracts x, and after swapping the last
-    two axes a (g, n^3, n) @ P^-1* contracts y.  The second side is the first
-    with the image's subsystems swapped and P^-1 transposed.
+    two axes a (g, n^3, n) @ P^-1* contracts y.  The second side is the first on the
+    image and P^-1 that :func:`_on_first_side` mirrors, as in the p_t oracles.
     """
     for _, side in stages:
         check_side(side)
@@ -242,16 +241,14 @@ def probe_channels(stages, probes) -> list:
                       "the bound may carry amplified rounding error", RuntimeWarning,
                       stacklevel=3)
     inverse = np.linalg.inv(probes)
-    # image axes (g, a, x, c, y) on the first side and (g, x, a, y, c) on the second
-    mirrors = {"first": ((0, 1, 3, 4, 2), inverse),
-               "second": ((0, 2, 4, 3, 1), inverse.swapaxes(-1, -2))}
 
-    def rebuild(image, axes, inv):
-        half = image.reshape(-1, n, n, n, n).transpose(axes).reshape(-1, n ** 3, n) @ inv
+    def rebuild(image, side):
+        inv, image = _on_first_side(side, inverse, image)  # image axes (g, a, x, c, y)
+        half = image.reshape(-1, n, n, n, n).transpose(0, 1, 3, 4, 2).reshape(-1, n ** 3, n) @ inv
         half = half.reshape(-1, n, n, n, n).swapaxes(-1, -2)  # (g, a, c, i, y)
         return (half.reshape(-1, n ** 3, n) @ inv.conj()).reshape(-1, n * n, n * n)
 
-    return [(rebuild(image, *mirrors[side]), side) for image, (_, side) in zip(images, stages)]
+    return [(rebuild(image, side), side) for image, (_, side) in zip(images, stages)]
 
 
 def probe_route(mats, dims, stages, probes):

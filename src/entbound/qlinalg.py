@@ -77,7 +77,7 @@ class PureState:
 
     def density(self) -> "DensityMatrix":
         """Rank-1 density matrix |psi><psi|."""
-        return DensityMatrix(self.dims, np.outer(self.amplitudes, self.amplitudes.conj()))
+        return DensityMatrix(self.dims, pure_densities(self.amplitudes[None])[0])
 
 
 @dataclass(frozen=True)
@@ -282,10 +282,8 @@ def pure_stack(vecs) -> np.ndarray:
 
 
 def pure_densities(vecs) -> np.ndarray:
-    """Stack of |v><v| for a (..., d) stack of unit vectors, validated as density matrices."""
-    densities = vecs[..., :, None] * vecs[..., None, :].conj()
-    raise_fault(density_fault(densities.reshape((-1,) + densities.shape[-2:])))
-    return densities
+    """Unvalidated (k, d, d) stack of |v><v| for a (k, d) stack of vectors v."""
+    return vecs[:, :, None] * vecs[:, None, :].conj()
 
 
 def density_stack(dims, factors) -> np.ndarray:

@@ -342,9 +342,26 @@ def _completeness_rule() -> tuple:
                               "outcome": outcomes[i], "expected": expected[i]}
 
 
+def _floor_rules() -> tuple:
+    """The (ok, residuals, repro) check of the two fault floors on both sides: density_fault
+    faults diag(0.5 - lam, 0.3, 0.2, lam) exactly when lam < -1e-10 (lam = -1.1e-10,
+    -0.9e-10), and apply_stacked faults the qubit stage t I on I/4 exactly when its trace t
+    is at most 1e-14 (t = 0.9e-14, 1.1e-14)."""
+    lams, ts = (-1.1e-10, -0.9e-10), (0.9e-14, 1.1e-14)
+    rules = [("eigenvalue floor", lam) for lam in lams] + [("probability floor", t) for t in ts]
+    faulted = ([ql.density_fault(np.diag([0.5 - lam, 0.3, 0.2, lam])[None]) is not None
+                for lam in lams]
+               + [ch.apply_stacked(t * np.eye(4), np.eye(4)[None] / 4, (2, 2))[2] is not None
+                  for t in ts])
+    expected = [lam < -ql.TOL_RECONSTRUCT for lam in lams] + [t <= 1e-14 for t in ts]
+    ok = np.array(faulted) == np.array(expected)
+    return ok, (), lambda i: {"suite": "structural", "rule": rules[i][0], "value": rules[i][1],
+                              "faulted": faulted[i], "expected": expected[i]}
+
+
 def suite_structural(seed=0, trials=1000) -> SuiteResult:
     """Dual concurrence formulas on random states; built-in channels trace preserving;
-    the completeness rule on both sides of 1e-10.
+    the completeness rule, the eigenvalue floor and the probability floor on both sides.
 
     Trial t draws a pure state of dims (2, 2), (2, 3), (3, 3) by t mod 3;
     each of the three is one stack."""
@@ -369,7 +386,7 @@ def suite_structural(seed=0, trials=1000) -> SuiteResult:
         (defects <= ql.TOL_STRUCTURE, defects, lambda i: {
             "suite": "structural", "family": families[i // len(values)][0],
             "parameter": float(values[i % len(values)]), "defect": float(defects[i])}),
-        _completeness_rule()])
+        _completeness_rule(), _floor_rules()])
 
 
 _SUITES = {

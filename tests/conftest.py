@@ -69,6 +69,7 @@ def reference_evaluate(mats, dims, stages, probe_matrices=None) -> Evaluation:
                 raise DimensionMismatch(f"a probe of dim {n} does not fit the {side} subsystem "
                                         f"of a state of dims {tuple(dims)}")
         densities = pure_densities(probes.reshape(-1, n * n))
+        raise_fault(density_fault(densities))
         p_prime = np.ones(len(mats))
         for superoperators, side in stages:
             superoperators = np.reshape(superoperators, (-1, n * n, n * n))

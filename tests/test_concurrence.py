@@ -761,6 +761,16 @@ class TestEvaluate:
             evaluate(mats, (2, 2), [(amplitude_damping(0.2).superoperator, "first")],
                      canonical_probe(3).matrix)
 
+    @pytest.mark.parametrize("k, g, per_entry", [(1, 3, False), (4, 2, False), (4, 2, True)])
+    def test_probe_stack_of_another_length_raises(self, rng, monkeypatch, k, g, per_entry):
+        # one probe or one per state; any other count raises before a probe image is built
+        monkeypatch.setattr(concurrence, "probe_images", lambda *args: pytest.fail("built"))
+        mats = np.array([random_mixed((2, 2), 3, rng).matrix for _ in range(k)])
+        channel = random_tp_kraus(2, 2, rng).superoperator
+        stage = np.array([channel] * k) if per_entry else channel
+        with pytest.raises(DimensionMismatch, match=f"^{g} probes for {k} states$"):
+            evaluate(mats, (2, 2), [(stage, "first")], random_probes(2, g, rng))
+
     def test_one_spin_flip_call_with_a_probe(self, rng, monkeypatch):
         calls, original = [], concurrence.spin_flip_spectrum
         monkeypatch.setattr(concurrence, "spin_flip_spectrum",

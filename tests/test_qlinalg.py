@@ -17,7 +17,7 @@ from entbound import (
     state_to_matrix,
     swap_operator,
 )
-from entbound.qlinalg import density_fault, gaussian
+from entbound.qlinalg import density_fault, gaussian, pure_densities
 from conftest import haar_unitary
 
 BELL = PureState((2, 2), np.array([1, 0, 0, 1]) / np.sqrt(2))
@@ -237,6 +237,18 @@ class TestDensityFault:
 
     def test_nan_entry_fails(self):
         assert density_fault(np.full((1, 4, 4), np.nan))[0] == 0
+
+
+class TestPureDensities:
+    def test_unvalidated_outer_products(self, density_checks):
+        # the one |v><v| builder; a stack is checked where it is used as a state
+        vecs = gaussian(np.random.default_rng(3), (5, 6))  # not of unit norm
+        densities = pure_densities(vecs)
+        assert density_checks == []
+        assert all(np.array_equal(rho, np.outer(v, v.conj())) for v, rho in zip(vecs, densities))
+        psi = random_pure_state((2, 3), 4)
+        assert np.array_equal(psi.density().matrix, pure_densities(psi.amplitudes[None])[0])
+        assert density_checks == [1]  # the DensityMatrix of psi.density()
 
 
 def eigvalsh_fault(mats):

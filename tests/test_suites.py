@@ -134,6 +134,20 @@ class TestProbeInvarianceFamilies:
         assert density_checks == [20, 100, 30, 150] * 2 and sum(density_checks) == 600
 
 
+class TestDensityChecks:
+    """A drawn pure state's |psi><psi| is checked only where it is used as a state."""
+
+    def test_sandwich_checks_its_pure_inputs_once(self, density_checks):
+        # one-sided: the states and images, then the probes and images; two-sided likewise
+        run_suites("sandwich", 0)
+        assert density_checks == [500, 500, 750, 750]
+
+    def test_theorem1_checks_no_density(self, density_checks):
+        # its vectors pass pure_stack's finite and unit-norm check instead
+        result, = run_suites("theorem1", 0)
+        assert result.passed and density_checks == []
+
+
 class TestSharedKrausValidation:
     def test_exceeding_identity(self):
         ops = np.array([[np.eye(2)], [1.1 * np.eye(2)]])
@@ -437,7 +451,7 @@ class TestVerdict:
 # trial count (None: mes-basis has none), trials reported at it)
 TRIAL_COUNTS = [("theorem1", 1042, 50, 54), ("probe-invariance", 40, 5, 40),
                 ("pt-equivalence", 200, 10, 10), ("sandwich", 500, 25, 25),
-                ("mes-basis", 3, None, 3), ("structural", 1037, 50, 87)]
+                ("mes-basis", 3, None, 3), ("structural", 1041, 50, 91)]
 
 
 class TestTrialCounts:
@@ -489,6 +503,11 @@ MUTANTS = {
     "tp-tolerance-1e-3": lambda monkeypatch: monkeypatch.setattr(ch, "TP_TOLERANCE", 1e-3),
     "factor-over-2-det-squared": _konrad_factor(lambda det: 1.0 / det),
     "factor-over-det": _konrad_factor(lambda det: 2.0),
+    "eigenvalue-floor-1e-6": lambda monkeypatch: monkeypatch.setattr(ql, "EIGENVALUE_FLOOR", -1e-6),
+    "certificate-shift-1e-6": lambda monkeypatch: monkeypatch.setattr(ql, "_certificate_shift",
+                                                                      lambda d: 1e-6),
+    "probability-floor-1e-3": lambda monkeypatch: monkeypatch.setattr(ch, "PROBABILITY_FLOOR",
+                                                                      1e-3),
 }
 
 
